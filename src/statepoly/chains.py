@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import prod
+from typing import Iterable, Mapping, Sequence
 
 from .groebner import (
     MonomialIdeal,
@@ -31,15 +32,16 @@ from .groebner import (
     intersect_ideals,
     monomial_slice,
 )
-from .lp import (
-    HullMembership,
-    LinearProgram,
-    member_convex_hull,
-    normalize_integer_vector,
-    solve_lp,
-)
+from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
-from .polytope import VPolytope, trivial_character_point
+from .polytope import (
+    ExtremalityError,
+    VPolytope,
+    extremality_witness,  # re-exported: part of this module's interface
+    facets,
+    trivial_character_point,
+    vertex_witnesses,
+)
 from .rings import (
     Ideal,
     Monomial,
@@ -55,16 +57,6 @@ from .state import (
 )
 
 Vector = tuple[Fraction, ...]
-
-
-class ExtremalityError(RuntimeError):
-    """Raised when a claimed vertex of a component polytope admits no strict
-    maximizing weight, or when two vertex combinations collide in the sum.
-
-    Either condition means the input data does not describe polytopes whose
-    sum has one extreme point per combination, so the decomposition refuses
-    to continue rather than silently dropping points.
-    """
 
 
 def _vec(values: Sequence) -> Vector:
@@ -384,8 +376,9 @@ def _component_block_polytope(
     i: int,
     m: int,
     budget: int | None,
-) -> tuple[VPolytope, int]:
-    """Block polytope of component ``i`` plus the number of basis runs spent.
+) -> tuple[VPolytope, int, Mapping[Vector, tuple[int, ...]] | None]:
+    """Block polytope of component ``i``, the number of basis runs spent,
+    and the strict vertex witnesses when enumeration already produced them.
 
     Ideal components are enumerated in the block ring; polytope components
     are restricted to block coordinates when given at ambient arity.
@@ -395,14 +388,14 @@ def _component_block_polytope(
         result = enumerate_state_polytope(component_block_ideal(chain, i), m, budget)
         if not result.complete:
             raise BudgetExhausted(budget if budget is not None else 0)
-        return result.polytope, result.query_count
+        return result.polytope, result.query_count, result.witnesses
     coords = list(spec.block_coords(i))
     if comp.dim == spec.arity:
         restricted = VPolytope(
             len(coords), [tuple(v[j] for j in coords) for v in comp.vertices]
         )
-        return restricted, 0
-    return comp, 0
+        return restricted, 0, None
+    return comp, 0, None
 
 
 def _component_level_count(poly: VPolytope, m: int, i: int) -> int:
@@ -420,35 +413,6 @@ def _component_level_count(poly: VPolytope, m: int, i: int) -> int:
     return int(q)
 
 
-def extremality_witness(poly: VPolytope, vertex: Sequence) -> tuple[int, ...]:
-    """An integer weight vector at which ``vertex`` is the unique maximizer
-    over the polytope's vertices.  Raises :class:`ExtremalityError` when no
-    such vector exists (the point is not extreme)."""
-    target = _vec(vertex)
-    others = [v for v in poly.vertices if v != target]
-    if target not in poly.vertices:
-        raise ValueError("witness requested for a point that is not a listed vertex")
-    if not others:
-        return (0,) * poly.dim
-    constraints = [
-        (tuple(t - o for t, o in zip(target, other)), ">=", Fraction(1))
-        for other in others
-    ]
-    program = LinearProgram(
-        objective=(0,) * poly.dim,
-        constraints=constraints,
-        maximize=True,
-        nonnegative=[False] * poly.dim,
-    )
-    result = solve_lp(program)
-    if result.status != "optimal":
-        raise ExtremalityError(
-            f"extremality violated: no weight vector separates vertex "
-            f"{tuple(target)} strictly from the other vertices"
-        )
-    return normalize_integer_vector(result.point)
-
-
 # ---------------------------------------------------------------------------
 # the decomposed state polytope
 
@@ -459,57 +423,55 @@ def decomposed_state_polytope(
     """State polytope of the assembled chain, built from component polytopes.
 
     The vertices are ``tau + sum of one vertex per component`` over all
-    combinations; a strict maximizing weight is certified per component
-    vertex and spliced across junctions into an ambient witness per sum, so
-    every combination is a genuine extreme point.  Block q-values plus the
-    mixed-monomial count give the ambient q-value.
+    combinations.  Every component vertex carries a strict integer witness
+    (from the enumeration of an ideal component, or from the facets of one
+    hull per stored polytope); the witnesses of a combination are spliced
+    across junctions into an ambient witness that the sum maximizes
+    strictly, so every combination is a genuine extreme point.  Block
+    q-values plus the mixed-monomial count give the ambient q-value.
     """
     spec = _require_valid(chain)
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
     tau = tau_vector(spec, m)
     queries = 0
-    vertex_lists: list[tuple[Vector, ...]] = []
-    witness_lists: list[dict[Vector, tuple[int, ...]]] = []
+    blocks: list[list[tuple[tuple, tuple[int, ...]]]] = []
     q_total = tau.mixed_monomial_count
     for i in range(spec.n_components):
-        poly, spent = _component_block_polytope(chain, spec, i, m, budget)
+        poly, spent, witnesses = _component_block_polytope(chain, spec, i, m, budget)
         queries += spent
         q_total += _component_level_count(poly, m, i)
-        vertex_lists.append(poly.vertices)
-        witness_lists.append({v: extremality_witness(poly, v) for v in poly.vertices})
+        if witnesses is None:
+            witnesses = vertex_witnesses(facets(poly), poly.vertices)
+        blocks.append(
+            [
+                (tuple(x.numerator if x.denominator == 1 else x for x in v), witnesses[v])
+                for v in poly.vertices
+            ]
+        )
 
-    arity = spec.arity
     starts = [spec.block_start(i) for i in range(spec.n_components)]
-    sums: list[Vector] = []
-    witnesses: dict[Vector, tuple[int, ...]] = {}
-    for combo in itertools.product(*vertex_lists):
-        total = [Fraction(t) for t in tau.tau]
-        for start, part in zip(starts, combo):
+    witnesses_out: dict[tuple, tuple[int, ...]] = {}
+    for combo in itertools.product(*blocks):
+        total = list(tau.tau)
+        for start, (part, _) in zip(starts, combo):
             for j, value in enumerate(part):
                 total[start + j] += value
-        key = tuple(total)
-        sums.append(key)
-        witnesses[key] = merge_chain_weights(
-            [witness_lists[i][part] for i, part in enumerate(combo)]
-        )
+        witnesses_out[tuple(total)] = merge_chain_weights([w for _, w in combo])
 
-    expected = 1
-    for vl in vertex_lists:
-        expected *= len(vl)
-    polytope = VPolytope(arity, sums)
-    if polytope.n_vertices != expected:
+    expected = prod(len(b) for b in blocks)
+    if len(witnesses_out) != expected:
         raise ExtremalityError(
             f"extremality violated: {expected} vertex combinations produced "
-            f"only {polytope.n_vertices} distinct sums"
+            f"only {len(witnesses_out)} distinct sums"
         )
     return StatePolytopeResult(
-        polytope=polytope,
+        polytope=VPolytope(spec.arity, witnesses_out),
         m=m,
         status="complete",
         q=q_total,
         query_count=queries,
-        witnesses=witnesses,
+        witnesses=witnesses_out,
     )
 
 
@@ -607,7 +569,7 @@ def semistability_via_components(
     polys: list[VPolytope] = []
     q_total = tau.mixed_monomial_count
     for i in range(spec.n_components):
-        poly, _ = _component_block_polytope(chain, spec, i, m, budget)
+        poly, _, _ = _component_block_polytope(chain, spec, i, m, budget)
         q_total += _component_level_count(poly, m, i)
         polys.append(poly)
     levels = tuple(poly.level for poly in polys)

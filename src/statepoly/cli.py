@@ -126,10 +126,7 @@ def _json_monomial(mono: Sequence[int]) -> list[int]:
 
 
 def _witnesses_json(witnesses) -> dict[str, list[int]]:
-    return {
-        format_vector(v): [int(w) for w in direction]
-        for v, direction in sorted(witnesses.items())
-    }
+    return {format_vector(v): list(direction) for v, direction in sorted(witnesses.items())}
 
 
 def _read_text(path: str) -> str:
@@ -671,9 +668,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose comma-separated value may start with a minus sign
+_VECTOR_OPTIONS = ("--point", "--weights", "--levels")
+
+
+def _attach_vector_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--point -1,0`` as ``--point=-1,0``: argparse takes a
+    separate value that starts with ``-`` (and is not a plain number) for an
+    option flag and stops with "expected one argument"."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _VECTOR_OPTIONS:
+            value = next(tokens, None)
+            out.append(token if value is None else f"{token}={value}")
+        else:
+            out.append(token)
+    return out
+
+
 def run_command(argv: Sequence[str]) -> CommandResult:
     """Parse arguments, dispatch, and return the result document."""
-    args = _build_parser().parse_args(list(argv))
+    args = _build_parser().parse_args(_attach_vector_values(argv))
     if args.parallel is not None and args.parallel < 1:
         raise ValueError("--parallel must be at least 1")
     result = args.func(args)

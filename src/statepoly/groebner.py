@@ -481,39 +481,3 @@ def implicitize(forms: Sequence[Polynomial], target_arity: int | None = None) ->
         for g in flat.generators
     )
     return Ideal(n_targets, out)
-
-
-def cone_interior_weight(gb: ReducedGB) -> tuple[int, ...]:
-    """An integer weight vector in the open cone of orders realizing the
-    basis' marked leading terms: w.(lead - tail) >= 1 for every tail monomial,
-    found by exact feasibility LP and scaled to integers."""
-    from .lp import LinearProgram, solve_lp
-
-    arity = gb.arity
-    constraints = []
-    for poly, lead in zip(gb.elements, gb.leads):
-        for mono in poly.terms:
-            if mono == lead:
-                continue
-            diff = tuple(Fraction(a - b) for a, b in zip(lead, mono))
-            constraints.append((diff, ">=", Fraction(1)))
-    if not constraints:
-        return (0,) * arity
-    lp = LinearProgram(
-        objective=tuple(Fraction(0) for _ in range(arity)),
-        constraints=tuple(constraints),
-        maximize=True,
-    )
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise ValueError("no interior weight vector exists for the marked basis")
-    denom = 1
-    for v in res.point:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    vec = [int(v * denom) for v in res.point]
-    content = 0
-    for v in vec:
-        content = gcd(content, v)
-    if content > 1:
-        vec = [v // content for v in vec]
-    return tuple(vec)

@@ -522,7 +522,7 @@ class InteriorMembership:
 def relative_interior_member(points: Sequence[Sequence], target: Sequence) -> InteriorMembership:
     """Membership in the hull and in its relative interior (facet-strictness
     inside the affine hull)."""
-    from .polytope import extreme_points, facets  # deferred: polytope builds on this module
+    from .polytope import facets  # deferred: polytope builds on this module
 
     hull = affine_hull(points)
     tgt = _vec(target)
@@ -539,8 +539,7 @@ def relative_interior_member(points: Sequence[Sequence], target: Sequence) -> In
         return InteriorMembership(
             inside=False, relative_interior=False, separator=membership.separator
         )
-    poly = extreme_points(points)
-    system = facets(poly)
+    system = facets(points)
     strict = True
     for normal, offset in system.facets:
         val = sum(Fraction(h) * v for h, v in zip(normal, tgt))

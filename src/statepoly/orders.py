@@ -10,7 +10,7 @@ variable exceeds 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .rings import Monomial, Polynomial
@@ -247,14 +247,7 @@ def merge_junction_weights(
     not change how equal-degree monomials supported on the block compare.  The
     result is scaled to integers.
     """
-    if not earlier or not later:
-        raise ValueError("both weight vectors must be nonempty")
-    shift = Fraction(earlier[-1]) - Fraction(later[0])
-    merged = [Fraction(v) for v in earlier] + [Fraction(v) + shift for v in later[1:]]
-    denom = 1
-    for f in merged:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return tuple(int(f * denom) for f in merged)
+    return merge_chain_weights([earlier, later])
 
 
 def merge_junction_orders(
@@ -276,18 +269,16 @@ def merge_junction_orders(
 
 
 def merge_chain_weights(block_weights: Sequence[Sequence[int | Fraction]]) -> tuple[int, ...]:
-    """Fold junction splicing across a whole chain of block weight vectors."""
+    """Fold junction splicing across a whole chain of block weight vectors,
+    exactly (integer input stays integer), then scale to integers once."""
     if not block_weights:
         raise ValueError("need at least one block weight vector")
-    acc: Sequence[int | Fraction] = tuple(block_weights[0])
-    for nxt in block_weights[1:]:
-        acc = merge_junction_weights(acc, nxt)
-    return _normalize_vector(acc)
-
-
-def _normalize_vector(values: Sequence[int | Fraction]) -> tuple[int, ...]:
-    fracs = [Fraction(v) for v in values]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return tuple(int(f * denom) for f in fracs)
+    blocks = [[v if isinstance(v, int) else Fraction(v) for v in w] for w in block_weights]
+    if not all(blocks):
+        raise ValueError("every block weight vector must be nonempty")
+    acc = blocks[0]
+    for nxt in blocks[1:]:
+        shift = acc[-1] - nxt[0]
+        acc = acc + [v + shift for v in nxt[1:]]
+    denom = lcm(*(v.denominator for v in acc))
+    return tuple(int(v * denom) for v in acc)

@@ -1,12 +1,15 @@
 """Exact rational polytopes in vertex form.
 
-Vertices are tuples of ``Fraction``.  Extreme-point filtering and membership
-run on the exact LP solver; facet enumeration is an incremental
-beneath-beyond hull computed inside the affine hull of the input, so lower
-dimensional polytopes work without perturbation.  Facets are reported as
-integer inequalities ``normal . x <= offset`` (equality exactly on the
-facet), together with the integer equations ``normal . x == offset`` cutting
-out the affine hull.
+Vertices are tuples of ``Fraction``.  Membership runs on the exact LP
+solver; facet enumeration is an incremental beneath-beyond hull computed
+inside the affine hull of the input, so lower dimensional polytopes work
+without perturbation.  Facets are reported as integer inequalities
+``normal . x <= offset`` (equality exactly on the facet), together with the
+integer equations ``normal . x == offset`` cutting out the affine hull.
+
+Extreme points and their certificates come from the facets: the sum of the
+outward normals of the facets tight at a vertex is an integer weight that
+the vertex maximizes strictly (:func:`vertex_witnesses`).
 """
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,6 +39,17 @@ def _vec(values: Sequence) -> Vector:
 
 def _dot(a: Sequence[Fraction | int], b: Sequence[Fraction]) -> Fraction:
     return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
+
+
+class ExtremalityError(RuntimeError):
+    """Raised when a listed vertex admits no strict maximizing weight (it is
+    not an extreme point of the listed points), or when two vertex
+    combinations of a chain collide in the Minkowski sum.
+
+    Either condition means the input data does not describe the claimed
+    polytope, so the computation refuses to continue rather than silently
+    dropping points.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +106,14 @@ class VPolytope:
 
 
 def extreme_points(points: Sequence[Sequence]) -> VPolytope:
-    """The polytope on the points not in the hull of the remaining ones."""
+    """The polytope on the points that have a strict facet-sum witness in
+    the hull of all the points (exactly the points outside the hull of the
+    remaining ones)."""
     pts = sorted({_vec(p) for p in points})
     if not pts:
         raise ValueError("a polytope needs at least one point")
-    dim = len(pts[0])
-    if len(pts) == 1:
-        return VPolytope(dim, pts)
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not member_convex_hull(others, p).inside:
-            keep.append(p)
-    return VPolytope(dim, keep)
+    weights = _facet_sum_weights(facets(pts), pts)
+    return VPolytope(len(pts[0]), [p for p, w in zip(pts, weights) if w is not None])
 
 
 def vpolytope(points: Sequence[Sequence], assume_extreme: bool = False) -> VPolytope:
@@ -347,6 +358,80 @@ def facets(source: VPolytope | Sequence[Sequence]) -> FacetSystem:
     else:
         points = sorted({_vec(p) for p in source})
     return IncrementalHull(points).facet_system()
+
+
+def _facet_sum_weights(
+    system: FacetSystem, points: Sequence[Vector]
+) -> list[tuple[int, ...] | None]:
+    """Per point, the primitive sum of the outward normals of the facets tight
+    at it when that weight is maximized there strictly over the other
+    points, else None.
+
+    Scaling every point by the common denominator keeps all maximizers, so
+    tightness and strictness are decided with integer dot products.
+    """
+    scale = lcm(*(x.denominator for p in points for x in p))
+    ints = [tuple(int(x * scale) for x in p) for p in points]
+    planes = []
+    for normal, offset in system.facets:
+        scaled = offset * scale
+        if scaled.denominator == 1:  # otherwise no scaled point is tight
+            planes.append((normal, int(scaled)))
+    out: list[tuple[int, ...] | None] = []
+    for i, p in enumerate(ints):
+        w = [0] * system.dim
+        for normal, offset in planes:
+            if sum(map(mul, normal, p)) == offset:
+                w = [a + b for a, b in zip(w, normal)]
+        top = sum(map(mul, w, p))
+        if all(sum(map(mul, w, q)) < top for j, q in enumerate(ints) if j != i):
+            content = gcd(*w) or 1
+            out.append(tuple(v // content for v in w))
+        else:
+            out.append(None)
+    return out
+
+
+def vertex_witnesses(
+    system: FacetSystem, vertices: Sequence[Sequence]
+) -> dict[Vector, tuple[int, ...]]:
+    """A strict integer maximizing weight for every vertex of a polytope.
+
+    ``system`` must be the facet system of the hull of ``vertices``.  A
+    vertex's weight is the sum of the integer outward normals of the facets
+    tight at it, which lies in the interior of its normal cone; exact integer
+    dot products then check that it beats every other vertex strictly.
+    Raises :class:`ExtremalityError` when a listed vertex fails the check: it
+    is not extreme, so no strict weight exists.
+    """
+    pts = [_vec(v) for v in vertices]
+    out: dict[Vector, tuple[int, ...]] = {}
+    for p, w in zip(pts, _facet_sum_weights(system, pts)):
+        if w is None:
+            raise _not_extreme(p)
+        out[p] = w
+    return out
+
+
+def extremality_witness(poly: VPolytope, vertex: Sequence) -> tuple[int, ...]:
+    """An integer weight vector at which ``vertex`` is the unique maximizer
+    over the polytope's vertices.  Raises :class:`ExtremalityError` when no
+    such vector exists (the point is not extreme) and ``ValueError`` when the
+    point is not a listed vertex."""
+    target = _vec(vertex)
+    if target not in poly.vertices:
+        raise ValueError("witness requested for a point that is not a listed vertex")
+    weights = dict(zip(poly.vertices, _facet_sum_weights(facets(poly), poly.vertices)))
+    if weights[target] is None:
+        raise _not_extreme(target)
+    return weights[target]
+
+
+def _not_extreme(vertex: Vector) -> ExtremalityError:
+    return ExtremalityError(
+        f"extremality violated: no weight vector separates vertex "
+        f"({', '.join(map(str, vertex))}) strictly from the other vertices"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,13 @@ from typing import Mapping, Sequence
 from .groebner import DegreeSlice, degree_slice
 from .lp import LinearProgram, affine_hull, member_convex_hull, normalize_integer_vector, solve_lp
 from .orders import weight_order
-from .polytope import FacetSystem, IncrementalHull, VPolytope, trivial_character_point
+from .polytope import (
+    FacetSystem,
+    IncrementalHull,
+    VPolytope,
+    trivial_character_point,
+    vertex_witnesses,
+)
 from .rings import Ideal
 
 StateVector = tuple[int, ...]
@@ -116,9 +122,13 @@ def argmax_state(
 class StatePolytopeResult:
     """A (possibly partial) state polytope with per-vertex witness weights.
 
-    ``witnesses[v]`` is an integer direction whose support over the polytope
-    is attained at ``v``.  ``q`` is the number of degree-``m`` monomials in
-    the initial ideal (the common vertex coordinate sum is ``m * q``).
+    ``witnesses[v]`` is an integer direction.  In a complete result ``v`` is
+    its unique maximizer over the polytope (a strict witness, built from the
+    facet normals tight at ``v``).  A ``budget_exhausted`` result keeps the
+    oracle query direction that found ``v``: a weak maximizer, whose maximum
+    another vertex may share, though the query's grevlex refinement picks
+    ``v``.  ``q`` is the number of degree-``m`` monomials in the initial
+    ideal (the common vertex coordinate sum is ``m * q``).
     """
 
     polytope: VPolytope
@@ -207,6 +217,8 @@ def enumerate_state_polytope(
     except BudgetExhausted:
         status = "budget_exhausted"
     polytope = VPolytope(arity, sorted(vertices))
+    if system is not None:
+        witnesses = vertex_witnesses(system, polytope.vertices)
     return StatePolytopeResult(
         polytope=polytope,
         m=m,

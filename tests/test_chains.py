@@ -230,6 +230,34 @@ def test_extremality_witness_single_vertex():
     assert extremality_witness(VPolytope(3, [(1, 2, 3)]), (1, 2, 3)) == (0, 0, 0)
 
 
+def test_stored_polytope_with_non_extreme_point_is_refused():
+    # (1, 1, 0) is the midpoint of the first component's other two points
+    left = VPolytope(3, [(2, 0, 0), (0, 2, 0), (1, 1, 0)])
+    right = VPolytope(3, [(2, 0, 0), (0, 0, 2)])
+    chain = ChainInput((0, 2, 4), [left, right])
+    assert validate_chain(chain).ok
+    with pytest.raises(ExtremalityError):
+        decomposed_state_polytope(chain, 2)
+
+
+@pytest.mark.parametrize("component", ["ideal", "polytope"])
+def test_chain_witnesses_are_plain_ints(component):
+    chain = bridge_of_conics()
+    if component == "polytope":
+        polys = [
+            enumerate_state_polytope(component_block_ideal(chain, i), 2).polytope
+            for i in range(2)
+        ]
+        chain = ChainInput(chain.blocks, polys)
+    dec = decomposed_state_polytope(chain, 2)
+    assert set(dec.witnesses) == set(dec.polytope.vertices)
+    for vertex, weights in dec.witnesses.items():
+        assert all(type(w) is int for w in weights)
+        top = sum(w * x for w, x in zip(weights, vertex))
+        others = (v for v in dec.polytope.vertices if v != vertex)
+        assert all(sum(w * x for w, x in zip(weights, v)) < top for v in others)
+
+
 # ---------------------------------------------------------------------------
 # barycenter decomposition
 

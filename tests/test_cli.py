@@ -7,6 +7,7 @@ import json
 import pytest
 
 from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from statepoly.polytope import VPolytope, save_polytope
 
 DATA = "data/examples"
 
@@ -221,6 +222,39 @@ def test_chain_state_golden(capsys):
     assert payload["polytope"]["vertices"]
 
 
+def test_chain_state_refuses_non_extreme_stored_point(capsys, tmp_path):
+    # (1, 1, 0) is the midpoint of the first component's other two points
+    save_polytope(tmp_path / "left.json", VPolytope(3, [(2, 0, 0), (0, 2, 0), (1, 1, 0)]))
+    save_polytope(tmp_path / "right.json", VPolytope(3, [(2, 0, 0), (0, 0, 2)]))
+    chain = tmp_path / "chain.ideal"
+    chain.write_text(
+        "ring: a, b, c, d, e\nblocks: 0,2,4\n"
+        "polytope[1]: left.json\npolytope[2]: right.json\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "chain-state", "--ideal", str(chain), "--m", "2")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "extremality violated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("state", "--ideal", "CUBIC", "--m", "3"),
+        ("chain-state", "--ideal", f"{DATA}/planecurve_chain.ideal", "--m", "2"),
+        ("chain-state", "--ideal", f"{DATA}/bridge_chain.ideal", "--m", "2"),
+    ],
+)
+def test_witness_entries_are_ints(capsys, cubic_file, argv):
+    argv = [cubic_file if a == "CUBIC" else a for a in argv]
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    witnesses = doc["payload"]["witnesses"]
+    assert witnesses
+    assert all(type(w) is int for entry in witnesses.values() for w in entry)
+
+
 def test_tau_golden(capsys):
     code, doc = run_json(capsys, "tau", "--blocks", "0,1,2,3", "--m", "2")
     assert code == EXIT_OK
@@ -366,3 +400,32 @@ def test_csv_rejected_for_non_tabular_payload(capsys, conic_file):
     code, _, err = run(capsys, "gb", "--ideal", conic_file, "--format", "csv")
     assert code == EXIT_VALIDATION
     assert "tabular" in err
+
+
+# ---------------------------------------------------------------------------
+# vector options whose value starts with a minus sign
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (
+            ("contains", "--polytope", "data/bridge/elliptic.json"),
+            {"--point": "-1,0,0,0,1,0,3,0,0,0,0,1"},
+        ),
+        (
+            ("decompose-point", "--blocks", "0,1,2"),
+            {"--point": "-1,2,5", "--levels": "-3,9"},
+        ),
+        (
+            ("hm", "--ideal", f"{DATA}/planecurve_chain.ideal", "--m", "2"),
+            {"--weights": "-3,1,1,0,1"},
+        ),
+    ],
+)
+def test_vector_options_take_negative_leading_values(capsys, argv, values):
+    separate = [token for flag, value in values.items() for token in (flag, value)]
+    joined = [f"{flag}={value}" for flag, value in values.items()]
+    code, out, err = run(capsys, *argv, *separate)
+    assert (code, err) == (EXIT_OK, "")
+    assert run(capsys, *argv, *joined) == (EXIT_OK, out, "")

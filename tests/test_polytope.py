@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepoly.lp import LinearProgram, solve_lp
 from statepoly.polytope import (
+    ExtremalityError,
     FacetSystem,
     VPolytope,
+    extremality_witness,
     extreme_points,
     facets,
     load_polytope,
@@ -22,6 +25,7 @@ from statepoly.polytope import (
     polytope_payload,
     save_polytope,
     trivial_character_point,
+    vertex_witnesses,
     vpolytope,
 )
 from conftest import brute_extreme_points, brute_hull_member, rand_point
@@ -59,6 +63,62 @@ def test_extreme_points_agree_with_brute_force(seed):
     pts = [rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 7))]
     got = extreme_points(pts)
     assert set(got.vertices) == brute_extreme_points(pts)
+
+
+def _strictly_separable(points, target) -> bool:
+    """The strict-separation LP that facet-sum witnesses replace: some w with
+    (target - q) . w >= 1 for every other listed point q."""
+    dim = len(target)
+    constraints = [
+        (tuple(t - o for t, o in zip(target, q)), ">=", 1) for q in points if q != target
+    ]
+    if not constraints:
+        return True
+    program = LinearProgram((0,) * dim, constraints, maximize=True, nonnegative=[False] * dim)
+    return solve_lp(program).status == "optimal"
+
+
+def _is_strict(weights, target, points) -> bool:
+    top = sum(Fraction(w) * x for w, x in zip(weights, target))
+    return all(sum(Fraction(w) * x for w, x in zip(weights, q)) < top for q in points if q != target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_facet_sum_witnesses_agree_with_strict_separation_lp(seed):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 4)
+    corners = [rand_point(rng, dim, span=4) for _ in range(rng.randint(1, dim + 2))]
+    pts = set(corners)
+    # midpoints of corner pairs: edge midpoints when the corners span a
+    # simplex, otherwise interior or face points
+    for a, b in zip(corners, corners[1:]):
+        if rng.random() < 0.5:
+            pts.add(tuple((x + y) / 2 for x, y in zip(a, b)))
+    if rng.random() < 0.3:
+        pts.add(tuple(sum(c) / len(corners) for c in zip(*corners)))
+    if rng.random() < 0.5:
+        # lift onto the hyperplane of coordinate sum 7: a lower-dimensional hull
+        pts = {p + (7 - sum(p),) for p in pts}
+        dim += 1
+    pts = sorted(pts)
+    poly = VPolytope(dim, pts)
+    separable = {p: _strictly_separable(pts, p) for p in pts}
+    for p in pts:
+        if separable[p]:
+            weights = extremality_witness(poly, p)
+            assert all(type(w) is int for w in weights)
+            assert _is_strict(weights, p, pts)
+        else:
+            with pytest.raises(ExtremalityError):
+                extremality_witness(poly, p)
+    system = facets(poly)
+    if all(separable.values()):
+        for p, weights in vertex_witnesses(system, pts).items():
+            assert _is_strict(weights, p, pts)
+    else:
+        with pytest.raises(ExtremalityError):
+            vertex_witnesses(system, pts)
 
 
 def test_minkowski_sum_of_segments_is_square():

@@ -89,23 +89,24 @@ def test_vertices_match_weight_grid_oracle_arity3():
         assert brute_hull_member(res.polytope.vertices, s)
 
 
-def test_witnesses_weakly_maximize_and_replay():
+def test_witnesses_strictly_maximize_and_replay():
     x, y, z = variables(3)
     ideal = Ideal(3, (x * y - z**2, x**2 - y * z))
-    res = enumerate_state_polytope(ideal, 3)
-    assert res.status == "complete"
-    assert set(res.witnesses) == set(res.polytope.vertices)
-    oracle = StateOracle(ideal, 3)
-    for vertex, weights in res.witnesses.items():
-        values = {
-            v: sum(Fraction(w) * x for w, x in zip(weights, v))
-            for v in res.polytope.vertices
-        }
-        # weight functional weakly maximized at the vertex ...
-        assert all(values[v] <= values[vertex] for v in res.polytope.vertices)
-        # ... and ties resolved by the refinement: replaying the witness query
-        # returns exactly this vertex
-        assert oracle.state_for_direction(weights) == vertex
+    for m in (2, 3):
+        res = enumerate_state_polytope(ideal, m)
+        assert res.status == "complete"
+        assert set(res.witnesses) == set(res.polytope.vertices)
+        oracle = StateOracle(ideal, m)
+        for vertex, weights in res.witnesses.items():
+            assert all(type(w) is int for w in weights)
+            values = {
+                v: sum(Fraction(w) * x for w, x in zip(weights, v))
+                for v in res.polytope.vertices
+            }
+            # weight functional uniquely maximized at the vertex ...
+            assert all(values[v] < values[vertex] for v in values if v != vertex)
+            # ... so replaying the witness query returns exactly this vertex
+            assert oracle.state_for_direction(weights) == vertex
 
 
 def test_oracle_memoizes_and_counts_queries():
@@ -147,6 +148,13 @@ def test_budget_exhaustion_raises_or_reports():
     # partial vertices are genuine states
     full = enumerate_state_polytope(ideal, 3)
     assert set(res.polytope.vertices) <= set(full.polytope.vertices)
+    # partial witnesses are the query directions: weak maximizers over the
+    # full polytope whose grevlex refinement picks their vertex
+    oracle = StateOracle(ideal, 3)
+    for vertex, weights in res.witnesses.items():
+        best = sum(w * x for w, x in zip(weights, vertex))
+        assert all(sum(w * x for w, x in zip(weights, v)) <= best for v in full.polytope.vertices)
+        assert oracle.state_for_direction(weights) == vertex
 
 
 def test_read_budget_from_env(monkeypatch):
