@@ -162,7 +162,11 @@ def _order_from_args(
         return weight_order(weights)
     if ";" in name or "," in name:
         rows = [parse_vector(row) for row in name.split(";") if row.strip()]
-        return matrix_order(rows)
+        order = matrix_order(rows)
+        problems = order.validate()
+        if problems:
+            raise ValueError(f"--order {name!r} is not a monomial order: {'; '.join(problems)}")
+        return order
     raise ValueError(
         f"unknown order {name!r}: expected lex, grlex, grevlex, weight, "
         f"or semicolon-separated matrix rows"
@@ -191,7 +195,9 @@ def _chain_from_file(doc: IdealFile, base_dir: Path) -> ChainInput:
 def _digest(command: str, args: argparse.Namespace, files: Sequence[str]) -> str:
     skip = {"out", "format", "func"}
     parts = [command]
-    for key, value in sorted(vars(args).items()):
+    # every digest included the default parallel=1 while the removed no-op
+    # --parallel option was parsed; keeping it leaves existing digests valid
+    for key, value in sorted({**vars(args), "parallel": 1}.items()):
         if key in skip or callable(value):
             continue
         parts.append(f"{key}={value!r}")
@@ -581,12 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=handler)
         p.add_argument("--out", help="write the result to this file")
-        p.add_argument(
-            "--parallel",
-            type=int,
-            default=1,
-            help="worker bound for independent sub-computations (1 = sequential)",
-        )
         return p
 
     def add_format(p: argparse.ArgumentParser, default: str | None = "json") -> None:
@@ -668,8 +668,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose comma-separated value may start with a minus sign
-_VECTOR_OPTIONS = ("--point", "--weights", "--levels")
+# options whose comma-separated vector or matrix value may start with a minus sign
+_SIGNED_VALUE_OPTIONS = ("--point", "--weights", "--levels", "--order")
 
 
 def _attach_vector_values(argv: Sequence[str]) -> list[str]:
@@ -679,7 +679,7 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
     out: list[str] = []
     tokens = iter(argv)
     for token in tokens:
-        if token in _VECTOR_OPTIONS:
+        if token in _SIGNED_VALUE_OPTIONS:
             value = next(tokens, None)
             out.append(token if value is None else f"{token}={value}")
         else:
@@ -690,8 +690,6 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
 def run_command(argv: Sequence[str]) -> CommandResult:
     """Parse arguments, dispatch, and return the result document."""
     args = _build_parser().parse_args(_attach_vector_values(argv))
-    if args.parallel is not None and args.parallel < 1:
-        raise ValueError("--parallel must be at least 1")
     result = args.func(args)
     return dataclasses.replace(result, out=args.out)
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Sequence
 
+from .linalg import primitive
 from .orders import MonomialOrder, elimination_order, grevlex_order
 from .rings import (
     Ideal,
@@ -41,11 +42,7 @@ ENUMERATION_LIMIT = 10**6
 
 
 def _to_int_poly(poly: Polynomial) -> IntPoly:
-    denom = 1
-    for c in poly.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = {m: int(c * denom) for m, c in poly.terms.items()}
-    return _primitive(out)
+    return dict(zip(poly.terms, primitive(list(poly.terms.values()))))
 
 
 def _primitive(p: IntPoly) -> IntPoly:
@@ -250,17 +247,11 @@ class ReducedGB:
         if not p:
             return Polynomial.zero(self.arity)
         # recover the exact normal form of poly itself: scale back by the
-        # pseudo-division multiplier and the primitive-part factor
-        denom = 1
-        for c in poly.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        scaled = {m: int(c * denom) for m, c in poly.terms.items()}
-        content = 0
-        for c in scaled.values():
-            content = gcd(content, c)
-        content = content or 1
+        # factor poly / p and the pseudo-division multiplier
+        mono = next(iter(p))
+        ratio = Fraction(poly.terms[mono], p[mono])
         r, s = _normal_form_int(p, leads, ints, self.order.key)
-        factor = Fraction(content, denom * s)
+        factor = ratio / s
         return Polynomial(self.arity, {m: Fraction(c) * factor for m, c in r.items()})
 
     def contains(self, poly: Polynomial) -> bool:

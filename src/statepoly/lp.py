@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
+
+from .linalg import primitive, row_reduce
 
 Vector = tuple[Fraction, ...]
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
@@ -373,21 +375,6 @@ def audit_result(lp: LinearProgram, res: LPResult) -> list[str]:
 # derived geometry queries
 
 
-def normalize_integer_vector(values: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector to integers with content 1 (sign preserved)."""
-    fracs = [Fraction(v) for v in values]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return tuple(ints)
-
-
 @dataclass(frozen=True)
 class HullMembership:
     inside: bool
@@ -424,88 +411,51 @@ def member_convex_hull(points: Sequence[Sequence], target: Sequence) -> HullMemb
         return HullMembership(inside=True, coefficients=res.point)
     assert res.status == "infeasible" and res.farkas is not None
     h = res.farkas[:dim]
-    separator = normalize_integer_vector(h)
+    separator = primitive(h)
     return HullMembership(inside=False, separator=separator)
 
 
 @dataclass(frozen=True)
 class AffineHull:
     dim: int
-    base_point: Vector
-    basis: tuple[Vector, ...]  # reduced-echelon direction rows
-    pivots: tuple[int, ...]
-    equations: tuple[tuple[tuple[int, ...], Fraction], ...]  # h.x == c on the hull
+    base_point: tuple[int | Fraction, ...]
+    spanning: tuple[int, ...]  # indices of the first dim + 1 affinely independent points
+    pivots: tuple[int, ...]  # coordinates that parametrize the hull
+    equations: tuple[tuple[tuple[int, ...], int | Fraction], ...]  # h.x == c on the hull
 
-    def project(self, point: Sequence) -> Vector:
-        p = _vec(point)
-        return tuple(p[j] - self.base_point[j] for j in self.pivots)
+    def project(self, point: Sequence) -> tuple[int | Fraction, ...]:
+        return tuple(point[j] - self.base_point[j] for j in self.pivots)
 
-    def lift_normal(self, normal: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * len(self.base_point)
+    def lift_normal(self, normal: Sequence[int]) -> tuple[int, ...]:
+        out = [0] * len(self.base_point)
         for h, j in zip(normal, self.pivots):
-            out[j] = Fraction(h)
+            out[j] = h
         return tuple(out)
 
     def contains(self, point: Sequence) -> bool:
-        p = _vec(point)
-        return all(
-            sum(Fraction(h) * v for h, v in zip(normal, p)) == offset
-            for normal, offset in self.equations
-        )
+        return all(sum(map(mul, normal, point)) == offset for normal, offset in self.equations)
 
 
 def affine_hull(points: Sequence[Sequence]) -> AffineHull:
-    """Exact affine hull: echelon basis of the direction space plus the
-    integer-normalized equations cutting the hull out."""
-    pts = [_vec(p) for p in points]
+    """Exact affine hull: the pivot coordinates and an affinely independent
+    spanning subset of the points, plus the integer-normalized equations
+    cutting the hull out.  Integer points give integer offsets."""
+    pts = [tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p) for p in points]
     if not pts:
         raise ValueError("affine hull of an empty point set")
     base = pts[0]
-    width = len(base)
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for p in pts[1:]:
-        vec = [a - b for a, b in zip(p, base)]
-        for r, piv in zip(rows, pivots):
-            if vec[piv]:
-                factor = vec[piv]
-                vec = [v - factor * rv for v, rv in zip(vec, r)]
-        piv = next((j for j, v in enumerate(vec) if v), None)
-        if piv is None:
-            continue
-        inv = 1 / vec[piv]
-        vec = [v * inv for v in vec]
-        for i, (r, rp) in enumerate(list(zip(rows, pivots))):
-            if r[piv]:
-                factor = r[piv]
-                rows[i] = [v - factor * nv for v, nv in zip(r, vec)]
-        rows.append(vec)
-        pivots.append(piv)
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    rows = [rows[i] for i in order]
-    pivots = [pivots[i] for i in order]
-    pivot_set = set(pivots)
-    equations: list[tuple[tuple[int, ...], Fraction]] = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        h = [Fraction(0)] * width
-        h[free] = Fraction(1)
-        for r, piv in zip(rows, pivots):
-            if r[free]:
-                h[piv] = -r[free]
-        normal = normalize_integer_vector(h)
-        first = next(v for v in normal if v)
-        if first < 0:
+    echelon = row_reduce((primitive([a - b for a, b in zip(p, base)]) for p in pts[1:]), len(base))
+    equations: list[tuple[tuple[int, ...], int | Fraction]] = []
+    for normal in echelon.null_vectors():
+        if next(v for v in normal if v) < 0:
             normal = tuple(-v for v in normal)
-        offset = sum(Fraction(hh) * v for hh, v in zip(normal, base))
-        equations.append((normal, offset))
+        equations.append((normal, sum(map(mul, normal, base))))
     equations.sort()
     return AffineHull(
-        dim=len(rows),
+        dim=echelon.rank,
         base_point=base,
-        basis=tuple(tuple(r) for r in rows),
-        pivots=tuple(pivots),
+        spanning=(0,) + tuple(i + 1 for i in echelon.basis),
+        pivots=echelon.pivots,
         equations=tuple(equations),
     )
 

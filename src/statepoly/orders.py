@@ -10,26 +10,13 @@ variable exceeds 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
+from .linalg import primitive, row_reduce
 from .rings import Monomial, Polynomial
 
 Row = tuple[int, ...]
-
-
-def _normalize_row(row: Sequence[int | Fraction]) -> Row:
-    fracs = [Fraction(v) for v in row]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return tuple(ints)
 
 
 class MonomialOrder:
@@ -38,7 +25,7 @@ class MonomialOrder:
     __slots__ = ("arity", "rows", "name", "_key_cache")
 
     def __init__(self, arity: int, rows: Iterable[Sequence[int | Fraction]], name: str = "matrix"):
-        rows = tuple(_normalize_row(r) for r in rows)
+        rows = tuple(primitive(r) for r in rows)
         for r in rows:
             if len(r) != arity:
                 raise ValueError(f"order row {r} does not match arity {arity}")
@@ -84,7 +71,7 @@ class MonomialOrder:
         """Violation messages; empty means the matrix is a genuine monomial
         order (total and a well-order)."""
         problems: list[str] = []
-        if _rational_rank(self.rows, self.arity) < self.arity:
+        if row_reduce(self.rows, self.arity).rank < self.arity:
             problems.append(
                 f"not total: rows have rank < {self.arity}, distinct monomials can compare equal"
             )
@@ -99,28 +86,6 @@ class MonomialOrder:
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.name}, arity={self.arity})"
-
-
-def _rational_rank(rows: Sequence[Row], width: int) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < width:
-        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [v - factor * p for v, p in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

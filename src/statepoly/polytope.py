@@ -1,11 +1,16 @@
 """Exact rational polytopes in vertex form.
 
-Vertices are tuples of ``Fraction``.  Membership runs on the exact LP
-solver; facet enumeration is an incremental beneath-beyond hull computed
-inside the affine hull of the input, so lower dimensional polytopes work
-without perturbation.  Facets are reported as integer inequalities
-``normal . x <= offset`` (equality exactly on the facet), together with the
-integer equations ``normal . x == offset`` cutting out the affine hull.
+Vertices of a :class:`VPolytope` are tuples of ``Fraction``.  Membership
+runs on the exact LP solver; facet enumeration is an incremental
+beneath-beyond hull computed inside the affine hull of the input, so lower
+dimensional polytopes work without perturbation.  The hull works in ``int``
+only: its points, their projections, and every piece's normal and offset
+are integers, and :func:`facets` scales a rational point set by the lcm of
+its denominators before building it.  Facets are reported as primitive
+integer inequalities ``normal . x <= offset`` (equality exactly on the
+facet), together with the integer equations ``normal . x == offset``
+cutting out the affine hull; the offsets are ``int`` for integer points and
+``Fraction`` otherwise.
 
 Extreme points and their certificates come from the facets: the sum of the
 outward normals of the facets tight at a vertex is an integer weight that
@@ -22,15 +27,12 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .lp import (
-    AffineHull,
-    affine_hull,
-    member_convex_hull,
-    normalize_integer_vector,
-)
+from .linalg import row_reduce
+from .lp import AffineHull, affine_hull, member_convex_hull
 from .parsing import scalar_from_json, scalar_to_json
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 def _vec(values: Sequence) -> Vector:
@@ -166,8 +168,8 @@ class FacetSystem:
 
     dim: int
     hull_dim: int
-    equations: tuple[tuple[tuple[int, ...], Fraction], ...]
-    facets: tuple[tuple[tuple[int, ...], Fraction], ...]
+    equations: tuple[tuple[tuple[int, ...], int | Fraction], ...]
+    facets: tuple[tuple[tuple[int, ...], int | Fraction], ...]
 
     def contains(self, point: Sequence) -> bool:
         p = _vec(point)
@@ -177,113 +179,64 @@ class FacetSystem:
         return all(_dot(normal, p) <= offset for normal, offset in self.facets)
 
 
-def _hyperplane_through(points: Sequence[Vector]) -> tuple[tuple[int, ...], Fraction]:
-    """Integer normal and offset of the hyperplane spanned by ``k`` affinely
-    independent points in ``R^k``."""
+def _hyperplane_through(points: Sequence[IntVector]) -> tuple[IntVector, int]:
+    """Primitive integer normal and offset of the hyperplane spanned by ``k``
+    affinely independent integer points in ``Z^k``."""
     k = len(points[0])
     if len(points) != k:
         raise ValueError("hyperplane needs exactly k points in R^k")
     base = points[0]
-    rows = [[p[j] - base[j] for j in range(k)] for p in points[1:]]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(k):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    if rank != k - 1:
+    echelon = row_reduce(([a - b for a, b in zip(p, base)] for p in points[1:]), k)
+    if echelon.rank != k - 1:
         raise ValueError("degenerate facet: affinely dependent points")
-    free = next(c for c in range(k) if c not in pivots)
-    normal = [Fraction(0)] * k
-    normal[free] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        normal[pc] = -rows[r][free]
-    h = normalize_integer_vector(normal)
-    return h, _dot(h, base)
+    (normal,) = echelon.null_vectors()
+    return normal, sum(map(mul, normal, base))
+
+
+def _int_point(point: Sequence) -> IntVector:
+    if all(type(x) is int for x in point):
+        return tuple(point)
+    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in point):
+        raise ValueError(f"hull points must have integer coordinates, got {tuple(point)}")
+    return tuple(x.numerator for x in point)
 
 
 class IncrementalHull:
-    """Exact convex hull that accepts points one at a time.
+    """Exact convex hull of integer points that accepts points one at a time.
 
     The affine hull of the initial point set is fixed at construction; every
     later point must lie in it.  The boundary is kept as a set of simplicial
-    pieces; coplanar pieces merge when facets are read out.
+    pieces in the projected coordinates of the affine hull, each with an
+    integer outward normal and offset; coplanar pieces merge when facets are
+    read out.  Rational point sets go through :func:`facets`, which scales
+    them to integers first.
     """
 
     def __init__(self, points: Sequence[Sequence]):
-        pts: list[Vector] = []
-        seen: set[Vector] = set()
-        for p in points:
-            v = _vec(p)
-            if v not in seen:
-                seen.add(v)
-                pts.append(v)
+        pts = list(dict.fromkeys(_int_point(p) for p in points))
         if not pts:
             raise ValueError("a hull needs at least one point")
         self.ambient_dim = len(pts[0])
         self.hull: AffineHull = affine_hull(pts)
         self.k = self.hull.dim
-        self.points: list[Vector] = []
-        self.proj: list[Vector] = []
-        self._index: dict[Vector, int] = {}
-        self.pieces: dict[tuple[int, ...], tuple[tuple[int, ...], Fraction]] = {}
-        self._ref: Vector | None = None
+        self.points: list[IntVector] = []
+        self.proj: list[IntVector] = []
+        self._index: dict[IntVector, int] = {}
+        self.pieces: dict[tuple[int, ...], tuple[IntVector, int]] = {}
+        # (k + 1) times the centroid of the initial simplex, an interior point
+        self._ref: IntVector | None = None
         if self.k == 0:
             self._register(pts[0])
             return
-        simplex = self._independent_subset(pts)
-        for p in simplex:
-            self._register(p)
-        k = self.k
-        self._ref = tuple(
-            sum((self.proj[i][j] for i in range(k + 1)), Fraction(0)) / (k + 1) for j in range(k)
-        )
-        for piece in combinations(range(k + 1), k):
+        for i in self.hull.spanning:
+            self._register(pts[i])
+        self._ref = tuple(map(sum, zip(*self.proj)))
+        for piece in combinations(range(self.k + 1), self.k):
             self._add_piece(piece)
         for p in pts:
             self.add_point(p)
 
-    def _independent_subset(self, pts: Sequence[Vector]) -> list[Vector]:
-        chosen = [pts[0]]
-        base = self.hull.project(pts[0])
-        rows: list[list[Fraction]] = []
-        pivots: list[int] = []
-        for p in pts[1:]:
-            if len(chosen) == self.k + 1:
-                break
-            vec = [a - b for a, b in zip(self.hull.project(p), base)]
-            for row, piv in zip(rows, pivots):
-                if vec[piv]:
-                    factor = vec[piv]
-                    vec = [v - factor * w for v, w in zip(vec, row)]
-            piv = next((j for j, v in enumerate(vec) if v), None)
-            if piv is None:
-                continue
-            inv = 1 / vec[piv]
-            vec = [v * inv for v in vec]
-            for i, row in enumerate(rows):
-                if row[piv]:
-                    factor = row[piv]
-                    rows[i] = [v - factor * w for v, w in zip(row, vec)]
-            rows.append(vec)
-            pivots.append(piv)
-            chosen.append(p)
-        if len(chosen) != self.k + 1:
-            raise ValueError("points do not span their affine hull")  # unreachable
-        return chosen
-
-    def _register(self, ambient: Vector) -> int:
+    def _register(self, ambient: IntVector) -> int:
         proj = self.hull.project(ambient)
         idx = len(self.points)
         self.points.append(ambient)
@@ -293,17 +246,18 @@ class IncrementalHull:
 
     def _add_piece(self, indices: tuple[int, ...]) -> None:
         normal, offset = _hyperplane_through([self.proj[i] for i in indices])
-        side = _dot(normal, self._ref)
-        if side > offset:
+        side = sum(map(mul, normal, self._ref))
+        scaled = (self.k + 1) * offset
+        if side > scaled:
             normal = tuple(-h for h in normal)
             offset = -offset
-        elif side == offset:
+        elif side == scaled:
             raise ValueError("interior reference point lies on a facet")  # unreachable
         self.pieces[tuple(sorted(indices))] = (normal, offset)
 
     def add_point(self, point: Sequence) -> bool:
-        """Insert a point; returns True when it enlarges the hull."""
-        ambient = _vec(point)
+        """Insert an integer point; returns True when it enlarges the hull."""
+        ambient = _int_point(point)
         if len(ambient) != self.ambient_dim:
             raise ValueError("point has the wrong dimension")
         if not self.hull.contains(ambient):
@@ -316,7 +270,7 @@ class IncrementalHull:
         visible = [
             indices
             for indices, (normal, offset) in self.pieces.items()
-            if _dot(normal, proj) > offset
+            if sum(map(mul, normal, proj)) > offset
         ]
         if not visible:
             self._register(ambient)
@@ -336,14 +290,12 @@ class IncrementalHull:
         return True
 
     def facet_system(self) -> FacetSystem:
-        planes = sorted({plane for plane in self.pieces.values()})
+        base = self.hull.base_point
         lifted = []
-        for normal, offset in planes:
+        for normal, offset in set(self.pieces.values()):
+            # lift_normal keeps the entries, so the lifted normal stays primitive
             amb = self.hull.lift_normal(normal)
-            amb_offset = offset + _dot(amb, self.hull.base_point)
-            h = normalize_integer_vector(amb)
-            # lift_normal keeps the entries, so the content is already 1
-            lifted.append((h, amb_offset))
+            lifted.append((amb, offset + sum(map(mul, amb, base))))
         return FacetSystem(
             dim=self.ambient_dim,
             hull_dim=self.k,
@@ -353,11 +305,25 @@ class IncrementalHull:
 
 
 def facets(source: VPolytope | Sequence[Sequence]) -> FacetSystem:
+    """Facet system of the hull of rational points: the points are scaled by
+    the lcm of their denominators, which keeps every normal, so the integer
+    hull's offsets divide back exactly."""
     if isinstance(source, VPolytope):
         points: Sequence[Vector] = source.vertices
     else:
         points = sorted({_vec(p) for p in source})
-    return IncrementalHull(points).facet_system()
+    scale = lcm(*(x.denominator for p in points for x in p))
+    system = IncrementalHull(
+        [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    ).facet_system()
+    if scale == 1:
+        return system
+    return FacetSystem(
+        dim=system.dim,
+        hull_dim=system.hull_dim,
+        equations=tuple((h, Fraction(c, scale)) for h, c in system.equations),
+        facets=tuple((h, Fraction(c, scale)) for h, c in system.facets),
+    )
 
 
 def _facet_sum_weights(

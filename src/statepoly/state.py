@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .groebner import DegreeSlice, degree_slice
-from .lp import LinearProgram, affine_hull, member_convex_hull, normalize_integer_vector, solve_lp
+from .linalg import primitive
+from .lp import LinearProgram, affine_hull, member_convex_hull, solve_lp
 from .orders import weight_order
 from .polytope import (
     FacetSystem,
@@ -85,7 +86,7 @@ class StateOracle:
     def normalize_direction(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
         fracs = [Fraction(w) for w in weights]
         low = min(fracs)
-        return normalize_integer_vector([w - low for w in fracs])
+        return primitive([w - low for w in fracs])
 
     def state_for_direction(self, weights: Sequence[int | Fraction]) -> StateVector:
         if len(weights) != self.ideal.arity:

@@ -54,29 +54,50 @@ def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     return solution
 
 
+def fraction_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over ``Fraction``: the nonzero rows and their
+    pivot columns."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    m, n = len(mat), len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, m) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(m):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def fraction_null_space(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
+    """Kernel basis of ``rows`` over ``Fraction``: per free column, the vector
+    with a 1 there and 0 at the other free columns."""
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * width
+        x[free] = Fraction(1)
+        for row, piv in zip(reduced, pivots):
+            x[piv] = -row[free]
+        basis.append(x)
+    return basis
+
+
 def affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:
     if len(points) <= 1:
         return True
     base = points[0]
     rows = [[Fraction(p[j]) - Fraction(base[j]) for j in range(len(base))] for p in points[1:]]
-    # rank via elimination
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank == m
+    return len(fraction_rref(rows)[1]) == len(rows)
 
 
 def brute_hull_member(points: Sequence[Sequence], target: Sequence) -> bool:

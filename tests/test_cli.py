@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main, run_command
 from statepoly.polytope import VPolytope, save_polytope
 
 DATA = "data/examples"
@@ -65,10 +65,23 @@ def test_unknown_order_is_a_validation_error(capsys, conic_file):
     assert "unknown order" in err
 
 
-def test_bad_parallel_is_a_validation_error(capsys, conic_file):
-    code, _, err = run(capsys, "gb", "--ideal", conic_file, "--parallel", "0")
-    assert code == EXIT_VALIDATION
-    assert "--parallel" in err
+def test_valid_matrix_order_matches_its_named_order(capsys, cubic_file):
+    _, named = run_json(capsys, "gb", "--ideal", cubic_file, "--order", "grevlex")
+    _, matrix = run_json(capsys, "gb", "--ideal", cubic_file, "--order", "1,1,1;0,0,-1;0,-1,0")
+    assert matrix["payload"]["basis"] == named["payload"]["basis"]
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [("-1,0,0;0,1,0;0,0,1", "not a well-order"), ("1,1,1;0,1,1", "not total")],
+)
+def test_invalid_matrix_order_is_a_validation_error(capsys, conic_file, rows, problem):
+    for form in (("--order", rows), (f"--order={rows}",)):
+        code, out, err = run(capsys, "gb", "--ideal", conic_file, *form)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert problem in err
+    with pytest.raises(ValueError, match=problem):
+        run_command(["gb", "--ideal", conic_file, "--order", rows])
 
 
 def test_budget_flag_reports_partial_result(capsys, cubic_file):
@@ -129,14 +142,6 @@ def test_digest_tracks_arguments_and_file_content(capsys, cubic_file, tmp_path):
     _, doc_other = run_json(capsys, "state", "--ideal", str(other), "--m", "2")
     assert doc_other["input_digest"] != doc_m2["input_digest"]
     assert doc_other["payload"] == doc_m2["payload"]
-
-
-def test_parallel_flag_changes_nothing_but_the_digest(capsys, cubic_file):
-    _, doc1 = run_json(capsys, "state", "--ideal", cubic_file, "--m", "2")
-    _, doc2 = run_json(
-        capsys, "state", "--ideal", cubic_file, "--m", "2", "--parallel", "2"
-    )
-    assert doc1["payload"] == doc2["payload"]
 
 
 # ---------------------------------------------------------------------------

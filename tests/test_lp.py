@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepoly.linalg import primitive
 from statepoly.lp import (
     LinearProgram,
     affine_hull,
     audit_result,
     member_convex_hull,
-    normalize_integer_vector,
     relative_interior_member,
     solve_lp,
 )
@@ -232,7 +232,7 @@ def test_affine_hull_projection_round_trip():
 
 
 def test_normalize_integer_vector():
-    assert normalize_integer_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
-    assert normalize_integer_vector([2, 4, 6]) == (1, 2, 3)
-    assert normalize_integer_vector([0, 0]) == (0, 0)
-    assert normalize_integer_vector([Fraction(-2, 7)]) == (-1,)
+    assert primitive([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+    assert primitive([2, 4, 6]) == (1, 2, 3)
+    assert primitive([0, 0]) == (0, 0)
+    assert primitive([Fraction(-2, 7)]) == (-1,)

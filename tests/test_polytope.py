@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from statepoly.lp import LinearProgram, solve_lp
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
+    IncrementalHull,
     VPolytope,
     extremality_witness,
     extreme_points,
@@ -28,7 +30,14 @@ from statepoly.polytope import (
     vertex_witnesses,
     vpolytope,
 )
-from conftest import brute_extreme_points, brute_hull_member, rand_point
+from conftest import (
+    affinely_independent,
+    brute_extreme_points,
+    brute_hull_member,
+    fraction_null_space,
+    fraction_rref,
+    rand_point,
+)
 
 
 def test_vpolytope_sorts_and_dedupes():
@@ -243,6 +252,88 @@ def test_facet_vertex_round_trip(seed):
             if sum(Fraction(n) * Fraction(x) for n, x in zip(normal, v)) == offset
         )
         assert tight >= system.hull_dim or poly.n_vertices == 1
+
+
+def brute_facets(points) -> set[frozenset]:
+    """Tight point sets of the facets, by brute force: every affinely
+    independent ``d``-subset spans a hyperplane of the ``d``-dimensional
+    affine hull; keep those with every point on one side."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    base = pts[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
+    directions, _ = fraction_rref(diffs)
+    d = len(directions)
+    found: set[frozenset] = set()
+    if d == 0:
+        return found
+    for subset in combinations(pts, d):
+        if not affinely_independent(subset):
+            continue
+        # the normal of the subset's span inside the affine hull
+        spans = [
+            [sum(x * (a - b) for x, a, b in zip(row, q, subset[0])) for row in directions]
+            for q in subset[1:]
+        ]
+        (coeffs,) = fraction_null_space(spans, d)
+        normal = [sum(c * row[j] for c, row in zip(coeffs, directions)) for j in range(len(base))]
+        values = {p: sum(h * x for h, x in zip(normal, p)) for p in pts}
+        level = values[subset[0]]
+        if all(v <= level for v in values.values()) or all(v >= level for v in values.values()):
+            found.add(frozenset(p for p in pts if values[p] == level))
+    return found
+
+
+def rand_point_set(rng: random.Random, kind: str) -> list[tuple]:
+    dim = rng.randint(1, 3)
+    count = rng.randint(1, 7)
+    if kind == "integer":
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(count)]
+    else:
+        pts = [rand_point(rng, dim, span=3) for _ in range(count)]
+    if kind == "lifted":
+        pts = [p + (Fraction(5, 2) - sum(p),) for p in pts]
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000), st.sampled_from(["integer", "fraction", "lifted"]))
+def test_facets_agree_with_brute_force(seed, kind):
+    pts = rand_point_set(random.Random(seed), kind)
+    system = facets(pts)
+    exact = {tuple(Fraction(x) for x in p) for p in pts}
+    audit_facets(system, exact)
+    tight = [
+        frozenset(p for p in exact if sum(h * x for h, x in zip(normal, p)) == offset)
+        for normal, offset in system.facets
+    ]
+    assert len(set(tight)) == len(tight)
+    assert set(tight) == brute_facets(pts)
+    dim = len(fraction_rref([[a - b for a, b in zip(p, pts[0])] for p in pts])[1])
+    assert system.hull_dim == dim
+    assert len(system.equations) == len(pts[0]) - dim
+
+
+def test_integer_points_give_int_facet_systems():
+    rng = random.Random(5)
+    for _ in range(20):
+        pts = rand_point_set(rng, "integer")
+        lifted = [p + (4 - sum(p),) for p in pts]
+        for system in (facets(pts), facets(VPolytope(len(lifted[0]), lifted))):
+            for normal, offset in system.equations + system.facets:
+                assert all(type(h) is int for h in normal)
+                assert type(offset) is int
+
+
+def test_hull_accepts_only_integer_points():
+    hull = IncrementalHull([(0, 0), (2, 0), (0, 2)])
+    before = dict(hull.pieces)
+    for bad in [(Fraction(1, 2), 3), (0.0, 3)]:
+        with pytest.raises(ValueError, match="integer"):
+            hull.add_point(bad)
+    assert hull.pieces == before
+    assert hull.add_point((Fraction(3), 3)) is True
+    with pytest.raises(ValueError, match="integer"):
+        IncrementalHull([(0, 0), (Fraction(1, 3), 1)])
 
 
 # ---------------------------------------------------------------------------
