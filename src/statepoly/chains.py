@@ -39,6 +39,7 @@ from .polytope import (
     VPolytope,
     extremality_witness,  # re-exported: part of this module's interface
     facets,
+    level_quotient,
     trivial_character_point,
     vertex_witnesses,
 )
@@ -57,10 +58,6 @@ from .state import (
 )
 
 Vector = tuple[Fraction, ...]
-
-
-def _vec(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +398,13 @@ def _component_block_polytope(
 def _component_level_count(poly: VPolytope, m: int, i: int) -> int:
     """The common coordinate sum of the block polytope divided by ``m``
     (the number of standard degree-``m`` monomials of the component)."""
-    level = poly.level
-    if level is None:
+    try:
+        q = level_quotient(poly, m)
+    except ValueError as exc:
+        raise ValueError(f"component {i + 1}: {exc}") from None
+    if q is None:
         raise ValueError(f"component {i + 1}: polytope has no common coordinate sum")
-    q = Fraction(level, m)
-    if q.denominator != 1 or q < 0:
-        raise ValueError(
-            f"component {i + 1}: coordinate sum {level} is not m = {m} times "
-            f"a nonnegative integer"
-        )
-    return int(q)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +437,7 @@ def decomposed_state_polytope(
         q_total += _component_level_count(poly, m, i)
         if witnesses is None:
             witnesses = vertex_witnesses(facets(poly), poly.vertices)
-        blocks.append(
-            [
-                (tuple(x.numerator if x.denominator == 1 else x for x in v), witnesses[v])
-                for v in poly.vertices
-            ]
-        )
+        blocks.append([(v, witnesses[v]) for v in poly.vertices])
 
     starts = [spec.block_start(i) for i in range(spec.n_components)]
     witnesses_out: dict[tuple, tuple[int, ...]] = {}
@@ -493,7 +482,7 @@ def barycenter_decompose(
     up to the point's total, otherwise no decomposition exists.
     """
     spec = _coerce_blocks(blocks)
-    target = _vec(point)
+    target = tuple(map(Fraction, point))
     if len(target) != spec.arity:
         raise ValueError(
             f"point has {len(target)} coordinates, expected {spec.arity}"

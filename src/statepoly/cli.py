@@ -118,7 +118,7 @@ def _render_csv(payload: object) -> str:
 
 
 def _json_vector(values: Sequence) -> list:
-    return [scalar_to_json(Fraction(v)) for v in values]
+    return [scalar_to_json(v) for v in values]
 
 
 def _json_monomial(mono: Sequence[int]) -> list[int]:

@@ -1,5 +1,10 @@
-"""Exact integer linear algebra: fraction-free row reduction and primitive
-integer vectors.
+"""Exact scalars and integer linear algebra: the exact-scalar rule, clearing
+denominators, fraction-free row reduction and primitive integer vectors.
+
+Polytope data follows one exact-scalar rule (:func:`exact`): a value is an
+``int`` when it is integral and a ``Fraction`` otherwise, never a float.
+:func:`common_denominator` is the one place where rational rows are scaled
+to integers.
 
 Row reduction is Bareiss's fraction-free Gauss-Jordan elimination.  Rows
 are kept as integer multiples ``d * r`` of the reduced row echelon rows
@@ -14,15 +19,36 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
+def exact(value) -> int | Fraction:
+    """``value`` under the exact-scalar rule: an ``int`` when it is
+    integral, a ``Fraction`` otherwise."""
+    if type(value) is int:
+        return value
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    return f.numerator if f.denominator == 1 else f
+
+
+def exact_vector(values: Iterable) -> tuple[int | Fraction, ...]:
+    return tuple([v if type(v) is int else exact(v) for v in values])
+
+
+def common_denominator(
+    rows: Iterable[Iterable[int | Fraction]],
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm ``scale`` of the denominators of all entries, and every row
+    times ``scale`` as integers (the content is kept)."""
+    rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
+    scale = lcm(*(v.denominator for r in rational for v in r))
+    return scale, [tuple(v.numerator * (scale // v.denominator) for v in r) for r in rational]
+
+
 def primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to integers with content 1 (sign preserved)."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vec]
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (denom // f.denominator) for f in fracs]
+    _, (ints,) = common_denominator([vec])
     content = gcd(*ints)
     if content > 1:
-        ints = [v // content for v in ints]
-    return tuple(ints)
+        ints = tuple(v // content for v in ints)
+    return ints
 
 
 @dataclass(frozen=True)

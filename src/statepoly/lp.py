@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import primitive, row_reduce
+from .linalg import exact_vector, primitive, row_reduce
 
 Vector = tuple[Fraction, ...]
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
@@ -440,7 +440,7 @@ def affine_hull(points: Sequence[Sequence]) -> AffineHull:
     """Exact affine hull: the pivot coordinates and an affinely independent
     spanning subset of the points, plus the integer-normalized equations
     cutting the hull out.  Integer points give integer offsets."""
-    pts = [tuple(v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p) for p in points]
+    pts = [exact_vector(p) for p in points]
     if not pts:
         raise ValueError("affine hull of an empty point set")
     base = pts[0]
@@ -465,20 +465,19 @@ class InteriorMembership:
     inside: bool
     relative_interior: bool
     separator: tuple[int, ...] | None = None
-    violated_equation: tuple[tuple[int, ...], Fraction] | None = None
+    violated_equation: tuple[tuple[int, ...], int | Fraction] | None = None
     coefficients: Vector | None = None
 
 
 def relative_interior_member(points: Sequence[Sequence], target: Sequence) -> InteriorMembership:
-    """Membership in the hull and in its relative interior (facet-strictness
-    inside the affine hull)."""
+    """Membership in the hull and in its relative interior (no facet of the
+    hull is tight at the target)."""
     from .polytope import facets  # deferred: polytope builds on this module
 
     hull = affine_hull(points)
-    tgt = _vec(target)
+    tgt = exact_vector(target)
     for normal, offset in hull.equations:
-        val = sum(Fraction(h) * v for h, v in zip(normal, tgt))
-        if val != offset:
+        if sum(map(mul, normal, tgt)) != offset:
             return InteriorMembership(
                 inside=False,
                 relative_interior=False,
@@ -489,15 +488,8 @@ def relative_interior_member(points: Sequence[Sequence], target: Sequence) -> In
         return InteriorMembership(
             inside=False, relative_interior=False, separator=membership.separator
         )
-    system = facets(points)
-    strict = True
-    for normal, offset in system.facets:
-        val = sum(Fraction(h) * v for h, v in zip(normal, tgt))
-        if val == offset:
-            strict = False
-            break
     return InteriorMembership(
         inside=True,
-        relative_interior=strict,
+        relative_interior=facets(points).relative_interior(tgt),
         coefficients=membership.coefficients,
     )

@@ -10,10 +10,9 @@ variable exceeds 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import primitive, row_reduce
+from .linalg import common_denominator, exact_vector, primitive, row_reduce
 from .rings import Monomial, Polynomial
 
 Row = tuple[int, ...]
@@ -126,7 +125,7 @@ def weight_order(
         tb = tiebreak
     if tb.arity != arity:
         raise ValueError("tie-break order arity mismatch")
-    rows = [tuple(Fraction(w) for w in weights)] + list(tb.rows)
+    rows = [tuple(weights)] + list(tb.rows)
     return MonomialOrder(arity, rows, name=f"weight{tuple(weights)!r}")
 
 
@@ -187,16 +186,6 @@ def make_order(name: str, params: dict | None = None) -> MonomialOrder:
     raise ValueError(f"unknown order family {name!r}")
 
 
-def monomial_compare(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """Three-way comparison of two exponent tuples under an order."""
-    return order.compare(a, b)
-
-
-def order_validate(order: MonomialOrder) -> list[str]:
-    """Violations that keep the matrix from defining a monomial order."""
-    return order.validate()
-
-
 # ---------------------------------------------------------------------------
 # junction splicing
 
@@ -215,35 +204,18 @@ def merge_junction_weights(
     return merge_chain_weights([earlier, later])
 
 
-def merge_junction_orders(
-    earlier: Sequence[int | Fraction],
-    later: Sequence[int | Fraction],
-    junction: int | None = None,
-) -> tuple[int, ...]:
-    """Splice block weight vectors sharing the coordinate ``junction``.
-
-    When ``junction`` is given, the earlier vector must cover coordinates
-    ``0 .. junction`` inclusive (so its length is ``junction + 1``).
-    """
-    if junction is not None and len(earlier) != junction + 1:
-        raise ValueError(
-            f"earlier weight vector has length {len(earlier)}, "
-            f"expected {junction + 1} to end at coordinate {junction}"
-        )
-    return merge_junction_weights(earlier, later)
-
-
 def merge_chain_weights(block_weights: Sequence[Sequence[int | Fraction]]) -> tuple[int, ...]:
     """Fold junction splicing across a whole chain of block weight vectors,
-    exactly (integer input stays integer), then scale to integers once."""
+    exactly (integer input stays integer), then scale to integers once by
+    the common denominator (the content is kept)."""
     if not block_weights:
         raise ValueError("need at least one block weight vector")
-    blocks = [[v if isinstance(v, int) else Fraction(v) for v in w] for w in block_weights]
+    blocks = [exact_vector(w) for w in block_weights]
     if not all(blocks):
         raise ValueError("every block weight vector must be nonempty")
-    acc = blocks[0]
+    acc = list(blocks[0])
     for nxt in blocks[1:]:
         shift = acc[-1] - nxt[0]
-        acc = acc + [v + shift for v in nxt[1:]]
-    denom = lcm(*(v.denominator for v in acc))
-    return tuple(int(v * denom) for v in acc)
+        acc.extend(v + shift for v in nxt[1:])
+    _, (ints,) = common_denominator([acc])
+    return ints

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .linalg import exact
 from .rings import Monomial, Polynomial
 
 
@@ -85,10 +86,8 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
 
 
 def scalar_to_json(value: Fraction | int):
-    f = Fraction(value)
-    if f.denominator == 1:
-        return int(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    v = exact(value)
+    return v if type(v) is int else f"{v.numerator}/{v.denominator}"
 
 
 def scalar_from_json(value) -> Fraction | int:
@@ -97,8 +96,7 @@ def scalar_from_json(value) -> Fraction | int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        f = parse_rational(value)
-        return int(f) if f.denominator == 1 else f
+        return exact(parse_rational(value))
     raise ParseError(f"expected an integer or 'p/q' string, got {value!r}")
 
 

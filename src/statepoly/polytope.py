@@ -1,16 +1,19 @@
 """Exact rational polytopes in vertex form.
 
-Vertices of a :class:`VPolytope` are tuples of ``Fraction``.  Membership
-runs on the exact LP solver; facet enumeration is an incremental
-beneath-beyond hull computed inside the affine hull of the input, so lower
-dimensional polytopes work without perturbation.  The hull works in ``int``
-only: its points, their projections, and every piece's normal and offset
-are integers, and :func:`facets` scales a rational point set by the lcm of
-its denominators before building it.  Facets are reported as primitive
-integer inequalities ``normal . x <= offset`` (equality exactly on the
-facet), together with the integer equations ``normal . x == offset``
-cutting out the affine hull; the offsets are ``int`` for integer points and
-``Fraction`` otherwise.
+Coordinates follow the exact-scalar rule of :mod:`statepoly.linalg`: a
+vertex coordinate, a level or a facet offset is an ``int`` when it is
+integral and a ``Fraction`` only otherwise, so integer vertices stay
+``int`` tuples.  Membership runs on the exact LP solver; facet enumeration
+is an incremental beneath-beyond hull computed inside the affine hull of
+the input, so lower dimensional polytopes work without perturbation.  The
+hull works in ``int`` only: its points, their projections, and every
+piece's normal and offset are integers, and :func:`facets` scales a
+rational point set to integers by its common denominator before building
+it.  Facets are reported as primitive integer inequalities
+``normal . x <= offset`` (equality exactly on the facet), together with
+the integer equations ``normal . x == offset`` cutting out the affine hull.
+A point of the polytope lies in its relative interior exactly when no facet
+is tight at it (:meth:`FacetSystem.relative_interior`).
 
 Extreme points and their certificates come from the facets: the sum of the
 outward normals of the facets tight at a vertex is an integer weight that
@@ -22,25 +25,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .linalg import row_reduce
+from .linalg import common_denominator, exact, exact_vector, primitive, row_reduce
 from .lp import AffineHull, affine_hull, member_convex_hull
 from .parsing import scalar_from_json, scalar_to_json
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 IntVector = tuple[int, ...]
-
-
-def _vec(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
-
-
-def _dot(a: Sequence[Fraction | int], b: Sequence[Fraction]) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
 
 
 class ExtremalityError(RuntimeError):
@@ -70,7 +64,7 @@ class VPolytope:
     vertices: tuple[Vector, ...]
 
     def __init__(self, dim: int, vertices: Iterable[Sequence]):
-        pts = sorted({_vec(p) for p in vertices})
+        pts = sorted({exact_vector(p) for p in vertices})
         for p in pts:
             if len(p) != dim:
                 raise ValueError(f"vertex {p} does not have {dim} coordinates")
@@ -82,15 +76,15 @@ class VPolytope:
         return len(self.vertices)
 
     @property
-    def level(self) -> Fraction | None:
+    def level(self) -> int | Fraction | None:
         """Common coordinate sum of all vertices, if there is one."""
         if not self.vertices:
             return None
-        sums = {sum(v, Fraction(0)) for v in self.vertices}
-        return next(iter(sums)) if len(sums) == 1 else None
+        sums = {sum(v) for v in self.vertices}
+        return exact(sums.pop()) if len(sums) == 1 else None
 
     def translate(self, shift: Sequence) -> "VPolytope":
-        t = _vec(shift)
+        t = exact_vector(shift)
         if len(t) != self.dim:
             raise ValueError("translation vector has the wrong length")
         return VPolytope(self.dim, [tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
@@ -107,11 +101,26 @@ class VPolytope:
         return iter(self.vertices)
 
 
+def level_quotient(poly: VPolytope, m: int) -> int | None:
+    """The integer ``q >= 0`` with ``poly.level == m * q``, or None when the
+    vertices share no coordinate sum; ``ValueError`` when the level is not
+    ``m`` times a nonnegative integer."""
+    level = poly.level
+    if level is None:
+        return None
+    q, rest = divmod(level, m)
+    if rest or q < 0:
+        raise ValueError(
+            f"coordinate sum {level} is not m = {m} times a nonnegative integer"
+        )
+    return q
+
+
 def extreme_points(points: Sequence[Sequence]) -> VPolytope:
     """The polytope on the points that have a strict facet-sum witness in
     the hull of all the points (exactly the points outside the hull of the
     remaining ones)."""
-    pts = sorted({_vec(p) for p in points})
+    pts = sorted({exact_vector(p) for p in points})
     if not pts:
         raise ValueError("a polytope needs at least one point")
     weights = _facet_sum_weights(facets(pts), pts)
@@ -119,7 +128,7 @@ def extreme_points(points: Sequence[Sequence]) -> VPolytope:
 
 
 def vpolytope(points: Sequence[Sequence], assume_extreme: bool = False) -> VPolytope:
-    pts = [_vec(p) for p in points]
+    pts = list(points)
     if not pts:
         raise ValueError("a polytope needs at least one vertex")
     if assume_extreme:
@@ -172,11 +181,16 @@ class FacetSystem:
     facets: tuple[tuple[tuple[int, ...], int | Fraction], ...]
 
     def contains(self, point: Sequence) -> bool:
-        p = _vec(point)
-        for normal, offset in self.equations:
-            if _dot(normal, p) != offset:
-                return False
-        return all(_dot(normal, p) <= offset for normal, offset in self.facets)
+        p = exact_vector(point)
+        if any(sum(map(mul, normal, p)) != offset for normal, offset in self.equations):
+            return False
+        return all(sum(map(mul, normal, p)) <= offset for normal, offset in self.facets)
+
+    def relative_interior(self, point: Sequence) -> bool:
+        """Whether a point already known to lie in the polytope lies in its
+        relative interior: no facet is tight at it."""
+        p = exact_vector(point)
+        return all(sum(map(mul, normal, p)) < offset for normal, offset in self.facets)
 
 
 def _hyperplane_through(points: Sequence[IntVector]) -> tuple[IntVector, int]:
@@ -306,23 +320,21 @@ class IncrementalHull:
 
 def facets(source: VPolytope | Sequence[Sequence]) -> FacetSystem:
     """Facet system of the hull of rational points: the points are scaled by
-    the lcm of their denominators, which keeps every normal, so the integer
+    their common denominator, which keeps every normal, so the integer
     hull's offsets divide back exactly."""
     if isinstance(source, VPolytope):
         points: Sequence[Vector] = source.vertices
     else:
-        points = sorted({_vec(p) for p in source})
-    scale = lcm(*(x.denominator for p in points for x in p))
-    system = IncrementalHull(
-        [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
-    ).facet_system()
+        points = sorted({exact_vector(p) for p in source})
+    scale, ints = common_denominator(points)
+    system = IncrementalHull(ints).facet_system()
     if scale == 1:
         return system
     return FacetSystem(
         dim=system.dim,
         hull_dim=system.hull_dim,
-        equations=tuple((h, Fraction(c, scale)) for h, c in system.equations),
-        facets=tuple((h, Fraction(c, scale)) for h, c in system.facets),
+        equations=tuple((h, exact(Fraction(c, scale))) for h, c in system.equations),
+        facets=tuple((h, exact(Fraction(c, scale))) for h, c in system.facets),
     )
 
 
@@ -336,13 +348,12 @@ def _facet_sum_weights(
     Scaling every point by the common denominator keeps all maximizers, so
     tightness and strictness are decided with integer dot products.
     """
-    scale = lcm(*(x.denominator for p in points for x in p))
-    ints = [tuple(int(x * scale) for x in p) for p in points]
+    scale, ints = common_denominator(points)
     planes = []
     for normal, offset in system.facets:
         scaled = offset * scale
         if scaled.denominator == 1:  # otherwise no scaled point is tight
-            planes.append((normal, int(scaled)))
+            planes.append((normal, scaled.numerator))
     out: list[tuple[int, ...] | None] = []
     for i, p in enumerate(ints):
         w = [0] * system.dim
@@ -351,8 +362,7 @@ def _facet_sum_weights(
                 w = [a + b for a, b in zip(w, normal)]
         top = sum(map(mul, w, p))
         if all(sum(map(mul, w, q)) < top for j, q in enumerate(ints) if j != i):
-            content = gcd(*w) or 1
-            out.append(tuple(v // content for v in w))
+            out.append(primitive(w))
         else:
             out.append(None)
     return out
@@ -370,7 +380,7 @@ def vertex_witnesses(
     Raises :class:`ExtremalityError` when a listed vertex fails the check: it
     is not extreme, so no strict weight exists.
     """
-    pts = [_vec(v) for v in vertices]
+    pts = [exact_vector(v) for v in vertices]
     out: dict[Vector, tuple[int, ...]] = {}
     for p, w in zip(pts, _facet_sum_weights(system, pts)):
         if w is None:
@@ -384,7 +394,7 @@ def extremality_witness(poly: VPolytope, vertex: Sequence) -> tuple[int, ...]:
     over the polytope's vertices.  Raises :class:`ExtremalityError` when no
     such vector exists (the point is not extreme) and ``ValueError`` when the
     point is not a listed vertex."""
-    target = _vec(vertex)
+    target = exact_vector(vertex)
     if target not in poly.vertices:
         raise ValueError("witness requested for a point that is not a listed vertex")
     weights = dict(zip(poly.vertices, _facet_sum_weights(facets(poly), poly.vertices)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -56,19 +57,20 @@ def unit_monomial(arity: int, index: int, power: int = 1) -> Monomial:
 
 def degree_monomials(arity: int, degree: int) -> list[Monomial]:
     """All exponent tuples of the given total degree, lexicographically
-    descending (the canonical enumeration order used throughout)."""
+    descending (the canonical enumeration order used throughout).
+
+    Sorted index multisets in increasing order give exponent tuples in
+    decreasing lex order: the first multiset that repeats a smaller index
+    has the larger exponent there.
+    """
+    if degree < 0:
+        return []
     out: list[Monomial] = []
-
-    def rec(prefix: list[int], left: int, pos: int) -> None:
-        if pos == arity - 1:
-            out.append(tuple(prefix + [left]))
-            return
-        for e in range(left, -1, -1):
-            rec(prefix + [e], left - e, pos + 1)
-
-    if arity == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, 0)
+    for combo in combinations_with_replacement(range(arity), degree):
+        exponents = [0] * arity
+        for i in combo:
+            exponents[i] += 1
+        out.append(tuple(exponents))
     return out
 
 

@@ -25,13 +25,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .groebner import DegreeSlice, degree_slice
-from .linalg import primitive
-from .lp import LinearProgram, affine_hull, member_convex_hull, solve_lp
+from .linalg import exact_vector, primitive
+from .lp import affine_hull, member_convex_hull
 from .orders import weight_order
 from .polytope import (
     FacetSystem,
     IncrementalHull,
     VPolytope,
+    facets,
+    level_quotient,
     trivial_character_point,
     vertex_witnesses,
 )
@@ -79,14 +81,13 @@ class StateOracle:
         self.m = m
         self.budget = budget
         self.gb_runs = 0
-        self.homogeneous = ideal.is_homogeneous()
         self._memo: dict[tuple[int, ...], StateVector] = {}
 
     @staticmethod
     def normalize_direction(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
-        fracs = [Fraction(w) for w in weights]
-        low = min(fracs)
-        return primitive([w - low for w in fracs])
+        values = exact_vector(weights)
+        low = min(values)
+        return primitive([w - low for w in values])
 
     def state_for_direction(self, weights: Sequence[int | Fraction]) -> StateVector:
         if len(weights) != self.ideal.arity:
@@ -146,16 +147,6 @@ class StatePolytopeResult:
         return self.status == "complete"
 
 
-def _q_from_level(polytope: VPolytope, m: int) -> int | None:
-    level = polytope.level
-    if level is None or m == 0:
-        return None
-    q = level / m
-    if q.denominator != 1:
-        raise ValueError(f"vertex level {level} is not a multiple of m={m}")
-    return int(q)
-
-
 def enumerate_state_polytope(
     ideal: Ideal,
     m: int,
@@ -195,7 +186,7 @@ def enumerate_state_polytope(
             if not grew:
                 break
         hull_obj = IncrementalHull(sorted(vertices))
-        confirmed: set[tuple[tuple[int, ...], Fraction]] = set()
+        confirmed: set[tuple[tuple[int, ...], int]] = set()
         while True:
             candidate = hull_obj.facet_system()
             pending = [f for f in candidate.facets if f not in confirmed]
@@ -224,7 +215,7 @@ def enumerate_state_polytope(
         polytope=polytope,
         m=m,
         status=status,
-        q=_q_from_level(polytope, m),
+        q=level_quotient(polytope, m),
         query_count=orc.gb_runs,
         witnesses={v: witnesses[v] for v in polytope.vertices},
         hull_dim=hull_dim,
@@ -254,46 +245,14 @@ class SemistabilityReport:
     separator: tuple[int, ...] | None  # separating functional when outside
 
 
-def _relative_interior_flag(polytope: VPolytope, point: Sequence[Fraction]) -> bool:
-    """Whether a point already known to lie in the polytope lies in its
-    relative interior: the segment from the vertex centroid (always relative
-    interior) through the point must extend strictly beyond it."""
-    verts = polytope.vertices
-    count = len(verts)
-    if count == 1:
-        return True
-    dim = polytope.dim
-    centroid = [sum(v[j] for v in verts) / count for j in range(dim)]
-    direction = [Fraction(p) - c for p, c in zip(point, centroid)]
-    if not any(direction):
-        return True
-    # maximize t subject to: sum_i lam_i v_i - t * direction = point, sum lam = 1
-    constraints = []
-    for j in range(dim):
-        coeffs = [v[j] for v in verts] + [-direction[j]]
-        constraints.append((coeffs, "==", Fraction(point[j])))
-    constraints.append(([Fraction(1)] * count + [Fraction(0)], "==", Fraction(1)))
-    lp = LinearProgram(
-        objective=[Fraction(0)] * count + [Fraction(1)],
-        constraints=constraints,
-        maximize=True,
-        nonnegative=[True] * count + [False],
-    )
-    result = solve_lp(lp)
-    if result.status == "infeasible":
-        raise ValueError("point is not in the polytope")
-    if result.status == "unbounded":
-        return True
-    assert result.objective_value is not None
-    return result.objective_value > 0
-
-
 def semistability_report(result: StatePolytopeResult, n: int | None = None) -> SemistabilityReport:
     """Barycenter membership for a completed state polytope.
 
     The barycenter is the point with all coordinates ``m*q/(n+1)``.  Reports
-    hull membership and relative-interior membership with exact LP
-    certificates; no stability label is attached to either flag.
+    hull membership with an exact LP certificate and, for a member, whether
+    it lies in the relative interior (no facet of ``result.facet_system``,
+    or of the polytope's hull when the result carries none, is tight at
+    it); no stability label is attached to either flag.
     """
     if not result.complete:
         raise ValueError("state polytope enumeration is incomplete (budget exhausted)")
@@ -308,7 +267,8 @@ def semistability_report(result: StatePolytopeResult, n: int | None = None) -> S
     membership = member_convex_hull(polytope.vertices, gamma)
     interior = False
     if membership.inside:
-        interior = _relative_interior_flag(polytope, gamma)
+        system = result.facet_system or facets(polytope)
+        interior = system.relative_interior(gamma)
     return SemistabilityReport(
         m=result.m,
         q=result.q,

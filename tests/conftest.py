@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from statepoly.lp import LinearProgram, solve_lp
 from statepoly.rings import Polynomial, degree_monomials
 
 
@@ -136,6 +137,35 @@ def brute_extreme_points(points: Sequence[Sequence]) -> set[tuple[Fraction, ...]
         if not others or not brute_hull_member(others, p):
             out.add(p)
     return out
+
+
+def lp_relative_interior(points: Sequence[Sequence], point: Sequence) -> bool:
+    """Relative-interior test by LP for a point known to lie in the hull of
+    ``points``: the centroid of the points lies in the relative interior, so
+    the point does exactly when the ray from the centroid through it
+    continues strictly beyond it inside the hull."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    target = tuple(Fraction(x) for x in point)
+    count = len(pts)
+    centroid = [sum(column, Fraction(0)) / count for column in zip(*pts)]
+    direction = [t - c for t, c in zip(target, centroid)]
+    if not any(direction):
+        return True
+    # maximize s subject to sum_i lam_i p_i - s * direction = point, sum lam = 1
+    constraints = [
+        ([p[j] for p in pts] + [-direction[j]], "==", target[j]) for j in range(len(target))
+    ]
+    constraints.append(([Fraction(1)] * count + [Fraction(0)], "==", Fraction(1)))
+    program = LinearProgram(
+        objective=[Fraction(0)] * count + [Fraction(1)],
+        constraints=constraints,
+        maximize=True,
+        nonnegative=[True] * count + [False],
+    )
+    result = solve_lp(program)
+    if result.status == "infeasible":
+        raise ValueError("point is not in the hull")
+    return result.status == "unbounded" or result.objective_value > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main, run_command
 from statepoly.polytope import VPolytope, save_polytope
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = "data/examples"
 
 
@@ -142,6 +144,27 @@ def test_digest_tracks_arguments_and_file_content(capsys, cubic_file, tmp_path):
     _, doc_other = run_json(capsys, "state", "--ideal", str(other), "--m", "2")
     assert doc_other["input_digest"] != doc_m2["input_digest"]
     assert doc_other["payload"] == doc_m2["payload"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("tau", "--blocks", "0,2,4", "--m", "3"),
+            "7cfec5b0d02c80e98d872e5684460eb7ffcfd4fef48d00b23fc10a8258d48bd9",
+        ),
+        (
+            ("state", "--ideal", f"{DATA}/planecurve.ideal", "--m", "3"),
+            "0868d401bc3369671ec356f15b8aeb2fa816f1f341aad76aea045c9fc6379bc8",
+        ),
+    ],
+)
+def test_digests_are_pinned(capsys, monkeypatch, argv, digest):
+    # the digest hashes every parsed option, so adding, removing or renaming
+    # an option of these commands changes it
+    monkeypatch.chdir(ROOT)
+    _, doc = run_json(capsys, *argv)
+    assert doc["input_digest"] == digest
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,8 @@ from statepoly.orders import (
     make_order,
     matrix_order,
     merge_chain_weights,
-    merge_junction_orders,
     merge_junction_weights,
-    monomial_compare,
     named_order,
-    order_validate,
     weight_order,
 )
 from statepoly.rings import mono_mul
@@ -83,10 +80,10 @@ def test_order_axioms(seed, arity, name):
 
 
 def test_order_validate_flags_non_global_orders():
-    assert order_validate(lex_order(3)) == []
-    assert order_validate(weight_order([2, 1, 1])) == []
+    assert lex_order(3).validate() == []
+    assert weight_order([2, 1, 1]).validate() == []
     bad = matrix_order([[1, -1, 0]])
-    messages = order_validate(bad)
+    messages = bad.validate()
     assert messages  # not total / not global
 
 
@@ -131,10 +128,10 @@ def test_named_and_make_order():
     assert make_order("lex", {"arity": 2}).compare((1, 0), (0, 9)) > 0
 
 
-def test_monomial_compare_helper():
-    assert monomial_compare((1, 0), (0, 1), lex_order(2)) > 0
-    assert monomial_compare((0, 1), (1, 0), lex_order(2)) < 0
-    assert monomial_compare((2, 3), (2, 3), grevlex_order(2)) == 0
+def test_order_compare_is_three_way():
+    assert lex_order(2).compare((1, 0), (0, 1)) > 0
+    assert lex_order(2).compare((0, 1), (1, 0)) < 0
+    assert grevlex_order(2).compare((2, 3), (2, 3)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +161,9 @@ def test_merge_chain_weights_three_blocks():
     assert merged == (2, 1, 0, 0, 0)
 
 
-def test_merge_junction_orders_validates_junction():
-    merged = merge_junction_orders((5, 3, 2), (4, 1, 0), junction=2)
+def test_merge_chain_weights_two_blocks():
+    merged = merge_chain_weights([(5, 3, 2), (4, 1, 0)])
     assert merged == (5, 3, 2, -1, -2)
-    with pytest.raises(ValueError):
-        merge_junction_orders((5, 3, 2), (4, 1, 0), junction=3)
 
 
 @settings(max_examples=40, deadline=None)

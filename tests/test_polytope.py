@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepoly.lp import LinearProgram, solve_lp
+from statepoly.lp import LinearProgram, relative_interior_member, solve_lp
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
@@ -36,6 +36,7 @@ from conftest import (
     brute_hull_member,
     fraction_null_space,
     fraction_rref,
+    lp_relative_interior,
     rand_point,
 )
 
@@ -334,6 +335,82 @@ def test_hull_accepts_only_integer_points():
     assert hull.add_point((Fraction(3), 3)) is True
     with pytest.raises(ValueError, match="integer"):
         IncrementalHull([(0, 0), (Fraction(1, 3), 1)])
+
+
+# ---------------------------------------------------------------------------
+# the exact-scalar rule: int when integral, Fraction otherwise, never float
+
+
+def test_integer_vertices_level_and_witnesses_are_int():
+    poly = VPolytope(3, [(2, 0, 0), (0, Fraction(4, 2), 0), (0, 0, 2), (Fraction(2), 0, 0)])
+    assert poly.vertices == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
+    assert all(type(x) is int for v in poly.vertices for x in v)
+    assert type(poly.level) is int and poly.level == 2
+    shifted = poly.translate((Fraction(3, 3), 0, -1))
+    assert all(type(x) is int for v in shifted.vertices for x in v)
+    assert type(shifted.level) is int
+    witnesses = vertex_witnesses(facets(poly), poly.vertices)
+    for vertex, weights in witnesses.items():
+        assert all(type(x) is int for x in vertex)
+        assert all(type(w) is int for w in weights)
+    summed = minkowski_sum(poly, poly)
+    assert all(type(x) is int for v in summed.vertices for x in v)
+
+
+def test_fraction_only_for_non_integral_coordinates():
+    poly = VPolytope(2, [(Fraction(1, 2), Fraction(3, 2)), (Fraction(2, 2), 1)])
+    assert [tuple(type(x) for x in v) for v in poly.vertices] == [
+        (Fraction, Fraction),
+        (int, int),
+    ]
+    # the half-integral sums add up to an integral level, which is an int
+    assert type(poly.level) is int and poly.level == 2
+    half = VPolytope(2, [(Fraction(1, 2), 0), (0, Fraction(1, 2))])
+    assert half.level == Fraction(1, 2) and type(half.level) is Fraction
+    system = facets(poly)
+    for _, offset in system.equations + system.facets:
+        assert type(offset) in (int, Fraction)
+    for weights in vertex_witnesses(system, poly.vertices).values():
+        assert all(type(w) is int for w in weights)
+    back = polytope_from_payload({"vertices": [["1/2", "3/2"], ["2/2", 1]]})
+    assert back == poly
+    assert type(back.vertices[1][0]) is int
+
+
+# ---------------------------------------------------------------------------
+# relative interior: no facet tight at a point of the polytope
+
+
+def _centroid(points):
+    return tuple(sum(column, Fraction(0)) / len(points) for column in zip(*points))
+
+
+def test_relative_interior_predicate_agrees_with_lp():
+    outcomes = {True: 0, False: 0}
+    for seed in range(20):
+        rng = random.Random(seed)
+        for kind, lift in (("integer", False), ("fraction", False), ("lifted", False), ("integer", True)):
+            pts = rand_point_set(rng, kind)
+            if lift:  # integer points on a hyperplane: a lower-dimensional integer hull
+                pts = [p + (4 - sum(p),) for p in pts]
+            system = facets(pts)
+            vertices = extreme_points(pts).vertices
+            # vertices, the centroid (relative interior), the centroid of the
+            # points on each facet (relative boundary), and a few midpoints
+            candidates = list(vertices) + [_centroid(pts)]
+            for normal, offset in system.facets:
+                on_facet = [p for p in pts if sum(h * x for h, x in zip(normal, p)) == offset]
+                candidates.append(_centroid(on_facet))
+            pairs = list(combinations(vertices, 2))
+            for a, b in rng.sample(pairs, min(3, len(pairs))):
+                candidates.append(_centroid([a, b]))
+            for point in candidates:
+                expected = lp_relative_interior(pts, point)
+                outcomes[expected] += 1
+                assert system.relative_interior(point) == expected
+                member = relative_interior_member(pts, point)
+                assert member.inside and member.relative_interior == expected
+    assert outcomes[True] > 20 and outcomes[False] > 20
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -56,6 +58,29 @@ def test_monomial_operations():
     assert not mono_coprime(a, b)
     assert unit_monomial(4, 2) == (0, 0, 1, 0)
     assert unit_monomial(3, 0, 5) == (5, 0, 0)
+
+
+def test_degree_monomials_order_is_lex_descending():
+    for arity in range(0, 5):
+        for degree in range(0, 6):
+            brute = sorted(
+                (e for e in itertools.product(range(degree + 1), repeat=arity) if sum(e) == degree),
+                reverse=True,
+            )
+            assert degree_monomials(arity, degree) == brute
+    assert degree_monomials(0, 0) == [()]
+    assert degree_monomials(0, 3) == []
+    assert degree_monomials(3, -1) == []
+
+
+def test_degree_monomials_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        degree_monomials(4, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_degree_monomials_count_matches_binomial():

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statepoly.lp as lp_module
 from statepoly.groebner import degree_slice, hilbert_values
 from statepoly.orders import weight_order
+from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
 from statepoly.state import (
     BUDGET_ENV_VAR,
     BudgetExhausted,
     StateOracle,
+    StatePolytopeResult,
     argmax_state,
     enumerate_state_polytope,
     read_budget_from_env,
@@ -24,7 +27,7 @@ from statepoly.state import (
     state_of_slice,
     state_polytope,
 )
-from conftest import brute_hull_member, rand_polynomial
+from conftest import brute_hull_member, lp_relative_interior, rand_polynomial
 
 
 def variables(arity):
@@ -238,3 +241,56 @@ def test_semistability_unstable_monomial_ideal():
     bval = sum(Fraction(n) * b for n, b in zip(normal, report.barycenter))
     for v in res.polytope.vertices:
         assert bval > sum(Fraction(n) * x for n, x in zip(normal, v))
+
+
+def _scalars(obj):
+    """Every number inside a (nested) dataclass, tuple or dict."""
+    if isinstance(obj, (bool, str)) or obj is None:
+        return
+    if isinstance(obj, (int, float, Fraction)):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _scalars(key)
+            yield from _scalars(value)
+    elif isinstance(obj, (tuple, list, set)):
+        for item in obj:
+            yield from _scalars(item)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            yield from _scalars(getattr(obj, name))
+
+
+def test_state_data_is_int_and_reports_hold_no_float():
+    x, y, z = variables(3)
+    res = enumerate_state_polytope(Ideal(3, (x**3 + y**3 + z**3,)), 3)
+    assert res.complete and res.polytope.n_vertices == 3
+    assert all(type(c) is int for v in res.polytope.vertices for c in v)
+    assert type(res.polytope.level) is int and type(res.q) is int
+    assert all(type(w) is int for ws in res.witnesses.values() for w in ws)
+    assert not any(isinstance(v, float) for v in _scalars(res))
+    report = semistability_report(res)
+    assert report.member_of_hull and report.relative_interior
+    assert not any(isinstance(v, float) for v in _scalars(report))
+
+
+def test_semistability_relative_interior_reads_facets(monkeypatch):
+    # one membership LP per report; a result without a facet system falls
+    # back to the polytope's facets
+    solves = []
+    real_solve = lp_module.solve_lp
+    monkeypatch.setattr(lp_module, "solve_lp", lambda program: solves.append(1) or real_solve(program))
+    segment = VPolytope(2, [(2, 0), (0, 2)])
+    corner = VPolytope(2, [(2, 0), (1, 1)])  # the barycenter (1, 1) is a vertex
+    for poly, interior in ((segment, True), (corner, False)):
+        for system in (None, facets(poly)):
+            result = StatePolytopeResult(
+                polytope=poly, m=2, status="complete", q=1, query_count=0,
+                witnesses={}, facet_system=system,
+            )
+            solves.clear()
+            report = semistability_report(result)
+            assert len(solves) == 1
+            assert report.member_of_hull
+            assert report.relative_interior is interior
+            assert lp_relative_interior(poly.vertices, report.barycenter) is interior
