@@ -27,10 +27,11 @@ from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .groebner import (
+    Component,
     MonomialIdeal,
-    degree_slice,
-    intersect_ideals,
+    intersect_embedded,
     monomial_slice,
+    union_in_slice,
 )
 from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
@@ -46,7 +47,7 @@ from .polytope import (
 from .rings import (
     Ideal,
     Monomial,
-    Polynomial,
+    embed_monomial,
     project_polynomial,
     unit_monomial,
 )
@@ -322,6 +323,16 @@ def tau_vector(blocks: BlockSpec | Sequence[int], m: int) -> TauVector:
 # assembling the ambient ideal
 
 
+def _block_components(chain: ChainInput) -> list[Component]:
+    """Every component of a valid chain as its block coordinates and its
+    ideal in the block ring (polytope components are refused)."""
+    spec = _require_valid(chain)
+    return [
+        (spec.block_coords(i), component_block_ideal(chain, i))
+        for i in range(spec.n_components)
+    ]
+
+
 def assemble_ideal(chain: ChainInput) -> Ideal:
     """Intersect the embedded component ideals into one ambient ideal.
 
@@ -329,25 +340,7 @@ def assemble_ideal(chain: ChainInput) -> Ideal:
     variables outside its block (the component sits in the coordinate
     subspace of its block).  Requires ideal components throughout.
     """
-    spec = _require_valid(chain)
-    embedded: list[Ideal] = []
-    for i, comp in enumerate(chain.components):
-        if not isinstance(comp, Ideal):
-            raise ValueError(
-                f"component {i + 1} is polytope data; assembling an ambient "
-                f"ideal needs ideal components"
-            )
-        coords = set(spec.block_coords(i))
-        outside = [
-            Polynomial.variable(spec.arity, j)
-            for j in range(spec.arity)
-            if j not in coords
-        ]
-        embedded.append(Ideal(spec.arity, tuple(comp.generators) + tuple(outside)))
-    result = embedded[0]
-    for nxt in embedded[1:]:
-        result = intersect_ideals(result, nxt)
-    return result
+    return intersect_embedded(chain.block_spec().arity, _block_components(chain))
 
 
 def component_block_ideal(chain: ChainInput, i: int) -> Ideal:
@@ -627,7 +620,8 @@ def initial_slice_partition(
 ) -> SlicePartitionReport:
     """Compare the initial-ideal slice of the assembled chain (under spliced
     block weights) with the mixed monomials and the embedded block slices."""
-    spec = _require_valid(chain)
+    components = _block_components(chain)
+    spec = chain.block_spec()
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
     if len(block_weights) != spec.n_components:
@@ -642,8 +636,7 @@ def initial_slice_partition(
                 f"block width {spec.block_width(i)}"
             )
     merged = merge_chain_weights(block_weights)
-    ambient = assemble_ideal(chain)
-    ambient_slice = degree_slice(ambient, weight_order(merged), m).in_monomials
+    ambient_slice = union_in_slice(spec.arity, components, weight_order(merged), m).in_monomials
 
     if spec.n_components >= 2:
         mixed = monomial_slice(mixed_ideals(spec).union(), m).in_monomials
@@ -651,16 +644,10 @@ def initial_slice_partition(
         mixed = ()
 
     embedded: list[tuple[Monomial, ...]] = []
-    for i in range(spec.n_components):
-        block = component_block_ideal(chain, i)
-        piece = degree_slice(block, weight_order(block_weights[i]), m)
-        coords = list(spec.block_coords(i))
-        lifted = []
-        for mono in piece.in_monomials:
-            big = [0] * spec.arity
-            for j, e in enumerate(mono):
-                big[coords[j]] = e
-            lifted.append(tuple(big))
+    for (coords, block), weights in zip(components, block_weights):
+        width = block.arity
+        piece = union_in_slice(width, [(range(width), block)], weight_order(weights), m)
+        lifted = (embed_monomial(mono, spec.arity, coords) for mono in piece.in_monomials)
         embedded.append(tuple(sorted(lifted)))
 
     junction_powers = tuple(

@@ -57,9 +57,7 @@ from .polytope import VPolytope, load_polytope, polytope_payload
 from .rings import Ideal
 from .rosary import (
     RosarySpec,
-    rosary_assembled_ideal,
     rosary_component_ideal,
-    rosary_end_conics,
     rosary_slice_decomposition_check,
     rosary_w_table,
 )
@@ -192,15 +190,24 @@ def _chain_from_file(doc: IdealFile, base_dir: Path) -> ChainInput:
     return ChainInput(doc.blocks, components)
 
 
+# the options each command's digest hashes; an option not listed here never
+# changes a digest
+_DIGEST_INPUTS = {
+    "gb": "ideal order", "initial": "ideal order", "state": "ideal m budget",
+    "intersect": "ideal", "eliminate": "ideal keep", "implicitize": "ideal nvars",
+    "chain-state": "ideal m budget", "tau": "blocks m nvars",
+    "decompose-point": "blocks point levels", "contains": "polytope point",
+    "semistable": "ideal m n budget", "hm": "ideal m weights", "rosary": "r what l d",
+}
+
+
 def _digest(command: str, args: argparse.Namespace, files: Sequence[str]) -> str:
-    skip = {"out", "format", "func"}
-    parts = [command]
-    # every digest included the default parallel=1 while the removed no-op
-    # --parallel option was parsed; keeping it leaves existing digests valid
-    for key, value in sorted({**vars(args), "parallel": 1}.items()):
-        if key in skip or callable(value):
-            continue
-        parts.append(f"{key}={value!r}")
+    inputs = {name: getattr(args, name) for name in _DIGEST_INPUTS[command].split()}
+    # digests once hashed every parsed option, the subcommand name and the
+    # removed --parallel option (default 1) included; hashing those two
+    # keeps every earlier digest valid
+    inputs.update(command=command, parallel=1)
+    parts = [command] + [f"{key}={value!r}" for key, value in sorted(inputs.items())]
     for path in files:
         body = Path(path).read_bytes()
         parts.append(hashlib.sha256(body).hexdigest())
@@ -546,12 +553,8 @@ def _cmd_rosary(args: argparse.Namespace) -> CommandResult:
     elif what == "check":
         if args.d is None:
             raise ValueError("rosary --what check needs --d")
-        ends = rosary_end_conics(spec)
-        assembled = rosary_assembled_ideal(spec, ends)
         order = named_order("lex", spec.arity)
-        report = rosary_slice_decomposition_check(
-            spec, order, args.d, assembled, ends
-        )
+        report = rosary_slice_decomposition_check(spec, order, args.d)
         payload = {
             "r": report.r,
             "d": report.d,

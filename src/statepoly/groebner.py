@@ -10,13 +10,14 @@ chain criterion.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Sequence
 
-from .linalg import primitive
+from .linalg import primitive, row_reduce
 from .orders import MonomialOrder, elimination_order, grevlex_order
 from .rings import (
     Ideal,
@@ -24,12 +25,15 @@ from .rings import (
     Polynomial,
     count_monomials,
     degree_monomials,
+    embed_monomial,
+    embed_polynomial,
     mono_coprime,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    project_polynomial,
 )
 
 IntPoly = dict[Monomial, int]
@@ -393,14 +397,70 @@ def hilbert_values(
 
 
 # ---------------------------------------------------------------------------
+# degree slices of unions by linear algebra
+
+# an ideal of the small ring on the listed ambient coordinates; embedded, it
+# also contains every ambient coordinate outside the list
+Component = tuple[Sequence[int], Ideal]
+
+
+def require_enumerable(arity: int, d: int) -> None:
+    """Refuse, before any work, a degree slice too large to enumerate."""
+    total = count_monomials(arity, d)
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"degree slice would enumerate {total} monomials (> {ENUMERATION_LIMIT})"
+        )
+
+
+def union_in_slice(
+    arity: int, components: Sequence[Component], order: MonomialOrder, d: int
+) -> DegreeSlice:
+    """The degree-``d`` slice of the initial ideal of the intersection of the
+    embedded components, with no intersection computed.
+
+    For homogeneous ideals ``(J_1 ∩ ... ∩ J_k)_d = (J_1)_d ∩ ... ∩ (J_k)_d``:
+    a degree-``d`` form lies in the intersection exactly when its normal form
+    modulo every component is zero.  So each degree-``d`` monomial gets one
+    column, its normal forms modulo the components' grevlex bases stacked
+    (zero modulo a component whose coordinates it leaves).  Taken in
+    increasing ``order``, the columns that raise the rank are the standard
+    monomials; every other monomial lies in the initial ideal.
+    """
+    require_enumerable(arity, d)
+    for index, (coords, block) in enumerate(components, start=1):
+        if len(coords) != block.arity:
+            raise ValueError(
+                f"component {index} lists {len(coords)} coordinates for a ring "
+                f"in {block.arity} variables"
+            )
+        if not block.is_homogeneous():
+            raise ValueError(
+                f"component {index} is not homogeneous; union slices need "
+                f"homogeneous components"
+            )
+    columns: dict[Monomial, dict[int, Fraction]] = {}
+    rows: dict[tuple[int, Monomial], int] = {}
+    for index, (coords, block) in enumerate(components):
+        gb = buchberger(block, grevlex_order(block.arity))
+        leads, polys = list(gb.leads), [_to_int_poly(g) for g in gb.elements]
+        for mono in degree_monomials(block.arity, d):
+            # s * mono - r lies in the block ideal: mono reduces to r / s, an
+            # exact value, so the blocks of one column share one scale
+            r, s = _normal_form_int({mono: 1}, leads, polys, gb.order.key)
+            column = columns.setdefault(embed_monomial(mono, arity, coords), {})
+            for std, c in r.items():
+                column[rows.setdefault((index, std), len(rows))] = Fraction(c, s)
+    ascending = sorted(degree_monomials(arity, d), key=order.key)
+    candidates = [mono for mono in ascending if columns.get(mono)]
+    matrix = [primitive([columns[m].get(i, 0) for i in range(len(rows))]) for m in candidates]
+    standard = {candidates[i] for i in row_reduce(matrix, len(rows)).basis}
+    inside = tuple(sorted(m for m in ascending if m not in standard))
+    return DegreeSlice(arity, d, inside, tuple(sorted(standard)))
+
+
+# ---------------------------------------------------------------------------
 # elimination toolbox
-
-
-def _shift_to_extended(poly: Polynomial, extra: int) -> Polynomial:
-    """View a polynomial in ``arity`` variables inside ``arity+extra``
-    variables (new coordinates appended at the end, unused)."""
-    arity = poly.arity + extra
-    return Polynomial(arity, {m + (0,) * extra: c for m, c in poly.terms.items()})
 
 
 def eliminate(source: Ideal, keep: Sequence[int]) -> Ideal:
@@ -430,18 +490,22 @@ def intersect_ideals(left: Ideal, right: Ideal) -> Ideal:
     ext = arity + 1
     t = Polynomial.variable(ext, arity)
     one = Polynomial.constant(ext, 1)
-    gens: list[Polynomial] = []
-    for f in left.generators:
-        gens.append(t * _shift_to_extended(f, 1))
-    for g in right.generators:
-        gens.append((one - t) * _shift_to_extended(g, 1))
-    extended = Ideal(ext, gens)
-    flat = eliminate(extended, keep=list(range(arity)))
-    out = tuple(
-        Polynomial(arity, {m[:arity]: c for m, c in g.terms.items()})
-        for g in flat.generators
-    )
-    return Ideal(arity, out)
+    base = range(arity)
+    gens = [t * embed_polynomial(f, ext, base) for f in left.generators]
+    gens += [(one - t) * embed_polynomial(g, ext, base) for g in right.generators]
+    flat = eliminate(Ideal(ext, gens), keep=base)
+    return Ideal(arity, (project_polynomial(g, base) for g in flat.generators))
+
+
+def intersect_embedded(arity: int, components: Sequence[Component]) -> Ideal:
+    """The intersection of the embedded components, one elimination per
+    component after the first (the route :func:`union_in_slice` avoids)."""
+    embedded = []
+    for coords, block in components:
+        outside = [Polynomial.variable(arity, j) for j in range(arity) if j not in coords]
+        lifted = [embed_polynomial(g, arity, coords) for g in block.generators]
+        embedded.append(Ideal(arity, lifted + outside))
+    return functools.reduce(intersect_ideals, embedded)
 
 
 def implicitize(forms: Sequence[Polynomial], target_arity: int | None = None) -> Ideal:
@@ -460,15 +524,10 @@ def implicitize(forms: Sequence[Polynomial], target_arity: int | None = None) ->
     if target_arity is not None and target_arity != n_targets:
         raise ValueError("target arity must equal the number of forms")
     ext = params + n_targets
-    gens: list[Polynomial] = []
-    for i, f in enumerate(forms):
-        xi = Polynomial.variable(ext, params + i)
-        fe = _shift_to_extended(f, n_targets)
-        gens.append(xi - fe)
-    graph = Ideal(ext, gens)
-    flat = eliminate(graph, keep=list(range(params, ext)))
-    out = tuple(
-        Polynomial(n_targets, {m[params:]: c for m, c in g.terms.items()})
-        for g in flat.generators
-    )
-    return Ideal(n_targets, out)
+    gens = [
+        Polynomial.variable(ext, params + i) - embed_polynomial(f, ext, range(params))
+        for i, f in enumerate(forms)
+    ]
+    targets = range(params, ext)
+    flat = eliminate(Ideal(ext, gens), keep=targets)
+    return Ideal(n_targets, (project_polynomial(g, targets) for g in flat.generators))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import common_denominator, exact_vector, primitive, row_reduce
-from .rings import Monomial, Polynomial
+from .rings import Monomial
 
 Row = tuple[int, ...]
 
@@ -51,18 +51,6 @@ class MonomialOrder:
         if ka > kb:
             return 1
         return 0
-
-    def leading_term(self, poly: Polynomial) -> tuple[Monomial, Fraction]:
-        if poly.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(poly.terms, key=self.key)
-        return mono, poly.terms[mono]
-
-    def leading_monomial(self, poly: Polynomial) -> Monomial:
-        return self.leading_term(poly)[0]
-
-    def sorted_monomials(self, monos: Iterable[Monomial]) -> list[Monomial]:
-        return sorted(monos, key=self.key, reverse=True)
 
     # -- validation ----------------------------------------------------------
 

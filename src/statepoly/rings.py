@@ -273,19 +273,23 @@ def project_polynomial(poly: Polynomial, coords: Sequence[int]) -> Polynomial:
     return Polynomial(len(coords), terms)
 
 
+def embed_monomial(mono: Monomial, arity: int, coords: Sequence[int]) -> Monomial:
+    """Send exponent ``i`` of a small-ring monomial to coordinate
+    ``coords[i]`` of a ring in ``arity`` variables."""
+    big = [0] * arity
+    for c, e in zip(coords, mono):
+        big[c] = e
+    return tuple(big)
+
+
 def embed_polynomial(poly: Polynomial, arity: int, coords: Sequence[int]) -> Polynomial:
     """Embed a small-ring polynomial into a larger ring, sending variable ``i``
     of the small ring to coordinate ``coords[i]``."""
-    coords = list(coords)
     if len(coords) != poly.arity:
         raise ValueError("coords must list one target coordinate per variable")
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in poly.terms.items():
-        big = [0] * arity
-        for i, e in enumerate(mono):
-            big[coords[i]] = e
-        terms[tuple(big)] = coeff
-    return Polynomial(arity, terms)
+    return Polynomial(
+        arity, {embed_monomial(m, arity, coords): c for m, c in poly.terms.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .groebner import degree_slice, intersect_ideals
+from .groebner import Component, intersect_embedded, require_enumerable, union_in_slice
+from .linalg import exact, exact_vector
 from .orders import MonomialOrder
 from .rings import (
     Ideal,
     Monomial,
     Polynomial,
     degree_monomials,
+    embed_monomial,
+    mono_mul,
     project_polynomial,
+    unit_monomial,
 )
 
 __all__ = [
@@ -76,18 +80,11 @@ class RosarySpec:
 
 def _binomial(arity: int, plus: tuple[int, int], minus: tuple[int, int]) -> Polynomial:
     """The difference of two quadratic monomials given by coordinate pairs."""
-    terms: dict[Monomial, Fraction] = {}
 
     def mono(pair: tuple[int, int]) -> Monomial:
-        exp = [0] * arity
-        exp[pair[0]] += 1
-        exp[pair[1]] += 1
-        return tuple(exp)
+        return mono_mul(unit_monomial(arity, pair[0]), unit_monomial(arity, pair[1]))
 
-    terms[mono(plus)] = Fraction(1)
-    key = mono(minus)
-    terms[key] = terms.get(key, Fraction(0)) - 1
-    return Polynomial(arity, {k: v for k, v in terms.items() if v})
+    return Polynomial(arity, [(mono(plus), 1), (mono(minus), -1)])
 
 
 def rosary_component_ideal(l: int, spec: RosarySpec) -> Ideal:
@@ -125,32 +122,27 @@ def rosary_end_conics(spec: RosarySpec) -> tuple[Ideal, Ideal]:
     return first, last
 
 
-def _all_component_ideals(
-    spec: RosarySpec, end_components: Sequence[Ideal]
-) -> list[Ideal]:
+def _components(spec: RosarySpec, end_components: Sequence[Ideal]) -> list[Component]:
+    """Every component as its coordinates and its ideal in their small ring."""
     if len(end_components) != 2:
         raise ValueError("expected exactly two end component ideals")
     first, last = end_components
-    out: list[Ideal] = []
-    for l in range(1, spec.r + 2):
-        if l == 1:
-            comp = first
-        elif l == spec.r + 1:
-            comp = last
-        else:
-            comp = rosary_component_ideal(l, spec)
+    middle = [rosary_component_ideal(l, spec) for l in range(2, spec.r + 1)]
+    out: list[Component] = []
+    for l, comp in enumerate([first, *middle, last], start=1):
         if comp.arity != spec.arity:
             raise ValueError(
                 f"component {l} has arity {comp.arity}, expected {spec.arity}"
             )
-        coords = set(spec.component_coords(l))
-        stray = sorted(comp.support_variables() - coords)
+        coords = spec.component_coords(l)
+        stray = sorted(comp.support_variables() - set(coords))
         if stray:
             raise ValueError(
                 f"component {l} uses coordinates {stray} outside its span "
-                f"{sorted(coords)}"
+                f"{list(coords)}"
             )
-        out.append(comp)
+        block = Ideal(len(coords), (project_polynomial(g, coords) for g in comp.generators))
+        out.append((coords, block))
     return out
 
 
@@ -159,18 +151,7 @@ def rosary_assembled_ideal(
 ) -> Ideal:
     """Intersection of the embedded component ideals: each component
     contributes its generators plus the coordinates outside its span."""
-    arity = spec.arity
-    embedded: list[Ideal] = []
-    for l, comp in enumerate(_all_component_ideals(spec, end_components), start=1):
-        coords = set(spec.component_coords(l))
-        outside = [
-            Polynomial.variable(arity, j) for j in range(arity) if j not in coords
-        ]
-        embedded.append(Ideal(arity, tuple(comp.generators) + tuple(outside)))
-    result = embedded[0]
-    for nxt in embedded[1:]:
-        result = intersect_ideals(result, nxt)
-    return result
+    return intersect_embedded(spec.arity, _components(spec, end_components))
 
 
 def rosary_mixed_sets(l: int, d: int, spec: RosarySpec) -> frozenset[Monomial]:
@@ -181,17 +162,12 @@ def rosary_mixed_sets(l: int, d: int, spec: RosarySpec) -> frozenset[Monomial]:
     if not 1 <= l <= spec.r:
         raise ValueError(f"mixing index {l} outside 1..{spec.r}")
     top = min(3 * l + 2, 3 * spec.r)
-    lo_cut = 3 * l - 2
-    hi_cut = 3 * l - 1
-    arity = spec.arity
-    out: set[Monomial] = set()
-    for small in degree_monomials(top + 1, d):
-        if not any(e for i, e in enumerate(small) if i < lo_cut):
-            continue
-        if not any(e for i, e in enumerate(small) if i > hi_cut):
-            continue
-        out.add(tuple(small) + (0,) * (arity - top - 1))
-    return frozenset(out)
+    pad = (0,) * (spec.arity - top - 1)
+    return frozenset(
+        small + pad
+        for small in degree_monomials(top + 1, d)
+        if any(small[: 3 * l - 2]) and any(small[3 * l :])
+    )
 
 
 def _restrict_order(order: MonomialOrder, coords: Sequence[int]) -> MonomialOrder:
@@ -232,18 +208,9 @@ def _augmentation(spec: RosarySpec, d: int) -> tuple[Monomial, ...]:
     out: list[Monomial] = []
     for l in range(1, spec.r + 1):
         j = 3 * l - 2
-        if d == 2:
-            exp = [0] * arity
-            exp[j] = 2
-            out.append(tuple(exp))
-        else:
-            exp = [0] * arity
-            exp[j] = 3
-            out.append(tuple(exp))
-            exp = [0] * arity
-            exp[j] = 2
-            exp[j + 1] = 1
-            out.append(tuple(exp))
+        out.append(unit_monomial(arity, j, d))
+        if d == 3:
+            out.append(mono_mul(unit_monomial(arity, j, 2), unit_monomial(arity, j + 1)))
     return tuple(sorted(out))
 
 
@@ -251,58 +218,40 @@ def rosary_slice_decomposition_check(
     spec: RosarySpec,
     order: MonomialOrder,
     d: int,
-    rosary_ideal: Ideal | None = None,
     end_components: Sequence[Ideal] | None = None,
 ) -> RosarySliceReport:
     """Compare the augmented degree-``d`` initial slice of the assembled
     rosary ideal with the union of component slices and ``T_l^d`` sets.
 
-    Without an explicit ideal the canonical construction is used: the two
-    default end conics and the intersection of all embedded components."""
+    The ambient slice comes from :func:`union_in_slice`, so the assembled
+    ideal is never computed.  The end components default to
+    :func:`rosary_end_conics`; every component must be homogeneous."""
     if d not in (2, 3):
         raise ValueError(f"degree d must be 2 or 3, got {d}")
     if order.arity != spec.arity:
         raise ValueError(
             f"order arity {order.arity} does not match ambient arity {spec.arity}"
         )
+    require_enumerable(spec.arity, d)
     if end_components is None:
         end_components = rosary_end_conics(spec)
-    if rosary_ideal is None:
-        rosary_ideal = rosary_assembled_ideal(spec, end_components=end_components)
-    if rosary_ideal.arity != spec.arity:
-        raise ValueError(
-            f"ideal arity {rosary_ideal.arity} does not match ambient "
-            f"arity {spec.arity}"
-        )
-    in_slice = degree_slice(rosary_ideal, order, d).in_monomials
+    components = _components(spec, end_components)
+    in_slice = union_in_slice(spec.arity, components, order, d).in_monomials
     augmentation = _augmentation(spec, d)
     left = set(in_slice) | set(augmentation)
 
     component_slices: list[tuple[Monomial, ...]] = []
-    for l, comp in enumerate(_all_component_ideals(spec, end_components), start=1):
-        coords = list(spec.component_coords(l))
-        block = Ideal(
-            len(coords),
-            tuple(project_polynomial(g, coords) for g in comp.generators),
-        )
-        piece = degree_slice(block, _restrict_order(order, coords), d)
-        lifted = []
-        for mono in piece.in_monomials:
-            big = [0] * spec.arity
-            for j, e in enumerate(mono):
-                big[coords[j]] = e
-            lifted.append(tuple(big))
+    for coords, block in components:
+        width = len(coords)
+        piece = union_in_slice(width, [(range(width), block)], _restrict_order(order, coords), d)
+        lifted = (embed_monomial(mono, spec.arity, coords) for mono in piece.in_monomials)
         component_slices.append(tuple(sorted(lifted)))
 
     mixed_sets = tuple(
         tuple(sorted(rosary_mixed_sets(l, d, spec))) for l in range(1, spec.r + 1)
     )
 
-    right: set[Monomial] = set()
-    for piece in component_slices:
-        right.update(piece)
-    for piece in mixed_sets:
-        right.update(piece)
+    right = set().union(*component_slices, *mixed_sets)
 
     return RosarySliceReport(
         r=spec.r,
@@ -410,15 +359,16 @@ def rosary_w_table(r_max: int) -> list[dict[str, int | bool]]:
     return rows
 
 
-def slice_weight_sum(monomials: Iterable[Monomial], weights: Sequence) -> Fraction:
+def slice_weight_sum(monomials: Iterable[Monomial], weights: Sequence) -> int | Fraction:
     """Sum of the weight pairings of the given exponent tuples (the generic
-    entry point for weighing a degree slice with an external weight vector)."""
-    w = [Fraction(v) for v in weights]
-    total = Fraction(0)
+    entry point for weighing a degree slice with an external weight vector),
+    an ``int`` for integer weights."""
+    w = exact_vector(weights)
+    total = 0
     for mono in monomials:
         if len(mono) != len(w):
             raise ValueError(
                 f"monomial arity {len(mono)} does not match weight arity {len(w)}"
             )
-        total += sum((wv * e for wv, e in zip(w, mono) if e), Fraction(0))
-    return total
+        total += sum(wv * e for wv, e in zip(w, mono))
+    return exact(total)

@@ -12,6 +12,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from statepoly import groebner
 from statepoly.chains import (
     ChainInput,
     assemble_ideal,
@@ -23,7 +26,14 @@ from statepoly.chains import (
     tau_vector,
     validate_chain,
 )
-from statepoly.groebner import buchberger, hilbert_values, implicitize, initial_leads
+from statepoly.groebner import (
+    buchberger,
+    degree_slice,
+    hilbert_values,
+    implicitize,
+    initial_leads,
+    union_in_slice,
+)
 from statepoly.hm import hm_from_aggregates, hm_index_decomposed, hm_index_direct
 from statepoly.lp import LinearProgram, audit_result, member_convex_hull, solve_lp
 from statepoly.orders import (
@@ -31,6 +41,7 @@ from statepoly.orders import (
     grevlex_order,
     lex_order,
     matrix_order,
+    merge_chain_weights,
     named_order,
     weight_order,
 )
@@ -326,7 +337,23 @@ def rand_block_binomial(rng, width, local_junctions, degree):
     return Polynomial(width, {a: 1, b: -1})
 
 
-def rand_chain(rng, n_components):
+def rand_block_form(rng, width, local_junctions, degree):
+    """Like :func:`rand_block_binomial`, but with up to three terms and
+    coefficients in ``±1..±5``, so normal forms need nontrivial scales."""
+    candidates = []
+    for combo in itertools.combinations_with_replacement(range(width), degree):
+        expo = [0] * width
+        for i in combo:
+            expo[i] += 1
+        if not any(expo[j] == degree for j in local_junctions):
+            candidates.append(tuple(expo))
+    if len(candidates) < 2:
+        return None
+    terms = rng.sample(candidates, min(3, len(candidates)))
+    return Polynomial(width, {t: rng.choice((-5, -3, -2, 2, 3, 5)) for t in terms})
+
+
+def rand_chain(rng, n_components, form=rand_block_binomial):
     widths = [rng.randint(2, 3) for _ in range(n_components)]
     bounds = [0]
     for w in widths:
@@ -340,7 +367,7 @@ def rand_chain(rng, n_components):
         )
         gens = []
         if rng.random() < 0.9:
-            g = rand_block_binomial(rng, width, local_junctions, rng.randint(2, 3))
+            g = form(rng, width, local_junctions, rng.randint(2, 3))
             if g is not None:
                 gens.append(embed_polynomial(g, bounds[i], arity))
         components.append(Ideal(arity, gens))
@@ -369,7 +396,7 @@ def test_criterion_07_random_two_block_slice_partition():
             weights.append(tuple(w))
         m = rng.randint(1, 4)
         report = initial_slice_partition(chain, m, weights)
-        assert report.ok, (chain.boundaries, weights, m, report.missing, report.extra, report.overlaps)
+        assert report.ok, (chain.blocks, weights, m, report.missing, report.extra, report.overlaps)
         families = [set(report.mixed_monomials)] + [
             set(piece) for piece in report.embedded_slices
         ]
@@ -379,6 +406,47 @@ def test_criterion_07_random_two_block_slice_partition():
         checked += 1
     print("instances checked:", checked)
     assert checked >= 100
+
+
+def test_union_slice_matches_elimination_on_random_chains():
+    # the linear-algebra slice of a union against the slice of the ideal
+    # assembled by elimination, on seeded chains plus a single-component
+    # chain and a chain with a zero-ideal component
+    rng = random.Random(20261018)
+    single = rand_block_binomial(rng, 3, [], 2)
+    chains = [(ChainInput((0, 2), (embed_ideal(Ideal(3, (single,)), 0, 3),)), [3])]
+    chain, widths = rand_chain(rng, 2)
+    zero = Ideal(chain.block_spec().arity, ())
+    chains.append((ChainInput(chain.blocks, (chain.components[0], zero)), widths))
+    while len(chains) < 24:
+        form = rng.choice((rand_block_binomial, rand_block_form))
+        chains.append(rand_chain(rng, rng.choice((2, 3)), form))
+    zero_components = 0
+    for chain, widths in chains:
+        spec = chain.block_spec()
+        components = [
+            (spec.block_coords(i), component_block_ideal(chain, i))
+            for i in range(spec.n_components)
+        ]
+        zero_components += sum(1 for _, block in components if not block.generators)
+        assembled = assemble_ideal(chain)
+        weights = [tuple(rng.randint(0, 9) for _ in range(w)) for w in widths]
+        order = weight_order(merge_chain_weights(weights))
+        for m in range(1, 5):
+            piece = union_in_slice(spec.arity, components, order, m)
+            assert piece == degree_slice(assembled, order, m), (chain.blocks, weights, m)
+            assert len(piece.standard_monomials) == hilbert_values(assembled, m)[1]
+    assert zero_components >= 1
+
+
+def test_slice_partition_refuses_inhomogeneous_component(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was computed before the input was checked")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    chain = load_chain_of_ideals(DATA / "examples/planecurve_chain.ideal")
+    with pytest.raises(ValueError, match="component 2 is not homogeneous"):
+        initial_slice_partition(chain, 2, [(1, 0, 0), (0, 0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main, run_command
+from statepoly import groebner, rosary
+from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, _digest, main, run_command
 from statepoly.polytope import VPolytope, save_polytope
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,14 +159,26 @@ def test_digest_tracks_arguments_and_file_content(capsys, cubic_file, tmp_path):
             ("state", "--ideal", f"{DATA}/planecurve.ideal", "--m", "3"),
             "0868d401bc3369671ec356f15b8aeb2fa816f1f341aad76aea045c9fc6379bc8",
         ),
+        (
+            ("rosary", "--r", "4", "--what", "check", "--d", "2"),
+            "a38896cf3df58d3de97101aed21351f1fdb368ecf8be2fb8dbd2fd4c7c17fd32",
+        ),
     ],
 )
 def test_digests_are_pinned(capsys, monkeypatch, argv, digest):
-    # the digest hashes every parsed option, so adding, removing or renaming
-    # an option of these commands changes it
+    # each command hashes its listed inputs; these digests predate the list
     monkeypatch.chdir(ROOT)
     _, doc = run_json(capsys, *argv)
     assert doc["input_digest"] == digest
+
+
+def test_digest_ignores_options_it_does_not_list():
+    args = argparse.Namespace(blocks="0,2,4", m=3, nvars=None)
+    plain = _digest("tau", args, [])
+    args.verbose = True
+    assert _digest("tau", args, []) == plain
+    args.m = 4
+    assert _digest("tau", args, []) != plain
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +436,19 @@ def test_rosary_component_and_check(capsys):
     code, _, err = run(capsys, "rosary", "--r", "2", "--what", "component")
     assert code == EXIT_VALIDATION
     assert "--l" in err
+
+
+def test_rosary_check_refuses_a_huge_slice_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("slice work started before the size was checked")
+
+    for module in (groebner, rosary):
+        monkeypatch.setattr(module, "degree_monomials", refuse)
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    code, out, err = run(capsys, "rosary", "--r", "400", "--what", "check", "--d", "3")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "would enumerate 289442201 monomials" in err
 
 
 def test_csv_rejected_for_non_tabular_payload(capsys, conic_file):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepoly import groebner
 from statepoly.groebner import (
+    ENUMERATION_LIMIT,
     buchberger,
     degree_slice,
     eliminate,
@@ -17,14 +19,17 @@ from statepoly.groebner import (
     implicitize,
     initial_ideal,
     initial_leads,
+    intersect_embedded,
     intersect_ideals,
     monomial_slice,
     normal_form,
+    union_in_slice,
 )
 from statepoly.orders import grevlex_order, grlex_order, lex_order, named_order, weight_order
 from statepoly.rings import (
     Ideal,
     Polynomial,
+    count_monomials,
     degree_monomials,
     mono_divides,
     mono_lcm,
@@ -124,6 +129,73 @@ def test_degree_slice_matches_monomial_slice():
     via_mi = monomial_slice(initial_ideal(gens, order), 4)
     assert piece.in_monomials == via_mi.in_monomials
     assert piece.standard_monomials == via_mi.standard_monomials
+
+
+def test_union_in_slice_of_two_points():
+    # [1:0:0] and [0:1:0] are cut out by (x1, x2) and (x0, x2); their union
+    # by (x2, x0*x1), and only x0^2 and x1^2 stay standard in degree 2
+    point = Ideal(1, ())
+    piece = union_in_slice(3, [([0], point), ([1], point)], lex_order(3), 2)
+    assert piece.standard_monomials == ((0, 2, 0), (2, 0, 0))
+    assert piece.in_monomials == ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def test_union_in_slice_brings_blocks_to_one_scale():
+    # the point (2x - 3y, z) lies on the line 10x - 15y + z = 0, so the
+    # union is the line and x = 3/2*y - 1/10*z modulo both; x reduces with
+    # pseudo-division scale 2 modulo the point and 10 modulo the line, and
+    # stacking the raw remainders would make x independent of y and z
+    x, y, z = variables(3)
+    u, v = variables(2)
+    point = Ideal(2, (2 * u - 3 * v,))
+    line = Ideal(3, (10 * x - 15 * y + z,))
+    components = [([0, 1], point), ([0, 1, 2], line)]
+    order = grevlex_order(3)
+    assert union_in_slice(3, components, order, 1).in_monomials == ((1, 0, 0),)
+    assembled = intersect_embedded(3, components)
+    for d in (1, 2, 3):
+        assert union_in_slice(3, components, order, d) == degree_slice(assembled, order, d)
+
+
+def test_union_in_slice_matches_elimination_on_overlapping_components():
+    # random forms with non-unit coefficients on overlapping coordinate sets:
+    # a monomial in two components reduces with a different pseudo-division
+    # scale in each, so the blocks of its column need one common scale
+    rng = random.Random(31)
+    for _ in range(30):
+        arity = rng.randint(3, 5)
+        components = []
+        for _ in range(rng.randint(2, 3)):
+            coords = sorted(rng.sample(range(arity), rng.randint(2, 3)))
+            gens = [
+                rand_polynomial(rng, len(coords), 2, homogeneous=True)
+                for _ in range(rng.randint(0, 2))
+            ]
+            components.append((coords, Ideal(len(coords), gens)))
+        assembled = intersect_embedded(arity, components)
+        order = weight_order([rng.randint(0, 5) for _ in range(arity)])
+        for d in (1, 2, 3):
+            piece = union_in_slice(arity, components, order, d)
+            assert piece == degree_slice(assembled, order, d), (components, d)
+
+
+def test_union_in_slice_refuses_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("slice work started before the input was checked")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    monkeypatch.setattr(groebner, "degree_monomials", refuse)
+    x, y = variables(2)
+    conic = Ideal(2, (x * y,))
+    with pytest.raises(ValueError, match="component 2 is not homogeneous"):
+        union_in_slice(3, [([0, 1], conic), ([1, 2], Ideal(2, (x * y - y,)))], lex_order(3), 2)
+    # the guard compares the count with the limit; it never lists the monomials
+    arity = 1201
+    assert count_monomials(arity, 3) > ENUMERATION_LIMIT
+    with pytest.raises(ValueError, match="would enumerate"):
+        union_in_slice(arity, [([0, 1], conic)], lex_order(arity), 3)
+    with pytest.raises(ValueError, match="lists 3 coordinates for a ring in 2 variables"):
+        union_in_slice(3, [([0, 1, 2], conic)], lex_order(3), 2)
 
 
 def test_hilbert_values_against_brute_force_monomial_count():

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from statepoly.groebner import buchberger, initial_leads
-from statepoly.orders import lex_order
-from statepoly.rings import Ideal, Polynomial
+from statepoly import groebner
+from statepoly.groebner import buchberger, degree_slice, hilbert_values, initial_leads
+from statepoly.orders import grevlex_order, lex_order, weight_order
+from statepoly.rings import Ideal, Polynomial, count_monomials, unit_monomial
 from statepoly.rosary import (
     RosarySpec,
     rosary_assembled_ideal,
@@ -188,14 +190,62 @@ def test_slice_decomposition_small(r, d):
         assert mono not in rep.in_slice
 
 
-def test_slice_decomposition_reuses_supplied_ideal():
+def test_slice_decomposition_matches_elimination_route():
+    # both sides of the check against slices of the ideal assembled by
+    # elimination: the ambient slice, the Hilbert value and each component
+    # slice (the block monomials of the component's ambient slice)
+    rng = random.Random(6)
+    for r in (1, 2, 3):
+        spec = RosarySpec(r)
+        ends = rosary_end_conics(spec)
+        assembled = rosary_assembled_ideal(spec, end_components=ends)
+        ambient_components = [ends[0]] + [
+            rosary_component_ideal(l, spec) for l in range(2, r + 1)
+        ] + [ends[1]]
+        orders = [lex_order(spec.arity), grevlex_order(spec.arity)] + [
+            weight_order([rng.randint(1, 9) for _ in range(spec.arity)]) for _ in range(5)
+        ]
+        for order in orders:
+            for d in (2, 3):
+                rep = rosary_slice_decomposition_check(spec, order, d, end_components=ends)
+                assert rep.in_slice == degree_slice(assembled, order, d).in_monomials
+                standard = count_monomials(spec.arity, d) - len(rep.in_slice)
+                assert standard == hilbert_values(assembled, d)[1]
+                for l, (comp, piece) in enumerate(zip(ambient_components, rep.component_slices), 1):
+                    coords = set(spec.component_coords(l))
+                    expected = [
+                        mono
+                        for mono in degree_slice(comp, order, d).in_monomials
+                        if all(j in coords for j, e in enumerate(mono) if e)
+                    ]
+                    assert piece == tuple(expected), (r, order, d, l)
+
+
+def test_slice_check_refuses_inhomogeneous_end_component(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was computed before the input was checked")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
     spec = RosarySpec(2)
-    ends = rosary_end_conics(spec)
-    ambient = rosary_assembled_ideal(spec, end_components=ends)
-    rep = rosary_slice_decomposition_check(
-        spec, lex_order(spec.arity), 2, rosary_ideal=ambient, end_components=ends
-    )
-    assert rep.ok
+    first, last = rosary_end_conics(spec)
+    x6 = Polynomial.variable(spec.arity, 6)
+    bent = Ideal(spec.arity, (last.generators[0] + x6,))
+    with pytest.raises(ValueError, match="component 3 is not homogeneous"):
+        rosary_slice_decomposition_check(spec, lex_order(spec.arity), 2, end_components=(first, bent))
+
+
+def test_slice_check_augmentation_is_junction_powers():
+    spec = RosarySpec(3)
+    order = lex_order(spec.arity)
+    junctions = (1, 4, 7)
+    square = rosary_slice_decomposition_check(spec, order, 2).augmentation
+    assert square == tuple(sorted(unit_monomial(10, j, 2) for j in junctions))
+    cube = rosary_slice_decomposition_check(spec, order, 3).augmentation
+    expected = [unit_monomial(10, j, 3) for j in junctions] + [
+        tuple(2 if i == j else 1 if i == j + 1 else 0 for i in range(10)) for j in junctions
+    ]
+    assert cube == tuple(sorted(expected))
+    assert all(type(e) is int for mono in square + cube for e in mono)
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +294,14 @@ def test_w_rejects_bad_arguments():
 def test_slice_weight_sum():
     monos = [(2, 0), (1, 1)]
     assert slice_weight_sum(monos, (3, 1)) == 6 + 4
+
+
+def test_slice_weight_sum_is_exact():
+    monos = [(2, 0), (1, 1)]
+    whole = slice_weight_sum(monos, (3, 1))
+    assert whole == 10 and type(whole) is int
+    half = slice_weight_sum(monos, (Fraction(1, 2), 1))
+    assert half == Fraction(5, 2) and type(half) is Fraction
+    # rational weights whose total is integral give an int
+    assert type(slice_weight_sum(monos, (Fraction(1, 2), Fraction(3, 2)))) is int
+    assert slice_weight_sum([], (1, 1)) == 0 and type(slice_weight_sum([], (1, 1))) is int
