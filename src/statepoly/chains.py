@@ -29,9 +29,9 @@ from typing import Iterable, Mapping, Sequence
 from .groebner import (
     Component,
     MonomialIdeal,
+    UnionSlices,
     intersect_embedded,
     monomial_slice,
-    union_in_slice,
 )
 from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
@@ -636,7 +636,8 @@ def initial_slice_partition(
                 f"block width {spec.block_width(i)}"
             )
     merged = merge_chain_weights(block_weights)
-    ambient_slice = union_in_slice(spec.arity, components, weight_order(merged), m).in_monomials
+    slices = UnionSlices(spec.arity, components, m)
+    ambient_slice = slices.union(weight_order(merged)).in_monomials
 
     if spec.n_components >= 2:
         mixed = monomial_slice(mixed_ideals(spec).union(), m).in_monomials
@@ -644,9 +645,8 @@ def initial_slice_partition(
         mixed = ()
 
     embedded: list[tuple[Monomial, ...]] = []
-    for (coords, block), weights in zip(components, block_weights):
-        width = block.arity
-        piece = union_in_slice(width, [(range(width), block)], weight_order(weights), m)
+    for index, ((coords, _), weights) in enumerate(zip(components, block_weights)):
+        piece = slices.component(index, weight_order(weights))
         lifted = (embed_monomial(mono, spec.arity, coords) for mono in piece.in_monomials)
         embedded.append(tuple(sorted(lifted)))
 

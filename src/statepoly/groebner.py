@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Sequence
@@ -262,16 +262,26 @@ class ReducedGB:
         return self.normal_form(poly).is_zero
 
 
+Marked = tuple[tuple[Monomial, tuple[Monomial, ...]], ...]
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal stored by its unique minimal generators."""
+    """A monomial ideal stored by its unique minimal generators.
+
+    An initial ideal also keeps ``marked``, the supports of the Groebner
+    basis it was read from: each element's lead monomial and its tail
+    monomials.  Equality and hashing ignore them.
+    """
 
     arity: int
     gens: tuple[Monomial, ...]
+    marked: Marked = field(default=(), compare=False, repr=False)
 
-    def __init__(self, arity: int, gens: Iterable[Monomial]):
+    def __init__(self, arity: int, gens: Iterable[Monomial], marked: Marked = ()):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "gens", _minimal_leads(tuple(g) for g in gens))
+        object.__setattr__(self, "marked", marked)
 
     def contains(self, mono: Monomial) -> bool:
         return any(mono_divides(g, mono) for g in self.gens)
@@ -325,29 +335,97 @@ def normal_form(poly: Polynomial, gb: ReducedGB) -> Polynomial:
 
 def initial_leads(source: Ideal | Sequence[Polynomial], order: MonomialOrder) -> tuple[Monomial, ...]:
     """Minimal generators of the initial ideal (skips tail reduction)."""
-    gens = source.generators if isinstance(source, Ideal) else tuple(source)
-    basis = _buchberger_int([_to_int_poly(g) for g in gens], order)
-    key = order.key
-    return _minimal_leads(_lead(g, key) for g in basis)
+    return initial_ideal(source, order).gens
 
 
 def initial_ideal(source: Ideal | Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:
-    arity = order.arity
-    return MonomialIdeal(arity, initial_leads(source, order))
+    """The initial ideal, marked with the supports of the Groebner basis it
+    was read from."""
+    gens = source.generators if isinstance(source, Ideal) else tuple(source)
+    basis = _buchberger_int([_to_int_poly(g) for g in gens], order)
+    key = order.key
+    marked = []
+    for g in basis:
+        lead = _lead(g, key)
+        marked.append((lead, tuple(sorted(m for m in g if m != lead))))
+    return MonomialIdeal(order.arity, (lead for lead, _ in marked), tuple(marked))
 
 
-def monomial_slice(mi: MonomialIdeal, m: int) -> DegreeSlice:
-    """Split the degree-``m`` monomials into ideal members and standard ones."""
-    total = count_monomials(mi.arity, m)
+def _standard_walk(
+    k: int,
+    left: int,
+    active: list[tuple[Monomial, tuple[int, ...]]],
+    prefix: list[int],
+    out: list[Monomial],
+) -> None:
+    """Extend ``prefix[:k]`` by every exponent ``prefix[k]`` in increasing
+    order.  ``active`` holds the generators (with their suffix degrees)
+    that divide no prefix so far but may divide a completion: ``g[i] <=
+    prefix[i]`` for ``i < k`` and ``g`` has degree at most ``left`` in the
+    coordinates from ``k`` on."""
+    if k == len(prefix) - 1:
+        # every active generator fits in the last exponent, ``left``
+        if not active:
+            prefix[k] = left
+            out.append(tuple(prefix))
+        return
+    for e in range(left + 1):
+        carried = []
+        for g, rest in active:
+            if g[k] <= e:
+                if not rest[k + 1]:
+                    # g divides the prefix, and so every completion of it
+                    # and of every larger exponent here
+                    return
+                if rest[k + 1] <= left - e:
+                    carried.append((g, rest))
+        prefix[k] = e
+        _standard_walk(k + 1, left - e, carried, prefix, out)
+
+
+def standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
+    """The degree-``m`` monomials outside ``mi``, in increasing lex order.
+
+    A depth-first walk over exponent prefixes, one coordinate at a time: it
+    carries only the generators that can still divide a completion and
+    prunes a prefix as soon as one of them divides it, so the work follows
+    the staircase, not the ``count_monomials(arity, m)`` degree-``m``
+    monomials.
+    """
+    if m < 0:
+        return []
+    if mi.arity == 0:
+        return [()] if m == 0 and not mi.gens else []
+    active = []
+    for g in mi.gens:
+        if mono_degree(g) <= m:
+            rest = [0] * (mi.arity + 1)
+            for i in range(mi.arity - 1, -1, -1):
+                rest[i] = rest[i + 1] + g[i]
+            active.append((g, tuple(rest)))
+    out: list[Monomial] = []
+    _standard_walk(0, m, active, [0] * mi.arity, out)
+    return out
+
+
+def require_enumerable(arity: int, d: int) -> None:
+    """Refuse, before any work, a degree slice too large to enumerate."""
+    total = count_monomials(arity, d)
     if total > ENUMERATION_LIMIT:
         raise ValueError(
             f"degree slice would enumerate {total} monomials (> {ENUMERATION_LIMIT})"
         )
-    inside: list[Monomial] = []
-    outside: list[Monomial] = []
-    for mono in degree_monomials(mi.arity, m):
-        (inside if mi.contains(mono) else outside).append(mono)
-    return DegreeSlice(mi.arity, m, tuple(sorted(inside)), tuple(sorted(outside)))
+
+
+def monomial_slice(mi: MonomialIdeal, m: int) -> DegreeSlice:
+    """Split the degree-``m`` monomials into ideal members and standard ones
+    (the standard ones by :func:`standard_monomials`, the members as their
+    complement)."""
+    require_enumerable(mi.arity, m)
+    standard = standard_monomials(mi, m)
+    outside = set(standard)
+    inside = [mono for mono in reversed(degree_monomials(mi.arity, m)) if mono not in outside]
+    return DegreeSlice(mi.arity, m, tuple(inside), tuple(standard))
 
 
 def degree_slice(source: Ideal | Sequence[Polynomial], order: MonomialOrder, m: int) -> DegreeSlice:
@@ -390,7 +468,7 @@ def hilbert_values(
         mi = initial_ideal(source, order if order is not None else grevlex_order(arity))
     total = count_monomials(mi.arity, m)
     if total <= ENUMERATION_LIMIT:
-        q = sum(1 for mono in degree_monomials(mi.arity, m) if mi.contains(mono))
+        q = total - len(standard_monomials(mi, m))
     else:
         q = _slice_count_inclusion_exclusion(mi, m)
     return q, total - q
@@ -404,59 +482,92 @@ def hilbert_values(
 Component = tuple[Sequence[int], Ideal]
 
 
-def require_enumerable(arity: int, d: int) -> None:
-    """Refuse, before any work, a degree slice too large to enumerate."""
-    total = count_monomials(arity, d)
-    if total > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"degree slice would enumerate {total} monomials (> {ENUMERATION_LIMIT})"
-        )
-
-
-def union_in_slice(
-    arity: int, components: Sequence[Component], order: MonomialOrder, d: int
-) -> DegreeSlice:
-    """The degree-``d`` slice of the initial ideal of the intersection of the
-    embedded components, with no intersection computed.
+class UnionSlices:
+    """Degree-``d`` slices of the intersection of embedded components, and
+    of each component alone, with no intersection computed and one grevlex
+    basis per component.
 
     For homogeneous ideals ``(J_1 ∩ ... ∩ J_k)_d = (J_1)_d ∩ ... ∩ (J_k)_d``:
     a degree-``d`` form lies in the intersection exactly when its normal form
     modulo every component is zero.  So each degree-``d`` monomial gets one
     column, its normal forms modulo the components' grevlex bases stacked
     (zero modulo a component whose coordinates it leaves).  Taken in
-    increasing ``order``, the columns that raise the rank are the standard
-    monomials; every other monomial lies in the initial ideal.
+    increasing order, the columns that raise the rank are the standard
+    monomials; every other monomial lies in the initial ideal.  The normal
+    forms are computed once, here, and serve every order.
     """
-    require_enumerable(arity, d)
-    for index, (coords, block) in enumerate(components, start=1):
-        if len(coords) != block.arity:
-            raise ValueError(
-                f"component {index} lists {len(coords)} coordinates for a ring "
-                f"in {block.arity} variables"
-            )
-        if not block.is_homogeneous():
-            raise ValueError(
-                f"component {index} is not homogeneous; union slices need "
-                f"homogeneous components"
-            )
-    columns: dict[Monomial, dict[int, Fraction]] = {}
-    rows: dict[tuple[int, Monomial], int] = {}
-    for index, (coords, block) in enumerate(components):
-        gb = buchberger(block, grevlex_order(block.arity))
-        leads, polys = list(gb.leads), [_to_int_poly(g) for g in gb.elements]
-        for mono in degree_monomials(block.arity, d):
-            # s * mono - r lies in the block ideal: mono reduces to r / s, an
-            # exact value, so the blocks of one column share one scale
-            r, s = _normal_form_int({mono: 1}, leads, polys, gb.order.key)
-            column = columns.setdefault(embed_monomial(mono, arity, coords), {})
-            for std, c in r.items():
-                column[rows.setdefault((index, std), len(rows))] = Fraction(c, s)
+
+    def __init__(self, arity: int, components: Sequence[Component], d: int):
+        require_enumerable(arity, d)
+        for index, (coords, block) in enumerate(components, start=1):
+            if len(coords) != block.arity:
+                raise ValueError(
+                    f"component {index} lists {len(coords)} coordinates for a ring "
+                    f"in {block.arity} variables"
+                )
+            if not block.is_homogeneous():
+                raise ValueError(
+                    f"component {index} is not homogeneous; union slices need "
+                    f"homogeneous components"
+                )
+        self.arity = arity
+        self.d = d
+        # per component: its coordinates and, for every degree-d monomial of
+        # its block ring, its exact normal form as {row: coefficient}, with
+        # one row per (component, standard monomial); and its row range
+        self._forms: list[tuple[Sequence[int], dict[Monomial, dict[int, Fraction]]]] = []
+        self._rows: list[range] = []
+        height = 0
+        for coords, block in components:
+            gb = buchberger(block, grevlex_order(block.arity))
+            leads, polys = list(gb.leads), [_to_int_poly(g) for g in gb.elements]
+            rows: dict[Monomial, int] = {}
+            forms = {}
+            for mono in degree_monomials(block.arity, d):
+                # s * mono - r lies in the block ideal: mono reduces to r / s,
+                # an exact value, so the blocks of one column share one scale
+                r, s = _normal_form_int({mono: 1}, leads, polys, gb.order.key)
+                forms[mono] = {
+                    rows.setdefault(std, height + len(rows)): Fraction(c, s) for std, c in r.items()
+                }
+            self._forms.append((coords, forms))
+            self._rows.append(range(height, height + len(rows)))
+            height += len(rows)
+        self._height = height
+
+    def union(self, order: MonomialOrder) -> DegreeSlice:
+        """The slice of ``in_order`` of the intersection, in the ambient ring."""
+        columns: dict[Monomial, dict[int, Fraction]] = {}
+        for coords, forms in self._forms:
+            for mono, form in forms.items():
+                key = embed_monomial(mono, self.arity, coords)
+                column = columns.get(key)
+                columns[key] = form if column is None else {**column, **form}
+        return _greedy_slice(self.arity, self.d, columns, range(self._height), order)
+
+    def component(self, index: int, order: MonomialOrder) -> DegreeSlice:
+        """The slice of ``in_order`` of component ``index`` in its block ring."""
+        coords, forms = self._forms[index]
+        return _greedy_slice(len(coords), self.d, forms, self._rows[index], order)
+
+
+def _greedy_slice(
+    arity: int, d: int, columns: dict[Monomial, dict[int, Fraction]], rows: range, order: MonomialOrder
+) -> DegreeSlice:
     ascending = sorted(degree_monomials(arity, d), key=order.key)
     candidates = [mono for mono in ascending if columns.get(mono)]
-    matrix = [primitive([columns[m].get(i, 0) for i in range(len(rows))]) for m in candidates]
+    matrix = [primitive([columns[m].get(i, 0) for i in rows]) for m in candidates]
     standard = {candidates[i] for i in row_reduce(matrix, len(rows)).basis}
     inside = tuple(sorted(m for m in ascending if m not in standard))
     return DegreeSlice(arity, d, inside, tuple(sorted(standard)))
+
+
+def union_in_slice(
+    arity: int, components: Sequence[Component], order: MonomialOrder, d: int
+) -> DegreeSlice:
+    """The degree-``d`` slice of the initial ideal of the intersection of the
+    embedded components (see :class:`UnionSlices`)."""
+    return UnionSlices(arity, components, d).union(order)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ def common_denominator(
 ) -> tuple[int, list[tuple[int, ...]]]:
     """The lcm ``scale`` of the denominators of all entries, and every row
     times ``scale`` as integers (the content is kept)."""
+    rows = [tuple(r) for r in rows]
+    if all(type(v) is int for r in rows for v in r):
+        return 1, rows
     rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
     scale = lcm(*(v.denominator for r in rational for v in r))
     return scale, [tuple(v.numerator * (scale // v.denominator) for v in r) for r in rational]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .groebner import Component, intersect_embedded, require_enumerable, union_in_slice
+from .groebner import Component, UnionSlices, intersect_embedded, require_enumerable
 from .linalg import exact, exact_vector
 from .orders import MonomialOrder
 from .rings import (
@@ -223,8 +223,9 @@ def rosary_slice_decomposition_check(
     """Compare the augmented degree-``d`` initial slice of the assembled
     rosary ideal with the union of component slices and ``T_l^d`` sets.
 
-    The ambient slice comes from :func:`union_in_slice`, so the assembled
-    ideal is never computed.  The end components default to
+    The ambient and component slices come from one :class:`UnionSlices`,
+    so the assembled ideal is never computed and each component's basis is
+    computed once.  The end components default to
     :func:`rosary_end_conics`; every component must be homogeneous."""
     if d not in (2, 3):
         raise ValueError(f"degree d must be 2 or 3, got {d}")
@@ -236,14 +237,14 @@ def rosary_slice_decomposition_check(
     if end_components is None:
         end_components = rosary_end_conics(spec)
     components = _components(spec, end_components)
-    in_slice = union_in_slice(spec.arity, components, order, d).in_monomials
+    slices = UnionSlices(spec.arity, components, d)
+    in_slice = slices.union(order).in_monomials
     augmentation = _augmentation(spec, d)
     left = set(in_slice) | set(augmentation)
 
     component_slices: list[tuple[Monomial, ...]] = []
-    for coords, block in components:
-        width = len(coords)
-        piece = union_in_slice(width, [(range(width), block)], _restrict_order(order, coords), d)
+    for index, (coords, _) in enumerate(components):
+        piece = slices.component(index, _restrict_order(order, coords))
         lifted = (embed_monomial(mono, spec.arity, coords) for mono in piece.in_monomials)
         component_slices.append(tuple(sorted(lifted)))
 

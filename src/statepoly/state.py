@@ -14,20 +14,30 @@ the enumeration:
    the support value matches, or a new vertex is found and the hull grows).
 
 When every facet of the running hull is confirmed, the hull is the state
-polytope.  Each distinct normalized direction costs one Groebner basis run;
-an optional budget caps those runs.
+polytope.  The oracle pays one Groebner basis run per Groebner cone it
+meets, not per direction; an optional budget caps the distinct normalized
+directions it answers.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import comb
+from operator import mul
+from typing import Callable, Mapping, Sequence
 
-from .groebner import DegreeSlice, degree_slice
+from .groebner import (
+    DegreeSlice,
+    Marked,
+    MonomialIdeal,
+    initial_ideal,
+    require_enumerable,
+    standard_monomials,
+)
 from .linalg import exact_vector, primitive
 from .lp import affine_hull, member_convex_hull
-from .orders import weight_order
+from .orders import grevlex_order, weight_order
 from .polytope import (
     FacetSystem,
     IncrementalHull,
@@ -37,7 +47,7 @@ from .polytope import (
     trivial_character_point,
     vertex_witnesses,
 )
-from .rings import Ideal
+from .rings import Ideal, Monomial
 
 StateVector = tuple[int, ...]
 
@@ -45,7 +55,8 @@ BUDGET_ENV_VAR = "STATEC_BUDGET"
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when an enumeration would exceed its Groebner-run budget."""
+    """Raised when an enumeration would exceed its budget of distinct
+    normalized query directions."""
 
     def __init__(self, budget: int):
         super().__init__(f"Groebner-run budget of {budget} exhausted")
@@ -61,15 +72,64 @@ def state_of_slice(piece: DegreeSlice) -> StateVector:
     return tuple(total)
 
 
+# a Groebner cone as (lead - tail, grevlex prefers the lead) per marked term
+ConeTest = tuple[tuple[tuple[int, ...], bool], ...]
+
+
+def _cone_test(marked: Marked, tiebreak: Callable[[Monomial], tuple[int, ...]]) -> ConeTest:
+    return tuple(
+        (tuple(a - b for a, b in zip(lead, tail)), tiebreak(lead) > tiebreak(tail))
+        for lead, tails in marked
+        for tail in tails
+    )
+
+
+def _keeps_marked_leads(cone: ConeTest, key: Sequence[int]) -> bool:
+    """Whether every marked lead beats each of its tails under the weight
+    ``key`` refined by grevlex, the order ``weight_order(key)``."""
+    for diff, grevlex_wins in cone:
+        margin = sum(map(mul, key, diff))
+        if margin < 0 or (margin == 0 and not grevlex_wins):
+            return False
+    return True
+
+
 class StateOracle:
     """Memoized support-function oracle for one ideal and degree.
 
     Directions are normalized by subtracting their minimum entry and scaling
-    to a content-one integer vector, so equivalent queries share a single
-    Groebner run.  The shift keeps every weight row nonnegative (hence the
-    refined order a genuine well-order) and does not change how equal-degree
-    monomials compare; on a polytope whose points share one coordinate sum it
-    shifts all support values equally, so maximizers are preserved.
+    to a content-one integer vector, so equivalent queries share one answer.
+    The shift keeps every weight row nonnegative (hence the refined order a
+    genuine well-order) and does not change how equal-degree monomials
+    compare; on a polytope whose points share one coordinate sum it shifts
+    all support values equally, so maximizers are preserved.
+
+    A new direction is answered once per Groebner cone.  Every Groebner basis
+    the oracle computes is kept as its marked supports (lead and tail
+    monomials per element) with its state.  When, under the new order ``≺'``,
+    every element of a kept basis ``G`` still has its marked lead above each
+    of its tail monomials, ``G`` is a Groebner basis for ``≺'`` with the same
+    initial ideal, so the kept state is the answer and no Buchberger run is
+    made.  Proof: ``G`` is a Groebner basis for its own order, so every
+    S-pair ``S(g, h)`` reduces to zero modulo ``G`` by steps that each
+    replace a term ``u * lead(g_k)`` by ``u * tails(g_k)``.  Under ``≺'``
+    these are still reductions by the marked leads, and each step only
+    produces terms below the term it removes.  The S-pair's own terms lie
+    below ``lcm(lead(g), lead(h))`` under ``≺'``, so every ``u * lead(g_k)``
+    of the reduction does too: each S-pair has a standard representation
+    for ``≺'``, and by Buchberger's criterion ``G`` is a Groebner basis for
+    ``≺'`` with ``in_≺'(I) = <lead(g) : g in G>``.  Nothing in this needs
+    ``G`` reduced or the ideal homogeneous.
+
+    The state is the closed-form column total ``C(m+n-1, n)`` (each
+    coordinate summed over all degree-``m`` monomials in ``n`` variables)
+    minus the sum of the standard monomials, found by a walk of the
+    staircase (:func:`statepoly.groebner.standard_monomials`).
+
+    ``gb_runs`` counts the distinct normalized directions answered (a cone
+    hit included), which is what ``query_count`` reports and ``budget``
+    caps; ``cone_hits`` counts those answered from a kept basis, so
+    ``gb_runs - cone_hits`` Buchberger runs were made.
     """
 
     def __init__(self, ideal: Ideal, m: int, budget: int | None = None):
@@ -77,11 +137,15 @@ class StateOracle:
             raise ValueError(f"degree must be positive, got {m}")
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
+        require_enumerable(ideal.arity, m)
         self.ideal = ideal
         self.m = m
         self.budget = budget
         self.gb_runs = 0
+        self.cone_hits = 0
         self._memo: dict[tuple[int, ...], StateVector] = {}
+        self._cones: list[tuple[ConeTest, StateVector]] = []
+        self._tiebreak = grevlex_order(ideal.arity).key
 
     @staticmethod
     def normalize_direction(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -98,12 +162,25 @@ class StateOracle:
             return cached
         if self.budget is not None and self.gb_runs >= self.budget:
             raise BudgetExhausted(self.budget)
-        order = weight_order(key)
-        piece = degree_slice(self.ideal, order, self.m)
-        state = state_of_slice(piece)
         self.gb_runs += 1
+        state = next((st for cone, st in self._cones if _keeps_marked_leads(cone, key)), None)
+        if state is None:
+            mi = initial_ideal(self.ideal, weight_order(key))
+            state = self._state_of(mi)
+            self._cones.append((_cone_test(mi.marked, self._tiebreak), state))
+        else:
+            self.cone_hits += 1
         self._memo[key] = state
         return state
+
+    def _state_of(self, mi: MonomialIdeal) -> StateVector:
+        """The exponent sum of the degree-``m`` monomials of ``mi``."""
+        n = self.ideal.arity
+        state = [comb(self.m + n - 1, n)] * n
+        for mono in standard_monomials(mi, self.m):
+            for j, e in enumerate(mono):
+                state[j] -= e
+        return tuple(state)
 
     def support(self, weights: Sequence[int | Fraction]) -> tuple[Fraction, StateVector]:
         """Maximum of ``w . x`` over the state polytope, with a maximizer."""

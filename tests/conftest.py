@@ -207,3 +207,27 @@ def rand_point(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, .
 
 def all_degree_monomials(arity: int, degree: int):
     return degree_monomials(arity, degree)
+
+
+# ---------------------------------------------------------------------------
+# degree-m scans of monomial ideals
+
+
+def brute_standard_monomials(gens, arity: int, m: int) -> list[tuple[int, ...]]:
+    """The degree-``m`` monomials no generator divides, by testing every one,
+    in increasing lex order."""
+    return sorted(
+        mono
+        for mono in itertools.product(range(m + 1), repeat=arity)
+        if sum(mono) == m and not any(all(g <= e for g, e in zip(gen, mono)) for gen in gens)
+    )
+
+
+def brute_state(gens, arity: int, m: int) -> tuple[int, ...]:
+    """Exponent sum of the degree-``m`` monomials some generator divides."""
+    standard = set(brute_standard_monomials(gens, arity, m))
+    total = [0] * arity
+    for mono in itertools.product(range(m + 1), repeat=arity):
+        if sum(mono) == m and mono not in standard:
+            total = [t + e for t, e in zip(total, mono)]
+    return tuple(total)

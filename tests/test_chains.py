@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepoly import groebner
 from statepoly.chains import (
     BlockSpec,
     ChainInput,
@@ -374,6 +375,19 @@ def test_initial_slice_partition_conic_bridge():
     # and their union is the ambient slice
     union = set().union(*families)
     assert union == set(rep.ambient_in_slice)
+
+
+def test_initial_slice_partition_computes_one_basis_per_component(monkeypatch):
+    orders = []
+
+    def counted(source, order):
+        orders.append(order)
+        return buchberger(source, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    rep = initial_slice_partition(bridge_of_conics(), 3, [(1, 0, 0), (0, 0, 1)])
+    assert rep.ok
+    assert len(orders) == len(rep.embedded_slices) == 2
 
 
 def test_initial_slice_partition_validates_weights():

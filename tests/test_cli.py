@@ -451,6 +451,18 @@ def test_rosary_check_refuses_a_huge_slice_before_any_work(capsys, monkeypatch):
     assert "would enumerate 289442201 monomials" in err
 
 
+def test_state_refuses_a_huge_degree_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("state work started before the degree was checked")
+
+    monkeypatch.setattr(groebner, "_buchberger_int", refuse)
+    monkeypatch.setattr(groebner, "degree_monomials", refuse)
+    code, out, err = run(capsys, "state", "--ideal", f"{DATA}/planecurve.ideal", "--m", "400")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "would enumerate 1093567501 monomials" in err
+
+
 def test_csv_rejected_for_non_tabular_payload(capsys, conic_file):
     code, _, err = run(capsys, "gb", "--ideal", conic_file, "--format", "csv")
     assert code == EXIT_VALIDATION

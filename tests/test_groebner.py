@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from statepoly import groebner
 from statepoly.groebner import (
     ENUMERATION_LIMIT,
+    DegreeSlice,
+    MonomialIdeal,
     buchberger,
     degree_slice,
     eliminate,
@@ -23,6 +25,7 @@ from statepoly.groebner import (
     intersect_ideals,
     monomial_slice,
     normal_form,
+    standard_monomials,
     union_in_slice,
 )
 from statepoly.orders import grevlex_order, grlex_order, lex_order, named_order, weight_order
@@ -34,7 +37,7 @@ from statepoly.rings import (
     mono_divides,
     mono_lcm,
 )
-from conftest import rand_polynomial
+from conftest import brute_standard_monomials, rand_monomial, rand_polynomial
 
 
 def variables(arity):
@@ -129,6 +132,36 @@ def test_degree_slice_matches_monomial_slice():
     via_mi = monomial_slice(initial_ideal(gens, order), 4)
     assert piece.in_monomials == via_mi.in_monomials
     assert piece.standard_monomials == via_mi.standard_monomials
+
+
+def test_initial_ideal_marks_the_basis_it_was_read_from():
+    x, y, z = variables(3)
+    gens = [x**2 - y * z, x * y - z**2]
+    order = weight_order([0, 1, 3])
+    mi = initial_ideal(gens, order)
+    assert sorted(lead for lead, _ in mi.marked) == sorted(mi.gens)
+    for lead, tails in mi.marked:
+        assert tails and all(order.key(lead) > order.key(t) for t in tails)
+    # equality and hashing see the generators only
+    plain = MonomialIdeal(3, mi.gens)
+    assert plain.marked == () and plain == mi and hash(plain) == hash(mi)
+
+
+def test_standard_monomials_match_a_scan():
+    rng = random.Random(11)
+    for arity in range(1, 6):
+        ideals = [MonomialIdeal(arity, ()), MonomialIdeal(arity, [(0,) * arity])]
+        for _ in range(8):
+            count = rng.randint(1, 5)
+            ideals.append(
+                MonomialIdeal(arity, [rand_monomial(rng, arity, rng.randint(1, 4)) for _ in range(count)])
+            )
+        for mi in ideals:
+            for m in range(9):
+                standard = brute_standard_monomials(mi.gens, arity, m)
+                assert standard_monomials(mi, m) == standard, (mi, m)
+                inside = sorted(set(degree_monomials(arity, m)) - set(standard))
+                assert monomial_slice(mi, m) == DegreeSlice(arity, m, tuple(inside), tuple(standard))
 
 
 def test_union_in_slice_of_two_points():

@@ -9,7 +9,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepoly.linalg import primitive, row_reduce
+from statepoly.linalg import common_denominator, primitive, row_reduce
 from conftest import fraction_null_space, fraction_rref
 
 
@@ -68,3 +68,19 @@ def test_primitive_is_a_positive_multiple_with_content_one(values):
     assert scale > 0
     assert all(v == scale * f for v, f in zip(vec, values))
     assert gcd(*vec) == 1
+
+
+def test_common_denominator_of_integers_matches_the_fraction_path():
+    rng = random.Random(5)
+    for _ in range(200):
+        rows = [
+            [rng.randint(-10**12, 10**12) if rng.random() < 0.2 else rng.randint(-9, 9)
+             for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.randint(0, 4))
+        ]
+        fast = common_denominator(rows)
+        # one Fraction entry equal to an integer takes the general path
+        slow = common_denominator([[Fraction(v) for v in r] for r in rows])
+        assert fast == slow
+        assert all(type(v) is int for r in fast[1] for v in r)
+        assert primitive(rows[0] if rows else []) == primitive([Fraction(v) for v in (rows[0] if rows else [])])

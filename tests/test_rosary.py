@@ -176,6 +176,22 @@ def test_mixed_sets_validate_range():
 # slice decomposition
 
 
+def test_slice_check_computes_one_basis_per_component(monkeypatch):
+    orders = []
+
+    def counted(source, order):
+        orders.append(order)
+        return buchberger(source, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    spec = RosarySpec(4)
+    for d in (2, 3):
+        orders.clear()
+        rep = rosary_slice_decomposition_check(spec, lex_order(spec.arity), d)
+        assert rep.ok
+        assert len(orders) == len(rep.component_slices) == spec.n_components
+
+
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("d", [2, 3])
 def test_slice_decomposition_small(r, d):

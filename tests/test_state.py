@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statepoly.lp as lp_module
-from statepoly.groebner import degree_slice, hilbert_values
+import statepoly.state as state_module
+from statepoly.groebner import degree_slice, hilbert_values, initial_ideal
 from statepoly.orders import weight_order
 from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
@@ -27,7 +28,7 @@ from statepoly.state import (
     state_of_slice,
     state_polytope,
 )
-from conftest import brute_hull_member, lp_relative_interior, rand_polynomial
+from conftest import brute_hull_member, brute_state, lp_relative_interior, rand_polynomial
 
 
 def variables(arity):
@@ -294,3 +295,119 @@ def test_semistability_relative_interior_reads_facets(monkeypatch):
             assert report.member_of_hull
             assert report.relative_interior is interior
             assert lp_relative_interior(poly.vertices, report.barycenter) is interior
+
+
+# ---------------------------------------------------------------------------
+# Groebner-cone reuse and the staircase state
+
+
+class FreshSliceOracle(StateOracle):
+    """The reference oracle: one Buchberger run and a scan of every
+    degree-``m`` monomial per distinct normalized direction, no cone reuse."""
+
+    def __init__(self, ideal, m, budget=None):
+        super().__init__(ideal, m, budget)
+        self.answers = {}
+
+    def state_for_direction(self, weights):
+        key = self.normalize_direction(weights)
+        if key not in self.answers:
+            if self.budget is not None and self.gb_runs >= self.budget:
+                raise BudgetExhausted(self.budget)
+            self.gb_runs += 1
+            gens = initial_ideal(self.ideal, weight_order(key)).gens
+            self.answers[key] = brute_state(gens, self.ideal.arity, self.m)
+        return self.answers[key]
+
+
+def rand_ideal(rng: random.Random, homogeneous: bool) -> Ideal:
+    arity = 4
+    gens = tuple(
+        rand_polynomial(rng, arity, 2, max_terms=10, homogeneous=homogeneous)
+        for _ in range(rng.randint(2, 3))
+    )
+    return Ideal(arity, gens)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_cone_oracle_matches_fresh_slices_for_every_direction(homogeneous):
+    rng = random.Random(20 + homogeneous)
+    hits = 0
+    for _ in range(12):
+        ideal = rand_ideal(rng, homogeneous)
+        m = rng.randint(2, 3)
+        oracle = StateOracle(ideal, m)
+        directions = [(0,) * ideal.arity] + [
+            tuple(rng.randint(-3, 3) for _ in range(ideal.arity)) for _ in range(30)
+        ]
+        for w in directions:
+            key = StateOracle.normalize_direction(w)
+            fresh = state_of_slice(degree_slice(ideal, weight_order(key), m))
+            assert oracle.state_for_direction(w) == fresh, (ideal, m, w)
+        hits += oracle.cone_hits
+    assert hits > 0
+
+
+def enumeration_fields(ideal: Ideal, m: int, oracle: StateOracle):
+    try:
+        result = enumerate_state_polytope(ideal, m, oracle=oracle)
+    except RuntimeError as exc:
+        # an inhomogeneous ideal's states need not be the vertices of one
+        # polytope; both oracles must then fail alike
+        return str(exc), oracle.gb_runs
+    return (
+        result.status,
+        result.polytope.vertices,
+        result.witnesses,
+        result.facet_system,
+        result.hull_dim,
+        result.q,
+        result.query_count,
+    )
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_cone_oracle_enumerates_the_fresh_slice_polytope(homogeneous):
+    rng = random.Random(40 + homogeneous)
+    sizes = []
+    for _ in range(10):
+        ideal = rand_ideal(rng, homogeneous)
+        m = rng.randint(2, 3)
+        for budget in (None, rng.randint(1, 8)):
+            fast = enumeration_fields(ideal, m, StateOracle(ideal, m, budget))
+            slow = enumeration_fields(ideal, m, FreshSliceOracle(ideal, m, budget))
+            assert fast == slow, (ideal, m, budget)
+            if len(fast) > 2:
+                sizes.append(len(fast[1]))
+    assert max(sizes) >= 10
+
+
+def test_cone_hits_and_buchberger_runs_add_up_to_gb_runs(monkeypatch):
+    runs = []
+
+    def counted(source, order):
+        runs.append(order)
+        return initial_ideal(source, order)
+
+    monkeypatch.setattr(state_module, "initial_ideal", counted)
+    x, y, z, u = variables(4)
+    twisted_cubic = Ideal(4, (x * z - y**2, x * u - y * z, y * u - z**2))
+    oracle = StateOracle(twisted_cubic, 3)
+    result = enumerate_state_polytope(twisted_cubic, 3, oracle=oracle)
+    assert result.complete
+    assert oracle.cone_hits + len(runs) == oracle.gb_runs == result.query_count
+    # pinned: 19 distinct directions, 11 of them in a cone already met
+    assert (oracle.cone_hits, len(runs)) == (11, 8)
+    # a replayed seed direction is a memo hit, neither a cone hit nor a run
+    oracle.state_for_direction((2, 0, 0, 0))
+    assert oracle.cone_hits + len(runs) == oracle.gb_runs == result.query_count
+
+
+def test_oracle_refuses_a_huge_degree_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Groebner work started before the degree was checked")
+
+    monkeypatch.setattr(state_module, "initial_ideal", refuse)
+    x, y, z = variables(3)
+    with pytest.raises(ValueError, match="would enumerate"):
+        StateOracle(Ideal(3, (x * y - z**2,)), 2000)
