@@ -14,12 +14,13 @@ import functools
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import primitive, row_reduce
 from .orders import MonomialOrder, elimination_order, grevlex_order
 from .rings import (
+    ENUMERATION_LIMIT,
     Ideal,
     Monomial,
     Polynomial,
@@ -37,8 +38,6 @@ from .rings import (
 )
 
 IntPoly = dict[Monomial, int]
-
-ENUMERATION_LIMIT = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -432,27 +431,6 @@ def degree_slice(source: Ideal | Sequence[Polynomial], order: MonomialOrder, m: 
     return monomial_slice(initial_ideal(source, order), m)
 
 
-def _slice_count_inclusion_exclusion(mi: MonomialIdeal, m: int) -> int:
-    """Number of degree-``m`` monomials in the ideal, by inclusion-exclusion
-    over the minimal generators (used when enumeration would be too large)."""
-    arity = mi.arity
-    gens = [g for g in mi.gens if mono_degree(g) <= m]
-    total = 0
-
-    def rec(start: int, current: Monomial, sign: int) -> None:
-        nonlocal total
-        for i in range(start, len(gens)):
-            merged = mono_lcm(current, gens[i])
-            d = mono_degree(merged)
-            if d > m:
-                continue
-            total += sign * comb(m - d + arity - 1, arity - 1)
-            rec(i + 1, merged, -sign)
-
-    rec(0, (0,) * arity, 1)
-    return total
-
-
 def hilbert_values(
     source: Ideal | MonomialIdeal | Sequence[Polynomial],
     m: int,
@@ -461,16 +439,14 @@ def hilbert_values(
     """``(Q, P)``: the number of degree-``m`` monomials inside the initial
     ideal and the number of standard ones (``Q + P`` counts all degree-``m``
     monomials).  The split is independent of the order used internally."""
+    arity = source.arity if isinstance(source, (Ideal, MonomialIdeal)) else source[0].arity
+    require_enumerable(arity, m)
     if isinstance(source, MonomialIdeal):
         mi = source
     else:
-        arity = source.arity if isinstance(source, Ideal) else source[0].arity
         mi = initial_ideal(source, order if order is not None else grevlex_order(arity))
-    total = count_monomials(mi.arity, m)
-    if total <= ENUMERATION_LIMIT:
-        q = total - len(standard_monomials(mi, m))
-    else:
-        q = _slice_count_inclusion_exclusion(mi, m)
+    total = count_monomials(arity, m)
+    q = total - len(standard_monomials(mi, m))
     return q, total - q
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chains import ChainInput, component_block_ideal, validate_chain
-from .groebner import degree_slice
+from .groebner import initial_ideal, require_enumerable, standard_monomials
 from .orders import MonomialOrder, named_order, weight_order
 from .rings import Ideal, Monomial
 
@@ -115,9 +115,10 @@ def hm_index_direct(
         )
     if m < 0:
         raise ValueError(f"degree m must be >= 0, got {m}")
-    piece = degree_slice(ideal, _rho_order(rho, tiebreak), m)
-    sws = sum((rho.weight_of(mono) for mono in piece.standard_monomials), Fraction(0))
-    p_value = len(piece.standard_monomials)
+    require_enumerable(ideal.arity, m)
+    standard = standard_monomials(initial_ideal(ideal, _rho_order(rho, tiebreak)), m)
+    sws = sum((rho.weight_of(mono) for mono in standard), Fraction(0))
+    p_value = len(standard)
     total = rho.total()
     mu = -sws + Fraction(m * p_value, ideal.arity) * total
     return HMReport(

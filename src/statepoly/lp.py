@@ -1,22 +1,13 @@
-"""Exact rational linear programming with verifiable certificates.
+"""Exact rational feasibility with verifiable certificates, and the hull
+queries built on it.
 
-Dense two-phase simplex over ``Fraction`` with Bland's anti-cycling rule.
-Every answer carries a certificate that plain arithmetic can re-check:
+:func:`solve_lp` decides ``{x >= 0 : A x = b}`` by phase 1 of a dense simplex
+over ``Fraction`` with Bland's anti-cycling rule.  Either answer carries a
+certificate that plain arithmetic can re-check (:func:`audit_feasibility`):
 
-* optimal -- a feasible point plus dual multipliers with exact strong duality;
-* infeasible -- row multipliers establishing a contradiction (Farkas);
-* unbounded -- a feasible point plus an improving ray.
-
-Certificate conventions (for the maximization form; a minimization problem is
-audited on its negated objective):
-
-* dual ``y``: ``y_i >= 0`` for ``<=`` rows, ``y_i <= 0`` for ``>=`` rows, free
-  for ``==`` rows; for each variable ``s_j = sum_i y_i a_ij`` satisfies
-  ``s_j == c_j`` (free variable) or ``s_j >= c_j`` (non-negative variable);
-  and ``sum_i y_i b_i`` equals the optimal value.
-* farkas ``y``: ``y_i <= 0`` for ``<=`` rows, ``y_i >= 0`` for ``>=`` rows,
-  free for ``==`` rows; ``s_j == 0`` (free) or ``s_j <= 0`` (non-negative);
-  and ``sum_i y_i b_i > 0``.
+* feasible -- a point ``x >= 0`` with ``A x = b``;
+* infeasible -- a Farkas vector ``y`` with ``y A <= 0`` in every column and
+  ``y b > 0``.
 """
 from __future__ import annotations
 
@@ -28,9 +19,6 @@ from typing import Iterable, Sequence
 from .linalg import exact_vector, primitive, row_reduce
 
 Vector = tuple[Fraction, ...]
-Constraint = tuple[tuple[Fraction, ...], str, Fraction]
-
-RELATIONS = ("<=", ">=", "==")
 
 
 def _vec(values: Iterable) -> Vector:
@@ -38,110 +26,10 @@ def _vec(values: Iterable) -> Vector:
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    objective: Vector
-    constraints: tuple[Constraint, ...]
-    maximize: bool = True
-    nonnegative: tuple[bool, ...] | None = None
-
-    def __init__(
-        self,
-        objective: Sequence,
-        constraints: Sequence[tuple[Sequence, str, object]],
-        maximize: bool = True,
-        nonnegative: Sequence[bool] | None = None,
-    ):
-        obj = _vec(objective)
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            row = _vec(coeffs)
-            if len(row) != len(obj):
-                raise ValueError("constraint width does not match objective")
-            rows.append((row, rel, Fraction(rhs)))
-        flags = tuple(bool(f) for f in nonnegative) if nonnegative is not None else None
-        if flags is not None and len(flags) != len(obj):
-            raise ValueError("nonnegative flags must cover every variable")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "maximize", bool(maximize))
-        object.__setattr__(self, "nonnegative", flags)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.objective)
-
-    def flag(self, j: int) -> bool:
-        return bool(self.nonnegative[j]) if self.nonnegative is not None else False
-
-
-@dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "infeasible"
     point: Vector | None = None
-    objective_value: Fraction | None = None
-    dual: Vector | None = None
     farkas: Vector | None = None
-    ray: Vector | None = None
-
-
-class _Standard:
-    """Equality standard form ``A x = b`` with ``x >= 0`` and ``b >= 0``."""
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = lp.n_vars
-        self.columns: list[tuple[int, int]] = []  # (original var, sign)
-        for j in range(n):
-            self.columns.append((j, 1))
-            if not lp.flag(j):
-                self.columns.append((j, -1))
-        self.slack_of_row: list[int | None] = []
-        ncols = len(self.columns)
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        self.sigma: list[int] = []
-        slack_cols = 0
-        for coeffs, rel, b in lp.constraints:
-            if rel != "==":
-                slack_cols += 1
-        total_cols = ncols + slack_cols
-        slack_at = ncols
-        for coeffs, rel, b in lp.constraints:
-            row = [Fraction(0)] * total_cols
-            for col, (j, sign) in enumerate(self.columns):
-                if coeffs[j]:
-                    row[col] = sign * coeffs[j]
-            if rel == "<=":
-                row[slack_at] = Fraction(1)
-                self.slack_of_row.append(slack_at)
-                slack_at += 1
-            elif rel == ">=":
-                row[slack_at] = Fraction(-1)
-                self.slack_of_row.append(slack_at)
-                slack_at += 1
-            else:
-                self.slack_of_row.append(None)
-            sig = 1
-            if b < 0:
-                sig = -1
-                row = [-v for v in row]
-                b = -b
-            self.sigma.append(sig)
-            rows.append(row)
-            rhs.append(Fraction(b))
-        self.rows = rows
-        self.rhs = rhs
-        self.n_struct = total_cols  # structural + slack columns
-        self.n_rows = len(rows)
-
-    def fold_point(self, xstd: Sequence[Fraction]) -> Vector:
-        out = [Fraction(0)] * self.lp.n_vars
-        for col, (j, sign) in enumerate(self.columns):
-            if xstd[col]:
-                out[j] += sign * xstd[col]
-        return tuple(out)
 
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -158,217 +46,78 @@ def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> N
     basis[row] = col
 
 
-def _run_simplex(
-    tab: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    enterable: list[bool],
-) -> tuple[str, int | None]:
-    """Maximize; Bland's rule.  Returns ("optimal", None) or ("unbounded", col)."""
-    ncols = len(tab[0]) - 1
+def solve_lp(augmented: Sequence[Sequence]) -> LPResult:
+    """Find ``x >= 0`` with ``A x = b`` for the augmented matrix ``[A | b]``
+    (at least one row), or a Farkas vector proving there is none.
+
+    Phase 1 from an all-artificial basis: maximize minus the sum of the
+    artificial variables, entering and leaving by Bland's rule.  Rows with
+    ``b < 0`` are negated first, and the artificial columns double as a
+    readout of the basis inverse, which gives the Farkas vector.
+    """
+    rows = [_vec(row) for row in augmented]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("feasibility needs a non-empty rectangular [A | b]")
+    m, n = len(rows), len(rows[0]) - 1
+    sigma = [-1 if row[-1] < 0 else 1 for row in rows]
+    tab = [
+        [s * v for v in row[:-1]] + [Fraction(int(i == k)) for k in range(m)] + [s * row[-1]]
+        for i, (s, row) in enumerate(zip(sigma, rows))
+    ]
+    basis = list(range(n, n + m))
     while True:
-        cb = [cost[k] for k in basis]
-        entering = -1
-        for j in range(ncols):
-            if not enterable[j] or j in basis:
-                continue
-            zj = Fraction(0)
-            for i in range(len(tab)):
-                if cb[i]:
-                    zj += cb[i] * tab[i][j]
-            if cost[j] - zj > 0:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", None
+        artificial = [i for i, k in enumerate(basis) if k >= n]
+        entering = next(
+            (
+                j for j in range(n)
+                if j not in basis and sum((tab[i][j] for i in artificial), Fraction(0)) > 0
+            ),
+            None,
+        )
+        if entering is None:
+            break
+        # phase 1 is bounded, so a column that improves it has a positive entry
         leave = -1
-        best: Fraction | None = None
-        for i in range(len(tab)):
+        best = Fraction(0)
+        for i in range(m):
             a = tab[i][entering]
             if a > 0:
                 ratio = tab[i][-1] / a
                 if leave < 0 or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
-        if leave < 0:
-            return "unbounded", entering
         _pivot(tab, basis, leave, entering)
-
-
-def solve_lp(lp: LinearProgram) -> LPResult:
-    std = _Standard(lp)
-    m, ns = std.n_rows, std.n_struct
-    ncols = ns + m  # artificial columns trail; they double as a B^-1 readout
-    tab = [list(std.rows[i]) + [Fraction(0)] * m + [std.rhs[i]] for i in range(m)]
-    for i in range(m):
-        tab[i][ns + i] = Fraction(1)
-    basis = [ns + i for i in range(m)]
-    sign = 1 if lp.maximize else -1
-
-    if m == 0:
-        # no constraints: either some variable can improve forever, or 0 is best
-        obj = [sign * c for c in lp.objective]
-        point = tuple(Fraction(0) for _ in range(lp.n_vars))
-        for j, c in enumerate(obj):
-            direction = None
-            if c > 0:
-                direction = Fraction(1)
-            elif c < 0 and not lp.flag(j):
-                direction = Fraction(-1)
-            if direction is not None:
-                ray = [Fraction(0)] * lp.n_vars
-                ray[j] = direction
-                return LPResult("unbounded", point=point, ray=tuple(ray))
-        return LPResult("optimal", point=point, objective_value=Fraction(0), dual=())
-
-    # phase 1: drive artificials to zero
-    cost1 = [Fraction(0)] * ns + [Fraction(-1)] * m
-    enterable = [True] * ns + [False] * m
-    status, _ = _run_simplex(tab, basis, cost1, enterable)
-    assert status == "optimal"
-    value1 = sum(cost1[k] * tab[i][-1] for i, k in enumerate(basis))
-    if value1 < 0:
-        ystd = [
-            sum(cost1[basis[r]] * tab[r][ns + i] for r in range(m))
-            for i in range(m)
-        ]
-        farkas = tuple(-ystd[i] * std.sigma[i] for i in range(m))
+    if any(tab[i][-1] for i in artificial):
+        farkas = tuple(
+            s * sum((tab[r][n + i] for r in artificial), Fraction(0)) for i, s in enumerate(sigma)
+        )
         return LPResult("infeasible", farkas=farkas)
-
-    # drive any zero-level artificials out of the basis so phase 2 cannot
-    # raise them again; a row left with zeros on every real column is
-    # redundant and its artificial stays pinned at zero
-    for i in range(m):
-        if basis[i] >= ns:
-            for j in range(ns):
-                if tab[i][j] != 0:
-                    _pivot(tab, basis, i, j)
-                    break
-
-    # phase 2
-    cost2 = [Fraction(0)] * ncols
-    for col, (j, colsign) in enumerate(std.columns):
-        cost2[col] = sign * colsign * lp.objective[j]
-    status, ent = _run_simplex(tab, basis, cost2, enterable)
-    xstd = [Fraction(0)] * ns
+    # an artificial left in the basis sits at level zero and moves no variable
+    point = [Fraction(0)] * n
     for i, k in enumerate(basis):
-        if k < ns:
-            xstd[k] = tab[i][-1]
-    point = std.fold_point(xstd)
-    if status == "unbounded":
-        assert ent is not None
-        dstd = [Fraction(0)] * ns
-        if ent < ns:
-            dstd[ent] = Fraction(1)
-        for i, k in enumerate(basis):
-            if k < ns:
-                dstd[k] = -tab[i][ent]
-        ray = std.fold_point(dstd)
-        return LPResult("unbounded", point=point, ray=ray)
-    value = sum(cost2[k] * tab[i][-1] for i, k in enumerate(basis))
-    ystd = [
-        sum(cost2[basis[r]] * tab[r][ns + i] for r in range(m))
-        for i in range(m)
-    ]
-    dual = tuple(ystd[i] * std.sigma[i] for i in range(m))
-    return LPResult(
-        "optimal",
-        point=point,
-        objective_value=sign * value,
-        dual=dual,
-    )
+        if k < n:
+            point[k] = tab[i][-1]
+    return LPResult("feasible", point=tuple(point))
 
 
-# ---------------------------------------------------------------------------
-# certificate audit (plain arithmetic, independent of the solver internals)
-
-
-def audit_result(lp: LinearProgram, res: LPResult) -> list[str]:
+def audit_feasibility(augmented: Sequence[Sequence], res: LPResult) -> list[str]:
     """Exact re-check of the answer and its certificate; empty list == clean."""
-    issues: list[str] = []
-    sign = 1 if lp.maximize else -1
-    cmax = [sign * c for c in lp.objective]
-
-    def feasible(x: Sequence[Fraction]) -> list[str]:
-        probs = []
-        for idx, (coeffs, rel, rhs) in enumerate(lp.constraints):
-            lhs = sum(a * v for a, v in zip(coeffs, x))
-            ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
-            if not ok:
-                probs.append(f"constraint {idx} violated: {lhs} {rel} {rhs}")
-        for j in range(lp.n_vars):
-            if lp.flag(j) and x[j] < 0:
-                probs.append(f"variable {j} negative: {x[j]}")
-        return probs
-
-    if res.status == "optimal":
-        if res.point is None or res.dual is None or res.objective_value is None:
-            return ["optimal result missing point/dual/value"]
-        issues += feasible(res.point)
-        actual = sum(c * v for c, v in zip(lp.objective, res.point))
-        if actual != res.objective_value:
-            issues.append(f"objective mismatch: {actual} != {res.objective_value}")
-        y = res.dual
-        if len(y) != len(lp.constraints):
-            return issues + ["dual length mismatch"]
-        for idx, (_, rel, _) in enumerate(lp.constraints):
-            if rel == "<=" and y[idx] < 0:
-                issues.append(f"dual sign: row {idx} (<=) has y={y[idx]} < 0")
-            if rel == ">=" and y[idx] > 0:
-                issues.append(f"dual sign: row {idx} (>=) has y={y[idx]} > 0")
-        for j in range(lp.n_vars):
-            sj = sum(y[idx] * lp.constraints[idx][0][j] for idx in range(len(y)))
-            if lp.flag(j):
-                if sj < cmax[j]:
-                    issues.append(f"reduced cost: var {j} has {sj} < {cmax[j]}")
-            elif sj != cmax[j]:
-                issues.append(f"reduced cost: free var {j} has {sj} != {cmax[j]}")
-        bound = sum(y[idx] * lp.constraints[idx][2] for idx in range(len(y)))
-        if bound != sign * res.objective_value:
-            issues.append(f"strong duality fails: {bound} != {sign * res.objective_value}")
-    elif res.status == "infeasible":
-        if res.farkas is None:
-            return ["infeasible result missing farkas certificate"]
-        y = res.farkas
-        if len(y) != len(lp.constraints):
-            return ["farkas length mismatch"]
-        for idx, (_, rel, _) in enumerate(lp.constraints):
-            if rel == "<=" and y[idx] > 0:
-                issues.append(f"farkas sign: row {idx} (<=) has y={y[idx]} > 0")
-            if rel == ">=" and y[idx] < 0:
-                issues.append(f"farkas sign: row {idx} (>=) has y={y[idx]} < 0")
-        for j in range(lp.n_vars):
-            sj = sum(y[idx] * lp.constraints[idx][0][j] for idx in range(len(y)))
-            if lp.flag(j):
-                if sj > 0:
-                    issues.append(f"farkas column: nonneg var {j} has {sj} > 0")
-            elif sj != 0:
-                issues.append(f"farkas column: free var {j} has {sj} != 0")
-        gap = sum(y[idx] * lp.constraints[idx][2] for idx in range(len(y)))
-        if not gap > 0:
-            issues.append(f"farkas value not positive: {gap}")
-    elif res.status == "unbounded":
-        if res.point is None or res.ray is None:
-            return ["unbounded result missing point/ray"]
-        issues += feasible(res.point)
-        d = res.ray
-        for idx, (coeffs, rel, _) in enumerate(lp.constraints):
-            change = sum(a * v for a, v in zip(coeffs, d))
-            if rel == "<=" and change > 0:
-                issues.append(f"ray leaves row {idx} (<=): {change}")
-            if rel == ">=" and change < 0:
-                issues.append(f"ray leaves row {idx} (>=): {change}")
-            if rel == "==" and change != 0:
-                issues.append(f"ray leaves row {idx} (==): {change}")
-        for j in range(lp.n_vars):
-            if lp.flag(j) and d[j] < 0:
-                issues.append(f"ray negative on nonneg var {j}")
-        gain = sum(c * v for c, v in zip(cmax, d))
-        if not gain > 0:
-            issues.append(f"ray does not improve objective: {gain}")
-    else:
-        issues.append(f"unknown status {res.status!r}")
-    return issues
+    rows = [_vec(row) for row in augmented]
+    if res.status == "feasible" and res.point is not None and len(res.point) == len(rows[0]) - 1:
+        x = res.point
+        issues = [f"variable {j} negative: {v}" for j, v in enumerate(x) if v < 0]
+        for i, row in enumerate(rows):
+            lhs = sum(map(mul, row[:-1], x), Fraction(0))
+            if lhs != row[-1]:
+                issues.append(f"row {i} violated: {lhs} != {row[-1]}")
+        return issues
+    if res.status == "infeasible" and res.farkas is not None and len(res.farkas) == len(rows):
+        *columns, value = (sum(map(mul, res.farkas, column), Fraction(0)) for column in zip(*rows))
+        issues = [f"farkas column {j} positive: {s}" for j, s in enumerate(columns) if s > 0]
+        if not value > 0:
+            issues.append(f"farkas value not positive: {value}")
+        return issues
+    return [f"{res.status!r} answer without a matching certificate"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +145,10 @@ def member_convex_hull(points: Sequence[Sequence], target: Sequence) -> HullMemb
     for p in pts:
         if len(p) != dim:
             raise ValueError("point dimension mismatch")
-    constraints: list[tuple[list[Fraction], str, Fraction]] = []
-    for k in range(dim):
-        constraints.append(([p[k] for p in pts], "==", tgt[k]))
-    constraints.append(([Fraction(1)] * len(pts), "==", Fraction(1)))
-    lp = LinearProgram(
-        objective=[Fraction(0)] * len(pts),
-        constraints=constraints,
-        maximize=True,
-        nonnegative=[True] * len(pts),
-    )
-    res = solve_lp(lp)
-    if res.status == "optimal":
+    augmented = [[p[k] for p in pts] + [tgt[k]] for k in range(dim)]
+    augmented.append([Fraction(1)] * (len(pts) + 1))
+    res = solve_lp(augmented)
+    if res.status == "feasible":
         return HullMembership(inside=True, coefficients=res.point)
     assert res.status == "infeasible" and res.farkas is not None
     h = res.farkas[:dim]

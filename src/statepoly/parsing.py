@@ -28,10 +28,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .linalg import exact
-from .rings import Monomial, Polynomial
+from .rings import ENUMERATION_LIMIT, Monomial, Polynomial
 
 
 class ParseError(ValueError):
@@ -218,7 +219,18 @@ class _PolyParser:
             exp_tok = self.take()
             if exp_tok[0] != "num":
                 raise ParseError("exponent must be a natural number", position=exp_tok[2])
-            return base ** int(exp_tok[1])
+            exponent = int(exp_tok[1])
+            # a power of a sum can have every monomial of degree at most
+            # deg * exponent: refuse it before expanding when that is too many
+            if len(base.terms) > 1:
+                bound = comb(base.degree() * exponent + self.arity, self.arity)
+                if bound > ENUMERATION_LIMIT:
+                    raise ParseError(
+                        f"power {exponent} of a {len(base.terms)}-term polynomial could expand"
+                        f" to {bound} monomials (> {ENUMERATION_LIMIT})",
+                        position=exp_tok[2],
+                    )
+            return base ** exponent
         return base
 
     def atom(self) -> Polynomial:

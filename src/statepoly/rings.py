@@ -74,6 +74,10 @@ def degree_monomials(arity: int, degree: int) -> list[Monomial]:
     return out
 
 
+# the most monomials a degree slice may enumerate or a parsed power may expand to
+ENUMERATION_LIMIT = 10**6
+
+
 def count_monomials(arity: int, degree: int) -> int:
     """Number of degree-``degree`` monomials in ``arity`` variables."""
     if degree < 0:

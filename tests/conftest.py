@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from statepoly.lp import LinearProgram, solve_lp
+from statepoly.lp import solve_lp
 from statepoly.rings import Polynomial, degree_monomials
 
 
@@ -140,32 +140,17 @@ def brute_extreme_points(points: Sequence[Sequence]) -> set[tuple[Fraction, ...]
 
 
 def lp_relative_interior(points: Sequence[Sequence], point: Sequence) -> bool:
-    """Relative-interior test by LP for a point known to lie in the hull of
-    ``points``: the centroid of the points lies in the relative interior, so
-    the point does exactly when the ray from the centroid through it
-    continues strictly beyond it inside the hull."""
+    """Relative-interior test by LP: a point is in the relative interior of
+    the hull of ``points`` exactly when it is a convex combination of all of
+    them with every weight positive.  With ``c`` the centroid of the ``N``
+    points, weights ``nu_i + 1`` do that exactly when ``nu >= 0`` solves
+    ``sum_i nu_i (p_i - point) = N (point - c)``."""
     pts = [tuple(Fraction(x) for x in p) for p in points]
     target = tuple(Fraction(x) for x in point)
-    count = len(pts)
-    centroid = [sum(column, Fraction(0)) / count for column in zip(*pts)]
-    direction = [t - c for t, c in zip(target, centroid)]
-    if not any(direction):
-        return True
-    # maximize s subject to sum_i lam_i p_i - s * direction = point, sum lam = 1
-    constraints = [
-        ([p[j] for p in pts] + [-direction[j]], "==", target[j]) for j in range(len(target))
+    augmented = [
+        [p[j] - t for p in pts] + [sum(t - p[j] for p in pts)] for j, t in enumerate(target)
     ]
-    constraints.append(([Fraction(1)] * count + [Fraction(0)], "==", Fraction(1)))
-    program = LinearProgram(
-        objective=[Fraction(0)] * count + [Fraction(1)],
-        constraints=constraints,
-        maximize=True,
-        nonnegative=[True] * count + [False],
-    )
-    result = solve_lp(program)
-    if result.status == "infeasible":
-        raise ValueError("point is not in the hull")
-    return result.status == "unbounded" or result.objective_value > 0
+    return solve_lp(augmented).status == "feasible"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from statepoly import groebner, rosary
 from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, _digest, main, run_command
 from statepoly.polytope import VPolytope, save_polytope
+from statepoly.rings import Polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = "data/examples"
@@ -461,6 +462,19 @@ def test_state_refuses_a_huge_degree_before_any_work(capsys, monkeypatch):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "would enumerate 1093567501 monomials" in err
+
+
+def test_huge_power_of_a_sum_is_a_validation_error(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the power was expanded before its size was checked")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    path = tmp_path / "power.ideal"
+    path.write_text("ring: x, y, z\nideal: (x+y+z)^200 - x^200\n", encoding="utf-8")
+    code, out, err = run(capsys, "gb", "--ideal", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "could expand to 1373701 monomials" in err
 
 
 def test_csv_rejected_for_non_tabular_payload(capsys, conic_file):

@@ -242,6 +242,20 @@ def test_hilbert_values_against_brute_force_monomial_count():
         assert q + p == len(degree_monomials(3, m))
 
 
+def test_hilbert_values_refuses_a_huge_degree_before_any_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis or a walk started before the degree was checked")
+
+    monkeypatch.setattr(groebner, "_buchberger_int", refuse)
+    monkeypatch.setattr(groebner, "standard_monomials", refuse)
+    arity = 1201
+    assert count_monomials(arity, 3) > ENUMERATION_LIMIT
+    x0 = Polynomial.variable(arity, 0)
+    for source in (Ideal(arity, (x0,)), [x0], MonomialIdeal(arity, [(1,) + (0,) * (arity - 1)])):
+        with pytest.raises(ValueError, match="would enumerate"):
+            hilbert_values(source, 3)
+
+
 def test_hilbert_values_order_invariance_small():
     x, y, z = variables(3)
     ideal = Ideal(3, (x**2 - y * z, x * z - y**2))

@@ -7,9 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from statepoly import groebner
 from statepoly.chains import ChainInput
+from statepoly.groebner import degree_slice
 from statepoly.hm import OnePS, hm_from_aggregates, hm_index_decomposed, hm_index_direct
+from statepoly.orders import weight_order
 from statepoly.rings import Ideal, Polynomial
+
+from conftest import rand_polynomial
 
 
 def variables(arity):
@@ -72,6 +77,34 @@ def test_direct_rejects_bad_arity_or_degree():
         hm_index_direct(ideal, 2, OnePS((1, 0, 0)))
     with pytest.raises(ValueError):
         hm_index_direct(ideal, -1, OnePS((1, 0)))
+
+
+def test_direct_refuses_a_huge_degree_before_any_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis or a walk started before the degree was checked")
+
+    monkeypatch.setattr(groebner, "_buchberger_int", refuse)
+    monkeypatch.setattr(groebner, "standard_monomials", refuse)
+    x0, x1, _ = variables(3)
+    with pytest.raises(ValueError, match="would enumerate"):
+        hm_index_direct(Ideal(3, (x0 * x1,)), 2000, OnePS((1, 0, 0)))
+
+
+def test_direct_agrees_with_the_degree_slice_route():
+    # the standard monomials of the full degree-m slice give the same sums
+    for seed in range(30):
+        rng = random.Random(seed)
+        arity = rng.randint(1, 4)
+        gens = tuple(
+            rand_polynomial(rng, arity, 3, homogeneous=True) for _ in range(rng.randint(0, 3))
+        )
+        ideal = Ideal(arity, gens)
+        rho = OnePS(tuple(rng.randint(-3, 3) for _ in range(arity)))
+        for m in range(5):
+            rep = hm_index_direct(ideal, m, rho)
+            standard = degree_slice(ideal, weight_order(rho.weights), m).standard_monomials
+            assert rep.p_value == len(standard)
+            assert rep.standard_weight_sum == sum(map(rho.weight_of, standard), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from statepoly.linalg import primitive
 from statepoly.lp import (
-    LinearProgram,
+    LPResult,
     affine_hull,
-    audit_result,
+    audit_feasibility,
     member_convex_hull,
     relative_interior_member,
     solve_lp,
@@ -21,133 +21,93 @@ from statepoly.lp import (
 from conftest import brute_hull_member, rand_point
 
 
-def solved(objective, constraints, **kw):
-    lp = LinearProgram(objective, constraints, **kw)
-    res = solve_lp(lp)
-    assert audit_result(lp, res) == []
+def solved(augmented):
+    res = solve_lp(augmented)
+    assert audit_feasibility(augmented, res) == []
     return res
 
 
 # ---------------------------------------------------------------------------
-# known-answer programs
-
-
-def test_maximize_simple_polytope():
-    # max x + y  s.t. x <= 2, y <= 3, x + y <= 4, x,y >= 0
-    res = solved(
-        [1, 1],
-        [([1, 0], "<=", 2), ([0, 1], "<=", 3), ([1, 1], "<=", 4)],
-        nonnegative=[True, True],
-    )
-    assert res.status == "optimal"
-    assert res.objective_value == 4
-
-
-def test_minimize_with_equality():
-    # min 2x + 3y  s.t. x + y == 10, x - y >= 2
-    res = solved([2, 3], [([1, 1], "==", 10), ([1, -1], ">=", 2)], maximize=False,
-                 nonnegative=[True, True])
-    assert res.status == "optimal"
-    assert res.point == (Fraction(10), Fraction(0))
-    assert res.objective_value == 20
-
-
-def test_free_variables_allow_negative_solutions():
-    res = solved([0, 1], [([1, 1], "==", 0), ([0, 1], "<=", -3)])
-    assert res.status == "optimal"
-    assert res.objective_value == -3
-    assert res.point == (Fraction(3), Fraction(-3))
+# known answers of {x >= 0 : A x = b}, given as [A | b]
 
 
 def test_infeasible_has_farkas_certificate():
-    lp = LinearProgram([1], [([1], "<=", 1), ([1], ">=", 2)])
-    res = solve_lp(lp)
+    # x <= 1 and x >= 2 with slack and surplus columns
+    res = solved([[1, 1, 0, 1], [1, 0, -1, 2]])
     assert res.status == "infeasible"
-    assert res.farkas is not None
-    assert audit_result(lp, res) == []
-
-
-def test_unbounded_has_ray_certificate():
-    lp = LinearProgram([1, 0], [([0, 1], "<=", 5)], nonnegative=[True, True])
-    res = solve_lp(lp)
-    assert res.status == "unbounded"
-    assert res.ray is not None
-    assert audit_result(lp, res) == []
+    assert res.farkas is not None and res.point is None
 
 
 def test_rational_data_stays_exact():
-    res = solved(
-        [Fraction(1, 3), Fraction(1, 7)],
-        [([Fraction(2, 5), 1], "<=", Fraction(11, 10)), ([1, 1], "<=", 2)],
-        nonnegative=[True, True],
-    )
-    assert res.status == "optimal"
-    # the feasible region's vertices are (0,0), (0,11/10), (2,0) and (3/2,1/2)
-    assert res.objective_value == max(
-        Fraction(0),
-        Fraction(1, 7) * Fraction(11, 10),
-        Fraction(1, 3) * 2,
-        Fraction(1, 3) * Fraction(3, 2) + Fraction(1, 7) * Fraction(1, 2),
-    )
-    assert res.objective_value == Fraction(2, 3)
-    assert res.point == (Fraction(2), Fraction(0))
+    # 2/5 x + y = 11/10 and x + y = 2 meet only at (3/2, 1/2)
+    res = solved([[Fraction(2, 5), 1, Fraction(11, 10)], [1, 1, 2]])
+    assert res.status == "feasible"
+    assert res.point == (Fraction(3, 2), Fraction(1, 2))
+    assert all(type(v) is Fraction for v in res.point)
+
+
+def test_redundant_rows_leave_the_point_alone():
+    # a row that repeats another (negated, so its sign flips) keeps its
+    # artificial in the basis at level zero
+    res = solved([[-1, -1, -2], [1, 1, 2], [1, 0, 1]])
+    assert res.point == (Fraction(1), Fraction(1))
 
 
 def test_degenerate_cycling_guard():
-    # classic degenerate LP; Bland's rule must terminate
+    # Beale's cycling example: its rows with slacks, and its objective pinned
+    # at the optimum 1/20; two rows have right-hand side 0, and Bland's rule
+    # must still terminate
     res = solved(
-        [Fraction(3, 4), -150, Fraction(1, 50), -6],
         [
-            ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
-            ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
-        ],
-        nonnegative=[True] * 4,
+            [Fraction(1, 4), -60, Fraction(-1, 25), 9, 1, 0, 0, 0],
+            [Fraction(1, 2), -90, Fraction(-1, 50), 3, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0, 0, 1, 1],
+            [Fraction(3, 4), -150, Fraction(1, 50), -6, 0, 0, 0, Fraction(1, 20)],
+        ]
     )
-    assert res.status == "optimal"
-    assert res.objective_value == Fraction(1, 20)
+    assert res.status == "feasible"
 
 
-def test_zero_level_artificial_cannot_resurface():
-    # the only feasible point is x = 1; a degenerate phase-1 basis keeps an
-    # artificial at level zero, and phase 2 must not let it grow again
-    res = solve_lp(
-        LinearProgram(
-            [3],
-            [([-1], ">=", -1), ([-4], "==", -4)],
-            maximize=False,
-            nonnegative=[False],
-        )
-    )
-    assert res.status == "optimal"
-    assert res.point == (Fraction(1),)
-    assert res.objective_value == Fraction(3)
+def test_audit_rejects_broken_certificates():
+    feasible = [[1, 1, 2]]
+    assert audit_feasibility(feasible, LPResult("feasible", point=(Fraction(3), Fraction(-1)))) != []
+    assert audit_feasibility(feasible, LPResult("feasible", point=(Fraction(1), Fraction(0)))) != []
+    assert audit_feasibility(feasible, LPResult("infeasible", farkas=(Fraction(1),))) != []
+    infeasible = [[1, -1]]
+    assert audit_feasibility(infeasible, LPResult("infeasible", farkas=(Fraction(-1),))) == []
+    assert audit_feasibility(infeasible, LPResult("infeasible", farkas=(Fraction(1),))) != []
+    assert audit_feasibility(infeasible, LPResult("infeasible", farkas=(Fraction(0),))) != []
+    assert audit_feasibility(infeasible, LPResult("feasible")) != []
+
+
+@pytest.mark.parametrize("augmented", [[], [[1, 2], [1]]])
+def test_solve_lp_refuses_malformed_matrix(augmented):
+    with pytest.raises(ValueError):
+        solve_lp(augmented)
 
 
 # ---------------------------------------------------------------------------
 # random audit corpus
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 100_000))
-def test_every_lp_answer_passes_certificate_audit(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 4)
-    n_cons = rng.randint(1, 5)
-    constraints = []
-    for _ in range(n_cons):
-        coeffs = [rng.randint(-4, 4) for _ in range(n)]
-        rel = rng.choice(["<=", ">=", "=="])
-        constraints.append((coeffs, rel, rng.randint(-6, 6)))
-    lp = LinearProgram(
-        [rng.randint(-3, 3) for _ in range(n)],
-        constraints,
-        maximize=rng.random() < 0.5,
-        nonnegative=[rng.random() < 0.7 for _ in range(n)],
-    )
-    res = solve_lp(lp)
-    assert res.status in ("optimal", "infeasible", "unbounded")
-    assert audit_result(lp, res) == []
+def test_every_lp_answer_passes_certificate_audit():
+    statuses = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        if seed % 2:
+            # b = A x0 for some x0 >= 0: feasible by construction
+            x0 = [rng.randint(0, 3) for _ in range(n)]
+            augmented = [row + [sum(a * v for a, v in zip(row, x0))] for row in rows]
+        else:
+            augmented = [row + [rng.randint(-6, 6)] for row in rows]
+        res = solved(augmented)
+        if seed % 2:
+            assert res.status == "feasible"
+        statuses.add(res.status)
+    assert statuses == {"feasible", "infeasible"}
 
 
 # ---------------------------------------------------------------------------

@@ -279,3 +279,21 @@ def test_parse_ideal_file_matches_shipped_example():
     assert parsed.variables == ABC
     assert parsed.blocks == (0, 2, 4)
     assert set(parsed.sections) == {1, 2}
+
+
+def test_power_of_a_sum_is_refused_before_expanding(monkeypatch):
+    # (x+y+z)^N may have every monomial of degree <= N: C(N+3, 3) of them,
+    # 988,260 at N = 179 and 1,004,731 > ENUMERATION_LIMIT at N = 180
+    expanded = []
+    monkeypatch.setattr(Polynomial, "__pow__", lambda base, e: expanded.append(e) or base)
+    xyz = ("x", "y", "z")
+    parse_polynomial("(x+y+z)^179", xyz)
+    assert expanded == [179]
+    for text in ("(x+y+z)^180", "(x+y+z)^200", "x*(x - 2*y)^100000"):
+        with pytest.raises(ParseError, match="could expand"):
+            parse_polynomial(text, xyz)
+    assert expanded == [179]
+    # one-term and zero bases expand cheaply and are never refused
+    for text in ("x^100000", "(2*x*y)^100000", "7^3", "(x-x)^100000"):
+        parse_polynomial(text, xyz)
+    assert expanded == [179, 100000, 100000, 3, 100000]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepoly.lp import LinearProgram, relative_interior_member, solve_lp
+from statepoly.lp import relative_interior_member
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
@@ -76,16 +76,9 @@ def test_extreme_points_agree_with_brute_force(seed):
 
 
 def _strictly_separable(points, target) -> bool:
-    """The strict-separation LP that facet-sum witnesses replace: some w with
-    (target - q) . w >= 1 for every other listed point q."""
-    dim = len(target)
-    constraints = [
-        (tuple(t - o for t, o in zip(target, q)), ">=", 1) for q in points if q != target
-    ]
-    if not constraints:
-        return True
-    program = LinearProgram((0,) * dim, constraints, maximize=True, nonnegative=[False] * dim)
-    return solve_lp(program).status == "optimal"
+    """Some weight beats every other listed point strictly at ``target``
+    exactly when ``target`` is outside the hull of the others."""
+    return not brute_hull_member([q for q in points if q != target], target)
 
 
 def _is_strict(weights, target, points) -> bool:
