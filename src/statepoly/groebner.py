@@ -4,9 +4,17 @@ The public API works with ``Polynomial`` (Fraction coefficients); internally
 the engine keeps coefficient-primitive integer polynomials and pseudo-reduces,
 which avoids Fraction overhead on the hot path while staying exact.
 
-Pair selection uses the normal strategy (smallest lcm under the active order)
-and both classical pair-skipping criteria: the coprimality criterion and the
-chain criterion.
+Pair selection uses the normal strategy (smallest lcm degree, then smallest
+lcm under the active order) and both classical pair-skipping criteria: the
+coprimality criterion and the chain criterion.  For homogeneous generators
+the pairs therefore come in order of degree, and every basis element of
+degree ``d`` exists once the pairs of degree ``d`` are done.  A caller that
+reads one degree ``m`` passes it as ``degree``: the run drops the generators
+above ``m`` and stops at the first pair above ``m``, which gives the
+``m``-truncated basis (Bayer–Morrison 1988; Sturmfels, *Gröbner Bases and
+Convex Polytopes*, ch. 2).  Its leads generate the initial ideal in every
+degree up to ``m``, and it gives the full basis's normal forms there.
+Inhomogeneous generators ignore ``degree`` and run in full.
 """
 from __future__ import annotations
 
@@ -142,13 +150,26 @@ def _spoly(fi: IntPoly, fj: IntPoly, li: Monomial, lj: Monomial, key) -> IntPoly
     return {m: c for m, c in out.items() if c}
 
 
-def _buchberger_int(gens: list[IntPoly], order: MonomialOrder) -> list[IntPoly]:
+def _buchberger_int(
+    gens: list[IntPoly], order: MonomialOrder, degree: int | None = None
+) -> list[IntPoly]:
     """Minimal (lead-interreduced) Groebner basis with primitive integer
-    coefficients and positive leading coefficients."""
+    coefficients and positive leading coefficients.
+
+    When ``degree`` is given and every generator is homogeneous, the run
+    stops at degree ``degree``: the result is the ``degree``-truncated
+    basis, which agrees with the full one in every degree up to it.  Any
+    other input ignores ``degree`` and runs in full.
+    """
     key = order.key
+    gens = [g for g in gens if g]
+    if degree is not None and all(len(set(map(mono_degree, g))) == 1 for g in gens):
+        gens = [g for g in gens if mono_degree(next(iter(g))) <= degree]
+    else:
+        degree = None
     basis: list[IntPoly] = []
     leads: list[Monomial] = []
-    for g in sorted((g for g in gens if g), key=lambda g: key(_lead(g, key))):
+    for g in sorted(gens, key=lambda g: key(_lead(g, key))):
         basis.append(_orient(_primitive(dict(g)), key))
         leads.append(_lead(basis[-1], key))
 
@@ -168,7 +189,10 @@ def _buchberger_int(gens: list[IntPoly], order: MonomialOrder) -> list[IntPoly]:
             push_pair(i, j)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        rank, i, j = heapq.heappop(heap)
+        if degree is not None and rank[0] > degree:
+            # every pair left has an lcm of at least this degree
+            break
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -301,15 +325,24 @@ class DegreeSlice:
     standard_monomials: tuple[Monomial, ...]
 
 
-def buchberger(source: Ideal | Sequence[Polynomial], order: MonomialOrder) -> ReducedGB:
-    """The reduced Groebner basis of the ideal under the given order."""
+def buchberger(
+    source: Ideal | Sequence[Polynomial], order: MonomialOrder, degree: int | None = None
+) -> ReducedGB:
+    """The reduced Groebner basis of the ideal under the given order.
+
+    With ``degree`` and homogeneous generators, the reduced
+    ``degree``-truncated basis: the elements of the full reduced basis of
+    degree at most ``degree``, so it agrees with the full one (normal forms
+    included) in every degree up to ``degree``.  Inhomogeneous generators
+    ignore ``degree``.
+    """
     gens = source.generators if isinstance(source, Ideal) else tuple(source)
     arity = order.arity
     for g in gens:
         if g.arity != arity:
             raise ValueError("generator arity does not match order arity")
     key = order.key
-    basis = _buchberger_int([_to_int_poly(g) for g in gens], order)
+    basis = _buchberger_int([_to_int_poly(g) for g in gens], order, degree)
     leads = [_lead(g, key) for g in basis]
     # tail-reduce each element against the others, then make monic
     reduced: list[Polynomial] = []
@@ -337,11 +370,19 @@ def initial_leads(source: Ideal | Sequence[Polynomial], order: MonomialOrder) ->
     return initial_ideal(source, order).gens
 
 
-def initial_ideal(source: Ideal | Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:
+def initial_ideal(
+    source: Ideal | Sequence[Polynomial], order: MonomialOrder, degree: int | None = None
+) -> MonomialIdeal:
     """The initial ideal, marked with the supports of the Groebner basis it
-    was read from."""
+    was read from.
+
+    With ``degree`` and homogeneous generators, the basis is the
+    ``degree``-truncated one: the result agrees with the full initial ideal
+    in every degree up to ``degree`` (its generators are the full one's of
+    degree at most ``degree``).  Inhomogeneous generators ignore ``degree``.
+    """
     gens = source.generators if isinstance(source, Ideal) else tuple(source)
-    basis = _buchberger_int([_to_int_poly(g) for g in gens], order)
+    basis = _buchberger_int([_to_int_poly(g) for g in gens], order, degree)
     key = order.key
     marked = []
     for g in basis:
@@ -428,7 +469,7 @@ def monomial_slice(mi: MonomialIdeal, m: int) -> DegreeSlice:
 
 
 def degree_slice(source: Ideal | Sequence[Polynomial], order: MonomialOrder, m: int) -> DegreeSlice:
-    return monomial_slice(initial_ideal(source, order), m)
+    return monomial_slice(initial_ideal(source, order, m), m)
 
 
 def hilbert_values(
@@ -444,7 +485,7 @@ def hilbert_values(
     if isinstance(source, MonomialIdeal):
         mi = source
     else:
-        mi = initial_ideal(source, order if order is not None else grevlex_order(arity))
+        mi = initial_ideal(source, order if order is not None else grevlex_order(arity), m)
     total = count_monomials(arity, m)
     q = total - len(standard_monomials(mi, m))
     return q, total - q
@@ -495,7 +536,7 @@ class UnionSlices:
         self._rows: list[range] = []
         height = 0
         for coords, block in components:
-            gb = buchberger(block, grevlex_order(block.arity))
+            gb = buchberger(block, grevlex_order(block.arity), d)
             leads, polys = list(gb.leads), [_to_int_poly(g) for g in gb.elements]
             rows: dict[Monomial, int] = {}
             forms = {}

@@ -116,7 +116,7 @@ def hm_index_direct(
     if m < 0:
         raise ValueError(f"degree m must be >= 0, got {m}")
     require_enumerable(ideal.arity, m)
-    standard = standard_monomials(initial_ideal(ideal, _rho_order(rho, tiebreak)), m)
+    standard = standard_monomials(initial_ideal(ideal, _rho_order(rho, tiebreak), m), m)
     sws = sum((rho.weight_of(mono) for mono in standard), Fraction(0))
     p_value = len(standard)
     total = rho.total()

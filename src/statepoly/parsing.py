@@ -26,6 +26,7 @@ vertex-list JSON files and may replace the corresponding ideal section.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -150,6 +151,17 @@ class _PolyParser:
         if tok[0] != "op" or tok[1] != symbol:
             raise ParseError(f"expected {symbol!r}, found {tok[1]!r}", position=tok[2])
 
+    def number(self, tok: tuple[str, str, int]) -> int:
+        """The value of a number token; one longer than the interpreter's
+        integer string limit is refused before it is converted."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok[1]) > limit:
+            raise ParseError(
+                f"number of {len(tok[1])} digits (> {limit}, the integer string limit)",
+                position=tok[2],
+            )
+        return int(tok[1])
+
     def parse(self) -> Polynomial:
         poly = self.expr()
         tok = self.peek()
@@ -219,17 +231,35 @@ class _PolyParser:
             exp_tok = self.take()
             if exp_tok[0] != "num":
                 raise ParseError("exponent must be a natural number", position=exp_tok[2])
-            exponent = int(exp_tok[1])
+            exponent = self.number(exp_tok)
+            limit = sys.get_int_max_str_digits()
             # a power of a sum can have every monomial of degree at most
             # deg * exponent: refuse it before expanding when that is too many
             if len(base.terms) > 1:
                 bound = comb(base.degree() * exponent + self.arity, self.arity)
                 if bound > ENUMERATION_LIMIT:
+                    size = bound if not limit or bound < 10**limit else f"10^{limit} or more"
                     raise ParseError(
                         f"power {exponent} of a {len(base.terms)}-term polynomial could expand"
-                        f" to {bound} monomials (> {ENUMERATION_LIMIT})",
+                        f" to {size} monomials (> {ENUMERATION_LIMIT})",
                         position=exp_tok[2],
                     )
+            # a power p^e / q^e of a constant needs no more digits than the
+            # integer string limit allows: k^e >= 2^((bits(k) - 1) * e) decides
+            # a large power without computing it, and any other has fewer than
+            # twice the bits of 10^limit and is compared exactly
+            if limit and base.degree() == 0:
+                (value,) = base.terms.values()
+                ceiling = 10**limit
+                for k in (abs(value.numerator), value.denominator):
+                    if k > 1 and (
+                        (k.bit_length() - 1) * exponent >= ceiling.bit_length() or k**exponent >= ceiling
+                    ):
+                        raise ParseError(
+                            f"power of a constant has more than {limit} digits"
+                            f" (the integer string limit)",
+                            position=exp_tok[2],
+                        )
             return base ** exponent
         return base
 
@@ -237,14 +267,15 @@ class _PolyParser:
         tok = self.take()
         kind, value, position = tok
         if kind == "num":
-            numerator = int(value)
+            numerator = self.number(tok)
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
                 self.take()
                 den_tok = self.take()
-                if den_tok[0] != "num" or int(den_tok[1]) == 0:
+                denominator = self.number(den_tok) if den_tok[0] == "num" else 0
+                if denominator == 0:
                     raise ParseError("denominator must be a positive integer", position=den_tok[2])
-                return Polynomial.constant(self.arity, Fraction(numerator, int(den_tok[1])))
+                return Polynomial.constant(self.arity, Fraction(numerator, denominator))
             return Polynomial.constant(self.arity, numerator)
         if kind == "name":
             if value not in self.index:

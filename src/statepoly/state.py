@@ -121,6 +121,16 @@ class StateOracle:
     ``≺'`` with ``in_≺'(I) = <lead(g) : g in G>``.  Nothing in this needs
     ``G`` reduced or the ideal homogeneous.
 
+    For a homogeneous ideal each run stops at degree ``m`` (the
+    ``degree`` of :func:`statepoly.groebner.initial_ideal`), and the kept
+    ``G`` is an ``m``-truncated basis: every S-pair of degree at most ``m``
+    reduces to zero modulo ``G``.  The argument above applies to exactly
+    those S-pairs, so when the marked leads still beat their tails under
+    ``≺'``, ``G`` is an ``m``-truncated basis for ``≺'`` as well and
+    ``in_≺'(I)_d = <lead(g) : g in G>_d`` for every ``d <= m``, which is all
+    the state reads.  A truncated basis has fewer marked terms than the full
+    one, so its cone test accepts more directions.
+
     The state is the closed-form column total ``C(m+n-1, n)`` (each
     coordinate summed over all degree-``m`` monomials in ``n`` variables)
     minus the sum of the standard monomials, found by a walk of the
@@ -165,7 +175,7 @@ class StateOracle:
         self.gb_runs += 1
         state = next((st for cone, st in self._cones if _keeps_marked_leads(cone, key)), None)
         if state is None:
-            mi = initial_ideal(self.ideal, weight_order(key))
+            mi = initial_ideal(self.ideal, weight_order(key), self.m)
             state = self._state_of(mi)
             self._cones.append((_cone_test(mi.marked, self._tiebreak), state))
         else:

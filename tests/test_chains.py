@@ -380,9 +380,9 @@ def test_initial_slice_partition_conic_bridge():
 def test_initial_slice_partition_computes_one_basis_per_component(monkeypatch):
     orders = []
 
-    def counted(source, order):
+    def counted(source, order, degree=None):
         orders.append(order)
-        return buchberger(source, order)
+        return buchberger(source, order, degree)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     rep = initial_slice_partition(bridge_of_conics(), 3, [(1, 0, 0), (0, 0, 1)])

@@ -477,6 +477,34 @@ def test_huge_power_of_a_sum_is_a_validation_error(capsys, monkeypatch, tmp_path
     assert "could expand to 1373701 monomials" in err
 
 
+@pytest.mark.parametrize(
+    "line, position, message",
+    [
+        # 7^6000 has 5071 digits; the coefficient would not render
+        ("x - 7^6000", 6, "power of a constant has more than 4300 digits"),
+        ("x - 7^" + "9" * 5000, 6, "number of 5000 digits (> 4300"),
+        ("x^" + "1" * 5000 + " - y", 2, "number of 5000 digits (> 4300"),
+        ("x - 1/" + "3" * 5000, 6, "number of 5000 digits (> 4300"),
+        # the monomial bound of this power has about 8600 digits
+        ("(x + y)^" + "9" * 4300, 8, "could expand to 10^4300 or more monomials"),
+    ],
+    ids=["constant-power", "constant-exponent", "variable-exponent", "denominator", "sum-power-bound"],
+)
+def test_huge_numeric_literal_is_a_parse_error(capsys, monkeypatch, tmp_path, line, position, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constant was powered before its size was checked")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    path = tmp_path / "huge.ideal"
+    path.write_text(f"ring: x, y\nideal: {line}\n", encoding="utf-8")
+    code, out, err = run(capsys, "gb", "--ideal", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert message in err
+    assert f"(at position {position})" in err
+    assert "integer string conversion" not in err
+
+
 def test_csv_rejected_for_non_tabular_payload(capsys, conic_file):
     code, _, err = run(capsys, "gb", "--ideal", conic_file, "--format", "csv")
     assert code == EXIT_VALIDATION

@@ -37,7 +37,9 @@ from statepoly.rings import (
     mono_divides,
     mono_lcm,
 )
-from conftest import brute_standard_monomials, rand_monomial, rand_polynomial
+from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
+from statepoly.state import StateOracle, enumerate_state_polytope
+from conftest import brute_standard_monomials, brute_state, rand_monomial, rand_polynomial
 
 
 def variables(arity):
@@ -145,6 +147,101 @@ def test_initial_ideal_marks_the_basis_it_was_read_from():
     # equality and hashing see the generators only
     plain = MonomialIdeal(3, mi.gens)
     assert plain.marked == () and plain == mi and hash(plain) == hash(mi)
+
+
+# ---------------------------------------------------------------------------
+# degree-truncated bases against the full run
+
+
+def truncation_orders(rng: random.Random, arity: int, nonnegative: bool = False):
+    low = 0 if nonnegative else -3
+    return [grevlex_order(arity), lex_order(arity)] + [
+        weight_order([rng.randint(low, 3) for _ in range(arity)]) for _ in range(3)
+    ]
+
+
+def rand_gens(rng: random.Random, homogeneous: bool) -> tuple[int, list[Polynomial]]:
+    arity = rng.randint(3, 4)
+    count = rng.randint(2, 4)
+    return arity, [
+        rand_polynomial(rng, arity, 3, max_terms=4, homogeneous=homogeneous) for _ in range(count)
+    ]
+
+
+def test_truncated_initial_ideal_agrees_with_the_full_one_up_to_its_degree():
+    rng = random.Random(91)
+    above = 0
+    for _ in range(14):
+        arity, gens = rand_gens(rng, homogeneous=True)
+        for order in truncation_orders(rng, arity):
+            full = initial_ideal(gens, order)
+            for m in range(1, 5):
+                cut = initial_ideal(gens, order, degree=m)
+                assert cut.gens == tuple(g for g in full.gens if sum(g) <= m), (gens, order, m)
+                for d in range(m + 1):
+                    assert standard_monomials(cut, d) == standard_monomials(full, d), (gens, order, m, d)
+                above += any(sum(g) > m for g in full.gens)
+    # the full bases reach above the cut often, so the cut is exercised
+    assert above > 100
+
+
+def test_truncated_basis_gives_the_full_normal_forms():
+    rng = random.Random(92)
+    for _ in range(10):
+        arity, gens = rand_gens(rng, homogeneous=True)
+        for order in truncation_orders(rng, arity, nonnegative=True):
+            full = buchberger(gens, order)
+            for d in range(1, 5):
+                cut = buchberger(gens, order, degree=d)
+                kept = [(l, g) for l, g in zip(full.leads, full.elements) if sum(l) <= d]
+                assert list(zip(cut.leads, cut.elements)) == kept, (gens, order, d)
+                for mono in degree_monomials(arity, d):
+                    poly = Polynomial.from_monomial(arity, mono)
+                    assert cut.normal_form(poly) == full.normal_form(poly), (gens, order, d, mono)
+
+
+def test_inhomogeneous_generators_ignore_the_degree():
+    rng = random.Random(93)
+    runs = 0
+    for _ in range(12):
+        arity, gens = rand_gens(rng, homogeneous=False)
+        # one homogeneous generator more leaves the ideal inhomogeneous
+        gens.append(rand_polynomial(rng, arity, 3, homogeneous=True))
+        if all(g.is_homogeneous() for g in gens):
+            continue
+        for order in truncation_orders(rng, arity, nonnegative=True):
+            full = initial_ideal(gens, order)
+            for m in (1, 2):
+                cut = initial_ideal(gens, order, degree=m)
+                assert (cut.gens, cut.marked) == (full.gens, full.marked), (gens, order, m)
+                runs += 1
+    assert runs > 50
+
+
+def test_truncated_runs_pair_no_lcm_above_the_degree(monkeypatch):
+    spec = RosarySpec(2)
+    ideal = rosary_assembled_ideal(spec, rosary_end_conics(spec))
+    m = 2
+    degrees = []
+    spoly = groebner._spoly
+
+    def recorded(fi, fj, li, lj, key):
+        degrees.append(sum(mono_lcm(li, lj)))
+        return spoly(fi, fj, li, lj, key)
+
+    monkeypatch.setattr(groebner, "_spoly", recorded)
+    # the full basis for this order has an element of degree 3
+    order = weight_order([1, 0, 0, 0, 0, 0, 0])
+    assert max(sum(g) for g in initial_ideal(ideal, order).gens) > m
+    assert max(degrees) > m
+    degrees.clear()
+    oracle = StateOracle(ideal, m)
+    result = enumerate_state_polytope(ideal, m, oracle=oracle)
+    assert result.complete and len(result.polytope.vertices) == 62
+    assert degrees and max(degrees) <= m
+    for key in oracle._memo:
+        full = initial_ideal(ideal, weight_order(key))
+        assert oracle._memo[key] == brute_state(full.gens, ideal.arity, m), key
 
 
 def test_standard_monomials_match_a_scan():

@@ -297,3 +297,22 @@ def test_power_of_a_sum_is_refused_before_expanding(monkeypatch):
     for text in ("x^100000", "(2*x*y)^100000", "7^3", "(x-x)^100000"):
         parse_polynomial(text, xyz)
     assert expanded == [179, 100000, 100000, 3, 100000]
+
+
+def test_power_of_a_constant_stays_under_the_integer_string_limit(monkeypatch):
+    # 9^4506 has 4300 digits and 9^4507 has 4301; the limit is 4300
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 4300)
+    assert parse_polynomial("x - 9^4506", ("x",)) == parse_polynomial("x", ("x",)) - Polynomial.constant(
+        1, 9**4506
+    )
+    assert parse_polynomial("(1/9)^4506 - 1", ("x",)).coefficient((0,)) == Fraction(1, 9**4506) - 1
+    for text in ("9^4507", "(1/9)^4507", "(-9)^4507", "10^4300", "7^3000000"):
+        with pytest.raises(ParseError, match="more than 4300 digits"):
+            parse_polynomial(text, ("x",))
+    # a number token of 4300 digits converts; one of 4301 is refused unread
+    assert parse_polynomial("9" * 4300 + "/7", ("x",)).coefficient((0,)) == Fraction(10**4300 - 1, 7)
+    with pytest.raises(ParseError, match="number of 4301 digits"):
+        parse_polynomial("x^" + "1" * 4301, ("x",))
+    # constants of height one never grow, and non-constant bases are left alone
+    assert parse_polynomial("(-1)^4507 + 1^9999999", ("x",)).is_zero
+    parse_polynomial("(x*y)^9999999", ("x", "y"))

@@ -179,9 +179,9 @@ def test_mixed_sets_validate_range():
 def test_slice_check_computes_one_basis_per_component(monkeypatch):
     orders = []
 
-    def counted(source, order):
+    def counted(source, order, degree=None):
         orders.append(order)
-        return buchberger(source, order)
+        return buchberger(source, order, degree)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     spec = RosarySpec(4)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import statepoly.lp as lp_module
 import statepoly.state as state_module
-from statepoly.groebner import degree_slice, hilbert_values, initial_ideal
+from statepoly.groebner import degree_slice, hilbert_values, initial_ideal, monomial_slice
 from statepoly.orders import weight_order
 from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
@@ -342,7 +342,7 @@ def test_cone_oracle_matches_fresh_slices_for_every_direction(homogeneous):
         ]
         for w in directions:
             key = StateOracle.normalize_direction(w)
-            fresh = state_of_slice(degree_slice(ideal, weight_order(key), m))
+            fresh = state_of_slice(monomial_slice(initial_ideal(ideal, weight_order(key)), m))
             assert oracle.state_for_direction(w) == fresh, (ideal, m, w)
         hits += oracle.cone_hits
     assert hits > 0
@@ -385,9 +385,9 @@ def test_cone_oracle_enumerates_the_fresh_slice_polytope(homogeneous):
 def test_cone_hits_and_buchberger_runs_add_up_to_gb_runs(monkeypatch):
     runs = []
 
-    def counted(source, order):
+    def counted(source, order, degree=None):
         runs.append(order)
-        return initial_ideal(source, order)
+        return initial_ideal(source, order, degree)
 
     monkeypatch.setattr(state_module, "initial_ideal", counted)
     x, y, z, u = variables(4)
