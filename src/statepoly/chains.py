@@ -48,6 +48,7 @@ from .rings import (
     Ideal,
     Monomial,
     embed_monomial,
+    mono_mul,
     project_polynomial,
     unit_monomial,
 )
@@ -262,37 +263,23 @@ def _require_valid(chain: ChainInput) -> BlockSpec:
 # mixed monomials and the translation vector
 
 
-@dataclass(frozen=True)
-class MixedIdealSet:
-    """One monomial ideal per junction: products of a variable strictly left
-    of the junction with a variable strictly right of it."""
-
-    blocks: BlockSpec
-    ideals: tuple[MonomialIdeal, ...]
-
-    def union(self) -> MonomialIdeal:
-        out = self.ideals[0]
-        for mi in self.ideals[1:]:
-            out = out | mi
-        return out
-
-
-def mixed_ideals(blocks: BlockSpec | Sequence[int]) -> MixedIdealSet:
-    """The junction product ideals of a chain with at least two blocks."""
+def mixed_ideals(blocks: BlockSpec | Sequence[int]) -> MonomialIdeal:
+    """The monomials mixing across some junction of a chain with at least two
+    blocks: the ideal generated by the products of a variable strictly left
+    of a junction with a variable strictly right of it."""
     spec = _coerce_blocks(blocks)
     if spec.n_components < 2:
         raise ValueError("mixed ideals need at least two blocks")
     arity = spec.arity
-    ideals = []
-    for junction in spec.junctions:
-        gens = [
-            (unit_monomial(arity, a), unit_monomial(arity, b))
+    return MonomialIdeal(
+        arity,
+        (
+            mono_mul(unit_monomial(arity, a), unit_monomial(arity, b))
+            for junction in spec.junctions
             for a in range(junction)
             for b in range(junction + 1, spec.n + 1)
-        ]
-        products = [tuple(x + y for x, y in zip(a, b)) for a, b in gens]
-        ideals.append(MonomialIdeal(arity, products))
-    return MixedIdealSet(spec, tuple(ideals))
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -313,8 +300,7 @@ def tau_vector(blocks: BlockSpec | Sequence[int], m: int) -> TauVector:
         raise ValueError(f"degree m must be >= 1, got {m}")
     if spec.n_components < 2:
         return TauVector((0,) * spec.arity, m, 0)
-    union = mixed_ideals(spec).union()
-    piece = monomial_slice(union, m)
+    piece = monomial_slice(mixed_ideals(spec), m)
     tau = state_of_slice(piece)
     return TauVector(tau, m, len(piece.in_monomials))
 
@@ -640,7 +626,7 @@ def initial_slice_partition(
     ambient_slice = slices.union(weight_order(merged)).in_monomials
 
     if spec.n_components >= 2:
-        mixed = monomial_slice(mixed_ideals(spec).union(), m).in_monomials
+        mixed = monomial_slice(mixed_ideals(spec), m).in_monomials
     else:
         mixed = ()
 

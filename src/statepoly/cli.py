@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -22,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .chains import (
     ChainInput,
@@ -127,14 +126,6 @@ def _witnesses_json(witnesses) -> dict[str, list[int]]:
     return {format_vector(v): list(direction) for v, direction in sorted(witnesses.items())}
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _load_ideal_file(path: str) -> IdealFile:
-    return parse_ideal_file(_read_text(path))
-
-
 def _single_ideal(doc: IdealFile) -> Ideal:
     return Ideal(doc.arity, doc.single_ideal_generators())
 
@@ -171,27 +162,36 @@ def _order_from_args(
     )
 
 
-def _chain_from_file(doc: IdealFile, base_dir: Path) -> ChainInput:
+def _polytope_files(args: argparse.Namespace, doc: IdealFile) -> dict[int, Path]:
+    """The ``polytope[k]:`` files of the ideal file, by section, relative to
+    its directory."""
+    base = Path(args.ideal).resolve().parent
+    return {k: base / path for k, path in sorted(doc.polytope_paths.items())}
+
+
+def _chain_from_file(args: argparse.Namespace, doc: IdealFile) -> ChainInput:
     if doc.blocks is None:
         raise ValueError("chain commands need a 'blocks:' line in the ideal file")
     n_components = len(doc.blocks) - 1
+    polytopes = _polytope_files(args, doc)
     components: list[Ideal | VPolytope] = []
     for k in range(1, n_components + 1):
         has_ideal = k in doc.sections
-        has_poly = k in doc.polytope_paths
+        has_poly = k in polytopes
         if has_ideal and has_poly:
             raise ValueError(f"component {k} given both as an ideal and a polytope")
         if has_ideal:
             components.append(Ideal(doc.arity, doc.sections[k]))
         elif has_poly:
-            components.append(load_polytope(base_dir / doc.polytope_paths[k]))
+            components.append(load_polytope(polytopes[k]))
         else:
             raise ValueError(f"component {k} missing from the ideal file")
     return ChainInput(doc.blocks, components)
 
 
 # the options each command's digest hashes; an option not listed here never
-# changes a digest
+# changes a digest.  ``ideal`` and ``polytope`` name input files, whose bytes
+# are hashed as well, and so are the ``polytope[k]:`` files of an ideal file
 _DIGEST_INPUTS = {
     "gb": "ideal order", "initial": "ideal order", "state": "ideal m budget",
     "intersect": "ideal", "eliminate": "ideal keep", "implicitize": "ideal nvars",
@@ -201,7 +201,16 @@ _DIGEST_INPUTS = {
 }
 
 
-def _digest(command: str, args: argparse.Namespace, files: Sequence[str]) -> str:
+def _input_files(args: argparse.Namespace, doc: IdealFile | None) -> list[str | Path]:
+    """The files a command's digest hashes, in order: its ``--ideal`` file
+    and that file's polytope files in section order, or its ``--polytope``
+    file."""
+    if doc is not None:
+        return [args.ideal, *_polytope_files(args, doc).values()]
+    return [args.polytope] if "polytope" in _DIGEST_INPUTS[args.command].split() else []
+
+
+def _digest(command: str, args: argparse.Namespace, files: Sequence[str | Path]) -> str:
     inputs = {name: getattr(args, name) for name in _DIGEST_INPUTS[command].split()}
     # digests once hashed every parsed option, the subcommand name and the
     # removed --parallel option (default 1) included; hashing those two
@@ -221,11 +230,17 @@ def _budget(args: argparse.Namespace) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each takes the parsed options and, for a command with an
+# ``--ideal`` file, the parsed file; ``run_command`` builds the result
 
 
-def _cmd_gb(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+class Outcome(NamedTuple):
+    payload: object
+    warnings: Sequence[str] = ()
+    exit_code: int = EXIT_OK
+
+
+def _cmd_gb(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     ideal = _single_ideal(doc)
     order = _order_from_args(args.order, doc.arity, doc.weights)
     gb = buchberger(ideal, order)
@@ -234,17 +249,10 @@ def _cmd_gb(args: argparse.Namespace) -> CommandResult:
         "basis": [format_polynomial(g, doc.variables, order) for g in gb.elements],
         "leads": [_json_monomial(m) for m in gb.leads],
     }
-    return CommandResult(
-        command="gb",
-        input_digest=_digest("gb", args, [args.ideal]),
-        payload=payload,
-        warnings=tuple(_homogeneity_warnings(ideal)),
-        format=args.format,
-    )
+    return Outcome(payload, _homogeneity_warnings(ideal))
 
 
-def _cmd_initial(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_initial(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     ideal = _single_ideal(doc)
     order = _order_from_args(args.order, doc.arity, doc.weights)
     mi = initial_ideal(ideal, order)
@@ -252,13 +260,7 @@ def _cmd_initial(args: argparse.Namespace) -> CommandResult:
         "order": order.name,
         "generators": [_json_monomial(m) for m in sorted(mi.gens)],
     }
-    return CommandResult(
-        command="initial",
-        input_digest=_digest("initial", args, [args.ideal]),
-        payload=payload,
-        warnings=tuple(_homogeneity_warnings(ideal)),
-        format=args.format,
-    )
+    return Outcome(payload, _homogeneity_warnings(ideal))
 
 
 def _state_payload(result) -> dict:
@@ -275,22 +277,17 @@ def _state_payload(result) -> dict:
     return payload
 
 
-def _cmd_state(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     ideal = _single_ideal(doc)
     result = enumerate_state_polytope(ideal, args.m, _budget(args))
-    return CommandResult(
-        command="state",
-        input_digest=_digest("state", args, [args.ideal]),
-        payload=_state_payload(result),
-        warnings=tuple(_homogeneity_warnings(ideal)),
-        format=args.format,
-        exit_code=EXIT_OK if result.complete else EXIT_BUDGET,
+    return Outcome(
+        _state_payload(result),
+        _homogeneity_warnings(ideal),
+        EXIT_OK if result.complete else EXIT_BUDGET,
     )
 
 
-def _cmd_intersect(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_intersect(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     if doc.section_count() < 2:
         raise ValueError("intersect needs ideal[1] and ideal[2] sections")
     left = Ideal(doc.arity, doc.sections[1])
@@ -300,21 +297,12 @@ def _cmd_intersect(args: argparse.Namespace) -> CommandResult:
         if k > 2:
             out = intersect_ideals(out, Ideal(doc.arity, doc.sections[k]))
     display = named_order("grevlex", doc.arity)
-    payload = {
-        "generators": [
-            format_polynomial(g, doc.variables, display) for g in out.generators
-        ]
-    }
-    return CommandResult(
-        command="intersect",
-        input_digest=_digest("intersect", args, [args.ideal]),
-        payload=payload,
-        format=args.format,
+    return Outcome(
+        {"generators": [format_polynomial(g, doc.variables, display) for g in out.generators]}
     )
 
 
-def _cmd_eliminate(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_eliminate(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     ideal = _single_ideal(doc)
     keep = parse_int_vector(args.keep)
     out = eliminate(ideal, keep)
@@ -325,16 +313,10 @@ def _cmd_eliminate(args: argparse.Namespace) -> CommandResult:
             format_polynomial(g, doc.variables, display) for g in out.generators
         ],
     }
-    return CommandResult(
-        command="eliminate",
-        input_digest=_digest("eliminate", args, [args.ideal]),
-        payload=payload,
-        format=args.format,
-    )
+    return Outcome(payload)
 
 
-def _cmd_implicitize(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_implicitize(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     forms = doc.single_ideal_generators()
     out = implicitize(forms, args.nvars)
     names = [f"x{i}" for i in range(out.arity)]
@@ -343,34 +325,21 @@ def _cmd_implicitize(args: argparse.Namespace) -> CommandResult:
         "variables": names,
         "generators": [format_polynomial(g, names, display) for g in out.generators],
     }
-    return CommandResult(
-        command="implicitize",
-        input_digest=_digest("implicitize", args, [args.ideal]),
-        payload=payload,
-        format=args.format,
-    )
+    return Outcome(payload)
 
 
-def _cmd_chain_state(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
-    chain = _chain_from_file(doc, Path(args.ideal).resolve().parent)
+def _cmd_chain_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:
+    chain = _chain_from_file(args, doc)
     report = validate_chain(chain)
     result = decomposed_state_polytope(chain, args.m, _budget(args))
     tau = tau_vector(chain.block_spec(), args.m)
     payload = _state_payload(result)
     payload["tau"] = list(tau.tau)
     payload["mixed_monomial_count"] = tau.mixed_monomial_count
-    return CommandResult(
-        command="chain-state",
-        input_digest=_digest("chain-state", args, [args.ideal]),
-        payload=payload,
-        warnings=tuple(report.warnings),
-        format=args.format,
-        exit_code=EXIT_OK if result.complete else EXIT_BUDGET,
-    )
+    return Outcome(payload, report.warnings, EXIT_OK if result.complete else EXIT_BUDGET)
 
 
-def _cmd_tau(args: argparse.Namespace) -> CommandResult:
+def _cmd_tau(args: argparse.Namespace, doc: None) -> Outcome:
     blocks = parse_int_vector(args.blocks)
     if args.nvars is not None and args.nvars != blocks[-1] + 1:
         raise ValueError(
@@ -383,15 +352,10 @@ def _cmd_tau(args: argparse.Namespace) -> CommandResult:
         "tau": list(tau.tau),
         "mixed_monomial_count": tau.mixed_monomial_count,
     }
-    return CommandResult(
-        command="tau",
-        input_digest=_digest("tau", args, []),
-        payload=payload,
-        format=args.format,
-    )
+    return Outcome(payload)
 
 
-def _cmd_decompose_point(args: argparse.Namespace) -> CommandResult:
+def _cmd_decompose_point(args: argparse.Namespace, doc: None) -> Outcome:
     blocks = parse_int_vector(args.blocks)
     point = parse_vector(args.point)
     levels = parse_vector(args.levels)
@@ -402,15 +366,10 @@ def _cmd_decompose_point(args: argparse.Namespace) -> CommandResult:
         "levels": _json_vector(levels),
         "summands": [_json_vector(s) for s in summands],
     }
-    return CommandResult(
-        command="decompose-point",
-        input_digest=_digest("decompose-point", args, []),
-        payload=payload,
-        format=args.format,
-    )
+    return Outcome(payload)
 
 
-def _cmd_contains(args: argparse.Namespace) -> CommandResult:
+def _cmd_contains(args: argparse.Namespace, doc: None) -> Outcome:
     poly = load_polytope(args.polytope)
     point = parse_vector(args.point)
     hull = member_convex_hull(poly.vertices, point)
@@ -420,21 +379,15 @@ def _cmd_contains(args: argparse.Namespace) -> CommandResult:
         "coefficients": _json_vector(hull.coefficients) if hull.coefficients else None,
         "separator": list(hull.separator) if hull.separator else None,
     }
-    return CommandResult(
-        command="contains",
-        input_digest=_digest("contains", args, [args.polytope]),
-        payload=payload,
-        format=args.format,
-    )
+    return Outcome(payload)
 
 
-def _cmd_semistable(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_semistable(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     warnings: list[str] = [
         "the barycenter uses the supplied degree's slice counts as-is"
     ]
     if doc.blocks is not None:
-        chain = _chain_from_file(doc, Path(args.ideal).resolve().parent)
+        chain = _chain_from_file(args, doc)
         warnings.extend(validate_chain(chain).warnings)
         report = semistability_via_components(chain, args.m, _budget(args))
         payload = {
@@ -460,14 +413,7 @@ def _cmd_semistable(args: argparse.Namespace) -> CommandResult:
         warnings.extend(_homogeneity_warnings(ideal))
         result = enumerate_state_polytope(ideal, args.m, _budget(args))
         if not result.complete:
-            return CommandResult(
-                command="semistable",
-                input_digest=_digest("semistable", args, [args.ideal]),
-                payload=_state_payload(result),
-                warnings=tuple(warnings),
-                format=args.format,
-                exit_code=EXIT_BUDGET,
-            )
+            return Outcome(_state_payload(result), warnings, EXIT_BUDGET)
         report = semistability_report(result, n=args.n)
         payload = {
             "route": "direct",
@@ -481,17 +427,10 @@ def _cmd_semistable(args: argparse.Namespace) -> CommandResult:
             ),
             "separator": list(report.separator) if report.separator else None,
         }
-    return CommandResult(
-        command="semistable",
-        input_digest=_digest("semistable", args, [args.ideal]),
-        payload=payload,
-        warnings=tuple(warnings),
-        format=args.format,
-    )
+    return Outcome(payload, warnings)
 
 
-def _cmd_hm(args: argparse.Namespace) -> CommandResult:
-    doc = _load_ideal_file(args.ideal)
+def _cmd_hm(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     if args.weights is not None:
         rho = parse_vector(args.weights)
     elif doc.weights is not None:
@@ -499,8 +438,7 @@ def _cmd_hm(args: argparse.Namespace) -> CommandResult:
     else:
         raise ValueError("hm needs --weights or a 'weights:' line in the ideal file")
     if doc.blocks is not None and doc.section_count() > 1:
-        chain = _chain_from_file(doc, Path(args.ideal).resolve().parent)
-        report = hm_index_decomposed(chain, args.m, rho)
+        report = hm_index_decomposed(_chain_from_file(args, doc), args.m, rho)
     else:
         report = hm_index_direct(_single_ideal(doc), args.m, rho)
     payload = {
@@ -522,40 +460,32 @@ def _cmd_hm(args: argparse.Namespace) -> CommandResult:
             }
             for c in report.components
         ]
-    return CommandResult(
-        command="hm",
-        input_digest=_digest("hm", args, [args.ideal]),
-        payload=payload,
-        format=args.format,
-    )
+    return Outcome(payload)
 
 
-def _cmd_rosary(args: argparse.Namespace) -> CommandResult:
+def _cmd_rosary(args: argparse.Namespace, doc: None) -> Outcome:
     spec = RosarySpec(args.r)
     what = args.what
     if what == "wtable":
-        rows = rosary_w_table(args.r)
-        payload = {
+        return Outcome({
             "columns": ["r", "w2_closed", "w2_rec", "w3_closed", "w3_rec", "agree"],
-            "rows": rows,
-        }
-        fmt = args.format or "csv"
-    elif what == "component":
+            "rows": rosary_w_table(args.r),
+        })
+    if what == "component":
         if args.l is None:
             raise ValueError("rosary --what component needs --l")
         ideal = rosary_component_ideal(args.l, spec)
         names = [f"x{i}" for i in range(spec.arity)]
-        payload = {
+        return Outcome({
             "l": args.l,
             "generators": [format_polynomial(g, names) for g in ideal.generators],
-        }
-        fmt = args.format or "json"
-    elif what == "check":
+        })
+    if what == "check":
         if args.d is None:
             raise ValueError("rosary --what check needs --d")
         order = named_order("lex", spec.arity)
         report = rosary_slice_decomposition_check(spec, order, args.d)
-        payload = {
+        return Outcome({
             "r": report.r,
             "d": report.d,
             "left_side": [_json_monomial(m) for m in report.left_side],
@@ -563,16 +493,8 @@ def _cmd_rosary(args: argparse.Namespace) -> CommandResult:
             "missing": [_json_monomial(m) for m in report.missing],
             "extra": [_json_monomial(m) for m in report.extra],
             "ok": report.ok,
-        }
-        fmt = args.format or "json"
-    else:
-        raise ValueError(f"unknown rosary request {what!r}")
-    return CommandResult(
-        command="rosary",
-        input_digest=_digest("rosary", args, []),
-        payload=payload,
-        format=fmt,
-    )
+        })
+    raise ValueError(f"unknown rosary request {what!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +615,21 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
 def run_command(argv: Sequence[str]) -> CommandResult:
     """Parse arguments, dispatch, and return the result document."""
     args = _build_parser().parse_args(_attach_vector_values(argv))
-    result = args.func(args)
-    return dataclasses.replace(result, out=args.out)
+    doc = None
+    if "ideal" in _DIGEST_INPUTS[args.command].split():
+        doc = parse_ideal_file(Path(args.ideal).read_text(encoding="utf-8"))
+    outcome = args.func(args, doc)
+    # a command without a format default (rosary) prints tables as CSV
+    tabular = isinstance(outcome.payload, dict) and "columns" in outcome.payload
+    return CommandResult(
+        command=args.command,
+        input_digest=_digest(args.command, args, _input_files(args, doc)),
+        payload=outcome.payload,
+        warnings=tuple(outcome.warnings),
+        format=args.format or ("csv" if tabular else "json"),
+        exit_code=outcome.exit_code,
+        out=args.out,
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -158,15 +158,23 @@ def _buchberger_int(
 
     When ``degree`` is given and every generator is homogeneous, the run
     stops at degree ``degree``: the result is the ``degree``-truncated
-    basis, which agrees with the full one in every degree up to it.  Any
-    other input ignores ``degree`` and runs in full.
+    basis, which agrees with the full one in every degree up to it.
+    Inhomogeneous generators ignore ``degree`` and run in full, and they
+    need an order that passes :meth:`MonomialOrder.validate` (``ValueError``
+    before any reduction otherwise).
     """
     key = order.key
     gens = [g for g in gens if g]
-    if degree is not None and all(len(set(map(mono_degree, g))) == 1 for g in gens):
-        gens = [g for g in gens if mono_degree(next(iter(g))) <= degree]
-    else:
+    if not all(len(set(map(mono_degree, g))) == 1 for g in gens):
+        problems = order.validate()
+        if problems:
+            # reductions of mixed degrees need a well-order to terminate
+            raise ValueError(
+                f"inhomogeneous generators need a well-order: {'; '.join(problems)}"
+            )
         degree = None
+    elif degree is not None:
+        gens = [g for g in gens if mono_degree(next(iter(g))) <= degree]
     basis: list[IntPoly] = []
     leads: list[Monomial] = []
     for g in sorted(gens, key=lambda g: key(_lead(g, key))):
@@ -225,8 +233,10 @@ def _buchberger_int(
         for k in range(new):
             push_pair(k, new)
     # drop elements whose lead is divisible by another lead (keep first of
-    # equal leads; iterate in increasing lead order for determinism)
-    idx = sorted(range(len(basis)), key=lambda i: key(leads[i]))
+    # equal leads).  A divisor has the lower degree, so scanning by degree
+    # meets it first even when the order ranks it above its multiple (a
+    # weight with negative entries); the result is in increasing lead order.
+    idx = sorted(range(len(basis)), key=lambda i: (mono_degree(leads[i]), key(leads[i])))
     kept: list[int] = []
     kept_leads: list[Monomial] = []
     for i in idx:
@@ -234,7 +244,7 @@ def _buchberger_int(
             continue
         kept.append(i)
         kept_leads.append(leads[i])
-    return [basis[i] for i in kept]
+    return [basis[i] for i in sorted(kept, key=lambda i: (key(leads[i]), i))]
 
 
 def _minimal_leads(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -325,9 +335,7 @@ class DegreeSlice:
     standard_monomials: tuple[Monomial, ...]
 
 
-def buchberger(
-    source: Ideal | Sequence[Polynomial], order: MonomialOrder, degree: int | None = None
-) -> ReducedGB:
+def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) -> ReducedGB:
     """The reduced Groebner basis of the ideal under the given order.
 
     With ``degree`` and homogeneous generators, the reduced
@@ -336,13 +344,11 @@ def buchberger(
     included) in every degree up to ``degree``.  Inhomogeneous generators
     ignore ``degree``.
     """
-    gens = source.generators if isinstance(source, Ideal) else tuple(source)
     arity = order.arity
-    for g in gens:
-        if g.arity != arity:
-            raise ValueError("generator arity does not match order arity")
+    if ideal.arity != arity:
+        raise ValueError("generator arity does not match order arity")
     key = order.key
-    basis = _buchberger_int([_to_int_poly(g) for g in gens], order, degree)
+    basis = _buchberger_int([_to_int_poly(g) for g in ideal.generators], order, degree)
     leads = [_lead(g, key) for g in basis]
     # tail-reduce each element against the others, then make monic
     reduced: list[Polynomial] = []
@@ -361,18 +367,7 @@ def buchberger(
     )
 
 
-def normal_form(poly: Polynomial, gb: ReducedGB) -> Polynomial:
-    return gb.normal_form(poly)
-
-
-def initial_leads(source: Ideal | Sequence[Polynomial], order: MonomialOrder) -> tuple[Monomial, ...]:
-    """Minimal generators of the initial ideal (skips tail reduction)."""
-    return initial_ideal(source, order).gens
-
-
-def initial_ideal(
-    source: Ideal | Sequence[Polynomial], order: MonomialOrder, degree: int | None = None
-) -> MonomialIdeal:
+def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None) -> MonomialIdeal:
     """The initial ideal, marked with the supports of the Groebner basis it
     was read from.
 
@@ -381,8 +376,7 @@ def initial_ideal(
     in every degree up to ``degree`` (its generators are the full one's of
     degree at most ``degree``).  Inhomogeneous generators ignore ``degree``.
     """
-    gens = source.generators if isinstance(source, Ideal) else tuple(source)
-    basis = _buchberger_int([_to_int_poly(g) for g in gens], order, degree)
+    basis = _buchberger_int([_to_int_poly(g) for g in ideal.generators], order, degree)
     key = order.key
     marked = []
     for g in basis:
@@ -468,19 +462,17 @@ def monomial_slice(mi: MonomialIdeal, m: int) -> DegreeSlice:
     return DegreeSlice(mi.arity, m, tuple(inside), tuple(standard))
 
 
-def degree_slice(source: Ideal | Sequence[Polynomial], order: MonomialOrder, m: int) -> DegreeSlice:
-    return monomial_slice(initial_ideal(source, order, m), m)
+def degree_slice(ideal: Ideal, order: MonomialOrder, m: int) -> DegreeSlice:
+    return monomial_slice(initial_ideal(ideal, order, m), m)
 
 
 def hilbert_values(
-    source: Ideal | MonomialIdeal | Sequence[Polynomial],
-    m: int,
-    order: MonomialOrder | None = None,
+    source: Ideal | MonomialIdeal, m: int, order: MonomialOrder | None = None
 ) -> tuple[int, int]:
     """``(Q, P)``: the number of degree-``m`` monomials inside the initial
     ideal and the number of standard ones (``Q + P`` counts all degree-``m``
     monomials).  The split is independent of the order used internally."""
-    arity = source.arity if isinstance(source, (Ideal, MonomialIdeal)) else source[0].arity
+    arity = source.arity
     require_enumerable(arity, m)
     if isinstance(source, MonomialIdeal):
         mi = source
@@ -579,14 +571,6 @@ def _greedy_slice(
     return DegreeSlice(arity, d, inside, tuple(sorted(standard)))
 
 
-def union_in_slice(
-    arity: int, components: Sequence[Component], order: MonomialOrder, d: int
-) -> DegreeSlice:
-    """The degree-``d`` slice of the initial ideal of the intersection of the
-    embedded components (see :class:`UnionSlices`)."""
-    return UnionSlices(arity, components, d).union(order)
-
-
 # ---------------------------------------------------------------------------
 # elimination toolbox
 
@@ -627,7 +611,7 @@ def intersect_ideals(left: Ideal, right: Ideal) -> Ideal:
 
 def intersect_embedded(arity: int, components: Sequence[Component]) -> Ideal:
     """The intersection of the embedded components, one elimination per
-    component after the first (the route :func:`union_in_slice` avoids)."""
+    component after the first (the route :class:`UnionSlices` avoids)."""
     embedded = []
     for coords, block in components:
         outside = [Polynomial.variable(arity, j) for j in range(arity) if j not in coords]

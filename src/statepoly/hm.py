@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chains import ChainInput, component_block_ideal, validate_chain
+from .chains import ChainInput, _require_valid, component_block_ideal
 from .groebner import initial_ideal, require_enumerable, standard_monomials
 from .orders import MonomialOrder, named_order, weight_order
 from .rings import Ideal, Monomial
@@ -143,10 +143,7 @@ def hm_index_decomposed(
     junction coordinate adds ``m`` times its weight (its pure power is
     standard for both adjacent blocks but is one ambient monomial).
     """
-    report = validate_chain(chain)
-    if not report.ok:
-        raise ValueError("invalid chain input: " + "; ".join(report.violations))
-    spec = chain.block_spec()
+    spec = _require_valid(chain)
     rho = _coerce_oneps(rho)
     if rho.arity != spec.arity:
         raise ValueError(

@@ -130,10 +130,6 @@ class HullMembership:
     coefficients: Vector | None = None  # convex weights, aligned with points
     separator: tuple[int, ...] | None = None  # functional larger at target
 
-    @property
-    def certificate(self) -> Vector | tuple[int, ...]:
-        return self.coefficients if self.inside else self.separator  # type: ignore[return-value]
-
 
 def member_convex_hull(points: Sequence[Sequence], target: Sequence) -> HullMembership:
     """Exact convex-hull membership with a certificate either way."""
@@ -198,39 +194,4 @@ def affine_hull(points: Sequence[Sequence]) -> AffineHull:
         spanning=(0,) + tuple(i + 1 for i in echelon.basis),
         pivots=echelon.pivots,
         equations=tuple(equations),
-    )
-
-
-@dataclass(frozen=True)
-class InteriorMembership:
-    inside: bool
-    relative_interior: bool
-    separator: tuple[int, ...] | None = None
-    violated_equation: tuple[tuple[int, ...], int | Fraction] | None = None
-    coefficients: Vector | None = None
-
-
-def relative_interior_member(points: Sequence[Sequence], target: Sequence) -> InteriorMembership:
-    """Membership in the hull and in its relative interior (no facet of the
-    hull is tight at the target)."""
-    from .polytope import facets  # deferred: polytope builds on this module
-
-    hull = affine_hull(points)
-    tgt = exact_vector(target)
-    for normal, offset in hull.equations:
-        if sum(map(mul, normal, tgt)) != offset:
-            return InteriorMembership(
-                inside=False,
-                relative_interior=False,
-                violated_equation=(normal, offset),
-            )
-    membership = member_convex_hull(points, target)
-    if not membership.inside:
-        return InteriorMembership(
-            inside=False, relative_interior=False, separator=membership.separator
-        )
-    return InteriorMembership(
-        inside=True,
-        relative_interior=facets(points).relative_interior(tgt),
-        coefficients=membership.coefficients,
     )

@@ -144,58 +144,20 @@ def named_order(name: str, arity: int) -> MonomialOrder:
     return table[name](arity)
 
 
-def make_order(name: str, params: dict | None = None) -> MonomialOrder:
-    """Build an order from a family name and a parameter mapping.
-
-    Families: ``lex``/``grlex``/``grevlex`` (need ``arity``), ``weight``
-    (needs ``weights``, optional ``tiebreak`` family name), ``matrix``
-    (needs ``rows``), ``elimination`` (needs ``arity`` and ``eliminate``).
-    """
-    params = dict(params or {})
-    if name in ("lex", "grlex", "grevlex"):
-        if "arity" not in params:
-            raise ValueError(f"order family {name!r} needs an 'arity' parameter")
-        return named_order(name, int(params["arity"]))
-    if name == "weight":
-        if "weights" not in params:
-            raise ValueError("order family 'weight' needs a 'weights' parameter")
-        weights = tuple(params["weights"])
-        tb_name = params.get("tiebreak")
-        tb = named_order(tb_name, len(weights)) if tb_name else None
-        return weight_order(weights, tiebreak=tb)
-    if name == "matrix":
-        if "rows" not in params:
-            raise ValueError("order family 'matrix' needs a 'rows' parameter")
-        return matrix_order([tuple(r) for r in params["rows"]])
-    if name == "elimination":
-        if "arity" not in params or "eliminate" not in params:
-            raise ValueError("order family 'elimination' needs 'arity' and 'eliminate'")
-        return elimination_order(int(params["arity"]), params["eliminate"])
-    raise ValueError(f"unknown order family {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # junction splicing
 
 
-def merge_junction_weights(
-    earlier: Sequence[int | Fraction], later: Sequence[int | Fraction]
-) -> tuple[int, ...]:
-    """Splice two block weight vectors that overlap in one shared coordinate
-    (the last entry of ``earlier`` and the first entry of ``later``).
-
-    The later block is translated by a constant so that the shared coordinate
-    agrees, then the vectors are concatenated; translation by a constant does
-    not change how equal-degree monomials supported on the block compare.  The
-    result is scaled to integers.
-    """
-    return merge_chain_weights([earlier, later])
-
-
 def merge_chain_weights(block_weights: Sequence[Sequence[int | Fraction]]) -> tuple[int, ...]:
-    """Fold junction splicing across a whole chain of block weight vectors,
-    exactly (integer input stays integer), then scale to integers once by
-    the common denominator (the content is kept)."""
+    """Splice a chain of block weight vectors in which each block shares its
+    first coordinate with the last coordinate of the block before it.
+
+    Each later block is translated by a constant so that the shared
+    coordinate agrees, then the vectors are concatenated; translation by a
+    constant does not change how equal-degree monomials supported on the
+    block compare.  The fold is exact (integer input stays integer), and the
+    result is scaled to integers once by the common denominator (the
+    content is kept)."""
     if not block_weights:
         raise ValueError("need at least one block weight vector")
     blocks = [exact_vector(w) for w in block_weights]

@@ -56,8 +56,8 @@ class ExtremalityError(RuntimeError):
 class VPolytope:
     """A polytope given by its vertex list (sorted, deduplicated).
 
-    Construct through :func:`vpolytope`, which can discard non-extreme input
-    points; the raw constructor trusts its input.
+    The constructor trusts its input; :func:`extreme_points` discards
+    non-extreme points first.
     """
 
     dim: int
@@ -127,31 +127,10 @@ def extreme_points(points: Sequence[Sequence]) -> VPolytope:
     return VPolytope(len(pts[0]), [p for p, w in zip(pts, weights) if w is not None])
 
 
-def vpolytope(points: Sequence[Sequence], assume_extreme: bool = False) -> VPolytope:
-    pts = list(points)
-    if not pts:
-        raise ValueError("a polytope needs at least one vertex")
-    if assume_extreme:
-        return VPolytope(len(pts[0]), pts)
-    return extreme_points(pts)
-
-
-def minkowski_sum(p: VPolytope, q: VPolytope, filter_extreme: bool = True) -> VPolytope:
+def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    sums = {tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices}
-    if filter_extreme:
-        return extreme_points(list(sums))
-    return VPolytope(p.dim, sums)
-
-
-def minkowski_sum_many(polys: Sequence[VPolytope], filter_extreme: bool = True) -> VPolytope:
-    if not polys:
-        raise ValueError("empty Minkowski sum")
-    total = polys[0]
-    for q in polys[1:]:
-        total = minkowski_sum(total, q, filter_extreme=filter_extreme)
-    return total
+    return extreme_points([tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices])
 
 
 def trivial_character_point(n: int, m: int, q: int) -> Vector:

@@ -7,7 +7,7 @@ arithmetic is exact -- no floats anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -221,15 +221,10 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square after the top bit
+                base = base * base
         return result
-
-    def substitute_zero(self, coords: Iterable[int]) -> "Polynomial":
-        """Set the given coordinates to zero (drop every term using them)."""
-        dead = set(coords)
-        terms = {m: c for m, c in self.terms.items() if not any(m[i] for i in dead)}
-        return Polynomial(self.arity, terms)
 
     # -- structural ---------------------------------------------------------
 
@@ -323,6 +318,3 @@ class Ideal:
         for g in self.generators:
             out |= g.support_variables()
         return frozenset(out)
-
-    def max_generator_degree(self) -> int:
-        return max((g.degree() for g in self.generators), default=-1)

@@ -192,20 +192,6 @@ class StateOracle:
                 state[j] -= e
         return tuple(state)
 
-    def support(self, weights: Sequence[int | Fraction]) -> tuple[Fraction, StateVector]:
-        """Maximum of ``w . x`` over the state polytope, with a maximizer."""
-        vertex = self.state_for_direction(weights)
-        value = sum((Fraction(w) * x for w, x in zip(weights, vertex)), Fraction(0))
-        return value, vertex
-
-
-def argmax_state(
-    ideal: Ideal, m: int, weights: Sequence[int | Fraction], budget: int | None = None
-) -> StateVector:
-    """The state vector of the weight order ``weights`` refined by grevlex;
-    it attains the maximum of ``weights . x`` over the state polytope."""
-    return StateOracle(ideal, m, budget=budget).state_for_direction(weights)
-
 
 @dataclass(frozen=True)
 class StatePolytopeResult:
@@ -308,13 +294,6 @@ def enumerate_state_polytope(
         hull_dim=hull_dim,
         facet_system=system,
     )
-
-
-def state_polytope(ideal: Ideal, m: int, budget: int | None = None) -> VPolytope:
-    result = enumerate_state_polytope(ideal, m, budget=budget)
-    if not result.complete:
-        raise BudgetExhausted(budget if budget is not None else 0)
-    return result.polytope
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from statepoly.chains import (
     validate_chain,
 )
 from statepoly.groebner import (
+    UnionSlices,
     buchberger,
     degree_slice,
     hilbert_values,
     implicitize,
-    initial_leads,
-    union_in_slice,
+    initial_ideal,
 )
 from statepoly.hm import hm_from_aggregates, hm_index_decomposed, hm_index_direct
 from statepoly.lp import audit_feasibility, member_convex_hull, solve_lp
@@ -294,7 +294,7 @@ def test_criterion_06_rosary_sequences_and_initial_ideal():
 
     spec = RosarySpec(2)
     ideal = rosary_component_ideal(2, spec)
-    leads = set(initial_leads(ideal.generators, lex_order(spec.arity)))
+    leads = set(initial_ideal(ideal, lex_order(spec.arity)).gens)
 
     def mono(*pairs):
         out = [0] * spec.arity
@@ -433,7 +433,7 @@ def test_union_slice_matches_elimination_on_random_chains():
         weights = [tuple(rng.randint(0, 9) for _ in range(w)) for w in widths]
         order = weight_order(merge_chain_weights(weights))
         for m in range(1, 5):
-            piece = union_in_slice(spec.arity, components, order, m)
+            piece = UnionSlices(spec.arity, components, m).union(order)
             assert piece == degree_slice(assembled, order, m), (chain.blocks, weights, m)
             assert len(piece.standard_monomials) == hilbert_values(assembled, m)[1]
     assert zero_components >= 1

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,24 @@ def test_digests_are_pinned(capsys, monkeypatch, argv, digest):
     assert doc["input_digest"] == digest
 
 
+def test_digest_hashes_the_polytope_files_an_ideal_file_lists(capsys, tmp_path):
+    (tmp_path / "examples").mkdir()
+    shutil.copytree(ROOT / "data" / "bridge", tmp_path / "bridge")
+    ideal = tmp_path / "examples" / "bridge_chain.ideal"
+    shutil.copy(ROOT / DATA / "bridge_chain.ideal", ideal)
+    argv = ("semistable", "--ideal", str(ideal), "--m", "2")
+    _, before = run_json(capsys, *argv)
+    # the same vertices with one more trailing newline: only the bytes differ
+    listed = tmp_path / "bridge" / "elliptic.json"
+    listed.write_text(listed.read_text() + "\n")
+    _, after = run_json(capsys, *argv)
+    assert after["payload"] == before["payload"]
+    assert after["input_digest"] != before["input_digest"]
+    # a file the ideal file does not list leaves the digest alone
+    (tmp_path / "bridge" / "unlisted.json").write_text("{}\n")
+    assert run_json(capsys, *argv)[1]["input_digest"] == after["input_digest"]
+
+
 def test_digest_ignores_options_it_does_not_list():
     args = argparse.Namespace(blocks="0,2,4", m=3, nvars=None)
     plain = _digest("tau", args, [])
@@ -197,6 +218,29 @@ def test_gb_golden(capsys, tmp_path):
     assert sorted(doc["payload"]["basis"]) == ["x*y", "x^2", "y^2 - 1/2*x"]
     assert sorted(map(tuple, doc["payload"]["leads"])) == [(0, 2), (1, 1), (2, 0)]
     assert doc["warnings"] == ["input generators are not homogeneous"]
+
+
+def test_gb_under_a_weight_with_negative_entries(capsys, tmp_path):
+    path = tmp_path / "negative.ideal"
+    path.write_text(
+        "ring: x, y, z\nweights: 0,-3,-1\nideal:\n3*z^2\n2*x*z + y*z\n2*y^3 - 2*y*z^2\n",
+        encoding="utf-8",
+    )
+    code, doc = run_json(capsys, "gb", "--ideal", str(path), "--order", "weight")
+    assert code == EXIT_OK
+    assert doc["payload"]["leads"] == [[0, 3, 0], [0, 0, 2], [1, 0, 1]]
+
+
+def test_gb_refuses_inhomogeneous_input_under_a_non_well_order(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction started before the order was checked")
+
+    monkeypatch.setattr(groebner, "_normal_form_int", refuse)
+    path = tmp_path / "inhomogeneous.ideal"
+    path.write_text("ring: x, y\nweights: -1,-1\nideal:\nx - x^2\ny - x^2\n", encoding="utf-8")
+    code, out, err = run(capsys, "gb", "--ideal", str(path), "--order", "weight")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "inhomogeneous generators need a well-order" in err
 
 
 def test_initial_golden(capsys, cubic_file):
@@ -538,3 +582,32 @@ def test_vector_options_take_negative_leading_values(capsys, argv, values):
     code, out, err = run(capsys, *argv, *separate)
     assert (code, err) == (EXIT_OK, "")
     assert run(capsys, *argv, *joined) == (EXIT_OK, out, "")
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+# README lines whose ideal files stand for the reader's own input
+README_PLACEHOLDERS = {"parametrization.ideal", "some.ideal", "two_sections.ideal"}
+
+
+def readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = (line for block in re.findall(r"```sh\n(.*?)```", text, re.S) for line in block.splitlines())
+    return [argv[1:] for argv in map(lambda line: shlex.split(line, comments=True), lines)
+            if argv and argv[0] == "statec"]
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    commands = readme_commands()
+    skipped = [argv for argv in commands if README_PLACEHOLDERS & set(argv)]
+    # one line per placeholder is skipped; every other example must run
+    assert len(skipped) == len(README_PLACEHOLDERS)
+    assert {name for argv in skipped for name in argv} >= README_PLACEHOLDERS
+    ran = [argv for argv in commands if argv not in skipped]
+    assert len(ran) >= 12  # the examples the README had when this test was written
+    for argv in ran:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert out

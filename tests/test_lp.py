@@ -15,9 +15,9 @@ from statepoly.lp import (
     affine_hull,
     audit_feasibility,
     member_convex_hull,
-    relative_interior_member,
     solve_lp,
 )
+from statepoly.polytope import facets
 from conftest import brute_hull_member, rand_point
 
 
@@ -172,14 +172,13 @@ def test_hull_membership_agrees_with_brute_force(seed):
 
 def test_relative_interior_of_segment():
     seg = [(0, 0), (2, 2)]
-    mid = relative_interior_member(seg, (1, 1))
-    assert mid.inside and mid.relative_interior
-    end = relative_interior_member(seg, (0, 0))
-    assert end.inside and not end.relative_interior
-    out = relative_interior_member(seg, (3, 3))
-    assert not out.inside and not out.relative_interior
-    off = relative_interior_member(seg, (1, 0))
-    assert not off.inside and off.violated_equation is not None
+    system = facets(seg)
+    assert member_convex_hull(seg, (1, 1)).inside and system.relative_interior((1, 1))
+    assert member_convex_hull(seg, (0, 0)).inside and not system.relative_interior((0, 0))
+    assert not member_convex_hull(seg, (3, 3)).inside and not system.contains((3, 3))
+    # off the affine hull: outside, and an equation of the hull is violated
+    assert not member_convex_hull(seg, (1, 0)).inside
+    assert not affine_hull(seg).contains((1, 0))
 
 
 def test_affine_hull_projection_round_trip():

@@ -14,10 +14,8 @@ from statepoly.orders import (
     grevlex_order,
     grlex_order,
     lex_order,
-    make_order,
     matrix_order,
     merge_chain_weights,
-    merge_junction_weights,
     named_order,
     weight_order,
 )
@@ -119,13 +117,13 @@ def test_named_and_make_order():
     assert named_order("grevlex", 4).name == "grevlex"
     with pytest.raises(ValueError):
         named_order("mystery", 3)
-    o = make_order("weight", {"weights": [3, 1, 0], "tiebreak": "lex"})
+    o = weight_order([3, 1, 0], tiebreak="lex")
     assert o.compare((0, 1, 0), (0, 0, 2)) > 0
-    m = make_order("matrix", {"rows": [[1, 1, 1], [1, 0, 0], [0, 1, 0]]})
+    m = matrix_order([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
     assert m.arity == 3
     with pytest.raises(ValueError):
-        make_order("lex", {})  # needs arity
-    assert make_order("lex", {"arity": 2}).compare((1, 0), (0, 9)) > 0
+        matrix_order([])  # needs a row
+    assert named_order("lex", 2).compare((1, 0), (0, 9)) > 0
 
 
 def test_order_compare_is_three_way():
@@ -141,14 +139,14 @@ def test_order_compare_is_three_way():
 def test_merge_junction_weights_golden():
     # last coordinate of the first block must line up with the first of the
     # second block; the second block is shifted to agree there
-    merged = merge_junction_weights((5, 3, 2), (4, 1, 0))
+    merged = merge_chain_weights([(5, 3, 2), (4, 1, 0)])
     assert merged == (5, 3, 2, -1, -2)
     # already aligned: plain splice
-    assert merge_junction_weights((1, 0), (0, 2, 7)) == (1, 0, 2, 7)
+    assert merge_chain_weights([(1, 0), (0, 2, 7)]) == (1, 0, 2, 7)
 
 
 def test_merge_junction_weights_scales_to_integers():
-    merged = merge_junction_weights((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 3)))
+    merged = merge_chain_weights([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 3))])
     assert all(isinstance(v, int) for v in merged)
     # ratios preserved: (1/2, 0, 1/3) -> (3, 0, 2)
     assert merged == (3, 0, 2)
@@ -172,7 +170,7 @@ def test_merged_weights_preserve_within_block_differences(seed):
     rng = random.Random(seed)
     left = [rng.randint(0, 9) for _ in range(rng.randint(2, 4))]
     right = [rng.randint(0, 9) for _ in range(rng.randint(2, 4))]
-    merged = merge_junction_weights(left, right)
+    merged = merge_chain_weights([left, right])
     assert len(merged) == len(left) + len(right) - 1
     # weight differences inside each block are preserved up to one positive scale
     diffs_left = [left[i] - left[i + 1] for i in range(len(left) - 1)]

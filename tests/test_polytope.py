@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepoly.lp import relative_interior_member
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
@@ -22,13 +21,11 @@ from statepoly.polytope import (
     facets,
     load_polytope,
     minkowski_sum,
-    minkowski_sum_many,
     polytope_from_payload,
     polytope_payload,
     save_polytope,
     trivial_character_point,
     vertex_witnesses,
-    vpolytope,
 )
 from conftest import (
     affinely_independent,
@@ -155,12 +152,12 @@ def test_minkowski_sum_many_matches_iterated():
         VPolytope(2, [(0, 0), (0, 1)]),
         VPolytope(2, [(0, 0), (1, 1)]),
     ]
-    via_many = minkowski_sum_many(polys)
+    via_many = polys[0] + polys[1] + polys[2]
     via_fold = minkowski_sum(minkowski_sum(polys[0], polys[1]), polys[2])
     assert via_many.vertices == via_fold.vertices
     # levels add when all summands have constant level
     leveled = [VPolytope(2, [(1, 0), (0, 1)]), VPolytope(2, [(2, 0), (0, 2)])]
-    assert minkowski_sum_many(leveled).level == 3
+    assert (leveled[0] + leveled[1]).level == 3
 
 
 def test_trivial_character_point():
@@ -400,9 +397,8 @@ def test_relative_interior_predicate_agrees_with_lp():
             for point in candidates:
                 expected = lp_relative_interior(pts, point)
                 outcomes[expected] += 1
+                assert system.contains(point)
                 assert system.relative_interior(point) == expected
-                member = relative_interior_member(pts, point)
-                assert member.inside and member.relative_interior == expected
     assert outcomes[True] > 20 and outcomes[False] > 20
 
 
@@ -438,6 +434,8 @@ def test_payload_rejects_garbage():
 
 
 def test_vpolytope_assume_extreme_shortcut():
+    # extreme_points drops the points that are not vertices; the raw
+    # constructor trusts its input
     pts = [(0, 0), (1, 0), (2, 0)]
-    assert vpolytope(pts).vertices == ((0, 0), (2, 0))
-    assert vpolytope([(0, 0), (2, 0)], assume_extreme=True).vertices == ((0, 0), (2, 0))
+    assert extreme_points(pts).vertices == ((0, 0), (2, 0))
+    assert VPolytope(2, pts).vertices == ((0, 0), (1, 0), (2, 0))

@@ -113,6 +113,29 @@ def test_ring_operations_commute_with_evaluation(seed, arity):
     assert evaluate(f * Fraction(3, 2), pt) == evaluate(f, pt) * Fraction(3, 2)
 
 
+def test_power_squares_only_below_the_top_bit(monkeypatch):
+    x, y, z = (Polynomial.variable(3, j) for j in range(3))
+    p = x + 2 * y - z
+    expected = Polynomial.constant(3, 1)
+    for _ in range(64):
+        expected = expected * p
+    products = []
+    multiply = Polynomial.__mul__
+
+    def recorded(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    power = p**64
+    assert power == expected
+    # 64 = 2^6: six squarings and one product with the constant 1, and no
+    # square of p^64 itself
+    assert len(products) == 7
+    assert all(not (a == power and b == power) for a, b in products)
+    assert p**0 == Polynomial.constant(3, 1) and p**1 == p
+
+
 def test_zero_and_constants():
     zero = Polynomial.zero(3)
     assert zero.is_zero
@@ -147,13 +170,6 @@ def test_evaluate_unit_detects_junction_vanishing():
     assert g.evaluate_unit(0) == 1
 
 
-def test_substitute_zero():
-    x, y, z = (Polynomial.variable(3, j) for j in range(3))
-    f = x * y + y * z + z**2 + x
-    assert f.substitute_zero([2]) == x * y + x
-    assert f.substitute_zero([0, 1]) == z**2
-
-
 # ---------------------------------------------------------------------------
 # projection / embedding
 
@@ -183,4 +199,3 @@ def test_ideal_drops_zero_generators_and_reports_support():
     assert ideal.support_variables() == {0, 1, 2}
     assert ideal.is_homogeneous()
     assert not Ideal(3, (x + x * y,)).is_homogeneous()
-    assert ideal.max_generator_degree() == 2

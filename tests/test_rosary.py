@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from statepoly import groebner
-from statepoly.groebner import buchberger, degree_slice, hilbert_values, initial_leads
+from statepoly.groebner import buchberger, degree_slice, hilbert_values, initial_ideal
 from statepoly.orders import grevlex_order, lex_order, weight_order
 from statepoly.rings import Ideal, Polynomial, count_monomials, unit_monomial
 from statepoly.rosary import (
@@ -102,7 +102,7 @@ def test_middle_component_initial_ideal_seven_generators():
     # monomial generators (including the one S-pair product)
     spec = RosarySpec(2)
     ideal = rosary_component_ideal(2, spec)
-    leads = initial_leads(ideal.generators, lex_order(spec.arity))
+    leads = initial_ideal(ideal, lex_order(spec.arity)).gens
     l = 2
 
     def mono(*pairs):
@@ -134,8 +134,8 @@ def test_end_conics_pass_through_junctions_tangentially():
     n = 3 * spec.r
     assert g.evaluate_unit(n - 1) == 0 and g.evaluate_unit(n) == 0
     # leading monomials under descending lex: x0 x2 and x(3r-2)^2
-    (lead_f,) = initial_leads([f], lex_order(spec.arity))
-    (lead_g,) = initial_leads([g], lex_order(spec.arity))
+    (lead_f,) = initial_ideal(first, lex_order(spec.arity)).gens
+    (lead_g,) = initial_ideal(last, lex_order(spec.arity)).gens
     assert lead_f == (1, 0, 1, 0, 0, 0, 0)
     assert lead_g == (0, 0, 0, 0, 2, 0, 0)
 
