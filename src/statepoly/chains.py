@@ -75,7 +75,14 @@ class BlockSpec:
 
     def __init__(self, boundaries: Iterable[int]):
         bounds = tuple(int(b) for b in boundaries)
-        problems = structural_violations(bounds)
+        if len(bounds) < 2:
+            raise ValueError("need at least two block boundaries")
+        problems = []
+        if bounds[0] != 0:
+            problems.append(f"first block boundary is {bounds[0]}, expected 0")
+        for a, b in zip(bounds, bounds[1:]):
+            if b <= a:
+                problems.append(f"block boundaries not strictly increasing: {a} then {b}")
         if problems:
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "boundaries", bounds)
@@ -112,87 +119,63 @@ class BlockSpec:
         return self.boundaries[i + 1] - self.boundaries[i] + 1
 
 
-def structural_violations(boundaries: Sequence[int]) -> list[str]:
-    """Problems that keep a boundary list from describing a chain of blocks."""
-    problems: list[str] = []
-    if len(boundaries) < 2:
-        problems.append("need at least two block boundaries")
-        return problems
-    if boundaries[0] != 0:
-        problems.append(f"first block boundary is {boundaries[0]}, expected 0")
-    for a, b in zip(boundaries, boundaries[1:]):
-        if b <= a:
-            problems.append(f"block boundaries not strictly increasing: {a} then {b}")
-    return problems
-
-
-@dataclass(frozen=True)
-class ChainInput:
-    """Block boundaries plus one component per block.
-
-    A component is either an :class:`~statepoly.rings.Ideal` at ambient arity
-    whose generators use only the block's variables, or an already-known
-    block polytope (a :class:`~statepoly.polytope.VPolytope` whose dimension
-    is the block width, or the ambient arity with zeros outside the block).
-    """
-
-    blocks: tuple[int, ...]
-    components: tuple[Ideal | VPolytope, ...]
-
-    def __init__(
-        self,
-        blocks: Iterable[int],
-        components: Iterable[Ideal | VPolytope],
-    ):
-        object.__setattr__(self, "blocks", tuple(int(b) for b in blocks))
-        object.__setattr__(self, "components", tuple(components))
-
-    def block_spec(self) -> BlockSpec:
-        return BlockSpec(self.blocks)
-
-
 def _coerce_blocks(blocks: BlockSpec | Sequence[int]) -> BlockSpec:
     if isinstance(blocks, BlockSpec):
         return blocks
     return BlockSpec(blocks)
 
 
-# ---------------------------------------------------------------------------
-# validation
-
-
 @dataclass(frozen=True)
-class ChainValidation:
-    """Outcome of checking a chain input: hard violations and soft warnings."""
+class ChainInput:
+    """Block boundaries plus one component per block, valid by construction.
 
-    violations: tuple[str, ...]
+    A component is either an :class:`~statepoly.rings.Ideal` at ambient arity
+    whose generators use only the block's variables and vanish at the unit
+    points of its junctions, or an already-known block polytope (a
+    :class:`~statepoly.polytope.VPolytope` with a common coordinate sum whose
+    dimension is the block width, or the ambient arity with zeros outside the
+    block).  The constructor raises ``ValueError`` naming every violation;
+    ``warnings`` names the inhomogeneous components.
+    """
+
+    blocks: tuple[int, ...]
+    components: tuple[Ideal | VPolytope, ...]
+    spec: BlockSpec
     warnings: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def __init__(
+        self,
+        blocks: Iterable[int],
+        components: Iterable[Ideal | VPolytope],
+    ):
+        try:
+            spec = BlockSpec(blocks)
+        except ValueError as exc:
+            raise ValueError(f"invalid chain input: {exc}") from None
+        components = tuple(components)
+        violations, warnings = _component_problems(spec, components)
+        if violations:
+            raise ValueError("invalid chain input: " + "; ".join(violations))
+        object.__setattr__(self, "blocks", spec.boundaries)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "warnings", tuple(warnings))
 
 
-def validate_chain(chain: ChainInput) -> ChainValidation:
-    """Check block layout, component support, and junction vanishing.
-
-    Violations block further processing; inhomogeneous generators are only
-    warned about (the enumeration itself rejects them when it matters).
-    """
-    violations = list(structural_violations(chain.blocks))
+def _component_problems(
+    spec: BlockSpec, components: tuple[Ideal | VPolytope, ...]
+) -> tuple[list[str], list[str]]:
+    """Violations and warnings of the components of a chain on ``spec``."""
+    violations: list[str] = []
     warnings: list[str] = []
-    if violations:
-        return ChainValidation(tuple(violations), tuple(warnings))
-
-    spec = BlockSpec(chain.blocks)
     expected = spec.n_components
-    if len(chain.components) != expected:
+    if len(components) != expected:
         violations.append(
-            f"chain has {expected} blocks but {len(chain.components)} components"
+            f"chain has {expected} blocks but {len(components)} components"
         )
-        return ChainValidation(tuple(violations), tuple(warnings))
+        return violations, warnings
 
-    for i, comp in enumerate(chain.components):
+    for i, comp in enumerate(components):
         label = f"component {i + 1}"
         coords = set(spec.block_coords(i))
         if isinstance(comp, Ideal):
@@ -249,14 +232,7 @@ def validate_chain(chain: ChainInput) -> ChainValidation:
             violations.append(
                 f"{label}: expected an ideal or a polytope, got {type(comp).__name__}"
             )
-    return ChainValidation(tuple(violations), tuple(warnings))
-
-
-def _require_valid(chain: ChainInput) -> BlockSpec:
-    report = validate_chain(chain)
-    if not report.ok:
-        raise ValueError("invalid chain input: " + "; ".join(report.violations))
-    return chain.block_spec()
+    return violations, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +286,9 @@ def tau_vector(blocks: BlockSpec | Sequence[int], m: int) -> TauVector:
 
 
 def _block_components(chain: ChainInput) -> list[Component]:
-    """Every component of a valid chain as its block coordinates and its
-    ideal in the block ring (polytope components are refused)."""
-    spec = _require_valid(chain)
+    """Every component of the chain as its block coordinates and its ideal
+    in the block ring (polytope components are refused)."""
+    spec = chain.spec
     return [
         (spec.block_coords(i), component_block_ideal(chain, i))
         for i in range(spec.n_components)
@@ -326,16 +302,15 @@ def assemble_ideal(chain: ChainInput) -> Ideal:
     variables outside its block (the component sits in the coordinate
     subspace of its block).  Requires ideal components throughout.
     """
-    return intersect_embedded(chain.block_spec().arity, _block_components(chain))
+    return intersect_embedded(chain.spec.arity, _block_components(chain))
 
 
 def component_block_ideal(chain: ChainInput, i: int) -> Ideal:
     """Component ``i`` rewritten in the small ring of its block coordinates."""
-    spec = chain.block_spec()
     comp = chain.components[i]
     if not isinstance(comp, Ideal):
         raise ValueError(f"component {i + 1} is polytope data, not an ideal")
-    coords = list(spec.block_coords(i))
+    coords = list(chain.spec.block_coords(i))
     return Ideal(
         len(coords),
         tuple(project_polynomial(g, coords) for g in comp.generators),
@@ -348,7 +323,6 @@ def component_block_ideal(chain: ChainInput, i: int) -> Ideal:
 
 def _component_block_polytope(
     chain: ChainInput,
-    spec: BlockSpec,
     i: int,
     m: int,
     budget: int | None,
@@ -365,8 +339,8 @@ def _component_block_polytope(
         if not result.complete:
             raise BudgetExhausted(budget if budget is not None else 0)
         return result.polytope, result.query_count, result.witnesses
-    coords = list(spec.block_coords(i))
-    if comp.dim == spec.arity:
+    coords = list(chain.spec.block_coords(i))
+    if comp.dim == chain.spec.arity:
         restricted = VPolytope(
             len(coords), [tuple(v[j] for j in coords) for v in comp.vertices]
         )
@@ -403,15 +377,13 @@ def decomposed_state_polytope(
     strictly, so every combination is a genuine extreme point.  Block
     q-values plus the mixed-monomial count give the ambient q-value.
     """
-    spec = _require_valid(chain)
-    if m < 1:
-        raise ValueError(f"degree m must be >= 1, got {m}")
-    tau = tau_vector(spec, m)
+    spec = chain.spec
+    tau = tau_vector(spec, m)  # refuses m < 1
     queries = 0
     blocks: list[list[tuple[tuple, tuple[int, ...]]]] = []
     q_total = tau.mixed_monomial_count
     for i in range(spec.n_components):
-        poly, spent, witnesses = _component_block_polytope(chain, spec, i, m, budget)
+        poly, spent, witnesses = _component_block_polytope(chain, i, m, budget)
         queries += spent
         q_total += _component_level_count(poly, m, i)
         if witnesses is None:
@@ -530,14 +502,12 @@ def semistability_via_components(
     """Decide whether the chain's barycenter lies in its state polytope
     without forming the Minkowski sum: decompose ``barycenter - tau`` into
     block summands and test each against its component polytope."""
-    spec = _require_valid(chain)
-    if m < 1:
-        raise ValueError(f"degree m must be >= 1, got {m}")
-    tau = tau_vector(spec, m)
+    spec = chain.spec
+    tau = tau_vector(spec, m)  # refuses m < 1
     polys: list[VPolytope] = []
     q_total = tau.mixed_monomial_count
     for i in range(spec.n_components):
-        poly, _, _ = _component_block_polytope(chain, spec, i, m, budget)
+        poly, _, _ = _component_block_polytope(chain, i, m, budget)
         q_total += _component_level_count(poly, m, i)
         polys.append(poly)
     levels = tuple(poly.level for poly in polys)
@@ -607,7 +577,7 @@ def initial_slice_partition(
     """Compare the initial-ideal slice of the assembled chain (under spliced
     block weights) with the mixed monomials and the embedded block slices."""
     components = _block_components(chain)
-    spec = chain.block_spec()
+    spec = chain.spec
     if m < 1:
         raise ValueError(f"degree m must be >= 1, got {m}")
     if len(block_weights) != spec.n_components:

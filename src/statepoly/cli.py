@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -30,7 +31,6 @@ from .chains import (
     decomposed_state_polytope,
     semistability_via_components,
     tau_vector,
-    validate_chain,
 )
 from .groebner import (
     buchberger,
@@ -189,29 +189,17 @@ def _chain_from_file(args: argparse.Namespace, doc: IdealFile) -> ChainInput:
     return ChainInput(doc.blocks, components)
 
 
-# the options each command's digest hashes; an option not listed here never
-# changes a digest.  ``ideal`` and ``polytope`` name input files, whose bytes
-# are hashed as well, and so are the ``polytope[k]:`` files of an ideal file
-_DIGEST_INPUTS = {
-    "gb": "ideal order", "initial": "ideal order", "state": "ideal m budget",
-    "intersect": "ideal", "eliminate": "ideal keep", "implicitize": "ideal nvars",
-    "chain-state": "ideal m budget", "tau": "blocks m nvars",
-    "decompose-point": "blocks point levels", "contains": "polytope point",
-    "semistable": "ideal m n budget", "hm": "ideal m weights", "rosary": "r what l d",
-}
-
-
 def _input_files(args: argparse.Namespace, doc: IdealFile | None) -> list[str | Path]:
     """The files a command's digest hashes, in order: its ``--ideal`` file
     and that file's polytope files in section order, or its ``--polytope``
     file."""
     if doc is not None:
         return [args.ideal, *_polytope_files(args, doc).values()]
-    return [args.polytope] if "polytope" in _DIGEST_INPUTS[args.command].split() else []
+    return [args.polytope] if "polytope" in COMMANDS[args.command].options else []
 
 
 def _digest(command: str, args: argparse.Namespace, files: Sequence[str | Path]) -> str:
-    inputs = {name: getattr(args, name) for name in _DIGEST_INPUTS[command].split()}
+    inputs = {name: getattr(args, name) for name in COMMANDS[command].options}
     # digests once hashed every parsed option, the subcommand name and the
     # removed --parallel option (default 1) included; hashing those two
     # keeps every earlier digest valid
@@ -288,14 +276,10 @@ def _cmd_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:
 
 
 def _cmd_intersect(args: argparse.Namespace, doc: IdealFile) -> Outcome:
-    if doc.section_count() < 2:
+    ideals = [Ideal(doc.arity, gens) for _, gens in sorted(doc.ideal_sections().items())]
+    if len(ideals) < 2:
         raise ValueError("intersect needs ideal[1] and ideal[2] sections")
-    left = Ideal(doc.arity, doc.sections[1])
-    right = Ideal(doc.arity, doc.sections[2])
-    out = intersect_ideals(left, right)
-    for k in sorted(doc.sections):
-        if k > 2:
-            out = intersect_ideals(out, Ideal(doc.arity, doc.sections[k]))
+    out = functools.reduce(intersect_ideals, ideals)
     display = named_order("grevlex", doc.arity)
     return Outcome(
         {"generators": [format_polynomial(g, doc.variables, display) for g in out.generators]}
@@ -330,13 +314,12 @@ def _cmd_implicitize(args: argparse.Namespace, doc: IdealFile) -> Outcome:
 
 def _cmd_chain_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     chain = _chain_from_file(args, doc)
-    report = validate_chain(chain)
     result = decomposed_state_polytope(chain, args.m, _budget(args))
-    tau = tau_vector(chain.block_spec(), args.m)
+    tau = tau_vector(chain.spec, args.m)
     payload = _state_payload(result)
     payload["tau"] = list(tau.tau)
     payload["mixed_monomial_count"] = tau.mixed_monomial_count
-    return Outcome(payload, report.warnings, EXIT_OK if result.complete else EXIT_BUDGET)
+    return Outcome(payload, chain.warnings, EXIT_OK if result.complete else EXIT_BUDGET)
 
 
 def _cmd_tau(args: argparse.Namespace, doc: None) -> Outcome:
@@ -388,7 +371,7 @@ def _cmd_semistable(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     ]
     if doc.blocks is not None:
         chain = _chain_from_file(args, doc)
-        warnings.extend(validate_chain(chain).warnings)
+        warnings.extend(chain.warnings)
         report = semistability_via_components(chain, args.m, _budget(args))
         payload = {
             "route": "components",
@@ -498,7 +481,73 @@ def _cmd_rosary(args: argparse.Namespace, doc: None) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command and option tables, argument parsing and dispatch
+
+
+class Option(NamedTuple):
+    settings: dict
+    # a comma-separated vector or matrix value that may start with a minus sign
+    signed: bool = False
+
+
+OPTIONS = {
+    "out": Option({"help": "write the result to this file"}),
+    # without --format a table prints as CSV and anything else as JSON
+    "format": Option({"choices": ["json", "csv"]}),
+    "ideal": Option({"required": True, "help": "ideal file"}),
+    "order": Option({"help": "lex, grlex, grevlex, weight or matrix rows"}, signed=True),
+    "m": Option({"type": int, "required": True}),
+    "budget": Option({"type": int}),
+    "keep": Option({"required": True, "help": "comma-separated coordinates to keep"}),
+    "nvars": Option({"type": int, "help": "expected number of variables"}),
+    "blocks": Option({"required": True}),
+    "point": Option({"required": True}, signed=True),
+    "levels": Option({"required": True, "help": "coordinate sum per block"}, signed=True),
+    "polytope": Option({"required": True}),
+    "n": Option({"type": int, "help": "projective ambient dimension (defaults to arity - 1)"}),
+    "weights": Option({"help": "comma-separated rationals"}, signed=True),
+    "r": Option({"type": int, "required": True}),
+    "what": Option({"choices": ["wtable", "component", "check"], "default": "wtable"}),
+    "l": Option({"type": int}),
+    "d": Option({"type": int}),
+}
+
+
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace, IdealFile | None], Outcome]
+    help: str
+    # what the digest hashes besides the input files; every command also
+    # takes --out and --format, which no digest hashes
+    options: tuple[str, ...]
+
+
+COMMANDS = {
+    "gb": Command(_cmd_gb, "reduced basis under an order", ("ideal", "order")),
+    "initial": Command(_cmd_initial, "initial-ideal generators", ("ideal", "order")),
+    "state": Command(_cmd_state, "enumerate a state polytope", ("ideal", "m", "budget")),
+    "intersect": Command(_cmd_intersect, "intersect the file's ideals", ("ideal",)),
+    "eliminate": Command(
+        _cmd_eliminate, "eliminate all but the kept coordinates", ("ideal", "keep")
+    ),
+    "implicitize": Command(_cmd_implicitize, "kernel of a parametrization", ("ideal", "nvars")),
+    "chain-state": Command(
+        _cmd_chain_state, "state polytope via block components", ("ideal", "m", "budget")
+    ),
+    "tau": Command(_cmd_tau, "translation vector of a block chain", ("blocks", "m", "nvars")),
+    "decompose-point": Command(
+        _cmd_decompose_point, "split a point into block summands", ("blocks", "point", "levels")
+    ),
+    "contains": Command(
+        _cmd_contains, "convex-hull membership for a stored polytope", ("polytope", "point")
+    ),
+    "semistable": Command(
+        _cmd_semistable, "barycenter membership verdict", ("ideal", "m", "n", "budget")
+    ),
+    "hm": Command(_cmd_hm, "weight pairing of a diagonal subgroup", ("ideal", "m", "weights")),
+    "rosary": Command(
+        _cmd_rosary, "rosary tables, components, slice checks", ("r", "what", "l", "d")
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -507,104 +556,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact state-polytope and stability computations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler: Callable, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=handler)
-        p.add_argument("--out", help="write the result to this file")
-        return p
-
-    def add_format(p: argparse.ArgumentParser, default: str | None = "json") -> None:
-        p.add_argument("--format", choices=["json", "csv"], default=default)
-
-    p = add("gb", _cmd_gb, help="reduced basis under an order")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--order")
-    add_format(p)
-
-    p = add("initial", _cmd_initial, help="initial-ideal generators")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--order")
-    add_format(p)
-
-    p = add("state", _cmd_state, help="enumerate a state polytope")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    add_format(p)
-
-    p = add("intersect", _cmd_intersect, help="intersect the file's ideals")
-    p.add_argument("--ideal", required=True)
-    add_format(p)
-
-    p = add("eliminate", _cmd_eliminate, help="eliminate all but the kept coordinates")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--keep", required=True, help="comma-separated coordinates to keep")
-    add_format(p)
-
-    p = add("implicitize", _cmd_implicitize, help="kernel of a parametrization")
-    p.add_argument("--ideal", required=True, help="file whose ideal section lists the forms")
-    p.add_argument("--nvars", type=int, help="expected number of target variables")
-    add_format(p)
-
-    p = add("chain-state", _cmd_chain_state, help="state polytope via block components")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    add_format(p)
-
-    p = add("tau", _cmd_tau, help="translation vector of a block chain")
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nvars", type=int)
-    add_format(p)
-
-    p = add("decompose-point", _cmd_decompose_point, help="split a point into block summands")
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--levels", required=True, help="coordinate sum per block")
-    add_format(p)
-
-    p = add("contains", _cmd_contains, help="convex-hull membership for a stored polytope")
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--point", required=True)
-    add_format(p)
-
-    p = add("semistable", _cmd_semistable, help="barycenter membership verdict")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, help="projective ambient dimension (defaults to arity - 1)")
-    p.add_argument("--budget", type=int)
-    add_format(p)
-
-    p = add("hm", _cmd_hm, help="weight pairing of a diagonal subgroup")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--weights", help="comma-separated rationals")
-    add_format(p)
-
-    p = add("rosary", _cmd_rosary, help="rosary tables, components, slice checks")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--what", choices=["wtable", "component", "check"], default="wtable")
-    p.add_argument("--l", type=int)
-    p.add_argument("--d", type=int)
-    add_format(p, default=None)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in ("out", *command.options, "format"):
+            p.add_argument(f"--{option}", **OPTIONS[option].settings)
     return parser
-
-
-# options whose comma-separated vector or matrix value may start with a minus sign
-_SIGNED_VALUE_OPTIONS = ("--point", "--weights", "--levels", "--order")
 
 
 def _attach_vector_values(argv: Sequence[str]) -> list[str]:
     """Rewrite ``--point -1,0`` as ``--point=-1,0``: argparse takes a
     separate value that starts with ``-`` (and is not a plain number) for an
     option flag and stops with "expected one argument"."""
+    signed = {f"--{name}" for name, option in OPTIONS.items() if option.signed}
     out: list[str] = []
     tokens = iter(argv)
     for token in tokens:
-        if token in _SIGNED_VALUE_OPTIONS:
+        if token in signed:
             value = next(tokens, None)
             out.append(token if value is None else f"{token}={value}")
         else:
@@ -615,11 +582,11 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
 def run_command(argv: Sequence[str]) -> CommandResult:
     """Parse arguments, dispatch, and return the result document."""
     args = _build_parser().parse_args(_attach_vector_values(argv))
+    command = COMMANDS[args.command]
     doc = None
-    if "ideal" in _DIGEST_INPUTS[args.command].split():
+    if "ideal" in command.options:
         doc = parse_ideal_file(Path(args.ideal).read_text(encoding="utf-8"))
-    outcome = args.func(args, doc)
-    # a command without a format default (rosary) prints tables as CSV
+    outcome = command.handler(args, doc)
     tabular = isinstance(outcome.payload, dict) and "columns" in outcome.payload
     return CommandResult(
         command=args.command,

@@ -582,6 +582,9 @@ def eliminate(source: Ideal, keep: Sequence[int]) -> Ideal:
     coordinates.
     """
     keep_set = set(keep)
+    stray = sorted(i for i in keep_set if not 0 <= i < source.arity)
+    if stray:
+        raise ValueError(f"kept coordinates {stray} outside 0..{source.arity - 1}")
     dead = [i for i in range(source.arity) if i not in keep_set]
     if not dead:
         return source

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chains import ChainInput, _require_valid, component_block_ideal
+from .chains import ChainInput, component_block_ideal
 from .groebner import initial_ideal, require_enumerable, standard_monomials
-from .orders import MonomialOrder, named_order, weight_order
+from .orders import weight_order
 from .rings import Ideal, Monomial
 
 __all__ = [
@@ -92,21 +92,15 @@ class HMReport:
     junction_term: Fraction | None = None
 
 
-def _rho_order(rho: OnePS, tiebreak: MonomialOrder | None = None) -> MonomialOrder:
-    return weight_order(rho.weights, tiebreak=tiebreak)
-
-
 def hm_index_direct(
     ideal: Ideal,
     m: int,
     rho: OnePS | Sequence,
-    tiebreak: MonomialOrder | None = None,
 ) -> HMReport:
     """Index of the degree-``m`` dual Hilbert point of ``ideal`` at ``rho``.
 
     The standard monomials are taken under the ``rho``-weight order refined
-    by grevlex (any refinement gives the same value; ``tiebreak`` permits
-    checking that).
+    by grevlex (any refinement gives the same value).
     """
     rho = _coerce_oneps(rho)
     if rho.arity != ideal.arity:
@@ -116,7 +110,7 @@ def hm_index_direct(
     if m < 0:
         raise ValueError(f"degree m must be >= 0, got {m}")
     require_enumerable(ideal.arity, m)
-    standard = standard_monomials(initial_ideal(ideal, _rho_order(rho, tiebreak), m), m)
+    standard = standard_monomials(initial_ideal(ideal, weight_order(rho.weights), m), m)
     sws = sum((rho.weight_of(mono) for mono in standard), Fraction(0))
     p_value = len(standard)
     total = rho.total()
@@ -134,7 +128,6 @@ def hm_index_decomposed(
     chain: ChainInput,
     m: int,
     rho: OnePS | Sequence,
-    tiebreak: MonomialOrder | None = None,
 ) -> HMReport:
     """Index of the assembled chain's dual Hilbert point, block by block.
 
@@ -143,14 +136,12 @@ def hm_index_decomposed(
     junction coordinate adds ``m`` times its weight (its pure power is
     standard for both adjacent blocks but is one ambient monomial).
     """
-    spec = _require_valid(chain)
+    spec = chain.spec
     rho = _coerce_oneps(rho)
     if rho.arity != spec.arity:
         raise ValueError(
             f"weight arity {rho.arity} does not match ambient arity {spec.arity}"
         )
-    if m < 0:
-        raise ValueError(f"degree m must be >= 0, got {m}")
 
     components: list[HMComponent] = []
     block_sws_total = Fraction(0)
@@ -158,11 +149,8 @@ def hm_index_decomposed(
     for i in range(spec.n_components):
         coords = list(spec.block_coords(i))
         block_rho = rho.restrict(coords)
-        block_tb = None
-        if tiebreak is not None:
-            block_tb = named_order(tiebreak.name, len(coords))
         block_report = hm_index_direct(
-            component_block_ideal(chain, i), m, block_rho, block_tb
+            component_block_ideal(chain, i), m, block_rho
         )
         correction = (
             Fraction(m * block_report.p_value, len(coords)) * block_rho.total()

@@ -99,21 +99,10 @@ def grevlex_order(arity: int) -> MonomialOrder:
 
 def weight_order(
     weights: Sequence[int | Fraction],
-    tiebreak: MonomialOrder | str | None = None,
 ) -> MonomialOrder:
-    """Weight row refined by a tie-break order (grevlex by default).
-
-    ``tiebreak`` may be an order or a standard family name."""
+    """Weight row refined by grevlex."""
     arity = len(weights)
-    if tiebreak is None:
-        tb = grevlex_order(arity)
-    elif isinstance(tiebreak, str):
-        tb = named_order(tiebreak, arity)
-    else:
-        tb = tiebreak
-    if tb.arity != arity:
-        raise ValueError("tie-break order arity mismatch")
-    rows = [tuple(weights)] + list(tb.rows)
+    rows = [tuple(weights)] + list(grevlex_order(arity).rows)
     return MonomialOrder(arity, rows, name=f"weight{tuple(weights)!r}")
 
 

@@ -352,12 +352,16 @@ class IdealFile:
     def arity(self) -> int:
         return len(self.variables)
 
-    def single_ideal_generators(self) -> list[Polynomial]:
+    def ideal_sections(self) -> dict[int, list[Polynomial]]:
+        """The ideal sections, for a command that takes no polytope files."""
         if self.polytope_paths:
             raise ParseError("this command needs ideal sections, not polytope files")
+        return self.sections
+
+    def single_ideal_generators(self) -> list[Polynomial]:
         gens: list[Polynomial] = []
-        for k in sorted(self.sections):
-            gens.extend(self.sections[k])
+        for _, section in sorted(self.ideal_sections().items()):
+            gens.extend(section)
         if not gens:
             raise ParseError("no ideal generators found in input file")
         return gens

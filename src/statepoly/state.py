@@ -273,8 +273,9 @@ def enumerate_state_polytope(
                 if value == offset:
                     confirmed.add((normal, offset))
                 elif value < offset:
-                    raise RuntimeError(
-                        "oracle support fell below a hull facet; enumeration is inconsistent"
+                    raise ValueError(
+                        "oracle support fell below a hull facet: the states do not "
+                        "form one polytope, most likely because the input is not homogeneous"
                     )
                 if found not in vertices:
                     vertices.add(found)

@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from statepoly.groebner import initial_ideal
 from statepoly.lp import solve_lp
+from statepoly.orders import lex_order, matrix_order
 from statepoly.rings import Polynomial, degree_monomials
 
 
@@ -216,3 +218,13 @@ def brute_state(gens, arity: int, m: int) -> tuple[int, ...]:
         if sum(mono) == m and mono not in standard:
             total = [t + e for t, e in zip(total, mono)]
     return tuple(total)
+
+
+def lex_refined_index(ideal, m: int, rho: Sequence) -> Fraction:
+    """The index ``hm_index_direct`` reports, with the standard monomials
+    taken under the ``rho``-weight order refined by lex instead of grevlex:
+    ``-(rho-weight sum) + m * P(m) / arity * sum(rho)``."""
+    order = matrix_order([rho, *lex_order(ideal.arity).rows])
+    standard = brute_standard_monomials(initial_ideal(ideal, order, m).gens, ideal.arity, m)
+    weight_sum = sum(Fraction(r) * e for mono in standard for r, e in zip(rho, mono))
+    return -weight_sum + Fraction(m * len(standard), ideal.arity) * sum(map(Fraction, rho))

@@ -22,9 +22,7 @@ from statepoly.chains import (
     initial_slice_partition,
     mixed_ideals,
     semistability_via_components,
-    structural_violations,
     tau_vector,
-    validate_chain,
 )
 from statepoly.groebner import buchberger, hilbert_values
 from statepoly.orders import grevlex_order
@@ -55,20 +53,26 @@ def test_block_spec_basics():
 
 
 def test_structural_violations():
-    assert structural_violations((0, 2, 4)) == []
-    assert structural_violations((0,))  # too short
-    assert structural_violations((1, 3))  # must start at 0
-    assert structural_violations((0, 3, 2))  # not increasing
-    assert structural_violations((0, 2, 2))  # strictly increasing
+    BlockSpec((0, 2, 4))
+    for bounds, problem in [
+        ((0,), "need at least two block boundaries"),  # too short
+        ((1, 3), "first block boundary is 1, expected 0"),  # must start at 0
+        ((0, 3, 2), "block boundaries not strictly increasing: 3 then 2"),
+        ((0, 2, 2), "block boundaries not strictly increasing: 2 then 2"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            BlockSpec(bounds)
 
 
 def test_block_spec_raises_on_bad_boundaries():
     with pytest.raises(ValueError):
         BlockSpec((0, 3, 1))
+    with pytest.raises(ValueError, match="^invalid chain input: block boundaries not strictly"):
+        ChainInput((0, 3, 1), (Ideal(4, ()), Ideal(4, ())))
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation at construction
 
 
 def two_lines_chain():
@@ -80,48 +84,65 @@ def two_lines_chain():
 
 
 def test_validate_accepts_zero_components():
-    report = validate_chain(two_lines_chain())
-    assert report.ok
-    assert report.warnings == ()
+    assert two_lines_chain().warnings == ()
 
 
 def test_validate_rejects_support_outside_block():
     x0, x1, x2 = variables(3)
-    chain = ChainInput((0, 1, 2), (Ideal(3, (x2,)), Ideal(3, ())))
-    report = validate_chain(chain)
-    assert not report.ok
-    assert any("outside block" in v for v in report.violations)
+    with pytest.raises(ValueError, match="outside block"):
+        ChainInput((0, 1, 2), (Ideal(3, (x2,)), Ideal(3, ())))
 
 
 def test_validate_rejects_junction_nonvanishing():
     x0, x1, x2 = variables(3)
     # generator x0^2 + x1^2 does not vanish at the junction point e_1
-    chain = ChainInput((0, 1, 2), (Ideal(3, (x0**2 + x1**2,)), Ideal(3, ())))
-    report = validate_chain(chain)
-    assert not report.ok
-    assert any("junction" in v for v in report.violations)
+    with pytest.raises(ValueError, match="junction"):
+        ChainInput((0, 1, 2), (Ideal(3, (x0**2 + x1**2,)), Ideal(3, ())))
 
 
 def test_validate_warns_on_inhomogeneous():
     x0, x1, x2 = variables(3)
-    chain = ChainInput((0, 1, 2), (Ideal(3, (x0**2 - x0 * x1,)), Ideal(3, ())))
-    assert validate_chain(chain).ok
+    assert ChainInput((0, 1, 2), (Ideal(3, (x0**2 - x0 * x1,)), Ideal(3, ()))).warnings == ()
     chain2 = ChainInput((0, 1, 2), (Ideal(3, (x0**2 - x0,)), Ideal(3, ())))
-    report = validate_chain(chain2)
-    assert report.ok
-    assert any("homogeneous" in w for w in report.warnings)
+    assert any("homogeneous" in w for w in chain2.warnings)
 
 
 def test_validate_component_count_and_polytopes():
     x0, x1, x2 = variables(3)
-    assert not validate_chain(ChainInput((0, 1, 2), (Ideal(3, ()),))).ok
+    with pytest.raises(ValueError, match="chain has 2 blocks but 1 components"):
+        ChainInput((0, 1, 2), (Ideal(3, ()),))
     good_poly = VPolytope(2, [(1, 1), (2, 0)])
-    chain = ChainInput((0, 1, 2), (good_poly, Ideal(3, ())))
-    assert validate_chain(chain).ok
+    ChainInput((0, 1, 2), (good_poly, Ideal(3, ())))
     bad_dim = VPolytope(5, [(1, 1, 0, 0, 0)])
-    assert not validate_chain(ChainInput((0, 1, 2), (bad_dim, Ideal(3, ())))).ok
+    with pytest.raises(ValueError, match="polytope dimension 5 is neither"):
+        ChainInput((0, 1, 2), (bad_dim, Ideal(3, ())))
     mixed_level = VPolytope(2, [(1, 1), (2, 1)])
-    assert not validate_chain(ChainInput((0, 1, 2), (mixed_level, Ideal(3, ())))).ok
+    with pytest.raises(ValueError, match="do not share a common coordinate sum"):
+        ChainInput((0, 1, 2), (mixed_level, Ideal(3, ())))
+
+
+def test_component_block_ideal_never_sees_an_invalid_chain():
+    # a chain missing a component, or with an ideal of the wrong arity, is
+    # refused before any routine (component_block_ideal included) gets it
+    x0, x1, x2 = variables(3)
+    a, b = variables(2)
+    with pytest.raises(ValueError, match="chain has 2 blocks but 1 components"):
+        ChainInput((0, 1, 2), (Ideal(3, (x0 * x1,)),))
+    with pytest.raises(ValueError, match="component 2: ideal arity 2 does not match ambient arity 3"):
+        ChainInput((0, 1, 2), (Ideal(3, ()), Ideal(2, (a**2,))))
+    chain = ChainInput((0, 1, 2), (Ideal(3, (x0 * x1,)), Ideal(3, ())))
+    assert component_block_ideal(chain, 0) == Ideal(2, (a * b,))
+
+
+def test_every_violation_is_named_at_once():
+    x0, x1, x2 = variables(3)
+    with pytest.raises(ValueError) as info:
+        ChainInput((0, 1, 2), (Ideal(3, (x2,)), Ideal(3, (x1**2,))))
+    assert str(info.value) == (
+        "invalid chain input: component 1: generators use coordinates [2] outside "
+        "block [0, 1]; component 2: generator does not vanish at the unit point "
+        "of junction coordinate 1"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +253,6 @@ def test_stored_polytope_with_non_extreme_point_is_refused():
     left = VPolytope(3, [(2, 0, 0), (0, 2, 0), (1, 1, 0)])
     right = VPolytope(3, [(2, 0, 0), (0, 0, 2)])
     chain = ChainInput((0, 2, 4), [left, right])
-    assert validate_chain(chain).ok
     with pytest.raises(ExtremalityError):
         decomposed_state_polytope(chain, 2)
 

@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 from statepoly import groebner, rosary
-from statepoly.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, _digest, main, run_command
+from statepoly.cli import (
+    COMMANDS,
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _digest,
+    main,
+    run_command,
+)
 from statepoly.polytope import VPolytope, save_polytope
 from statepoly.rings import Polynomial
 
@@ -288,6 +296,23 @@ def test_eliminate_golden(capsys, tmp_path):
     assert doc["payload"]["generators"] == ["x^3 - y^2"]
 
 
+def test_intersect_refuses_polytope_sections(capsys, tmp_path):
+    save_polytope(tmp_path / "third.json", VPolytope(2, [(1, 0), (0, 1)]))
+    path = tmp_path / "three.ideal"
+    path.write_text(
+        "ring: x, y\nideal[1]: x\nideal[2]: y\npolytope[3]: third.json\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "intersect", "--ideal", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "this command needs ideal sections, not polytope files" in err
+
+
+def test_eliminate_refuses_coordinates_out_of_range(capsys, conic_file):
+    code, out, err = run(capsys, "eliminate", "--ideal", conic_file, "--keep", "7")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "kept coordinates [7] outside 0..2" in err
+
+
 def test_implicitize_golden(capsys, tmp_path):
     path = tmp_path / "veronese.ideal"
     path.write_text("ring: s, t\nideal:\ns^2\ns*t\nt^2\n", encoding="utf-8")
@@ -549,6 +574,16 @@ def test_huge_numeric_literal_is_a_parse_error(capsys, monkeypatch, tmp_path, li
     assert "integer string conversion" not in err
 
 
+def test_inconsistent_oracle_is_a_validation_error(capsys, tmp_path):
+    # an inhomogeneous ideal whose states do not form one polytope
+    path = tmp_path / "inconsistent.ideal"
+    path.write_text("ring: x, y, z\nideal:\nx^2 - y\nx*z - y^2\n", encoding="utf-8")
+    code, out, err = run(capsys, "state", "--ideal", str(path), "--m", "2")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "oracle support fell below a hull facet" in err
+    assert "not homogeneous" in err
+
+
 def test_csv_rejected_for_non_tabular_payload(capsys, conic_file):
     code, _, err = run(capsys, "gb", "--ideal", conic_file, "--format", "csv")
     assert code == EXIT_VALIDATION
@@ -611,3 +646,120 @@ def test_readme_examples_run(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, ""), argv
         assert out
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: an input statec cannot answer exits 2 or 3 with a
+# message, never with a traceback
+
+CONTRACT_FILES = {
+    "conic.ideal": "ring: x, y, z\nideal: x*z - y^2\n",
+    "inconsistent.ideal": "ring: x, y, z\nideal:\nx^2 - y\nx*z - y^2\n",
+    "inhomogeneous.ideal": "ring: x, y, z\nideal: x^2 - y\n",
+    "zero.ideal": "ring: x, y, z\nideal: 0\n",
+    "unit.ideal": "ring: x, y, z\nideal: 1\n",
+    "bad_blocks.ideal": "ring: a, b, c, d, e\nblocks: 0,3,2\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\n",
+    "missing.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\nideal[1]: a*c - b^2\n",
+    "wrong_arity.ideal": "ring: a, b, c, d, e\nblocks: 0,2,6\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\n",
+    "ragged_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: ragged.json\nideal[2]: c*e - d^2\n",
+    "nonjson_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: nonjson.json\nideal[2]: c*e - d^2\n",
+    "wide_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: wide.json\nideal[2]: c*e - d^2\n",
+    "sections.ideal": "ring: x, y, z\nideal[1]: x\nideal[2]: y\npolytope[3]: wide.json\n",
+    "gaps.ideal": "ring: x, y\nideal[1]: x\nideal[3]: y\n",
+    "ragged.json": '{"dim": 2, "vertices": [[1, 1], [2]]}\n',
+    "nonjson.json": "not json\n",
+    "wide.json": '{"dim": 4, "vertices": [[1, 1, 0, 0], [2, 0, 0, 0]]}\n',
+}
+
+# (argv with file names, STATEC_BUDGET or None, expected exit code)
+CONTRACT_CASES = [
+    (("gb", "--ideal", "zero.ideal"), None, EXIT_OK),
+    (("gb", "--ideal", "unit.ideal"), None, EXIT_OK),
+    (("gb", "--ideal", "nope.ideal"), None, EXIT_VALIDATION),
+    (("gb",), None, EXIT_VALIDATION),
+    (("initial", "--ideal", "inhomogeneous.ideal", "--order", "lex"), None, EXIT_OK),
+    (("state", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("state", "--ideal", "inhomogeneous.ideal", "--m", "2"), None, EXIT_OK),
+    (("state", "--ideal", "zero.ideal", "--m", "2"), None, EXIT_OK),
+    (("state", "--ideal", "unit.ideal", "--m", "2"), None, EXIT_OK),
+    (("state", "--ideal", "conic.ideal", "--m", "0"), None, EXIT_VALIDATION),
+    (("state", "--ideal", "conic.ideal", "--m", "2", "--budget", "-1"), None, EXIT_VALIDATION),
+    (("state", "--ideal", "conic.ideal", "--m", "2", "--budget", "0"), None, EXIT_BUDGET),
+    (("state", "--ideal", "conic.ideal", "--m", "2"), "-1", EXIT_VALIDATION),
+    (("state", "--ideal", "conic.ideal", "--m", "2"), "abc", EXIT_VALIDATION),
+    (("state", "--ideal", "conic.ideal", "--m", "two"), None, EXIT_VALIDATION),
+    (("intersect", "--ideal", "sections.ideal"), None, EXIT_VALIDATION),
+    (("intersect", "--ideal", "conic.ideal"), None, EXIT_VALIDATION),
+    (("intersect", "--ideal", "gaps.ideal"), None, EXIT_OK),
+    (("eliminate", "--ideal", "conic.ideal", "--keep", "7"), None, EXIT_VALIDATION),
+    (("eliminate", "--ideal", "conic.ideal", "--keep", "-1"), None, EXIT_VALIDATION),
+    (("implicitize", "--ideal", "zero.ideal"), None, EXIT_OK),
+    (("implicitize", "--ideal", "conic.ideal", "--nvars", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "bad_blocks.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "missing.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "wrong_arity.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "ragged_chain.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "nonjson_chain.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "wide_chain.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "conic.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "missing.ideal", "--m", "0"), None, EXIT_VALIDATION),
+    (("tau", "--blocks", "0,3,2", "--m", "2"), None, EXIT_VALIDATION),
+    (("tau", "--blocks", "0,2,4", "--m", "0"), None, EXIT_VALIDATION),
+    (("tau", "--blocks", "0,2,4", "--m", "2", "--nvars", "4"), None, EXIT_VALIDATION),
+    (("decompose-point", "--blocks", "0,1,2", "--point", "1,2", "--levels", "1,2"), None, EXIT_VALIDATION),
+    (("decompose-point", "--blocks", "0,1,2", "--point", "1,2,3", "--levels", "1,2"), None, EXIT_VALIDATION),
+    (("contains", "--polytope", "ragged.json", "--point", "1,1"), None, EXIT_VALIDATION),
+    (("contains", "--polytope", "nonjson.json", "--point", "1,1"), None, EXIT_VALIDATION),
+    (("contains", "--polytope", "nope.json", "--point", "1,1"), None, EXIT_VALIDATION),
+    (("contains", "--polytope", "wide.json", "--point", "1,1"), None, EXIT_VALIDATION),
+    (("semistable", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("semistable", "--ideal", "zero.ideal", "--m", "2"), None, EXIT_OK),
+    (("semistable", "--ideal", "unit.ideal", "--m", "2"), None, EXIT_OK),
+    (("semistable", "--ideal", "conic.ideal", "--m", "0"), None, EXIT_VALIDATION),
+    (("semistable", "--ideal", "bad_blocks.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("semistable", "--ideal", "wrong_arity.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("hm", "--ideal", "conic.ideal", "--m", "0", "--weights", "1,0,0"), None, EXIT_OK),
+    (("hm", "--ideal", "unit.ideal", "--m", "2", "--weights", "1,0,0"), None, EXIT_OK),
+    (("hm", "--ideal", "conic.ideal", "--m", "2", "--weights", "1,0"), None, EXIT_VALIDATION),
+    (("hm", "--ideal", "conic.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("hm", "--ideal", "bad_blocks.ideal", "--m", "2", "--weights", "1,0,0,0,0"), None, EXIT_VALIDATION),
+    (("semistable", "--ideal", "missing.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("rosary", "--r", "0"), None, EXIT_VALIDATION),
+    (("rosary", "--r", "2", "--what", "component", "--l", "9"), None, EXIT_VALIDATION),
+    (("rosary", "--r", "2", "--what", "check", "--d", "0"), None, EXIT_VALIDATION),
+    (("rosary", "--r", "2", "--what", "mystery"), None, EXIT_VALIDATION),
+]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("contract")
+    for name, text in CONTRACT_FILES.items():
+        (base / name).write_text(text, encoding="utf-8")
+    return base
+
+
+def test_contract_corpus_covers_every_command():
+    assert {argv[0] for argv, _, _ in CONTRACT_CASES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, budget, expected",
+    CONTRACT_CASES,
+    ids=[" ".join(argv) + (f" STATEC_BUDGET={b}" if b else "") for argv, b, _ in CONTRACT_CASES],
+)
+def test_exit_code_contract(capsys, monkeypatch, contract_dir, argv, budget, expected):
+    monkeypatch.chdir(contract_dir)
+    monkeypatch.delenv("STATEC_BUDGET", raising=False)
+    if budget is not None:
+        monkeypatch.setenv("STATEC_BUDGET", budget)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the command line itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected, err
+    assert "Traceback" not in err
+    if code == EXIT_VALIDATION:
+        assert out == ""
+        assert err.startswith(("error: ", "usage: "))

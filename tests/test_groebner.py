@@ -429,6 +429,13 @@ def test_eliminate_keeps_requested_coordinates():
     assert gb.contains(x**2 - z)
 
 
+@pytest.mark.parametrize("keep", [[7], [0, -1]])
+def test_eliminate_refuses_coordinates_out_of_range(keep):
+    x, y, z = variables(3)
+    with pytest.raises(ValueError, match=r"kept coordinates \[-?\d\] outside 0..2"):
+        eliminate(Ideal(3, (x * z - y**2,)), keep=keep)
+
+
 def test_implicitize_twisted_cubic():
     s, t = variables(2)
     forms = (s**3, s**2 * t, s * t**2, t**3)

@@ -93,9 +93,9 @@ def test_weight_order_puts_weight_row_first():
     order = weight_order([0, 1, 3])
     assert order.compare((0, 0, 1), (2, 0, 0)) > 0  # weight 3 beats weight 0
     assert order.compare((0, 3, 0), (0, 0, 1)) == order.compare((0, 3, 0), (0, 0, 1))
-    # ties broken by the requested tiebreak
+    # ties broken by grevlex, or by lex in the matrix order with lex rows
     tie_grevlex = weight_order([1, 1, 1])
-    tie_lex = weight_order([1, 1, 1], tiebreak="lex")
+    tie_lex = matrix_order([(1, 1, 1), *lex_order(3).rows])
     a, b = (1, 1, 1), (0, 3, 0)
     assert tie_grevlex.compare(a, b) == grevlex_order(3).compare(a, b)
     assert tie_lex.compare(a, b) == lex_order(3).compare(a, b)
@@ -117,7 +117,7 @@ def test_named_and_make_order():
     assert named_order("grevlex", 4).name == "grevlex"
     with pytest.raises(ValueError):
         named_order("mystery", 3)
-    o = weight_order([3, 1, 0], tiebreak="lex")
+    o = matrix_order([(3, 1, 0), *lex_order(3).rows])
     assert o.compare((0, 1, 0), (0, 0, 2)) > 0
     m = matrix_order([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
     assert m.arity == 3

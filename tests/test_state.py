@@ -344,7 +344,7 @@ def test_cone_oracle_matches_fresh_slices_for_every_direction(homogeneous):
 def enumeration_fields(ideal: Ideal, m: int, oracle: StateOracle):
     try:
         result = enumerate_state_polytope(ideal, m, oracle=oracle)
-    except RuntimeError as exc:
+    except ValueError as exc:
         # an inhomogeneous ideal's states need not be the vertices of one
         # polytope; both oracles must then fail alike
         return str(exc), oracle.gb_runs
