@@ -412,6 +412,7 @@ def decomposed_state_polytope(
         q=q_total,
         query_count=queries,
         witnesses=witnesses_out,
+        tau=tau,
     )
 
 

@@ -174,6 +174,12 @@ def _chain_from_file(args: argparse.Namespace, doc: IdealFile) -> ChainInput:
         raise ValueError("chain commands need a 'blocks:' line in the ideal file")
     n_components = len(doc.blocks) - 1
     polytopes = _polytope_files(args, doc)
+    stray = sorted(k for k in {*doc.sections, *polytopes} if not 1 <= k <= n_components)
+    if stray:
+        raise ValueError(
+            f"section {', '.join(map(str, stray))} of the ideal file is not one of the "
+            f"{n_components} components of its 'blocks:' line"
+        )
     components: list[Ideal | VPolytope] = []
     for k in range(1, n_components + 1):
         has_ideal = k in doc.sections
@@ -315,10 +321,9 @@ def _cmd_implicitize(args: argparse.Namespace, doc: IdealFile) -> Outcome:
 def _cmd_chain_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     chain = _chain_from_file(args, doc)
     result = decomposed_state_polytope(chain, args.m, _budget(args))
-    tau = tau_vector(chain.spec, args.m)
     payload = _state_payload(result)
-    payload["tau"] = list(tau.tau)
-    payload["mixed_monomial_count"] = tau.mixed_monomial_count
+    payload["tau"] = list(result.tau.tau)
+    payload["mixed_monomial_count"] = result.tau.mixed_monomial_count
     return Outcome(payload, chain.warnings, EXIT_OK if result.complete else EXIT_BUDGET)
 
 
@@ -420,7 +425,7 @@ def _cmd_hm(args: argparse.Namespace, doc: IdealFile) -> Outcome:
         rho = doc.weights
     else:
         raise ValueError("hm needs --weights or a 'weights:' line in the ideal file")
-    if doc.blocks is not None and doc.section_count() > 1:
+    if doc.blocks is not None:
         report = hm_index_decomposed(_chain_from_file(args, doc), args.m, rho)
     else:
         report = hm_index_direct(_single_ideal(doc), args.m, rho)

@@ -10,6 +10,7 @@ variable exceeds 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import common_denominator, exact_vector, primitive, row_reduce
@@ -39,7 +40,7 @@ class MonomialOrder:
         """Sort key: tuples compare the same way the order compares monomials."""
         k = self._key_cache.get(mono)
         if k is None:
-            k = tuple(sum(w * e for w, e in zip(row, mono)) for row in self.rows)
+            k = tuple([sum(map(mul, row, mono)) for row in self.rows])
             self._key_cache[mono] = k
         return k
 

@@ -366,10 +366,6 @@ class IdealFile:
             raise ParseError("no ideal generators found in input file")
         return gens
 
-    def section_count(self) -> int:
-        keys = set(self.sections) | set(self.polytope_paths)
-        return max(keys) if keys else 0
-
 
 def parse_ideal_file(text: str) -> IdealFile:
     variables: tuple[str, ...] | None = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -20,21 +21,21 @@ Scalar = Union[int, Fraction]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b (caller guarantees divisibility)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -46,7 +47,9 @@ def mono_support(a: Monomial) -> tuple[int, ...]:
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    """True if no variable divides both (exponents are nonnegative, so a
+    product is 0 exactly when one factor is)."""
+    return not any(map(mul, a, b))
 
 
 def unit_monomial(arity: int, index: int, power: int = 1) -> Monomial:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .groebner import (
     DegreeSlice,
@@ -48,6 +48,9 @@ from .polytope import (
     vertex_witnesses,
 )
 from .rings import Ideal, Monomial
+
+if TYPE_CHECKING:
+    from .chains import TauVector
 
 StateVector = tuple[int, ...]
 
@@ -203,7 +206,8 @@ class StatePolytopeResult:
     oracle query direction that found ``v``: a weak maximizer, whose maximum
     another vertex may share, though the query's grevlex refinement picks
     ``v``.  ``q`` is the number of degree-``m`` monomials in the initial
-    ideal (the common vertex coordinate sum is ``m * q``).
+    ideal (the common vertex coordinate sum is ``m * q``).  A result
+    assembled from chain components carries the chain's ``tau``.
     """
 
     polytope: VPolytope
@@ -214,6 +218,7 @@ class StatePolytopeResult:
     witnesses: Mapping[StateVector, tuple[int, ...]]
     hull_dim: int | None = None
     facet_system: FacetSystem | None = None
+    tau: TauVector | None = None
 
     @property
     def complete(self) -> bool:

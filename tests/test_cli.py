@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from statepoly import groebner, rosary
+from statepoly import chains, cli, groebner, rosary
+from statepoly.chains import tau_vector
 from statepoly.cli import (
     COMMANDS,
     EXIT_BUDGET,
@@ -332,6 +333,34 @@ def test_chain_state_golden(capsys):
     assert payload["tau"] == [2, 2, 0, 2, 2]
     assert payload["mixed_monomial_count"] == 4
     assert payload["polytope"]["vertices"]
+
+
+def test_chain_state_computes_tau_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tau_vector(*args)
+
+    monkeypatch.setattr(chains, "tau_vector", counted)
+    monkeypatch.setattr(cli, "tau_vector", counted)
+    code, doc = run_json(
+        capsys, "chain-state", "--ideal", f"{DATA}/planecurve_chain.ideal", "--m", "2"
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert doc["payload"]["tau"] == [2, 2, 0, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "argv", [("chain-state",), ("semistable",), ("hm", "--weights", "1,0,0,0,0")]
+)
+def test_chain_commands_name_a_section_beyond_the_blocks(capsys, tmp_path, argv):
+    path = tmp_path / "stray.ideal"
+    path.write_text(CONTRACT_FILES["stray.ideal"], encoding="utf-8")
+    code, out, err = run(capsys, argv[0], "--ideal", str(path), "--m", "2", *argv[1:])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "section 3 of the ideal file is not one of the 2 components" in err
 
 
 def test_chain_state_refuses_non_extreme_stored_point(capsys, tmp_path):
@@ -660,6 +689,8 @@ CONTRACT_FILES = {
     "unit.ideal": "ring: x, y, z\nideal: 1\n",
     "bad_blocks.ideal": "ring: a, b, c, d, e\nblocks: 0,3,2\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\n",
     "missing.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\nideal[1]: a*c - b^2\n",
+    "stray.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\nideal[3]: a*e\n",
+    "stray_polytope.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\npolytope[0]: wide.json\n",
     "wrong_arity.ideal": "ring: a, b, c, d, e\nblocks: 0,2,6\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\n",
     "ragged_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: ragged.json\nideal[2]: c*e - d^2\n",
     "nonjson_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: nonjson.json\nideal[2]: c*e - d^2\n",
@@ -703,6 +734,8 @@ CONTRACT_CASES = [
     (("chain-state", "--ideal", "wide_chain.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("chain-state", "--ideal", "conic.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("chain-state", "--ideal", "missing.ideal", "--m", "0"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "stray.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "stray_polytope.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("tau", "--blocks", "0,3,2", "--m", "2"), None, EXIT_VALIDATION),
     (("tau", "--blocks", "0,2,4", "--m", "0"), None, EXIT_VALIDATION),
     (("tau", "--blocks", "0,2,4", "--m", "2", "--nvars", "4"), None, EXIT_VALIDATION),
@@ -724,6 +757,9 @@ CONTRACT_CASES = [
     (("hm", "--ideal", "conic.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("hm", "--ideal", "bad_blocks.ideal", "--m", "2", "--weights", "1,0,0,0,0"), None, EXIT_VALIDATION),
     (("semistable", "--ideal", "missing.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("semistable", "--ideal", "stray.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("hm", "--ideal", "missing.ideal", "--m", "2", "--weights", "1,0,0,0,0"), None, EXIT_VALIDATION),
+    (("hm", "--ideal", "stray.ideal", "--m", "2", "--weights", "1,0,0,0,0"), None, EXIT_VALIDATION),
     (("rosary", "--r", "0"), None, EXIT_VALIDATION),
     (("rosary", "--r", "2", "--what", "component", "--l", "9"), None, EXIT_VALIDATION),
     (("rosary", "--r", "2", "--what", "check", "--d", "0"), None, EXIT_VALIDATION),

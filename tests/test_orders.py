@@ -52,6 +52,26 @@ def test_grevlex_textbook_comparisons():
     assert grlex_order(3).compare((1, 1, 1), (0, 3, 0)) > 0  # but > in grlex
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_key_is_the_plain_dot_product_with_each_row(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        arity = rng.randint(1, 6)
+        orders = [
+            weight_order([rng.randint(0, 9) for _ in range(arity)]),
+            weight_order([rng.randint(-9, 9) for _ in range(arity)]),
+            matrix_order([[rng.randint(-5, 5) for _ in range(arity)] for _ in range(rng.randint(1, 4))]),
+            elimination_order(arity, rng.sample(range(arity), rng.randint(0, arity))),
+            grevlex_order(arity),
+        ]
+        for order in orders:
+            for _ in range(10):
+                mono = rand_monomial(rng, arity, rng.randint(0, 6))
+                plain = tuple(sum(w * e for w, e in zip(row, mono)) for row in order.rows)
+                assert order.key(mono) == plain
+                assert order.key(mono) == plain  # the cached key too
+
+
 # ---------------------------------------------------------------------------
 # order axioms on random monomials
 

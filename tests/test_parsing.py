@@ -226,7 +226,6 @@ d*e
     assert set(parsed.sections) == {1, 2}
     assert len(parsed.sections[1]) == 1
     assert len(parsed.sections[2]) == 2
-    assert parsed.section_count() == 2
     a, b, c, d, e = (var(i) for i in range(5))
     assert parsed.sections[1][0] == b**2 * c - a**3
     assert parsed.sections[2][1] == d * e
@@ -242,7 +241,6 @@ ideal[2]: x2^2 - x1*x3
     parsed = parse_ideal_file(text)
     assert parsed.polytope_paths == {1: "left.json"}
     assert set(parsed.sections) == {2}
-    assert parsed.section_count() == 2
     with pytest.raises(ParseError):
         parsed.single_ideal_generators()
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepoly import polytope
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
@@ -325,6 +326,115 @@ def test_hull_accepts_only_integer_points():
     assert hull.add_point((Fraction(3), 3)) is True
     with pytest.raises(ValueError, match="integer"):
         IncrementalHull([(0, 0), (Fraction(1, 3), 1)])
+
+
+# ---------------------------------------------------------------------------
+# incremental insertion: ridge map, visible-region walk, ridge rotation
+
+
+# taken at import, before a test patches the module attribute out
+REFERENCE_HYPERPLANE = polytope._hyperplane_through
+
+
+def audit_ridges(hull: IncrementalHull) -> None:
+    """Every ridge has exactly two owners, every piece is registered under
+    each of its ridges, and the map holds no other ridge."""
+    expected: dict[tuple, set] = {}
+    for piece in hull.pieces:
+        for ridge in combinations(piece, hull.k - 1):
+            expected.setdefault(ridge, set()).add(piece)
+    assert {ridge: set(owners) for ridge, owners in hull.ridges.items()} == expected
+    assert all(len(owners) == 2 for owners in hull.ridges.values())
+
+
+def oriented_hyperplane(hull: IncrementalHull, piece: tuple) -> tuple:
+    """The reference piece: the Bareiss hyperplane through the piece's
+    points, oriented so that every inserted point lies on its inner side."""
+    normal, offset = REFERENCE_HYPERPLANE([hull.proj[i] for i in piece])
+    if any(sum(h * x for h, x in zip(normal, q)) > offset for q in hull.proj):
+        normal, offset = tuple(-h for h in normal), -offset
+    assert all(sum(h * x for h, x in zip(normal, q)) <= offset for q in hull.proj)
+    return normal, offset
+
+
+
+def insertion_cases(seed: int) -> list[list[tuple[int, ...]]]:
+    """Integer point sets with many coplanar points: points of a line, grid
+    points of the plane and of space, and grid points of the plane lifted
+    to a 2-dimensional affine hull in R^3 and in R^4."""
+    rng = random.Random(seed)
+    grid2 = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    grid3 = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    return [
+        [(rng.randint(-6, 6),) for _ in range(6)],
+        rng.sample(grid2, 12),
+        rng.sample(grid3, 14),
+        [(x, y, 4 - x - y) for x, y in rng.sample(grid2, 10)],
+        [(x, y, 2 * x - y, 6 - x - y) for x, y in rng.sample(grid2, 10)],
+    ]
+
+
+def simplex_hull(pts: list[tuple[int, ...]]) -> IncrementalHull:
+    """A hull on the first affinely spanning points of ``pts`` only, so the
+    rest can be inserted one at a time."""
+    spanning = IncrementalHull(pts).hull.spanning
+    return IncrementalHull([pts[i] for i in spanning])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rotated_pieces_equal_the_hyperplane_through_them(seed, monkeypatch):
+    coplanar_insertions = 0
+    for pts in insertion_cases(seed):
+        hull = simplex_hull(pts)
+        audit_ridges(hull)
+        # after the initial simplex no piece may come from a linear solve
+        monkeypatch.setattr(polytope, "_hyperplane_through", None)
+        for p in pts:
+            old = dict(hull.pieces)
+            hull.add_point(p)
+            audit_ridges(hull)
+            for piece, plane in hull.pieces.items():
+                assert plane == oriented_hyperplane(hull, piece)
+                if piece not in old and plane in old.values():
+                    coplanar_insertions += 1  # a_i = 0: the new piece extends its neighbour's
+        monkeypatch.undo()
+    assert coplanar_insertions > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_insertion_orders_agree_with_brute_force(seed):
+    rng = random.Random(100 + seed)
+    for pts in insertion_cases(seed):
+        pts = list(dict.fromkeys(pts))[:7]
+        exact = [tuple(Fraction(x) for x in p) for p in pts]
+        expected_facets = brute_facets(pts)
+        expected_vertices = brute_extreme_points(pts)
+        for _ in range(3):
+            rng.shuffle(pts)
+            hull = simplex_hull(pts)
+            for p in pts:
+                hull.add_point(p)
+                audit_ridges(hull)
+            system = hull.facet_system()
+            assert system == facets(pts)
+            tight = {
+                frozenset(p for p in exact if sum(h * x for h, x in zip(normal, p)) == offset)
+                for normal, offset in system.facets
+            }
+            assert tight == expected_facets
+            weights = polytope._facet_sum_weights(system, exact)
+            assert {p for p, w in zip(exact, weights) if w is not None} == expected_vertices
+            for _ in range(3):  # affine combinations p + q - r: in the affine hull
+                probe = tuple(a + b - c for a, b, c in zip(*rng.choices(pts, k=3)))
+                assert system.contains(probe) == brute_hull_member(pts, probe)
+
+
+def test_a_ridge_with_more_than_two_owners_is_refused():
+    hull = IncrementalHull([(0, 0), (2, 0), (0, 2)])
+    for owners in hull.ridges.values():
+        owners.append(owners[0])
+    with pytest.raises(RuntimeError, match="invariant broken"):
+        hull.add_point((5, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,22 @@ def test_monomial_operations():
     assert unit_monomial(3, 0, 5) == (5, 0, 0)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_monomial_helpers_match_their_naive_definitions(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        arity = rng.randint(1, 7)
+        # exponents 0 most of the time, so coprime and divisible pairs occur
+        a, b = (tuple(rng.choice([0, 0, 0, 1, 2, 5]) for _ in range(arity)) for _ in range(2))
+        assert mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+        assert mono_divides(a, b) == all(x <= y for x, y in zip(a, b))
+        assert mono_coprime(a, b) == all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert mono_div(mono_mul(a, b), b) == a
+        lcm = mono_lcm(a, b)
+        assert mono_div(lcm, a) == tuple(x - y for x, y in zip(lcm, a))
+
+
 def test_degree_monomials_order_is_lex_descending():
     for arity in range(0, 5):
         for degree in range(0, 6):
