@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .groebner import (
     Component,
@@ -37,6 +37,7 @@ from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
 from .polytope import (
     ExtremalityError,
+    FacetSystem,
     VPolytope,
     extremality_witness,  # re-exported: part of this module's interface
     facets,
@@ -326,9 +327,9 @@ def _component_block_polytope(
     i: int,
     m: int,
     budget: int | None,
-) -> tuple[VPolytope, int, Mapping[Vector, tuple[int, ...]] | None]:
+) -> tuple[VPolytope, int, FacetSystem]:
     """Block polytope of component ``i``, the number of basis runs spent,
-    and the strict vertex witnesses when enumeration already produced them.
+    and the facet system of its hull.
 
     Ideal components are enumerated in the block ring; polytope components
     are restricted to block coordinates when given at ambient arity.
@@ -338,14 +339,11 @@ def _component_block_polytope(
         result = enumerate_state_polytope(component_block_ideal(chain, i), m, budget)
         if not result.complete:
             raise BudgetExhausted(budget if budget is not None else 0)
-        return result.polytope, result.query_count, result.witnesses
-    coords = list(chain.spec.block_coords(i))
+        return result.polytope, result.query_count, result.facet_system
     if comp.dim == chain.spec.arity:
-        restricted = VPolytope(
-            len(coords), [tuple(v[j] for j in coords) for v in comp.vertices]
-        )
-        return restricted, 0, None
-    return comp, 0, None
+        coords = list(chain.spec.block_coords(i))
+        comp = VPolytope(len(coords), [tuple(v[j] for j in coords) for v in comp.vertices])
+    return comp, 0, facets(comp)
 
 
 def _component_level_count(poly: VPolytope, m: int, i: int) -> int:
@@ -383,11 +381,10 @@ def decomposed_state_polytope(
     blocks: list[list[tuple[tuple, tuple[int, ...]]]] = []
     q_total = tau.mixed_monomial_count
     for i in range(spec.n_components):
-        poly, spent, witnesses = _component_block_polytope(chain, i, m, budget)
+        poly, spent, system = _component_block_polytope(chain, i, m, budget)
         queries += spent
         q_total += _component_level_count(poly, m, i)
-        if witnesses is None:
-            witnesses = vertex_witnesses(facets(poly), poly.vertices)
+        witnesses = vertex_witnesses(system, poly.vertices)
         blocks.append([(v, witnesses[v]) for v in poly.vertices])
 
     starts = [spec.block_start(i) for i in range(spec.n_components)]
@@ -468,22 +465,13 @@ def barycenter_decompose(
 
 
 @dataclass(frozen=True)
-class ComponentMembership:
-    """Whether one block summand lies in its component's block polytope."""
-
-    index: int
-    summand: Vector
-    inside: bool
-    coefficients: tuple[Fraction, ...] | None
-    separator: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
 class ChainSemistabilityReport:
     """Barycenter membership for a chain, decided one component at a time.
 
     ``member_of_hull`` is true exactly when every block summand of
-    ``barycenter - tau`` lies in the corresponding component polytope.
+    ``barycenter - tau`` lies in the corresponding component polytope;
+    ``components[i]`` decides ``summands[i]`` in block coordinates, with
+    weights on the component's sorted block vertices.
     """
 
     m: int
@@ -493,7 +481,7 @@ class ChainSemistabilityReport:
     target: Vector
     levels: tuple[Fraction, ...]
     summands: tuple[Vector, ...]
-    components: tuple[ComponentMembership, ...]
+    components: tuple[HullMembership, ...]
     member_of_hull: bool
 
 
@@ -505,30 +493,20 @@ def semistability_via_components(
     block summands and test each against its component polytope."""
     spec = chain.spec
     tau = tau_vector(spec, m)  # refuses m < 1
-    polys: list[VPolytope] = []
+    blocks: list[tuple[VPolytope, FacetSystem]] = []
     q_total = tau.mixed_monomial_count
     for i in range(spec.n_components):
-        poly, _, _ = _component_block_polytope(chain, i, m, budget)
+        poly, _, system = _component_block_polytope(chain, i, m, budget)
         q_total += _component_level_count(poly, m, i)
-        polys.append(poly)
-    levels = tuple(poly.level for poly in polys)
+        blocks.append((poly, system))
+    levels = tuple(poly.level for poly, _ in blocks)
     gamma = trivial_character_point(spec.n, m, q_total)
     target = tuple(g - t for g, t in zip(gamma, tau.tau))
     summands = barycenter_decompose(target, spec, levels)
-    memberships: list[ComponentMembership] = []
-    for i, (poly, summand) in enumerate(zip(polys, summands)):
-        coords = list(spec.block_coords(i))
-        restricted = tuple(summand[j] for j in coords)
-        hull: HullMembership = member_convex_hull(poly.vertices, restricted)
-        memberships.append(
-            ComponentMembership(
-                index=i,
-                summand=summand,
-                inside=hull.inside,
-                coefficients=hull.coefficients,
-                separator=hull.separator,
-            )
-        )
+    memberships = tuple(
+        member_convex_hull(system, poly.vertices, [summand[j] for j in spec.block_coords(i)])
+        for i, ((poly, system), summand) in enumerate(zip(blocks, summands))
+    )
     return ChainSemistabilityReport(
         m=m,
         q=q_total,
@@ -537,7 +515,7 @@ def semistability_via_components(
         target=target,
         levels=levels,
         summands=summands,
-        components=tuple(memberships),
+        components=memberships,
         member_of_hull=all(c.inside for c in memberships),
     )
 

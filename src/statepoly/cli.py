@@ -40,7 +40,7 @@ from .groebner import (
     intersect_ideals,
 )
 from .hm import hm_index_decomposed, hm_index_direct
-from .lp import member_convex_hull
+from .lp import HullMembership, member_convex_hull
 from .orders import MonomialOrder, matrix_order, named_order, weight_order
 from .parsing import (
     IdealFile,
@@ -52,7 +52,7 @@ from .parsing import (
     parse_vector,
     scalar_to_json,
 )
-from .polytope import VPolytope, load_polytope, polytope_payload
+from .polytope import VPolytope, facets, load_polytope, polytope_payload
 from .rings import Ideal
 from .rosary import (
     RosarySpec,
@@ -360,14 +360,16 @@ def _cmd_decompose_point(args: argparse.Namespace, doc: None) -> Outcome:
 def _cmd_contains(args: argparse.Namespace, doc: None) -> Outcome:
     poly = load_polytope(args.polytope)
     point = parse_vector(args.point)
-    hull = member_convex_hull(poly.vertices, point)
-    payload = {
-        "point": _json_vector(point),
+    hull = member_convex_hull(facets(poly), poly.vertices, point)
+    return Outcome({"point": _json_vector(point), **_certificate(hull)})
+
+
+def _certificate(hull: HullMembership) -> dict:
+    return {
         "inside": hull.inside,
         "coefficients": _json_vector(hull.coefficients) if hull.coefficients else None,
         "separator": list(hull.separator) if hull.separator else None,
     }
-    return Outcome(payload)
 
 
 def _cmd_semistable(args: argparse.Namespace, doc: IdealFile) -> Outcome:
@@ -387,12 +389,8 @@ def _cmd_semistable(args: argparse.Namespace, doc: IdealFile) -> Outcome:
             "levels": _json_vector(report.levels),
             "summands": [_json_vector(s) for s in report.summands],
             "components": [
-                {
-                    "index": c.index + 1,
-                    "inside": c.inside,
-                    "summand": _json_vector(c.summand),
-                }
-                for c in report.components
+                {"index": i + 1, **_certificate(c), "summand": _json_vector(s)}
+                for i, (c, s) in enumerate(zip(report.components, report.summands))
             ],
             "member_of_hull": report.member_of_hull,
         }

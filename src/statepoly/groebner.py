@@ -52,19 +52,8 @@ IntPoly = dict[Monomial, int]
 # integer-polynomial helpers
 
 
-def _to_int_poly(poly: Polynomial) -> IntPoly:
-    return dict(zip(poly.terms, primitive(list(poly.terms.values()))))
-
-
 def _primitive(p: IntPoly) -> IntPoly:
-    if not p:
-        return p
-    content = 0
-    for c in p.values():
-        content = gcd(content, c)
-    if content > 1:
-        p = {m: c // content for m, c in p.items()}
-    return p
+    return dict(zip(p, primitive(list(p.values()))))
 
 
 def _lead(p: IntPoly, key) -> Monomial:
@@ -153,8 +142,9 @@ def _spoly(fi: IntPoly, fj: IntPoly, li: Monomial, lj: Monomial, key) -> IntPoly
 def _buchberger_int(
     gens: list[IntPoly], order: MonomialOrder, degree: int | None = None
 ) -> list[IntPoly]:
-    """Minimal (lead-interreduced) Groebner basis with primitive integer
-    coefficients and positive leading coefficients.
+    """Minimal (lead-interreduced) Groebner basis of primitive integer
+    generators, with primitive integer coefficients and positive leading
+    coefficients.
 
     When ``degree`` is given and every generator is homogeneous, the run
     stops at degree ``degree``: the result is the ``degree``-truncated
@@ -178,7 +168,7 @@ def _buchberger_int(
     basis: list[IntPoly] = []
     leads: list[Monomial] = []
     for g in sorted(gens, key=lambda g: key(_lead(g, key))):
-        basis.append(_orient(_primitive(dict(g)), key))
+        basis.append(_orient(g, key))
         leads.append(_lead(basis[-1], key))
 
     pending: set[tuple[int, int]] = set()
@@ -278,9 +268,9 @@ class ReducedGB:
             raise ValueError("arity mismatch in normal form")
         if poly.is_zero or not self.elements:
             return poly
-        ints = [_to_int_poly(g) for g in self.elements]
+        ints = [_primitive(g.terms) for g in self.elements]
         leads = list(self.leads)
-        p = _to_int_poly(poly)
+        p = _primitive(poly.terms)
         if not p:
             return Polynomial.zero(self.arity)
         # recover the exact normal form of poly itself: scale back by the
@@ -348,7 +338,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
     if ideal.arity != arity:
         raise ValueError("generator arity does not match order arity")
     key = order.key
-    basis = _buchberger_int([_to_int_poly(g) for g in ideal.generators], order, degree)
+    basis = _buchberger_int([_primitive(g.terms) for g in ideal.generators], order, degree)
     leads = [_lead(g, key) for g in basis]
     # tail-reduce each element against the others, then make monic
     reduced: list[Polynomial] = []
@@ -376,7 +366,7 @@ def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None)
     in every degree up to ``degree`` (its generators are the full one's of
     degree at most ``degree``).  Inhomogeneous generators ignore ``degree``.
     """
-    basis = _buchberger_int([_to_int_poly(g) for g in ideal.generators], order, degree)
+    basis = _buchberger_int([_primitive(g.terms) for g in ideal.generators], order, degree)
     key = order.key
     marked = []
     for g in basis:
@@ -529,7 +519,7 @@ class UnionSlices:
         height = 0
         for coords, block in components:
             gb = buchberger(block, grevlex_order(block.arity), d)
-            leads, polys = list(gb.leads), [_to_int_poly(g) for g in gb.elements]
+            leads, polys = list(gb.leads), [_primitive(g.terms) for g in gb.elements]
             rows: dict[Monomial, int] = {}
             forms = {}
             for mono in degree_monomials(block.arity, d):

@@ -1,9 +1,10 @@
-"""Exact rational feasibility with verifiable certificates, and the hull
-queries built on it.
+"""Exact hull queries -- membership read off a facet system, the affine
+hull -- and the reference simplex that the tests compare membership with.
 
 :func:`solve_lp` decides ``{x >= 0 : A x = b}`` by phase 1 of a dense simplex
-over ``Fraction`` with Bland's anti-cycling rule.  Either answer carries a
-certificate that plain arithmetic can re-check (:func:`audit_feasibility`):
+over ``Fraction`` with Bland's anti-cycling rule; no command path calls it.
+Either answer carries a certificate that plain arithmetic can re-check
+(:func:`audit_feasibility`):
 
 * feasible -- a point ``x >= 0`` with ``A x = b``;
 * infeasible -- a Farkas vector ``y`` with ``y A <= 0`` in every column and
@@ -13,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Sequence
+from operator import itemgetter, mul
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .linalg import exact_vector, primitive, row_reduce
+
+if TYPE_CHECKING:  # polytope imports this module
+    from .polytope import FacetSystem
 
 Vector = tuple[Fraction, ...]
 
@@ -131,25 +135,54 @@ class HullMembership:
     separator: tuple[int, ...] | None = None  # functional larger at target
 
 
-def member_convex_hull(points: Sequence[Sequence], target: Sequence) -> HullMembership:
-    """Exact convex-hull membership with a certificate either way."""
-    pts = [_vec(p) for p in points]
-    tgt = _vec(target)
-    if not pts:
-        raise ValueError("membership query needs at least one point")
-    dim = len(tgt)
-    for p in pts:
-        if len(p) != dim:
-            raise ValueError("point dimension mismatch")
-    augmented = [[p[k] for p in pts] + [tgt[k]] for k in range(dim)]
-    augmented.append([Fraction(1)] * (len(pts) + 1))
-    res = solve_lp(augmented)
-    if res.status == "feasible":
-        return HullMembership(inside=True, coefficients=res.point)
-    assert res.status == "infeasible" and res.farkas is not None
-    h = res.farkas[:dim]
-    separator = primitive(h)
-    return HullMembership(inside=False, separator=separator)
+def member_convex_hull(
+    system: FacetSystem, vertices: Sequence[Sequence], target: Sequence
+) -> HullMembership:
+    """Membership of ``target`` in the hull of ``vertices``, read off
+    ``system``, the facet system of that hull, with a certificate either way.
+
+    The separator is the first violated equation normal (signed so that the
+    target's side is larger) or facet normal.  Inside weights follow the
+    order of ``vertices`` and at most ``hull_dim + 1`` are nonzero: a ray
+    from the face's first point through the target exits on a facet, which
+    splits the target between the two and leaves a smaller face to recurse
+    in (Caratheodory).
+    """
+    p = exact_vector(target)
+    if len(p) != system.dim:
+        raise ValueError("point dimension mismatch")
+    for normal, offset in system.equations:
+        value = sum(map(mul, normal, p))
+        if value != offset:
+            sign = 1 if value > offset else -1
+            return HullMembership(inside=False, separator=tuple(sign * h for h in normal))
+    for normal, offset in system.facets:
+        if sum(map(mul, normal, p)) > offset:
+            return HullMembership(inside=False, separator=normal)
+    pts = [exact_vector(v) for v in vertices]
+    weights = [Fraction(0)] * len(pts)
+    face = list(range(len(pts)))
+    share = Fraction(1)
+    while True:
+        v = pts[face[0]]
+        d = tuple(a - b for a, b in zip(p, v))
+        if not any(d):
+            weights[face[0]] += share
+            return HullMembership(inside=True, coefficients=tuple(weights))
+        # the ray v + s*d leaves the polytope at s = t >= 1: a facet tight at
+        # v with normal . d > 0 would cut off p
+        t, normal, offset = min(
+            (
+                (Fraction(offset - sum(map(mul, normal, v)), slope), normal, offset)
+                for normal, offset in system.facets
+                if (slope := sum(map(mul, normal, d))) > 0
+            ),
+            key=itemgetter(0),
+        )
+        weights[face[0]] += share * (1 - 1 / t)
+        share /= t
+        p = tuple(a + t * b for a, b in zip(v, d))
+        face = [i for i in face if sum(map(mul, normal, pts[i])) == offset]
 
 
 @dataclass(frozen=True)

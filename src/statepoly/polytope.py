@@ -3,9 +3,10 @@
 Coordinates follow the exact-scalar rule of :mod:`statepoly.linalg`: a
 vertex coordinate, a level or a facet offset is an ``int`` when it is
 integral and a ``Fraction`` only otherwise, so integer vertices stay
-``int`` tuples.  Membership runs on the exact LP solver; facet enumeration
-is an incremental beneath-beyond hull computed inside the affine hull of
-the input, so lower dimensional polytopes work without perturbation.  The
+``int`` tuples.  Facet enumeration is an incremental beneath-beyond hull
+computed inside the affine hull of the input, so lower dimensional
+polytopes work without perturbation, and membership is read off its facet
+system (:func:`statepoly.lp.member_convex_hull`).  The
 hull works in ``int`` only: its points, their projections, and every
 piece's normal and offset are integers, and :func:`facets` scales a
 rational point set to integers by its common denominator before building
@@ -98,7 +99,7 @@ class VPolytope:
     def contains(self, point: Sequence) -> bool:
         if not self.vertices:
             return False
-        return member_convex_hull(self.vertices, point).inside
+        return member_convex_hull(facets(self), self.vertices, point).inside
 
     def __add__(self, other: "VPolytope") -> "VPolytope":
         return minkowski_sum(self, other)
@@ -164,12 +165,6 @@ class FacetSystem:
     hull_dim: int
     equations: tuple[tuple[tuple[int, ...], int | Fraction], ...]
     facets: tuple[tuple[tuple[int, ...], int | Fraction], ...]
-
-    def contains(self, point: Sequence) -> bool:
-        p = exact_vector(point)
-        if any(sum(map(mul, normal, p)) != offset for normal, offset in self.equations):
-            return False
-        return all(sum(map(mul, normal, p)) <= offset for normal, offset in self.facets)
 
     def relative_interior(self, point: Sequence) -> bool:
         """Whether a point already known to lie in the polytope lies in its

@@ -320,11 +320,11 @@ class SemistabilityReport:
 def semistability_report(result: StatePolytopeResult, n: int | None = None) -> SemistabilityReport:
     """Barycenter membership for a completed state polytope.
 
-    The barycenter is the point with all coordinates ``m*q/(n+1)``.  Reports
-    hull membership with an exact LP certificate and, for a member, whether
-    it lies in the relative interior (no facet of ``result.facet_system``,
-    or of the polytope's hull when the result carries none, is tight at
-    it); no stability label is attached to either flag.
+    The barycenter is the point with all coordinates ``m*q/(n+1)``.  One
+    facet system -- ``result.facet_system``, or the polytope's hull when the
+    result carries none -- gives hull membership with its certificate and,
+    for a member, whether it lies in the relative interior (no facet is
+    tight at it); no stability label is attached to either flag.
     """
     if not result.complete:
         raise ValueError("state polytope enumeration is incomplete (budget exhausted)")
@@ -336,17 +336,14 @@ def semistability_report(result: StatePolytopeResult, n: int | None = None) -> S
     if result.q is None:
         raise ValueError("polytope has no common level; cannot form the barycenter")
     gamma = trivial_character_point(n, result.m, result.q)
-    membership = member_convex_hull(polytope.vertices, gamma)
-    interior = False
-    if membership.inside:
-        system = result.facet_system or facets(polytope)
-        interior = system.relative_interior(gamma)
+    system = result.facet_system or facets(polytope)
+    membership = member_convex_hull(system, polytope.vertices, gamma)
     return SemistabilityReport(
         m=result.m,
         q=result.q,
         barycenter=gamma,
         member_of_hull=membership.inside,
-        relative_interior=interior,
+        relative_interior=membership.inside and system.relative_interior(gamma),
         coefficients=membership.coefficients,
         separator=membership.separator,
     )

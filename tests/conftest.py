@@ -141,6 +141,15 @@ def brute_extreme_points(points: Sequence[Sequence]) -> set[tuple[Fraction, ...]
     return out
 
 
+def lp_hull_member(points: Sequence[Sequence], target: Sequence) -> bool:
+    """Hull membership by the reference simplex: the feasibility of
+    ``lambda >= 0`` with ``sum_i lambda_i p_i = target`` and
+    ``sum_i lambda_i = 1``."""
+    augmented = [[p[j] for p in points] + [t] for j, t in enumerate(target)]
+    augmented.append([1] * (len(points) + 1))
+    return solve_lp(augmented).status == "feasible"
+
+
 def lp_relative_interior(points: Sequence[Sequence], point: Sequence) -> bool:
     """Relative-interior test by LP: a point is in the relative interior of
     the hull of ``points`` exactly when it is a convex combination of all of

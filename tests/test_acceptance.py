@@ -45,7 +45,7 @@ from statepoly.orders import (
     weight_order,
 )
 from statepoly.parsing import parse_ideal_file
-from statepoly.polytope import load_polytope, trivial_character_point
+from statepoly.polytope import facets, load_polytope, trivial_character_point
 from statepoly.rings import Ideal, Polynomial
 from statepoly.rosary import RosarySpec, rosary_component_ideal, rosary_w
 from statepoly.state import enumerate_state_polytope
@@ -511,7 +511,7 @@ def test_criterion_09_exact_lp_certificates_and_hull_oracle():
                 sum(w * p[j] for w, p in zip(weights, points)) / total
                 for j in range(dim)
             )
-        verdict = member_convex_hull(points, target)
+        verdict = member_convex_hull(facets(points), points, target)
         assert verdict.inside == brute_hull_member(points, target)
         if verdict.inside:
             coeffs = verdict.coefficients

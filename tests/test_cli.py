@@ -7,11 +7,12 @@ import json
 import re
 import shlex
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from statepoly import chains, cli, groebner, rosary
+from statepoly import chains, cli, groebner, lp, rosary
 from statepoly.chains import tau_vector
 from statepoly.cli import (
     COMMANDS,
@@ -22,7 +23,7 @@ from statepoly.cli import (
     main,
     run_command,
 )
-from statepoly.polytope import VPolytope, save_polytope
+from statepoly.polytope import VPolytope, load_polytope, save_polytope
 from statepoly.rings import Polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -471,6 +472,94 @@ def test_semistable_chain_golden(capsys):
     assert payload["member_of_hull"] == all(
         entry["inside"] for entry in payload["components"]
     )
+
+
+def replay_certificate(entry: dict, vertices: list, point: list) -> None:
+    """Replay a ``contains``-style certificate with plain ``Fraction``
+    arithmetic: convex weights on the sorted vertices, or a strict separator."""
+    vertices = sorted({tuple(map(Fraction, v)) for v in vertices})
+    point = tuple(map(Fraction, point))
+    if entry["inside"]:
+        assert entry["separator"] is None
+        weights = [Fraction(c) for c in entry["coefficients"]]
+        assert len(weights) == len(vertices) and min(weights) >= 0 and sum(weights) == 1
+        assert tuple(
+            sum(w * v[j] for w, v in zip(weights, vertices)) for j in range(len(point))
+        ) == point
+    else:
+        assert entry["coefficients"] is None
+        value = sum(h * x for h, x in zip(entry["separator"], point))
+        assert all(sum(h * x for h, x in zip(entry["separator"], v)) < value for v in vertices)
+
+
+def replay_component_certificates(payload: dict, blocks: list, components: list) -> None:
+    """Every component entry of a chain ``semistable`` payload, replayed
+    against its ambient-arity vertices restricted to the block."""
+    assert len(payload["components"]) == len(components)
+    for k, (entry, vertices) in enumerate(zip(payload["components"], components)):
+        coords = range(blocks[k], blocks[k + 1] + 1)
+        assert entry["index"] == k + 1 and entry["summand"] == payload["summands"][k]
+        replay_certificate(
+            entry, [[v[j] for j in coords] for v in vertices], [entry["summand"][j] for j in coords]
+        )
+
+
+def test_semistable_chain_renders_component_certificates(capsys):
+    code, doc = run_json(
+        capsys, "semistable", "--ideal", f"{DATA}/bridge_chain.ideal", "--m", "2"
+    )
+    assert code == EXIT_OK
+    components = [
+        json.loads((ROOT / "data" / "bridge" / name).read_text())["vertices"]
+        for name in ("w2_left.json", "elliptic.json", "w2_right.json")
+    ]
+    replay_component_certificates(doc["payload"], [0, 4, 7, 11], components)
+
+
+def inside_chain(tmp_path) -> tuple[Path, list]:
+    """Blocks 0,2,4 and m = 2 split the barycenter into the summands
+    (6/5, 6/5, 8/5) and (8/5, 6/5, 6/5) at level 4: the first lies in the
+    level-4 simplex of its block, and the second misses the other component,
+    whose first block coordinate is at least 2."""
+    simplex = [[4, 0, 0, 0, 0], [0, 4, 0, 0, 0], [0, 0, 4, 0, 0]]
+    corner = [[0, 0, 4, 0, 0], [0, 0, 2, 2, 0], [0, 0, 2, 0, 2]]
+    for name, vertices in (("simplex.json", simplex), ("corner.json", corner)):
+        save_polytope(tmp_path / name, VPolytope(5, vertices))
+    path = tmp_path / "inside.ideal"
+    path.write_text(
+        "ring: a,b,c,d,e\nblocks: 0,2,4\npolytope[1]: simplex.json\npolytope[2]: corner.json\n",
+        encoding="utf-8",
+    )
+    return path, [simplex, corner]
+
+
+def test_semistable_chain_component_inside_certificate(capsys, tmp_path):
+    path, components = inside_chain(tmp_path)
+    code, doc = run_json(capsys, "semistable", "--ideal", str(path), "--m", "2")
+    assert code == EXIT_OK
+    payload = doc["payload"]
+    assert [entry["inside"] for entry in payload["components"]] == [True, False]
+    assert payload["member_of_hull"] is False
+    replay_component_certificates(payload, [0, 2, 4], components)
+
+
+def test_no_command_solves_an_lp(capsys, monkeypatch, tmp_path):
+    def refuse(augmented):
+        raise AssertionError("a command path solved an LP")
+
+    monkeypatch.setattr(lp, "solve_lp", refuse)
+    elliptic = "data/bridge/elliptic.json"
+    monkeypatch.chdir(ROOT)
+    for point, inside in (("0,0,0,0,1,0,3,0,0,0,0,0", True), ("0,0,0,0,4,0,0,0,0,0,0,0", False)):
+        code, doc = run_json(capsys, "contains", "--polytope", elliptic, "--point", point)
+        assert code == EXIT_OK and doc["payload"]["inside"] is inside
+    code, doc = run_json(capsys, "semistable", "--ideal", f"{DATA}/planecurve.ideal", "--m", "3")
+    assert code == EXIT_OK and doc["payload"]["separator"] == [2, 2, 2, -1, 0]
+    for ideal in (f"{DATA}/bridge_chain.ideal", str(inside_chain(tmp_path)[0])):
+        code, doc = run_json(capsys, "semistable", "--ideal", ideal, "--m", "2")
+        assert code == EXIT_OK and doc["payload"]["route"] == "components"
+    poly = load_polytope(elliptic)
+    assert poly.contains(poly.vertices[0]) and not poly.contains((0,) * 4 + (4,) + (0,) * 7)
 
 
 def test_hm_direct_golden(capsys, tmp_path):

@@ -18,7 +18,7 @@ from statepoly.lp import (
     solve_lp,
 )
 from statepoly.polytope import facets
-from conftest import brute_hull_member, rand_point
+from conftest import brute_hull_member, lp_hull_member, rand_point
 
 
 def solved(augmented):
@@ -116,14 +116,15 @@ def test_every_lp_answer_passes_certificate_audit():
 
 def test_member_convex_hull_known_square():
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    inside = member_convex_hull(square, (1, 1))
+    system = facets(square)
+    inside = member_convex_hull(system, square, (1, 1))
     assert inside.inside
     coeffs = inside.coefficients
     # certificate: the convex combination reconstructs the target exactly
     assert sum(coeffs) == 1
     for j in range(2):
         assert sum(c * Fraction(square[i][j]) for i, c in enumerate(coeffs)) == 1
-    outside = member_convex_hull(square, (3, 1))
+    outside = member_convex_hull(system, square, (3, 1))
     assert not outside.inside
     normal = outside.separator
     # separating functional: strictly larger on the target than on the hull
@@ -152,7 +153,7 @@ def test_hull_membership_agrees_with_brute_force(seed):
         )
     else:
         target = rand_point(rng, dim, span=5)
-    got = member_convex_hull(points, target)
+    got = member_convex_hull(facets(points), points, target)
     want = brute_hull_member(points, target)
     assert got.inside == want
     if got.inside:
@@ -167,17 +168,104 @@ def test_hull_membership_agrees_with_brute_force(seed):
 
 
 # ---------------------------------------------------------------------------
+# membership from the facet system against the reference simplex
+
+
+def replay_membership(verdict, points, target, hull_dim):
+    """Check a membership certificate with plain ``Fraction`` arithmetic."""
+    pts = [tuple(map(Fraction, p)) for p in points]
+    tgt = tuple(map(Fraction, target))
+    if verdict.inside:
+        assert verdict.separator is None
+        coeffs = verdict.coefficients
+        assert len(coeffs) == len(pts)
+        assert all(c >= 0 for c in coeffs) and sum(coeffs) == 1
+        assert tuple(sum(c * p[j] for c, p in zip(coeffs, pts)) for j in range(len(tgt))) == tgt
+        assert sum(1 for c in coeffs if c) <= hull_dim + 1
+    else:
+        assert verdict.coefficients is None
+        sep = verdict.separator
+        assert len(sep) == len(tgt) and all(type(h) is int for h in sep)
+        value = sum(h * t for h, t in zip(sep, tgt))
+        assert all(sum(h * x for h, x in zip(sep, p)) < value for p in pts)
+
+
+def membership_case(rng, kind):
+    """A listed point set of one kind and targets around its hull."""
+    dim = rng.randint(1, 3)
+    if kind == "rational":
+        pts = [rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 6))]
+    else:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+    if kind == "lifted":  # an integer affine image in a higher dimension
+        pts = [p + (sum(p) - 2, 3 - p[0]) for p in pts]
+    if kind == "redundant":  # duplicates and non-extreme listed points
+        pts += [rng.choice(pts)] + [tuple((a + b) / 2 for a, b in zip(*rng.choices(pts, k=2)))]
+        rng.shuffle(pts)
+    targets = list(pts)
+    targets += [tuple((a + b) / 2 for a, b in zip(*rng.sample(pts, 2)))] if len(pts) > 1 else []
+    weights = [Fraction(rng.randint(0, 3)) for _ in pts]
+    total = sum(weights) or Fraction(1)
+    targets.append(tuple(sum(w * p[j] for w, p in zip(weights, pts)) / total for j in range(len(pts[0]))))
+    targets += [rand_point(rng, len(pts[0]), span=5) for _ in range(2)]
+    # a hull point shifted off the affine hull of a lower-dimensional set
+    targets.append((targets[-3][0] + Fraction(1, 2),) + tuple(targets[-3][1:]))
+    return pts, targets
+
+
+def test_membership_agrees_with_reference_simplex_and_brute_force():
+    outcomes = {True: 0, False: 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        for kind in ("integer", "rational", "lifted", "redundant"):
+            pts, targets = membership_case(rng, kind)
+            system = facets(pts)
+            for target in targets:
+                verdict = member_convex_hull(system, pts, target)
+                assert verdict.inside == lp_hull_member(pts, target) == brute_hull_member(pts, target)
+                replay_membership(verdict, pts, target, system.hull_dim)
+                outcomes[verdict.inside] += 1
+    assert min(outcomes.values()) > 200
+
+
+def test_membership_weights_follow_the_listed_order():
+    # (1, 1) is listed twice and is not a vertex; (0, 0) is listed last
+    square = [(2, 0), (1, 1), (0, 2), (2, 2), (1, 1), (0, 0)]
+    system = facets(square)
+    for target in [(0, 0), (1, 1), (Fraction(1, 2), Fraction(3, 2)), (2, 1)]:
+        verdict = member_convex_hull(system, square, target)
+        replay_membership(verdict, square, target, 2)
+    assert member_convex_hull(system, square, (0, 0)).coefficients[-1] == 1
+    with pytest.raises(ValueError, match="dimension"):
+        member_convex_hull(system, square, (1, 1, 1))
+
+
+def test_separators_are_equation_or_facet_normals():
+    segment = [(0, 0, 2), (2, 0, 0)]
+    system = facets(segment)
+    # off the affine hull on either side of an equation: the equation normal,
+    # signed so that the target's side is larger
+    below = member_convex_hull(system, segment, (1, -1, 1)).separator
+    above = member_convex_hull(system, segment, (1, 1, 1)).separator
+    assert below == tuple(-h for h in above)
+    assert {below, above} <= {tuple(s * h for h in n) for n, _ in system.equations for s in (1, -1)}
+    # in the affine hull but past an end: the first facet it violates
+    beyond = member_convex_hull(system, segment, (3, 0, -1)).separator
+    assert beyond in {normal for normal, _ in system.facets}
+
+
+# ---------------------------------------------------------------------------
 # relative interior and affine hulls
 
 
 def test_relative_interior_of_segment():
     seg = [(0, 0), (2, 2)]
     system = facets(seg)
-    assert member_convex_hull(seg, (1, 1)).inside and system.relative_interior((1, 1))
-    assert member_convex_hull(seg, (0, 0)).inside and not system.relative_interior((0, 0))
-    assert not member_convex_hull(seg, (3, 3)).inside and not system.contains((3, 3))
+    assert member_convex_hull(system, seg, (1, 1)).inside and system.relative_interior((1, 1))
+    assert member_convex_hull(system, seg, (0, 0)).inside and not system.relative_interior((0, 0))
+    assert not member_convex_hull(system, seg, (3, 3)).inside
     # off the affine hull: outside, and an equation of the hull is violated
-    assert not member_convex_hull(seg, (1, 0)).inside
+    assert not member_convex_hull(system, seg, (1, 0)).inside
     assert not affine_hull(seg).contains((1, 0))
 
 

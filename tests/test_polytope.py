@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statepoly import polytope
+from statepoly.lp import member_convex_hull
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
@@ -196,8 +197,8 @@ def test_facets_of_triangle():
     assert len(system.facets) == 3
     assert not system.equations
     audit_facets(system, tri.vertices)
-    assert system.contains((1, 1))
-    assert not system.contains((2, 2))
+    assert member_convex_hull(system, tri.vertices, (1, 1)).inside
+    assert not member_convex_hull(system, tri.vertices, (2, 2)).inside
 
 
 def test_facets_of_leveled_simplex_have_equation():
@@ -211,15 +212,17 @@ def test_facets_of_leveled_simplex_have_equation():
 
 
 def test_facets_of_point_and_segment():
-    point = facets(VPolytope(2, [(1, 2)]))
-    assert point.hull_dim == 0
-    assert point.contains((1, 2))
-    assert not point.contains((1, 3))
-    seg = facets(VPolytope(2, [(0, 0), (2, 4)]))
-    assert seg.hull_dim == 1
-    assert seg.contains((1, 2))
-    assert not seg.contains((3, 6))
-    assert not seg.contains((1, 1))
+    point = VPolytope(2, [(1, 2)])
+    system = facets(point)
+    assert system.hull_dim == 0
+    assert member_convex_hull(system, point.vertices, (1, 2)).inside
+    assert not member_convex_hull(system, point.vertices, (1, 3)).inside
+    seg = VPolytope(2, [(0, 0), (2, 4)])
+    system = facets(seg)
+    assert system.hull_dim == 1
+    assert member_convex_hull(system, seg.vertices, (1, 2)).inside
+    assert not member_convex_hull(system, seg.vertices, (3, 6)).inside
+    assert not member_convex_hull(system, seg.vertices, (1, 1)).inside
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,7 +236,8 @@ def test_facet_vertex_round_trip(seed):
     audit_facets(system, poly.vertices)
     for _ in range(6):
         probe = rand_point(rng, dim, span=4)
-        assert system.contains(probe) == brute_hull_member(poly.vertices, probe)
+        inside = member_convex_hull(system, poly.vertices, probe).inside
+        assert inside == brute_hull_member(poly.vertices, probe)
     # vertices of the polytope are exactly the hull points tight on >= hull_dim
     # facets (checked on the vertex set itself: each vertex must be tight on
     # at least hull_dim facet inequalities)
@@ -426,7 +430,8 @@ def test_random_insertion_orders_agree_with_brute_force(seed):
             assert {p for p, w in zip(exact, weights) if w is not None} == expected_vertices
             for _ in range(3):  # affine combinations p + q - r: in the affine hull
                 probe = tuple(a + b - c for a, b, c in zip(*rng.choices(pts, k=3)))
-                assert system.contains(probe) == brute_hull_member(pts, probe)
+                inside = member_convex_hull(system, pts, probe).inside
+                assert inside == brute_hull_member(pts, probe)
 
 
 def test_a_ridge_with_more_than_two_owners_is_refused():
@@ -507,7 +512,7 @@ def test_relative_interior_predicate_agrees_with_lp():
             for point in candidates:
                 expected = lp_relative_interior(pts, point)
                 outcomes[expected] += 1
-                assert system.contains(point)
+                assert member_convex_hull(system, pts, point).inside
                 assert system.relative_interior(point) == expected
     assert outcomes[True] > 20 and outcomes[False] > 20
 

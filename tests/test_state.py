@@ -269,8 +269,8 @@ def test_state_data_is_int_and_reports_hold_no_float():
 
 
 def test_semistability_relative_interior_reads_facets(monkeypatch):
-    # one membership LP per report; a result without a facet system falls
-    # back to the polytope's facets
+    # no LP: membership and the relative interior read one facet system; a
+    # result without a facet system falls back to the polytope's facets
     solves = []
     real_solve = lp_module.solve_lp
     monkeypatch.setattr(lp_module, "solve_lp", lambda program: solves.append(1) or real_solve(program))
@@ -284,7 +284,7 @@ def test_semistability_relative_interior_reads_facets(monkeypatch):
             )
             solves.clear()
             report = semistability_report(result)
-            assert len(solves) == 1
+            assert len(solves) == 0
             assert report.member_of_hull
             assert report.relative_interior is interior
             assert lp_relative_interior(poly.vertices, report.barycenter) is interior
