@@ -17,7 +17,6 @@ import csv
 import functools
 import hashlib
 import io
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +49,7 @@ from .parsing import (
     parse_ideal_file,
     parse_int_vector,
     parse_vector,
+    render_json,
     scalar_to_json,
 )
 from .polytope import VPolytope, facets, load_polytope, polytope_payload
@@ -95,7 +95,7 @@ class CommandResult:
     def rendered(self) -> str:
         if self.format == "csv":
             return _render_csv(self.payload)
-        return json.dumps(self.document(), indent=2, sort_keys=True) + "\n"
+        return render_json(self.document()) + "\n"
 
 
 def _render_csv(payload: object) -> str:
@@ -123,7 +123,7 @@ def _json_monomial(mono: Sequence[int]) -> list[int]:
 
 
 def _witnesses_json(witnesses) -> dict[str, list[int]]:
-    return {format_vector(v): list(direction) for v, direction in sorted(witnesses.items())}
+    return {format_vector(v): list(direction) for v, direction in witnesses.items()}
 
 
 def _single_ideal(doc: IdealFile) -> Ideal:
@@ -553,6 +553,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statec",

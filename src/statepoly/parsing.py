@@ -29,6 +29,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Sequence
 
@@ -52,11 +53,23 @@ class ParseError(ValueError):
 # rationals and vectors
 
 
+def _past_the_digit_limit() -> ValueError:
+    limit = sys.get_int_max_str_digits()
+    return ValueError(
+        f"an integer of more than {limit} digits cannot be written (the integer string limit)"
+    )
+
+
 def format_rational(value: Fraction | int) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """``n`` or ``p/q``, which is ``str`` of an ``int`` or a ``Fraction``; an
+    integer past the integer string limit is refused with ``ValueError``
+    (exit 2)."""
+    if type(value) not in (int, Fraction):
+        value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise _past_the_digit_limit() from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -67,7 +80,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_vector(values: Sequence[Fraction | int]) -> str:
-    return ",".join(format_rational(v) for v in values)
+    if set(map(type, values)) <= {int, Fraction}:
+        try:
+            return ",".join(map(str, values))
+        except ValueError:
+            raise _past_the_digit_limit() from None
+    return ",".join(map(format_rational, values))
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -89,7 +107,65 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
 
 def scalar_to_json(value: Fraction | int):
     v = exact(value)
-    return v if type(v) is int else f"{v.numerator}/{v.denominator}"
+    return v if type(v) is int else format_rational(v)
+
+
+def render_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the values a
+    document holds: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
+    ``int``, ``bool`` and ``None``.  Any other value (a float, a
+    ``Fraction``) or key raises ``TypeError``, and an integer past the integer
+    string limit raises ``ValueError``.  An all-``int`` list is written with
+    one ``join``, and the chunks are joined once at the end."""
+    chunks: list[str] = []
+    put = chunks.append
+
+    def write(item, newline: str) -> None:
+        # ``newline`` is a line break followed by the indentation of ``item``
+        kind = type(item)
+        if kind is str:
+            put(encode_basestring_ascii(item))
+        elif kind is int:
+            put(str(item))
+        elif item is None:
+            put("null")
+        elif item is True:
+            put("true")
+        elif item is False:
+            put("false")
+        elif kind is list or kind is tuple:
+            if not item:
+                put("[]")
+                return
+            inner = newline + "  "
+            if set(map(type, item)) == {int}:
+                put("[" + inner + ("," + inner).join(map(str, item)) + newline + "]")
+                return
+            separator = "[" + inner
+            for element in item:
+                put(separator)
+                write(element, inner)
+                separator = "," + inner
+            put(newline + "]")
+        elif kind is dict:
+            if not item:
+                put("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for key in sorted(item):
+                put(separator + encode_basestring_ascii(key) + ": ")
+                write(item[key], inner)
+                separator = "," + inner
+            put(newline + "}")
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    try:
+        write(value, "\n")
+    except ValueError:  # only str() of an int past the limit raises it
+        raise _past_the_digit_limit() from None
+    return "".join(chunks)
 
 
 def scalar_from_json(value) -> Fraction | int:

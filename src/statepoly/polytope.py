@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .linalg import common_denominator, exact, exact_vector, primitive, row_reduce
 from .lp import AffineHull, affine_hull, member_convex_hull
-from .parsing import scalar_from_json, scalar_to_json
+from .parsing import render_json, scalar_from_json, scalar_to_json
 
 Vector = tuple[int | Fraction, ...]
 IntVector = tuple[int, ...]
@@ -456,7 +456,10 @@ def polytope_payload(poly: VPolytope) -> dict:
     return {
         "dim": poly.dim,
         "level": None if level is None else scalar_to_json(level),
-        "vertices": [[scalar_to_json(x) for x in v] for v in poly.vertices],
+        "vertices": [
+            list(v) if set(map(type, v)) == {int} else [scalar_to_json(x) for x in v]
+            for v in poly.vertices
+        ],
     }
 
 
@@ -471,7 +474,7 @@ def polytope_from_payload(payload: dict) -> VPolytope:
 
 
 def save_polytope(path: str | Path, poly: VPolytope) -> None:
-    Path(path).write_text(json.dumps(polytope_payload(poly), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(render_json(polytope_payload(poly)) + "\n")
 
 
 def load_polytope(path: str | Path) -> VPolytope:

@@ -17,6 +17,18 @@ from statepoly.orders import lex_order, matrix_order
 from statepoly.rings import Polynomial, degree_monomials
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, failing with the first difference in context: a full
+    diff of texts with long lines takes minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    start = max(at - 40, 0)
+    raise AssertionError(
+        f"texts differ at character {at}: {got[start:at + 40]!r} != {want[start:at + 40]!r}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra (tiny, standalone)
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,15 +22,35 @@ from statepoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_VALIDATION,
+    _build_parser,
     _digest,
     main,
     run_command,
 )
+from statepoly.parsing import render_json
 from statepoly.polytope import VPolytope, load_polytope, save_polytope
 from statepoly.rings import Polynomial
 
+from conftest import assert_same_text
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA = "data/examples"
+
+
+@pytest.fixture(autouse=True)
+def rendered_documents(monkeypatch) -> list[str]:
+    """Every document rendered in this module is also written by the json
+    module, and the two texts must be equal."""
+    texts: list[str] = []
+
+    def checked(value) -> str:
+        text = render_json(value)
+        assert_same_text(text, json.dumps(value, indent=2, sort_keys=True))
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "render_json", checked)
+    return texts
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -786,6 +809,10 @@ CONTRACT_FILES = {
     "wide_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: wide.json\nideal[2]: c*e - d^2\n",
     "sections.ideal": "ring: x, y, z\nideal[1]: x\nideal[2]: y\npolytope[3]: wide.json\n",
     "gaps.ideal": "ring: x, y\nideal[1]: x\nideal[3]: y\n",
+    # reduced bases with the coefficients 1/7^6000 (5,071 digits) and 7^5600
+    # (4,733 digits), past the integer string limit of 4,300
+    "big_coefficient.ideal": "ring: x, y\nideal: (7*x)^6000 - y^6000\n",
+    "big_product.ideal": "ring: x\nideal: x - 7^1400*7^1400*7^1400*7^1400\n",
     "ragged.json": '{"dim": 2, "vertices": [[1, 1], [2]]}\n',
     "nonjson.json": "not json\n",
     "wide.json": '{"dim": 4, "vertices": [[1, 1, 0, 0], [2, 0, 0, 0]]}\n',
@@ -797,6 +824,8 @@ CONTRACT_CASES = [
     (("gb", "--ideal", "unit.ideal"), None, EXIT_OK),
     (("gb", "--ideal", "nope.ideal"), None, EXIT_VALIDATION),
     (("gb",), None, EXIT_VALIDATION),
+    (("gb", "--ideal", "big_coefficient.ideal"), None, EXIT_VALIDATION),
+    (("gb", "--ideal", "big_product.ideal"), None, EXIT_VALIDATION),
     (("initial", "--ideal", "inhomogeneous.ideal", "--order", "lex"), None, EXIT_OK),
     (("state", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("state", "--ideal", "inhomogeneous.ideal", "--m", "2"), None, EXIT_OK),
@@ -888,3 +917,52 @@ def test_exit_code_contract(capsys, monkeypatch, contract_dir, argv, budget, exp
     if code == EXIT_VALIDATION:
         assert out == ""
         assert err.startswith(("error: ", "usage: "))
+
+
+def test_an_integer_past_the_string_limit_is_refused_by_name(capsys, tmp_path):
+    path = tmp_path / "big.ideal"
+    path.write_text(CONTRACT_FILES["big_coefficient.ideal"], encoding="utf-8")
+    code, out, err = run(capsys, "gb", "--ideal", str(path))
+    assert code == EXIT_VALIDATION and out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "Exceeds the limit" not in err
+
+
+# ---------------------------------------------------------------------------
+# one parser and one writer per process
+
+
+def test_documents_are_written_by_the_one_writer(conic_file, rendered_documents):
+    text = run_command(["state", "--ideal", conic_file, "--m", "2"]).rendered()
+    assert rendered_documents == [text[:-1]]
+
+
+def test_one_parser_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_alternating_commands_match_fresh_processes(conic_file, cubic_file):
+    argvs = [
+        ["gb", "--ideal", cubic_file, "--order", "lex"],
+        ["tau", "--blocks", "0,2,4", "--m", "2"],
+        ["state", "--ideal", conic_file, "--m", "2"],
+        ["decompose-point", "--blocks", "0,1,2", "--point", "-1,2,5", "--levels", "-3,9"],
+        ["rosary", "--r", "3"],
+        ["gb", "--ideal", conic_file],
+        ["semistable", "--ideal", str(ROOT / DATA / "planecurve.ideal"), "--m", "3"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "statepoly.cli", *argv],
+            capture_output=True, text=True, check=True, env=env, cwd=ROOT,
+        ).stdout
+        for argv in argvs
+    ]
+    in_process = []
+    for argv in argvs:
+        # an argparse error between commands leaves nothing behind
+        with pytest.raises(SystemExit):
+            run_command([argv[0], "--no-such-option"])
+        in_process.append(run_command(argv).rendered())
+    assert in_process == fresh

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,13 @@ from statepoly.parsing import (
     parse_polynomial,
     parse_rational,
     parse_vector,
+    render_json,
     scalar_from_json,
     scalar_to_json,
 )
 from statepoly.rings import Polynomial
 
-from conftest import rand_polynomial
+from conftest import assert_same_text, rand_polynomial
 
 ABC = ("a", "b", "c", "d", "e")
 
@@ -76,6 +79,112 @@ def test_scalar_json_round_trip():
         11,
         0,
     ]
+
+
+def _fraction_route(value) -> str:
+    """How every rational became text before ``int`` skipped the
+    ``Fraction``: the reference for the fast paths."""
+    f = Fraction(value)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_int_text_fast_paths_match_the_fraction_route(seed):
+    rng = random.Random(seed)
+    ints = [rng.randrange(-(10**30), 10**30) for _ in range(40)] + [0, -1, 1]
+    fractions = [Fraction(rng.randrange(-99, 99), rng.randrange(1, 20)) for _ in range(40)]
+    values = ints + fractions + [Fraction(4, 2), Fraction(-4, 2), Fraction(0)]
+    # any other number still takes the Fraction route: floats exactly
+    for v in values + [0.5, -2.0, 0.1, True]:
+        assert format_rational(v) == _fraction_route(v)
+    assert format_vector((1, 0.5, Fraction(1, 3))) == "1,1/2,1/3"
+    for _ in range(40):
+        for pool in (ints, values):
+            vec = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 8)))
+            assert format_vector(vec) == ",".join(map(_fraction_route, vec))
+
+
+def test_integers_past_the_string_limit_are_refused_where_they_become_text():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no integer string limit")
+    assert format_rational(10**limit - 1) == "9" * limit
+    assert render_json([-(10**limit - 1)]) == f"[\n  -{'9' * limit}\n]"
+    too_long = 10**limit
+    writers = (
+        format_rational,
+        lambda v: format_rational(Fraction(1, v)),
+        lambda v: format_vector((1, -v)),
+        lambda v: format_vector((Fraction(1, 2), v)),
+        lambda v: scalar_to_json(Fraction(v, 3)),
+        render_json,
+        lambda v: render_json({"a": [1, v]}),
+        lambda v: render_json(["a", v]),
+    )
+    for write in writers:
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            write(too_long)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer, against json.dumps(indent=2, sort_keys=True)
+
+# pieces of keys and strings: quotes, backslashes, control characters,
+# non-ASCII and keys that sort differently from their insertion order
+TEXT_PIECES = ("", "a", "B", "z", "10", "9", '"', "\\", "\t", "\n", "\x00", "\x1f", "\x7f",
+               "é", "ß", "\u2028", "😀", " ", "/")
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randrange(4)))
+
+
+def _random_document(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(9) if depth < 4 else rng.randrange(4, 9)
+    if kind == 0:
+        return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(rng.randrange(6))}
+    if kind == 1:
+        return [_random_document(rng, depth + 1) for _ in range(rng.randrange(6))]
+    if kind == 2:
+        return tuple(_random_document(rng, depth + 1) for _ in range(rng.randrange(4)))
+    if kind == 3:  # a vertex or witness row: the all-int path, empty included
+        return [rng.randrange(-(10**12), 10**12) for _ in range(rng.randrange(8))]
+    if kind == 4:
+        return rng.choice((-1, 1)) * rng.randrange(10**3999, 10**4000)
+    if kind == 5:
+        return rng.randrange(-1000, 1000)
+    if kind == 6:
+        return rng.choice((True, False, None))
+    return _random_text(rng)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_render_json_matches_json_dumps(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        doc = _random_document(rng)
+        assert_same_text(render_json(doc), json.dumps(doc, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], (), "", 0, -7, True, None, [True, 1, False, 0], [1, None], [[], {}], {"b": [], "a": {}},
+     {"z": 1, "a": [1, 2], "é": (3,)}, [10**4000, -(10**4000)]],
+    ids=lambda doc: repr(doc)[:40],
+)
+def test_render_json_edge_documents(doc):
+    assert_same_text(render_json(doc), json.dumps(doc, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, Fraction(1, 2), Fraction(3), {1: 2}, {"a": 1, 2: 3}, {(1,): 2}, [1, 2.0], {"a": [0.0]},
+     [Fraction(3)], b"x", {1, 2}, 1j, ...],
+    ids=repr,
+)
+def test_render_json_refuses_values_outside_a_document(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from statepoly import polytope
 from statepoly.lp import member_convex_hull
+from statepoly.parsing import scalar_to_json
 from statepoly.polytope import (
     ExtremalityError,
     FacetSystem,
@@ -538,6 +539,38 @@ def test_payload_round_trip(tmp_path):
         isinstance(x, float)
         for row in json.loads(text)["vertices"]
         for x in row
+    )
+
+
+def test_payload_and_file_bytes_match_the_json_module(tmp_path):
+    # an all-int vertex row is passed through as a list; the reference
+    # converts every coordinate, and save_polytope wrote json.dumps's text
+    rng = random.Random(3)
+    path = tmp_path / "poly.json"
+    for rational in (False, True):
+        for _ in range(10):
+            dim = rng.randrange(1, 5)
+            points = [rand_point(rng, dim) for _ in range(rng.randrange(1, 7))]
+            if not rational:
+                points = [tuple(int(x) for x in p) for p in points]
+            poly = VPolytope(dim, points)
+            level = poly.level
+            reference = {
+                "dim": poly.dim,
+                "level": None if level is None else scalar_to_json(level),
+                "vertices": [[scalar_to_json(x) for x in v] for v in poly.vertices],
+            }
+            payload = polytope_payload(poly)
+            assert payload == reference
+            assert [list(map(type, row)) for row in payload["vertices"]] == [
+                list(map(type, row)) for row in reference["vertices"]
+            ]
+            save_polytope(path, poly)
+            assert path.read_text() == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    save_polytope(path, VPolytope(2, [(0, 2), (Fraction(1, 2), Fraction(3, 2))]))
+    assert path.read_text() == (
+        '{\n  "dim": 2,\n  "level": 2,\n  "vertices": [\n    [\n      0,\n      2\n    ],\n'
+        '    [\n      "1/2",\n      "3/2"\n    ]\n  ]\n}\n'
     )
 
 
