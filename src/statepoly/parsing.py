@@ -80,11 +80,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_vector(values: Sequence[Fraction | int]) -> str:
-    if set(map(type, values)) <= {int, Fraction}:
-        try:
-            return ",".join(map(str, values))
-        except ValueError:
-            raise _past_the_digit_limit() from None
     return ",".join(map(format_rational, values))
 
 
