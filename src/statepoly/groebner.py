@@ -5,16 +5,26 @@ the engine keeps coefficient-primitive integer polynomials and pseudo-reduces,
 which avoids Fraction overhead on the hot path while staying exact.
 
 Pair selection uses the normal strategy (smallest lcm degree, then smallest
-lcm under the active order) and both classical pair-skipping criteria: the
-coprimality criterion and the chain criterion.  For homogeneous generators
-the pairs therefore come in order of degree, and every basis element of
-degree ``d`` exists once the pairs of degree ``d`` are done.  A caller that
-reads one degree ``m`` passes it as ``degree``: the run drops the generators
-above ``m`` and stops at the first pair above ``m``, which gives the
-``m``-truncated basis (Bayer–Morrison 1988; Sturmfels, *Gröbner Bases and
-Convex Polytopes*, ch. 2).  Its leads generate the initial ideal in every
-degree up to ``m``, and it gives the full basis's normal forms there.
-Inhomogeneous generators ignore ``degree`` and run in full.
+lcm under the active order).  For homogeneous generators the pairs therefore
+come in order of degree, and every basis element of degree ``d`` exists once
+the pairs of degree ``d`` are done.  A caller that reads one degree ``m``
+passes it as ``degree``: the run drops the generators above ``m`` and makes
+no pair above ``m``, which gives the ``m``-truncated basis (Bayer–Morrison
+1988; Sturmfels, *Gröbner Bases and Convex Polytopes*, ch. 2).  Its leads
+generate the initial ideal in every degree up to ``m``, and it gives the
+full basis's normal forms there.  Inhomogeneous generators ignore
+``degree`` and run in full.
+
+A pair is queued only when the run may pop and use it:
+
+- a pair with coprime leads is never queued (the product criterion): its
+  S-polynomial has a standard representation from the start, so it counts
+  as done (Gebauer–Möller 1988);
+- in a truncated run, a pair whose lcm has degree above ``m`` is never
+  queued, and its order key is never computed.  The chain criterion, which
+  skips the pair ``(i, j)`` when some lead ``k`` divides its lcm and the
+  pairs ``(i, k)`` and ``(j, k)`` are done, only consults pairs whose lcm
+  divides that of ``(i, j)``, so none of them lies above ``m``.
 """
 from __future__ import annotations
 
@@ -42,6 +52,7 @@ from .rings import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    primitive_terms,
     project_polynomial,
 )
 
@@ -50,10 +61,6 @@ IntPoly = dict[Monomial, int]
 
 # ---------------------------------------------------------------------------
 # integer-polynomial helpers
-
-
-def _primitive(p: IntPoly) -> IntPoly:
-    return dict(zip(p, primitive(list(p.values()))))
 
 
 def _lead(p: IntPoly, key) -> Monomial:
@@ -140,11 +147,11 @@ def _spoly(fi: IntPoly, fj: IntPoly, li: Monomial, lj: Monomial, key) -> IntPoly
 
 
 def _buchberger_int(
-    gens: list[IntPoly], order: MonomialOrder, degree: int | None = None
+    gens: Sequence[IntPoly], order: MonomialOrder, degree: int | None = None
 ) -> list[IntPoly]:
     """Minimal (lead-interreduced) Groebner basis of primitive integer
     generators, with primitive integer coefficients and positive leading
-    coefficients.
+    coefficients.  The generators are read, never changed.
 
     When ``degree`` is given and every generator is homogeneous, the run
     stops at degree ``degree``: the result is the ``degree``-truncated
@@ -154,7 +161,6 @@ def _buchberger_int(
     before any reduction otherwise).
     """
     key = order.key
-    gens = [g for g in gens if g]
     if not all(len(set(map(mono_degree, g))) == 1 for g in gens):
         problems = order.validate()
         if problems:
@@ -167,17 +173,20 @@ def _buchberger_int(
         gens = [g for g in gens if mono_degree(next(iter(g))) <= degree]
     basis: list[IntPoly] = []
     leads: list[Monomial] = []
-    for g in sorted(gens, key=lambda g: key(_lead(g, key))):
-        basis.append(_orient(g, key))
-        leads.append(_lead(basis[-1], key))
+    for lead, g in sorted(((_lead(g, key), g) for g in gens), key=lambda t: key(t[0])):
+        basis.append(g if g[lead] > 0 else {m: -c for m, c in g.items()})
+        leads.append(lead)
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[tuple[int, ...], int, int]] = []
 
     def push_pair(i: int, j: int) -> None:
-        if i > j:
-            i, j = j, i
-        lcm = mono_lcm(leads[i], leads[j])
+        li, lj = leads[i], leads[j]
+        if degree is not None and sum(map(max, li, lj)) > degree:
+            return
+        if mono_coprime(li, lj):
+            return
+        lcm = mono_lcm(li, lj)
         pending.add((i, j))
         heapq.heappush(heap, ((mono_degree(lcm),) + key(lcm), i, j))
 
@@ -187,16 +196,9 @@ def _buchberger_int(
             push_pair(i, j)
 
     while heap:
-        rank, i, j = heapq.heappop(heap)
-        if degree is not None and rank[0] > degree:
-            # every pair left has an lcm of at least this degree
-            break
-        if (i, j) not in pending:
-            continue
+        _, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         li, lj = leads[i], leads[j]
-        if mono_coprime(li, lj):
-            continue
         lcm = mono_lcm(li, lj)
         skip = False
         for k in range(len(basis)):
@@ -214,7 +216,7 @@ def _buchberger_int(
         if not s:
             continue
         r, _ = _normal_form_int(s, leads, basis, key)
-        r = _orient(_primitive(r), key)
+        r = _orient(primitive_terms(r), key)
         if not r:
             continue
         basis.append(r)
@@ -268,9 +270,9 @@ class ReducedGB:
             raise ValueError("arity mismatch in normal form")
         if poly.is_zero or not self.elements:
             return poly
-        ints = [_primitive(g.terms) for g in self.elements]
+        ints = [primitive_terms(g.terms) for g in self.elements]
         leads = list(self.leads)
-        p = _primitive(poly.terms)
+        p = primitive_terms(poly.terms)
         if not p:
             return Polynomial.zero(self.arity)
         # recover the exact normal form of poly itself: scale back by the
@@ -338,7 +340,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
     if ideal.arity != arity:
         raise ValueError("generator arity does not match order arity")
     key = order.key
-    basis = _buchberger_int([_primitive(g.terms) for g in ideal.generators], order, degree)
+    basis = _buchberger_int(ideal.integer_generators, order, degree)
     leads = [_lead(g, key) for g in basis]
     # tail-reduce each element against the others, then make monic
     reduced: list[Polynomial] = []
@@ -346,7 +348,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
         other_leads = leads[:i] + leads[i + 1 :]
         other_polys = basis[:i] + basis[i + 1 :]
         r, _ = _normal_form_int(dict(g), other_leads, other_polys, key)
-        r = _orient(_primitive(r), key)
+        r = _orient(primitive_terms(r), key)
         lead_coeff = r[_lead(r, key)]
         reduced.append(Polynomial(arity, {m: Fraction(c, lead_coeff) for m, c in r.items()}))
     pairs = sorted(zip(leads, reduced), key=lambda t: key(t[0]))
@@ -366,7 +368,7 @@ def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None)
     in every degree up to ``degree`` (its generators are the full one's of
     degree at most ``degree``).  Inhomogeneous generators ignore ``degree``.
     """
-    basis = _buchberger_int([_primitive(g.terms) for g in ideal.generators], order, degree)
+    basis = _buchberger_int(ideal.integer_generators, order, degree)
     key = order.key
     marked = []
     for g in basis:
@@ -519,7 +521,7 @@ class UnionSlices:
         height = 0
         for coords, block in components:
             gb = buchberger(block, grevlex_order(block.arity), d)
-            leads, polys = list(gb.leads), [_primitive(g.terms) for g in gb.elements]
+            leads, polys = list(gb.leads), [primitive_terms(g.terms) for g in gb.elements]
             rows: dict[Monomial, int] = {}
             forms = {}
             for mono in degree_monomials(block.arity, d):

@@ -13,25 +13,40 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import common_denominator, exact_vector, primitive, row_reduce
+from .linalg import common_denominator, primitive, row_reduce
 from .rings import Monomial
 
 Row = tuple[int, ...]
 
 
 class MonomialOrder:
-    """Total multiplicative monomial order given by weight rows."""
+    """Total multiplicative monomial order given by weight rows.
 
-    __slots__ = ("arity", "rows", "name", "_key_cache")
+    An order built with ``tail`` has the rows ``rows + tail.rows``, and its
+    key is the dot products with its own rows followed by ``tail.key``: the
+    tail's key cache serves every order refined by it.
+    """
 
-    def __init__(self, arity: int, rows: Iterable[Sequence[int | Fraction]], name: str = "matrix"):
+    __slots__ = ("arity", "rows", "name", "_head", "_tail", "_key_cache")
+
+    def __init__(
+        self,
+        arity: int,
+        rows: Iterable[Sequence[int | Fraction]],
+        name: str = "matrix",
+        tail: "MonomialOrder | None" = None,
+    ):
         rows = tuple(primitive(r) for r in rows)
         for r in rows:
             if len(r) != arity:
                 raise ValueError(f"order row {r} does not match arity {arity}")
+        if tail is not None and tail.arity != arity:
+            raise ValueError(f"tail order of arity {tail.arity} does not match arity {arity}")
         self.arity = arity
-        self.rows = rows
+        self.rows = rows if tail is None else rows + tail.rows
         self.name = name
+        self._head = rows
+        self._tail = tail
         self._key_cache: dict[Monomial, tuple[int, ...]] = {}
 
     # -- comparisons ---------------------------------------------------------
@@ -40,7 +55,9 @@ class MonomialOrder:
         """Sort key: tuples compare the same way the order compares monomials."""
         k = self._key_cache.get(mono)
         if k is None:
-            k = tuple([sum(map(mul, row, mono)) for row in self.rows])
+            k = tuple([sum(map(mul, row, mono)) for row in self._head])
+            if self._tail is not None:
+                k += self._tail.key(mono)
             self._key_cache[mono] = k
         return k
 
@@ -91,20 +108,32 @@ def grlex_order(arity: int) -> MonomialOrder:
     return MonomialOrder(arity, rows, name="grlex")
 
 
-def grevlex_order(arity: int) -> MonomialOrder:
-    rows: list[tuple[int, ...]] = [(1,) * arity]
+def _grevlex_rows(arity: int) -> tuple[Row, ...]:
+    rows: list[Row] = [(1,) * arity]
     for i in range(arity - 1, 0, -1):
         rows.append(tuple(-1 if j == i else 0 for j in range(arity)))
-    return MonomialOrder(arity, rows, name="grevlex")
+    return tuple(rows)
+
+
+def grevlex_order(arity: int) -> MonomialOrder:
+    return MonomialOrder(arity, _grevlex_rows(arity), name="grevlex")
 
 
 def weight_order(
-    weights: Sequence[int | Fraction],
+    weights: Sequence[int | Fraction], grevlex: MonomialOrder | None = None
 ) -> MonomialOrder:
-    """Weight row refined by grevlex."""
+    """Weight row refined by grevlex.
+
+    ``grevlex``, when given, must be ``grevlex_order(arity)``; the new order
+    refines by it and so shares its key cache (the keys are the same
+    either way).
+    """
     arity = len(weights)
-    rows = [tuple(weights)] + list(grevlex_order(arity).rows)
-    return MonomialOrder(arity, rows, name=f"weight{tuple(weights)!r}")
+    if grevlex is None:
+        grevlex = grevlex_order(arity)
+    elif grevlex.rows != _grevlex_rows(arity):
+        raise ValueError(f"{grevlex!r} is not the grevlex order in {arity} variables")
+    return MonomialOrder(arity, [weights], name=f"weight{tuple(weights)!r}", tail=grevlex)
 
 
 def matrix_order(rows: Sequence[Sequence[int | Fraction]], name: str = "matrix") -> MonomialOrder:
@@ -150,12 +179,11 @@ def merge_chain_weights(block_weights: Sequence[Sequence[int | Fraction]]) -> tu
     content is kept)."""
     if not block_weights:
         raise ValueError("need at least one block weight vector")
-    blocks = [exact_vector(w) for w in block_weights]
-    if not all(blocks):
+    if not all(block_weights):
         raise ValueError("every block weight vector must be nonempty")
-    acc = list(blocks[0])
-    for nxt in blocks[1:]:
+    acc = list(block_weights[0])
+    for nxt in block_weights[1:]:
         shift = acc[-1] - nxt[0]
-        acc.extend(v + shift for v in nxt[1:])
+        acc.extend([v + shift for v in nxt[1:]])
     _, (ints,) = common_denominator([acc])
     return ints

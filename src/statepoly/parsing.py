@@ -37,6 +37,33 @@ from .linalg import exact
 from .rings import ENUMERATION_LIMIT, Monomial, Polynomial
 
 
+# the most term products a parsed power of a sum may take to expand (about
+# half a second of Polynomial.__pow__)
+EXPANSION_WORK_LIMIT = 10**5
+
+
+def _power_work(terms: int, degree: int, arity: int, exponent: int) -> int:
+    """An upper bound on the term products ``Polynomial.__pow__`` makes to
+    raise a ``terms``-term polynomial of degree ``degree`` in ``arity``
+    variables to ``exponent``: it follows the same square-and-multiply
+    schedule, and ``base ** k`` has at most every monomial of degree at
+    most ``degree * k`` and at most one term per multiset of ``k`` terms."""
+
+    def size(k: int) -> int:
+        return min(comb(degree * k + arity, arity), comb(terms + k - 1, k))
+
+    work, have, square = 0, 0, 1
+    while exponent:
+        if exponent & 1:
+            work += size(have) * size(square)
+            have += square
+        exponent >>= 1
+        if exponent:
+            work += size(square) ** 2
+            square *= 2
+    return work
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int | None = None, line: int | None = None):
         loc = ""
@@ -313,6 +340,13 @@ class _PolyParser:
                     raise ParseError(
                         f"power {exponent} of a {len(base.terms)}-term polynomial could expand"
                         f" to {size} monomials (> {ENUMERATION_LIMIT})",
+                        position=exp_tok[2],
+                    )
+                work = _power_work(len(base.terms), base.degree(), self.arity, exponent)
+                if work > EXPANSION_WORK_LIMIT:
+                    raise ParseError(
+                        f"power {exponent} of a {len(base.terms)}-term polynomial could take"
+                        f" {work} term products to expand (> {EXPANSION_WORK_LIMIT})",
                         position=exp_tok[2],
                     )
             # a power p^e / q^e of a constant needs no more digits than the

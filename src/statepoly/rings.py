@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from .linalg import primitive
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -258,6 +261,11 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+def primitive_terms(terms: Mapping[Monomial, Scalar]) -> dict[Monomial, int]:
+    """The terms scaled to coprime integer coefficients (the sign kept)."""
+    return dict(zip(terms, primitive(list(terms.values()))))
+
+
 def project_polynomial(poly: Polynomial, coords: Sequence[int]) -> Polynomial:
     """Rewrite a polynomial supported on ``coords`` in the smaller ring whose
     variables are exactly those coordinates (in the given order)."""
@@ -300,7 +308,11 @@ def embed_polynomial(poly: Polynomial, arity: int, coords: Sequence[int]) -> Pol
 
 @dataclass(frozen=True)
 class Ideal:
-    """A finitely generated ideal, kept as its generator list."""
+    """A finitely generated ideal, kept as its generator list.
+
+    :attr:`integer_generators` is computed on first use and kept with the
+    ideal (equality and hashing ignore it).
+    """
 
     arity: int
     generators: tuple[Polynomial, ...]
@@ -312,6 +324,13 @@ class Ideal:
                 raise ValueError(f"generator arity {g.arity} does not match ring arity {arity}")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "generators", gens)
+
+    @cached_property
+    def integer_generators(self) -> tuple[dict[Monomial, int], ...]:
+        """Each generator scaled to a primitive integer polynomial, for the
+        Groebner engine; the dictionaries are shared, so nothing may change
+        them."""
+        return tuple(primitive_terms(g.terms) for g in self.generators)
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)

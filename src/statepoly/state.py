@@ -139,6 +139,14 @@ class StateOracle:
     minus the sum of the standard monomials, found by a walk of the
     staircase (:func:`statepoly.groebner.standard_monomials`).
 
+    What every run shares is made once: the oracle holds one grevlex order,
+    and each run's ``weight_order(key, grevlex)`` refines by it, so one
+    grevlex key cache serves all of the oracle's runs and its cone tests (a
+    new monomial's weight key costs one dot product), and the ideal
+    converts its generators to primitive integer polynomials on its first
+    run (``Ideal.integer_generators``).  Both live as long as the oracle
+    and its ideal, not the process.
+
     ``gb_runs`` counts the distinct normalized directions answered (a cone
     hit included), which is what ``query_count`` reports and ``budget``
     caps; ``cone_hits`` counts those answered from a kept basis, so
@@ -158,7 +166,7 @@ class StateOracle:
         self.cone_hits = 0
         self._memo: dict[tuple[int, ...], StateVector] = {}
         self._cones: list[tuple[ConeTest, StateVector]] = []
-        self._tiebreak = grevlex_order(ideal.arity).key
+        self._grevlex = grevlex_order(ideal.arity)
 
     @staticmethod
     def normalize_direction(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -178,9 +186,9 @@ class StateOracle:
         self.gb_runs += 1
         state = next((st for cone, st in self._cones if _keeps_marked_leads(cone, key)), None)
         if state is None:
-            mi = initial_ideal(self.ideal, weight_order(key), self.m)
+            mi = initial_ideal(self.ideal, weight_order(key, self._grevlex), self.m)
             state = self._state_of(mi)
-            self._cones.append((_cone_test(mi.marked, self._tiebreak), state))
+            self._cones.append((_cone_test(mi.marked, self._grevlex.key), state))
         else:
             self.cone_hits += 1
         self._memo[key] = state

@@ -249,3 +249,76 @@ def lex_refined_index(ideal, m: int, rho: Sequence) -> Fraction:
     standard = brute_standard_monomials(initial_ideal(ideal, order, m).gens, ideal.arity, m)
     weight_sum = sum(Fraction(r) * e for mono in standard for r, e in zip(rho, mono))
     return -weight_sum + Fraction(m * len(standard), ideal.arity) * sum(map(Fraction, rho))
+
+
+# ---------------------------------------------------------------------------
+# a textbook Buchberger, the reference for the engine's pair criteria
+
+
+def reference_reduced_basis(gens: Sequence[Polynomial], rows: Sequence[Sequence[int]]):
+    """The reduced Groebner basis as ``(lead, {monomial: Fraction})`` pairs in
+    increasing lead order, by Buchberger's algorithm with no criterion: every
+    pair of every basis is reduced.  Monomials compare by their plain dot
+    products with ``rows``, which must give a well-order."""
+
+    def key(mono):
+        return tuple(sum(r * e for r, e in zip(row, mono)) for row in rows)
+
+    def lead(poly):
+        return max(poly, key=key)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def shifted(poly, shift, factor):
+        return {tuple(s + e for s, e in zip(shift, mono)): factor * c for mono, c in poly.items()}
+
+    def subtract(left, right):
+        out = dict(left)
+        for mono, c in right.items():
+            value = out.get(mono, 0) - c
+            if value:
+                out[mono] = value
+            else:
+                out.pop(mono, None)
+        return out
+
+    def reduce(poly, basis):
+        poly, rest = dict(poly), {}
+        while poly:
+            mono = lead(poly)
+            g = next((g for g in basis if divides(lead(g), mono)), None)
+            if g is None:
+                rest[mono] = poly.pop(mono)
+                continue
+            shift = tuple(a - b for a, b in zip(mono, lead(g)))
+            poly = subtract(poly, shifted(g, shift, poly[mono] / g[lead(g)]))
+        return rest
+
+    basis = [{m: Fraction(c) for m, c in g.terms.items()} for g in gens if g.terms]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        f, g = basis[i], basis[j]
+        lcm = tuple(max(a, b) for a, b in zip(lead(f), lead(g)))
+        s = subtract(
+            shifted(f, tuple(a - b for a, b in zip(lcm, lead(f))), 1 / f[lead(f)]),
+            shifted(g, tuple(a - b for a, b in zip(lcm, lead(g))), 1 / g[lead(g)]),
+        )
+        r = reduce(s, basis)
+        if r:
+            basis.append(r)
+            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(lead(g))):
+        if not any(divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    out = []
+    for index, g in enumerate(minimal):
+        others = minimal[:index] + minimal[index + 1 :]
+        tail = reduce({m: c for m, c in g.items() if m != lead(g)}, others)
+        head = lead(g)
+        monic = {m: c / g[head] for m, c in tail.items()}
+        monic[head] = Fraction(1)
+        out.append((head, monic))
+    return out

@@ -813,6 +813,8 @@ CONTRACT_FILES = {
     # (4,733 digits), past the integer string limit of 4,300
     "big_coefficient.ideal": "ring: x, y\nideal: (7*x)^6000 - y^6000\n",
     "big_product.ideal": "ring: x\nideal: x - 7^1400*7^1400*7^1400*7^1400\n",
+    # under the monomial bound, but about 1.9 million term products to expand
+    "slow_power.ideal": "ring: x, y, z\nideal: (x+y+z)^100 - x^100\n",
     "ragged.json": '{"dim": 2, "vertices": [[1, 1], [2]]}\n',
     "nonjson.json": "not json\n",
     "wide.json": '{"dim": 4, "vertices": [[1, 1, 0, 0], [2, 0, 0, 0]]}\n',
@@ -826,6 +828,7 @@ CONTRACT_CASES = [
     (("gb",), None, EXIT_VALIDATION),
     (("gb", "--ideal", "big_coefficient.ideal"), None, EXIT_VALIDATION),
     (("gb", "--ideal", "big_product.ideal"), None, EXIT_VALIDATION),
+    (("gb", "--ideal", "slow_power.ideal"), None, EXIT_VALIDATION),
     (("initial", "--ideal", "inhomogeneous.ideal", "--order", "lex"), None, EXIT_OK),
     (("state", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("state", "--ideal", "inhomogeneous.ideal", "--m", "2"), None, EXIT_OK),

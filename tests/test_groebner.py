@@ -36,8 +36,15 @@ from statepoly.rings import (
     mono_lcm,
 )
 from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
-from statepoly.state import StateOracle, enumerate_state_polytope
-from conftest import brute_standard_monomials, brute_state, rand_monomial, rand_polynomial
+from statepoly.linalg import primitive
+from statepoly.state import StateOracle, enumerate_state_polytope, state_of_slice
+from conftest import (
+    brute_standard_monomials,
+    brute_state,
+    rand_monomial,
+    rand_polynomial,
+    reference_reduced_basis,
+)
 
 
 def variables(arity):
@@ -269,6 +276,112 @@ def test_truncated_runs_pair_no_lcm_above_the_degree(monkeypatch):
     for key in oracle._memo:
         full = initial_ideal(ideal, weight_order(key))
         assert oracle._memo[key] == brute_state(full.gens, ideal.arity, m), key
+
+
+# ---------------------------------------------------------------------------
+# the pair queue: differential tests against full runs and a textbook run
+
+
+def queue_weights(rng: random.Random, arity: int) -> list[int]:
+    """A weight with negative entries and at least one tie."""
+    w = [rng.randint(-3, 3) for _ in range(arity)]
+    w[rng.randrange(arity)] = w[rng.randrange(arity)]
+    return w
+
+
+def rand_homogeneous_ideal(rng: random.Random) -> Ideal:
+    arity = rng.randint(4, 6)
+    gens = [
+        rand_polynomial(rng, arity, 3, max_terms=3, homogeneous=True)
+        for _ in range(rng.randint(2, 4))
+    ]
+    return Ideal(arity, gens)
+
+
+def recorded_lcms(monkeypatch) -> list[tuple]:
+    calls = []
+    lcm = groebner.mono_lcm
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return lcm(a, b)
+
+    monkeypatch.setattr(groebner, "mono_lcm", recorded)
+    return calls
+
+
+def test_pruned_truncated_runs_match_the_full_run(monkeypatch):
+    rng = random.Random(700)
+    calls = recorded_lcms(monkeypatch)
+    above = pruned = 0
+    for _ in range(24):
+        ideal = rand_homogeneous_ideal(rng)
+        for _ in range(3):
+            w = queue_weights(rng, ideal.arity)
+            calls.clear()
+            full = initial_ideal(ideal, weight_order(w))
+            formed = len(calls)
+            for m in range(2, 7):
+                calls.clear()
+                cut = initial_ideal(ideal, weight_order(w), m)
+                # no pair above the degree and no coprime pair was ever formed
+                assert all(sum(map(max, a, b)) <= m for a, b in calls), (ideal, w, m)
+                assert all(any(map(min, a, b)) for a, b in calls), (ideal, w, m)
+                assert cut.gens == tuple(g for g in full.gens if sum(g) <= m), (ideal, w, m)
+                state = state_of_slice(monomial_slice(full, m))
+                assert state_of_slice(monomial_slice(cut, m)) == state, (ideal, w, m)
+                assert StateOracle(ideal, m).state_for_direction(w) == state, (ideal, w, m)
+                above += any(sum(g) > m for g in full.gens)
+                pruned += len(calls) < formed
+    # the full bases reach above the cut, and the cut forms fewer pairs
+    assert above > 60 and pruned > 60, (above, pruned)
+
+
+def test_buchberger_matches_a_textbook_run_on_inhomogeneous_input(monkeypatch):
+    calls = recorded_lcms(monkeypatch)
+    sizes = []
+    for seed in range(10):
+        rng = random.Random(800 + seed)
+        x = variables(3)
+        # every generator vanishes at the origin, so no ideal is the unit
+        # ideal, and the cube with terms below it keeps each inhomogeneous
+        gens = [rand_polynomial(rng, 3, 2, max_terms=3) * rng.choice(x) for _ in range(2)]
+        gens.append(rng.choice(x) ** 3 + rand_polynomial(rng, 3, 2, max_terms=2) * rng.choice(x))
+        ideal = Ideal(3, gens)
+        assert not ideal.is_homogeneous()
+        w = [rng.randint(0, 3) for _ in range(3)]
+        w[rng.randrange(3)] = w[rng.randrange(3)]
+        for order in (grevlex_order(3), lex_order(3), weight_order(w)):
+            calls.clear()
+            gb = buchberger(ideal, order, degree=2)
+            assert all(any(map(min, a, b)) for a, b in calls), (gens, order)
+            want = reference_reduced_basis(ideal.generators, order.rows)
+            assert [(l, g.terms) for l, g in zip(gb.leads, gb.elements)] == want, (gens, order)
+            sizes.append(len(want))
+    assert sum(sizes) > 80 and max(sizes) >= 5, sizes
+
+
+def test_weight_keys_from_a_shared_grevlex_cache_are_the_row_products():
+    rng = random.Random(17)
+    for arity in range(1, 7):
+        grevlex = grevlex_order(arity)
+        for _ in range(6):
+            w = [rng.randint(-4, 4) for _ in range(arity)]
+            shared = weight_order(w, grevlex)
+            alone = weight_order(w)
+            assert shared.rows == alone.rows == (primitive(w),) + grevlex.rows
+            for _ in range(20):
+                mono = rand_monomial(rng, arity, rng.randint(0, 6))
+                plain = tuple(sum(r * e for r, e in zip(row, mono)) for row in shared.rows)
+                assert shared.key(mono) == alone.key(mono) == plain, (w, mono)
+        # the grevlex order itself answers from the cache its weight orders filled
+        for mono in degree_monomials(arity, 3):
+            plain = tuple(sum(r * e for r, e in zip(row, mono)) for row in grevlex.rows)
+            assert grevlex.key(mono) == plain
+    with pytest.raises(ValueError, match="is not the grevlex order in 3 variables"):
+        weight_order([1, 2, 3], lex_order(3))
+    with pytest.raises(ValueError, match="is not the grevlex order in 3 variables"):
+        weight_order([1, 2, 3], grevlex_order(4))
 
 
 def test_standard_monomials_match_a_scan():

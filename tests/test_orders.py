@@ -172,6 +172,20 @@ def test_merge_junction_weights_scales_to_integers():
     assert merged == (3, 0, 2)
 
 
+def test_merge_chain_weights_takes_integer_and_fraction_entries_alike():
+    rng = random.Random(5)
+    for _ in range(30):
+        blocks = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 4))]
+        merged = merge_chain_weights(blocks)
+        assert all(type(v) is int for v in merged)
+        # Fractions of denominator one, and every block over one denominator
+        assert merge_chain_weights([[Fraction(v) for v in b] for b in blocks]) == merged
+        thirds = merge_chain_weights([[Fraction(v, 3) for v in b] for b in blocks])
+        assert thirds == merged and all(type(v) is int for v in thirds)
+    with pytest.raises(ValueError, match="nonempty"):
+        merge_chain_weights([(1, 2), ()])
+
+
 def test_merge_chain_weights_three_blocks():
     merged = merge_chain_weights([(2, 1), (1, 0, 0), (3, 3)])
     # splice at both junctions: (2,1), then (1,0,0) aligned at 1 -> (2,1,0,0),

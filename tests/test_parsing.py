@@ -12,6 +12,7 @@ import pytest
 from statepoly.parsing import (
     IdealFile,
     ParseError,
+    _power_work,
     format_polynomial,
     format_rational,
     format_vector,
@@ -390,20 +391,62 @@ def test_parse_ideal_file_matches_shipped_example():
 
 def test_power_of_a_sum_is_refused_before_expanding(monkeypatch):
     # (x+y+z)^N may have every monomial of degree <= N: C(N+3, 3) of them,
-    # 988,260 at N = 179 and 1,004,731 > ENUMERATION_LIMIT at N = 180
+    # 1,004,731 > ENUMERATION_LIMIT at N = 180.  Below that its expansion is
+    # bounded by its work: 94,380 term products at N = 46 and 103,791 >
+    # EXPANSION_WORK_LIMIT at N = 47
     expanded = []
     monkeypatch.setattr(Polynomial, "__pow__", lambda base, e: expanded.append(e) or base)
     xyz = ("x", "y", "z")
-    parse_polynomial("(x+y+z)^179", xyz)
-    assert expanded == [179]
+    parse_polynomial("(x+y+z)^46", xyz)
+    assert expanded == [46]
     for text in ("(x+y+z)^180", "(x+y+z)^200", "x*(x - 2*y)^100000"):
         with pytest.raises(ParseError, match="could expand"):
             parse_polynomial(text, xyz)
-    assert expanded == [179]
+    for text in ("(x+y+z)^47", "(x+y+z)^100", "(x+y+z)^179", "(x*x + y*z + 2)^60"):
+        with pytest.raises(ParseError, match=r"could take \d+ term products to expand \(> 100000\)"):
+            parse_polynomial(text, xyz)
+    assert expanded == [46]
     # one-term and zero bases expand cheaply and are never refused
     for text in ("x^100000", "(2*x*y)^100000", "7^3", "(x-x)^100000"):
         parse_polynomial(text, xyz)
-    assert expanded == [179, 100000, 100000, 3, 100000]
+    # a many-term base in few variables is bounded by its monomials: 5,710
+    # term products here, against 2,047,617 counted by multisets of terms
+    parse_polynomial("(1 + x + x*x + x*x*x)^40", ("x",))
+    assert expanded == [46, 100000, 100000, 3, 100000, 40]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_power_work_bounds_the_products_of_the_expansion(monkeypatch, seed):
+    rng = random.Random(seed)
+    arity = rng.randint(1, 4)
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counted(left, right):
+        if isinstance(right, Polynomial):
+            products.append(len(left.terms) * len(right.terms))
+        return multiply(left, right)
+
+    for _ in range(8):
+        base = rand_polynomial(rng, arity, 3, max_terms=4)
+        if len(base.terms) < 2:
+            continue
+        exponent = rng.randint(1, 12)
+        products.clear()
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        base ** exponent
+        monkeypatch.setattr(Polynomial, "__mul__", multiply)
+        work = _power_work(len(base.terms), base.degree(), arity, exponent)
+        assert sum(products) <= work, (base, exponent)
+    # linear forms in distinct variables have every multiset's monomial, so
+    # the bound is their exact work
+    xyz = [Polynomial.variable(3, i) for i in range(3)]
+    for exponent in range(1, 20):
+        products.clear()
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        (xyz[0] + xyz[1] + xyz[2]) ** exponent
+        monkeypatch.setattr(Polynomial, "__mul__", multiply)
+        assert sum(products) == _power_work(3, 1, 3, exponent)
 
 
 def test_power_of_a_constant_stays_under_the_integer_string_limit(monkeypatch):

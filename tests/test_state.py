@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import statepoly.lp as lp_module
 import statepoly.state as state_module
-from statepoly.groebner import degree_slice, hilbert_values, initial_ideal, monomial_slice
+from statepoly.groebner import degree_slice, hilbert_values, implicitize, initial_ideal, monomial_slice
 from statepoly.orders import weight_order
 from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
+from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
 from statepoly.state import (
     BUDGET_ENV_VAR,
     BudgetExhausted,
@@ -394,6 +395,31 @@ def test_cone_hits_and_buchberger_runs_add_up_to_gb_runs(monkeypatch):
     # a replayed seed direction is a memo hit, neither a cone hit nor a run
     oracle.state_for_direction((2, 0, 0, 0))
     assert oracle.cone_hits + len(runs) == oracle.gb_runs == result.query_count
+
+
+def sextic_ideal() -> Ideal:
+    """The ideal of the curve (s^6 : s^4t^2 : s^2t^4 : st^5 : t^6)."""
+    s, t = variables(2)
+    return implicitize([s**a * t**b for a, b in ((6, 0), (4, 2), (2, 4), (1, 5), (0, 6))])
+
+
+@pytest.mark.parametrize(
+    "name, m, work",
+    [("rosary", 2, (116, 45)), ("sextic", 2, (24, 12)), ("sextic", 4, (68, 28)),
+     ("sextic", 6, (92, 40)), ("sextic", 12, (89, 37))],
+)
+def test_oracle_work_on_the_benchmark_ideals_is_pinned(name, m, work):
+    # the pair queue decides the marked tails of every kept basis, and with
+    # them which directions are cone hits: pin (gb_runs, cone_hits)
+    if name == "rosary":
+        spec = RosarySpec(2)
+        ideal = rosary_assembled_ideal(spec, rosary_end_conics(spec))
+    else:
+        ideal = sextic_ideal()
+    oracle = StateOracle(ideal, m)
+    result = enumerate_state_polytope(ideal, m, oracle=oracle)
+    assert result.complete
+    assert (oracle.gb_runs, oracle.cone_hits) == work
 
 
 def test_oracle_refuses_a_huge_degree_before_any_work(monkeypatch):
