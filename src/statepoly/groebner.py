@@ -1,8 +1,10 @@
 """Buchberger's algorithm over the rationals with weight-matrix orders.
 
-The public API works with ``Polynomial`` (Fraction coefficients); internally
-the engine keeps coefficient-primitive integer polynomials and pseudo-reduces,
-which avoids Fraction overhead on the hot path while staying exact.
+Ideals come in as ``Polynomial`` (Fraction coefficients) and are read through
+their primitive integer generators.  The engine pseudo-reduces integer
+polynomials, and a reduced basis keeps its elements that way: each one
+primitive with a positive leading coefficient.  Its monic ``Polynomial`` view
+(:attr:`ReducedGB.elements`) is made only when something reads it.
 
 Pair selection uses the normal strategy (smallest lcm degree, then smallest
 lcm under the active order).  For homogeneous generators the pairs therefore
@@ -74,7 +76,9 @@ def _orient(p: IntPoly, key) -> IntPoly:
     return p
 
 
-def _normal_form_int(p: IntPoly, leads: list[Monomial], polys: list[IntPoly], key) -> tuple[IntPoly, int]:
+def _normal_form_int(
+    p: IntPoly, leads: Sequence[Monomial], polys: Sequence[IntPoly], key
+) -> tuple[IntPoly, int]:
     """Full normal form by pseudo-division.
 
     Returns ``(r, s)`` with ``s > 0`` such that ``s*p - r`` lies in the ideal
@@ -254,34 +258,38 @@ def _minimal_leads(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
 @dataclass(frozen=True)
 class ReducedGB:
-    """The unique reduced Groebner basis: monic elements, fully tail-reduced,
-    sorted by increasing leading monomial."""
+    """The unique reduced Groebner basis: fully tail-reduced, sorted by
+    increasing leading monomial.  ``integer_elements`` holds each element as
+    a primitive integer polynomial with a positive leading coefficient."""
 
     order: MonomialOrder
-    elements: tuple[Polynomial, ...]
+    integer_elements: tuple[IntPoly, ...]
     leads: tuple[Monomial, ...]
 
     @property
     def arity(self) -> int:
         return self.order.arity
 
+    @functools.cached_property
+    def elements(self) -> tuple[Polynomial, ...]:
+        """The monic elements, made on first use."""
+        return tuple(
+            Polynomial(self.arity, {m: Fraction(c, g[lead]) for m, c in g.items()})
+            for g, lead in zip(self.integer_elements, self.leads)
+        )
+
     def normal_form(self, poly: Polynomial) -> Polynomial:
         if poly.arity != self.arity:
             raise ValueError("arity mismatch in normal form")
-        if poly.is_zero or not self.elements:
+        if poly.is_zero or not self.leads:
             return poly
-        ints = [primitive_terms(g.terms) for g in self.elements]
-        leads = list(self.leads)
         p = primitive_terms(poly.terms)
-        if not p:
-            return Polynomial.zero(self.arity)
         # recover the exact normal form of poly itself: scale back by the
         # factor poly / p and the pseudo-division multiplier
         mono = next(iter(p))
-        ratio = Fraction(poly.terms[mono], p[mono])
-        r, s = _normal_form_int(p, leads, ints, self.order.key)
-        factor = ratio / s
-        return Polynomial(self.arity, {m: Fraction(c) * factor for m, c in r.items()})
+        r, s = _normal_form_int(p, self.leads, self.integer_elements, self.order.key)
+        factor = Fraction(poly.terms[mono], p[mono] * s)
+        return Polynomial(self.arity, {m: c * factor for m, c in r.items()})
 
     def contains(self, poly: Polynomial) -> bool:
         return self.normal_form(poly).is_zero
@@ -336,27 +344,19 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
     included) in every degree up to ``degree``.  Inhomogeneous generators
     ignore ``degree``.
     """
-    arity = order.arity
-    if ideal.arity != arity:
+    if ideal.arity != order.arity:
         raise ValueError("generator arity does not match order arity")
     key = order.key
+    # the minimal basis comes sorted by lead, each lead positive; tail-reduce
+    # each element against the others: no other lead divides its lead, so
+    # the lead stays, scaled by the positive pseudo-division factor
     basis = _buchberger_int(ideal.integer_generators, order, degree)
     leads = [_lead(g, key) for g in basis]
-    # tail-reduce each element against the others, then make monic
-    reduced: list[Polynomial] = []
+    reduced = []
     for i, g in enumerate(basis):
-        other_leads = leads[:i] + leads[i + 1 :]
-        other_polys = basis[:i] + basis[i + 1 :]
-        r, _ = _normal_form_int(dict(g), other_leads, other_polys, key)
-        r = _orient(primitive_terms(r), key)
-        lead_coeff = r[_lead(r, key)]
-        reduced.append(Polynomial(arity, {m: Fraction(c, lead_coeff) for m, c in r.items()}))
-    pairs = sorted(zip(leads, reduced), key=lambda t: key(t[0]))
-    return ReducedGB(
-        order=order,
-        elements=tuple(p for _, p in pairs),
-        leads=tuple(l for l, _ in pairs),
-    )
+        r, _ = _normal_form_int(g, leads[:i] + leads[i + 1 :], basis[:i] + basis[i + 1 :], key)
+        reduced.append(primitive_terms(r))
+    return ReducedGB(order=order, integer_elements=tuple(reduced), leads=tuple(leads))
 
 
 def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None) -> MonomialIdeal:
@@ -454,10 +454,6 @@ def monomial_slice(mi: MonomialIdeal, m: int) -> DegreeSlice:
     return DegreeSlice(mi.arity, m, tuple(inside), tuple(standard))
 
 
-def degree_slice(ideal: Ideal, order: MonomialOrder, m: int) -> DegreeSlice:
-    return monomial_slice(initial_ideal(ideal, order, m), m)
-
-
 def hilbert_values(
     source: Ideal | MonomialIdeal, m: int, order: MonomialOrder | None = None
 ) -> tuple[int, int]:
@@ -521,13 +517,12 @@ class UnionSlices:
         height = 0
         for coords, block in components:
             gb = buchberger(block, grevlex_order(block.arity), d)
-            leads, polys = list(gb.leads), [primitive_terms(g.terms) for g in gb.elements]
             rows: dict[Monomial, int] = {}
             forms = {}
             for mono in degree_monomials(block.arity, d):
                 # s * mono - r lies in the block ideal: mono reduces to r / s,
                 # an exact value, so the blocks of one column share one scale
-                r, s = _normal_form_int({mono: 1}, leads, polys, gb.order.key)
+                r, s = _normal_form_int({mono: 1}, gb.leads, gb.integer_elements, gb.order.key)
                 forms[mono] = {
                     rows.setdefault(std, height + len(rows)): Fraction(c, s) for std, c in r.items()
                 }

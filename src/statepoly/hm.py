@@ -11,8 +11,7 @@ grevlex and ``P(m)`` counts them.  Negative values certify that the
 corresponding diagonal subgroup destabilizes the dual Hilbert point.
 
 ``hm_index_decomposed`` evaluates the same number for a chain of components
-block by block (no ambient basis computation), and ``hm_from_aggregates``
-exposes the bare arithmetic for precomputed monomial-weight sums.
+block by block (no ambient basis computation).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "HMReport",
     "hm_index_direct",
     "hm_index_decomposed",
-    "hm_from_aggregates",
 ]
 
 
@@ -189,29 +187,3 @@ def hm_index_decomposed(
         components=tuple(components),
         junction_term=junction_term,
     )
-
-
-def hm_from_aggregates(
-    sum_y: Fraction | int,
-    sum_z: Fraction | int,
-    p: int,
-    n: int,
-    m: int,
-    sum_r: Fraction | int,
-    r_junctions: Sequence = (),
-) -> Fraction:
-    """The index from precomputed aggregates:
-
-    ``mu = -sum_y - sum_z + (m * p / (n + 1)) * sum_r + m * sum(r_junctions)``
-
-    where ``sum_y``/``sum_z`` are standard-monomial weight sums of the two
-    sides of a decomposition, ``p`` the ambient standard-monomial count, and
-    ``r_junctions`` the weights of the junction coordinates.
-    """
-    value = (
-        -Fraction(sum_y)
-        - Fraction(sum_z)
-        + Fraction(m * p, n + 1) * Fraction(sum_r)
-        + Fraction(m) * sum((Fraction(r) for r in r_junctions), Fraction(0))
-    )
-    return value

@@ -61,15 +61,6 @@ class MonomialOrder:
             self._key_cache[mono] = k
         return k
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0, or 1 as x^a <, =, > x^b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[str]:

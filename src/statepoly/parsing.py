@@ -37,8 +37,8 @@ from .linalg import exact
 from .rings import ENUMERATION_LIMIT, Monomial, Polynomial
 
 
-# the most term products a parsed power of a sum may take to expand (about
-# half a second of Polynomial.__pow__)
+# the most term products a parsed power of a sum, or one product of two
+# factors, may take to expand (about half a second of Polynomial.__pow__)
 EXPANSION_WORK_LIMIT = 10**5
 
 
@@ -301,12 +301,12 @@ class _PolyParser:
                 break
             if tok[0] == "op" and tok[1] == "*":
                 self.take()
-                result = result * self.power()
+                result = self.times(result, tok[2])
                 leading_coefficient = False
                 continue
             if tok[0] == "name" or (tok[0] == "op" and tok[1] == "("):
                 if leading_coefficient:
-                    result = result * self.power()
+                    result = self.times(result, tok[2])
                     leading_coefficient = False
                     continue
                 raise ParseError(
@@ -320,6 +320,19 @@ class _PolyParser:
                 )
             break
         return result
+
+    def times(self, left: Polynomial, position: int) -> Polynomial:
+        """``left`` times the next factor, refused before multiplying when
+        that takes more than ``EXPANSION_WORK_LIMIT`` term products."""
+        right = self.power()
+        work = len(left.terms) * len(right.terms)
+        if work > EXPANSION_WORK_LIMIT:
+            raise ParseError(
+                f"product of a {len(left.terms)}-term and a {len(right.terms)}-term polynomial"
+                f" would take {work} term products (> {EXPANSION_WORK_LIMIT})",
+                position=position,
+            )
+        return left * right
 
     def power(self) -> Polynomial:
         base = self.atom()

@@ -63,8 +63,8 @@ class ExtremalityError(RuntimeError):
 class VPolytope:
     """A polytope given by its vertex list (sorted, deduplicated).
 
-    The constructor trusts its input; :func:`extreme_points` discards
-    non-extreme points first.
+    The constructor trusts its input: it does not check that every point is
+    extreme.
     """
 
     dim: int
@@ -90,19 +90,10 @@ class VPolytope:
         sums = {sum(v) for v in self.vertices}
         return exact(sums.pop()) if len(sums) == 1 else None
 
-    def translate(self, shift: Sequence) -> "VPolytope":
-        t = exact_vector(shift)
-        if len(t) != self.dim:
-            raise ValueError("translation vector has the wrong length")
-        return VPolytope(self.dim, [tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
-
     def contains(self, point: Sequence) -> bool:
         if not self.vertices:
             return False
         return member_convex_hull(facets(self), self.vertices, point).inside
-
-    def __add__(self, other: "VPolytope") -> "VPolytope":
-        return minkowski_sum(self, other)
 
     def __iter__(self):
         return iter(self.vertices)
@@ -121,23 +112,6 @@ def level_quotient(poly: VPolytope, m: int) -> int | None:
             f"coordinate sum {level} is not m = {m} times a nonnegative integer"
         )
     return q
-
-
-def extreme_points(points: Sequence[Sequence]) -> VPolytope:
-    """The polytope on the points that have a strict facet-sum witness in
-    the hull of all the points (exactly the points outside the hull of the
-    remaining ones)."""
-    pts = sorted({exact_vector(p) for p in points})
-    if not pts:
-        raise ValueError("a polytope needs at least one point")
-    weights = _facet_sum_weights(facets(pts), pts)
-    return VPolytope(len(pts[0]), [p for p, w in zip(pts, weights) if w is not None])
-
-
-def minkowski_sum(p: VPolytope, q: VPolytope) -> VPolytope:
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return extreme_points([tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices])
 
 
 def trivial_character_point(n: int, m: int, q: int) -> Vector:

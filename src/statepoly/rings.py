@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import add, le, mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .linalg import primitive
 
@@ -138,10 +138,6 @@ class Polynomial:
     def variable(cls, arity: int, index: int) -> "Polynomial":
         return cls(arity, {unit_monomial(arity, index): Fraction(1)})
 
-    @classmethod
-    def from_monomial(cls, arity: int, mono: Monomial, coeff: Scalar = 1) -> "Polynomial":
-        return cls(arity, {tuple(mono): Fraction(coeff)})
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -164,9 +160,6 @@ class Polynomial:
             out.update(mono_support(m))
         return frozenset(out)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     def evaluate_unit(self, index: int) -> Fraction:
         """Value at the point with coordinate ``index`` equal to 1 and all
         other coordinates 0 (sum of pure-power coefficients of that variable)."""
@@ -175,9 +168,6 @@ class Polynomial:
             if all(e == 0 for i, e in enumerate(mono) if i != index):
                 total += coeff
         return total
-
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self.terms.items())
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .groebner import Component, UnionSlices, intersect_embedded, require_enumerable
-from .linalg import exact, exact_vector
 from .orders import MonomialOrder
 from .rings import (
     Ideal,
@@ -44,7 +43,6 @@ __all__ = [
     "rosary_slice_decomposition_check",
     "rosary_w",
     "rosary_w_table",
-    "slice_weight_sum",
 ]
 
 
@@ -358,18 +356,3 @@ def rosary_w_table(r_max: int) -> list[dict[str, int | bool]]:
             }
         )
     return rows
-
-
-def slice_weight_sum(monomials: Iterable[Monomial], weights: Sequence) -> int | Fraction:
-    """Sum of the weight pairings of the given exponent tuples (the generic
-    entry point for weighing a degree slice with an external weight vector),
-    an ``int`` for integer weights."""
-    w = exact_vector(weights)
-    total = 0
-    for mono in monomials:
-        if len(mono) != len(w):
-            raise ValueError(
-                f"monomial arity {len(mono)} does not match weight arity {len(w)}"
-            )
-        total += sum(wv * e for wv, e in zip(w, mono))
-    return exact(total)

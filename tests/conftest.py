@@ -203,7 +203,7 @@ def rand_polynomial(
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     poly = Polynomial(arity, terms)
     if poly.is_zero:
-        return Polynomial.from_monomial(arity, rand_monomial(rng, arity, degree))
+        return Polynomial(arity, {rand_monomial(rng, arity, degree): 1})
     return poly
 
 
@@ -249,6 +249,32 @@ def lex_refined_index(ideal, m: int, rho: Sequence) -> Fraction:
     standard = brute_standard_monomials(initial_ideal(ideal, order, m).gens, ideal.arity, m)
     weight_sum = sum(Fraction(r) * e for mono in standard for r, e in zip(rho, mono))
     return -weight_sum + Fraction(m * len(standard), ideal.arity) * sum(map(Fraction, rho))
+
+
+def hm_from_aggregates(
+    sum_y: Fraction | int,
+    sum_z: Fraction | int,
+    p: int,
+    n: int,
+    m: int,
+    sum_r: Fraction | int,
+    r_junctions: Sequence = (),
+) -> Fraction:
+    """The index from precomputed aggregates:
+
+    ``mu = -sum_y - sum_z + (m * p / (n + 1)) * sum_r + m * sum(r_junctions)``
+
+    where ``sum_y``/``sum_z`` are standard-monomial weight sums of the two
+    sides of a decomposition, ``p`` the ambient standard-monomial count, and
+    ``r_junctions`` the weights of the junction coordinates.
+    """
+    value = (
+        -Fraction(sum_y)
+        - Fraction(sum_z)
+        + Fraction(m * p, n + 1) * Fraction(sum_r)
+        + Fraction(m) * sum((Fraction(r) for r in r_junctions), Fraction(0))
+    )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ from statepoly.chains import (
 from statepoly.groebner import (
     UnionSlices,
     buchberger,
-    degree_slice,
     hilbert_values,
     implicitize,
     initial_ideal,
+    monomial_slice,
 )
-from statepoly.hm import hm_from_aggregates, hm_index_decomposed, hm_index_direct
+from statepoly.hm import hm_index_decomposed, hm_index_direct
 from statepoly.lp import audit_feasibility, member_convex_hull, solve_lp
 from statepoly.orders import (
     elimination_order,
@@ -50,7 +50,7 @@ from statepoly.rings import Ideal, Polynomial
 from statepoly.rosary import RosarySpec, rosary_component_ideal, rosary_w
 from statepoly.state import enumerate_state_polytope
 
-from conftest import brute_hull_member, lex_refined_index, rand_point
+from conftest import brute_hull_member, hm_from_aggregates, lex_refined_index, rand_point
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -430,7 +430,8 @@ def test_union_slice_matches_elimination_on_random_chains():
         order = weight_order(merge_chain_weights(weights))
         for m in range(1, 5):
             piece = UnionSlices(spec.arity, components, m).union(order)
-            assert piece == degree_slice(assembled, order, m), (chain.blocks, weights, m)
+            expected = monomial_slice(initial_ideal(assembled, order, m), m)
+            assert piece == expected, (chain.blocks, weights, m)
             assert len(piece.standard_monomials) == hilbert_values(assembled, m)[1]
     assert zero_components >= 1
 

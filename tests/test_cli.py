@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -345,6 +347,155 @@ def test_implicitize_golden(capsys, tmp_path):
     assert code == EXIT_OK
     assert doc["payload"]["variables"] == ["x0", "x1", "x2"]
     assert doc["payload"]["generators"] == ["x1^2 - x0*x2"]
+
+
+# ---------------------------------------------------------------------------
+# the payload bytes of commands that read a reduced basis
+
+
+def rosary_sections(r: int) -> list[list[str]]:
+    """The components of the genus-``r`` rosary in ``x0..x{3r}``: the end
+    conics, the six quadrics of each middle component on ``x{3l-5}..x{3l-1}``,
+    and for each component the coordinates outside its span."""
+    n = 3 * r
+    components = [["x0*x2 - x1^2"]]
+    for l in range(2, r + 1):
+        a, b, c, d, e = (f"x{3 * l - 5 + i}" for i in range(5))
+        components.append([
+            f"{d}^2 - {c}*{e}", f"{c}*{d} - {a}*{e}", f"{a}*{d} - {b}*{e}",
+            f"{c}^2 - {b}*{e}", f"{a}*{c} - {b}*{d}", f"{a}^2 - {b}*{c}",
+        ])
+    components.append([f"x{n - 2}^2 - x{n - 1}*x{n}"])
+    sections = []
+    for l, gens in enumerate(components, start=1):
+        span = range(max(0, 3 * l - 5), min(n, 3 * l - 1) + 1)
+        sections.append(gens + [f"x{j}" for j in range(n + 1) if j not in span])
+    return sections
+
+
+def rosary_text(r: int, sections: list[list[str]]) -> str:
+    lines = ["ring: " + ", ".join(f"x{i}" for i in range(3 * r + 1))]
+    for k, gens in enumerate(sections, start=1):
+        lines += [f"ideal[{k}]:" if len(sections) > 1 else "ideal:", *gens]
+    return "\n".join(lines) + "\n"
+
+
+BASIS_INPUTS = {
+    "rosary2.ideal": rosary_text(2, rosary_sections(2)),
+    "rosary3.ideal": rosary_text(3, rosary_sections(3)),
+    "sextic_param.ideal": "ring: s, t\nideal:\ns^6\ns^4*t^2\ns^2*t^4\ns*t^5\nt^6\n",
+    # the component generators of the genus-2 rosary in one ideal
+    "rosary2_sum.ideal": rosary_text(
+        2, [[g for section in rosary_sections(2) for g in section if " - " in g]]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("intersect", "--ideal", "rosary2.ideal"),
+            "4e4d0141ea0239ec3e526fe2a19ae0f0c4518c9488a090bbd440d823079280f7",
+        ),
+        (
+            ("intersect", "--ideal", "rosary3.ideal"),
+            "2cd6f42a800620b15d335d6fcc72514cd0ec6fe2c5a458b15ef00e32b46f36c8",
+        ),
+        (
+            ("implicitize", "--ideal", "sextic_param.ideal", "--nvars", "5"),
+            "b26557c3333193cc95aa09f1909ba1f2809dd936e2fc70413c9b39a0a399d27a",
+        ),
+        (
+            ("rosary", "--r", "4", "--what", "check", "--d", "2"),
+            "79a6642f4385188a7be35f4c3bb3b20cb978c5ed401988bcec10d9eb84c3f120",
+        ),
+        (
+            ("rosary", "--r", "4", "--what", "check", "--d", "3"),
+            "6186b1ecb68a03cac3c7512379132fcd9036710710783077bd727e580f0cebe6",
+        ),
+        (
+            ("gb", "--ideal", str(ROOT / DATA / "planecurve.ideal"), "--order", "lex"),
+            "da4e66fed308b8c3ff5a76266c9db13bf95fffdeb9d5f768e505fb37c66ddd3e",
+        ),
+        (
+            ("eliminate", "--ideal", "rosary2_sum.ideal", "--keep", "2,3,4,5,6"),
+            "466e782d24047eb0d04224c10b90a60df5a4f423a8dd96341391a09f8e671d33",
+        ),
+    ],
+    ids=[
+        "intersect rosary2", "intersect rosary3", "implicitize sextic", "rosary check d2",
+        "rosary check d3", "gb lex planecurve", "eliminate rosary2",
+    ],
+)
+def test_basis_payload_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, digest):
+    # the payload, not the document: the input digest hashes the file paths
+    for name, text in BASIS_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(render_json(doc["payload"]).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the reduced basis is unique: a change of generators that keeps the ideal
+# keeps every payload read from it
+
+# (ring, generators, m for ``state``): the sextic (s^6 : s^4t^2 : s^2t^4 :
+# st^5 : t^6) as ``implicitize`` prints it, and the middle component of the
+# genus-2 rosary
+SAME_IDEAL_INPUTS = {
+    "sextic": ("x0, x1, x2, x3, x4", ("x3^2 - x2*x4", "x2^2 - x1*x4", "x1*x2 - x0*x4", "x1^2 - x0*x2"), "4"),
+    "rosary_component": (
+        "a, b, c, d, e",
+        ("d^2 - c*e", "c*d - a*e", "a*d - b*e", "c^2 - b*e", "a*c - b*d", "a^2 - b*c"),
+        "3",
+    ),
+}
+
+
+def _nonzero_rational(rng: random.Random) -> str:
+    return f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}"
+
+
+def shuffle_generators(gens: list[str], rng: random.Random) -> list[str]:
+    rng.shuffle(gens)
+    return gens
+
+
+def scale_one_generator(gens: list[str], rng: random.Random) -> list[str]:
+    i = rng.randrange(len(gens))
+    gens[i] = f"({_nonzero_rational(rng)})*({gens[i]})"
+    return gens
+
+
+def add_a_combination(gens: list[str], rng: random.Random) -> list[str]:
+    f, g = rng.sample(gens, 2)
+    gens.insert(rng.randrange(len(gens) + 1), f"({f}) + ({_nonzero_rational(rng)})*({g})")
+    return gens
+
+
+@pytest.mark.parametrize("change", [shuffle_generators, scale_one_generator, add_a_combination])
+@pytest.mark.parametrize("name", sorted(SAME_IDEAL_INPUTS))
+def test_generators_of_the_same_ideal_give_the_same_payloads(capsys, tmp_path, name, change):
+    ring, gens, m = SAME_IDEAL_INPUTS[name]
+    commands = (("gb",), ("initial",), ("eliminate", "--keep", "1,2,3,4"), ("state", "--m", m))
+
+    def payloads(generators: list[str]) -> list[str]:
+        path = tmp_path / "same.ideal"
+        path.write_text(f"ring: {ring}\nideal:\n" + "\n".join(generators) + "\n", encoding="utf-8")
+        texts = []
+        for command, *options in commands:
+            code, doc = run_json(capsys, command, "--ideal", str(path), *options)
+            assert code == EXIT_OK
+            texts.append(render_json(doc["payload"]))
+        return texts
+
+    expected = payloads(list(gens))
+    for seed in range(3):
+        changed = change(list(gens), random.Random(seed))
+        assert payloads(changed) == expected, changed
 
 
 def test_chain_state_golden(capsys):
@@ -815,6 +966,8 @@ CONTRACT_FILES = {
     "big_product.ideal": "ring: x\nideal: x - 7^1400*7^1400*7^1400*7^1400\n",
     # under the monomial bound, but about 1.9 million term products to expand
     "slow_power.ideal": "ring: x, y, z\nideal: (x+y+z)^100 - x^100\n",
+    # each power admitted, their product about 1.3 million term products
+    "slow_product.ideal": "ring: x, y, z\nideal: (x+y+z)^46*(x+y+z)^46\n",
     "ragged.json": '{"dim": 2, "vertices": [[1, 1], [2]]}\n',
     "nonjson.json": "not json\n",
     "wide.json": '{"dim": 4, "vertices": [[1, 1, 0, 0], [2, 0, 0, 0]]}\n',
@@ -829,6 +982,7 @@ CONTRACT_CASES = [
     (("gb", "--ideal", "big_coefficient.ideal"), None, EXIT_VALIDATION),
     (("gb", "--ideal", "big_product.ideal"), None, EXIT_VALIDATION),
     (("gb", "--ideal", "slow_power.ideal"), None, EXIT_VALIDATION),
+    (("gb", "--ideal", "slow_product.ideal"), None, EXIT_VALIDATION),
     (("initial", "--ideal", "inhomogeneous.ideal", "--order", "lex"), None, EXIT_OK),
     (("state", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("state", "--ideal", "inhomogeneous.ideal", "--m", "2"), None, EXIT_OK),

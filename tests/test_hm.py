@@ -9,12 +9,12 @@ import pytest
 
 from statepoly import groebner
 from statepoly.chains import ChainInput
-from statepoly.groebner import degree_slice
-from statepoly.hm import OnePS, hm_from_aggregates, hm_index_decomposed, hm_index_direct
+from statepoly.groebner import initial_ideal, monomial_slice
+from statepoly.hm import OnePS, hm_index_decomposed, hm_index_direct
 from statepoly.orders import weight_order
 from statepoly.rings import Ideal, Polynomial
 
-from conftest import lex_refined_index, rand_polynomial
+from conftest import hm_from_aggregates, lex_refined_index, rand_polynomial
 
 
 def variables(arity):
@@ -102,7 +102,8 @@ def test_direct_agrees_with_the_degree_slice_route():
         rho = OnePS(tuple(rng.randint(-3, 3) for _ in range(arity)))
         for m in range(5):
             rep = hm_index_direct(ideal, m, rho)
-            standard = degree_slice(ideal, weight_order(rho.weights), m).standard_monomials
+            mi = initial_ideal(ideal, weight_order(rho.weights), m)
+            standard = monomial_slice(mi, m).standard_monomials
             assert rep.p_value == len(standard)
             assert rep.standard_weight_sum == sum(map(rho.weight_of, standard), Fraction(0))
 

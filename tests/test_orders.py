@@ -31,25 +31,31 @@ ALL_FAMILIES = [lex_order, grlex_order, grevlex_order]
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
+def cmp(order, a, b) -> int:
+    """-1, 0 or 1 as x^a <, =, > x^b, read from the order's sort key."""
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def test_lex_textbook_comparisons():
     lex = lex_order(3)
-    assert lex.compare((1, 2, 0), (0, 3, 4)) > 0  # x y^2 > y^3 z^4
-    assert lex.compare((3, 2, 4), (3, 2, 1)) > 0
-    assert lex.compare(X, (0, 5, 5)) > 0  # x beats any power of later vars
+    assert cmp(lex, (1, 2, 0), (0, 3, 4)) > 0  # x y^2 > y^3 z^4
+    assert cmp(lex, (3, 2, 4), (3, 2, 1)) > 0
+    assert cmp(lex, X, (0, 5, 5)) > 0  # x beats any power of later vars
 
 
 def test_grlex_textbook_comparisons():
     grlex = grlex_order(3)
-    assert grlex.compare((1, 2, 3), (3, 2, 0)) > 0  # degree 6 beats degree 5
-    assert grlex.compare((1, 2, 4), (1, 1, 5)) > 0  # ties broken by lex
+    assert cmp(grlex, (1, 2, 3), (3, 2, 0)) > 0  # degree 6 beats degree 5
+    assert cmp(grlex, (1, 2, 4), (1, 1, 5)) > 0  # ties broken by lex
 
 
 def test_grevlex_textbook_comparisons():
     grevlex = grevlex_order(3)
-    assert grevlex.compare((4, 7, 1), (4, 2, 3)) > 0  # degree decides first
-    assert grevlex.compare((1, 5, 2), (4, 1, 3)) > 0  # same degree: smaller last exponent wins
-    assert grevlex.compare((1, 1, 1), (0, 3, 0)) < 0  # x y z < y^3 in grevlex
-    assert grlex_order(3).compare((1, 1, 1), (0, 3, 0)) > 0  # but > in grlex
+    assert cmp(grevlex, (4, 7, 1), (4, 2, 3)) > 0  # degree decides first
+    assert cmp(grevlex, (1, 5, 2), (4, 1, 3)) > 0  # same degree: smaller last exponent wins
+    assert cmp(grevlex, (1, 1, 1), (0, 3, 0)) < 0  # x y z < y^3 in grevlex
+    assert cmp(grlex_order(3), (1, 1, 1), (0, 3, 0)) > 0  # but > in grlex
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -85,16 +91,14 @@ def test_order_axioms(seed, arity, name):
     b = rand_monomial(rng, arity, rng.randint(0, 5))
     c = rand_monomial(rng, arity, rng.randint(0, 3))
     # totality + antisymmetry
-    assert order.compare(a, b) == -order.compare(b, a)
-    assert (order.compare(a, b) == 0) == (a == b)
+    assert cmp(order, a, b) == -cmp(order, b, a)
+    assert (cmp(order, a, b) == 0) == (a == b)
     # compatibility with multiplication
-    assert order.compare(mono_mul(a, c), mono_mul(b, c)) == order.compare(a, b)
+    assert cmp(order, mono_mul(a, c), mono_mul(b, c)) == cmp(order, a, b)
     # global order: 1 is minimal
     one = (0,) * arity
     if a != one:
-        assert order.compare(a, one) > 0
-    # key agrees with compare
-    assert (order.key(a) > order.key(b)) == (order.compare(a, b) > 0)
+        assert cmp(order, a, one) > 0
 
 
 def test_order_validate_flags_non_global_orders():
@@ -111,26 +115,26 @@ def test_order_validate_flags_non_global_orders():
 
 def test_weight_order_puts_weight_row_first():
     order = weight_order([0, 1, 3])
-    assert order.compare((0, 0, 1), (2, 0, 0)) > 0  # weight 3 beats weight 0
-    assert order.compare((0, 3, 0), (0, 0, 1)) == order.compare((0, 3, 0), (0, 0, 1))
+    assert cmp(order, (0, 0, 1), (2, 0, 0)) > 0  # weight 3 beats weight 0
+    assert cmp(order, (0, 3, 0), (0, 0, 1)) == cmp(order, (0, 3, 0), (0, 0, 1))
     # ties broken by grevlex, or by lex in the matrix order with lex rows
     tie_grevlex = weight_order([1, 1, 1])
     tie_lex = matrix_order([(1, 1, 1), *lex_order(3).rows])
     a, b = (1, 1, 1), (0, 3, 0)
-    assert tie_grevlex.compare(a, b) == grevlex_order(3).compare(a, b)
-    assert tie_lex.compare(a, b) == lex_order(3).compare(a, b)
+    assert cmp(tie_grevlex, a, b) == cmp(grevlex_order(3), a, b)
+    assert cmp(tie_lex, a, b) == cmp(lex_order(3), a, b)
 
 
 def test_weight_order_accepts_rational_weights():
     order = weight_order([Fraction(1, 2), Fraction(1, 3), 0])
-    assert order.compare((1, 0, 0), (0, 1, 0)) > 0
+    assert cmp(order, (1, 0, 0), (0, 1, 0)) > 0
 
 
 def test_elimination_order_eliminates_first():
     order = elimination_order(4, eliminate=[1, 2])
     # any monomial containing an eliminated variable beats any that does not
-    assert order.compare((0, 1, 0, 0), (5, 0, 0, 5)) > 0
-    assert order.compare((3, 0, 0, 0), (0, 0, 1, 0)) < 0
+    assert cmp(order, (0, 1, 0, 0), (5, 0, 0, 5)) > 0
+    assert cmp(order, (3, 0, 0, 0), (0, 0, 1, 0)) < 0
 
 
 def test_named_and_make_order():
@@ -138,18 +142,12 @@ def test_named_and_make_order():
     with pytest.raises(ValueError):
         named_order("mystery", 3)
     o = matrix_order([(3, 1, 0), *lex_order(3).rows])
-    assert o.compare((0, 1, 0), (0, 0, 2)) > 0
+    assert cmp(o, (0, 1, 0), (0, 0, 2)) > 0
     m = matrix_order([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
     assert m.arity == 3
     with pytest.raises(ValueError):
         matrix_order([])  # needs a row
-    assert named_order("lex", 2).compare((1, 0), (0, 9)) > 0
-
-
-def test_order_compare_is_three_way():
-    assert lex_order(2).compare((1, 0), (0, 1)) > 0
-    assert lex_order(2).compare((0, 1), (1, 0)) < 0
-    assert grevlex_order(2).compare((2, 3), (2, 3)) == 0
+    assert cmp(named_order("lex", 2), (1, 0), (0, 9)) > 0
 
 
 # ---------------------------------------------------------------------------

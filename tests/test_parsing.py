@@ -415,6 +415,34 @@ def test_power_of_a_sum_is_refused_before_expanding(monkeypatch):
     assert expanded == [46, 100000, 100000, 3, 100000, 40]
 
 
+def test_a_product_is_refused_before_multiplying(monkeypatch):
+    # every factor passes the power bound, but a product of 496 by 496 terms
+    # would take 246,016 term products, and the running product of three
+    # factors, 861 terms by 231, 198,891
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counted(left, right):
+        if isinstance(right, Polynomial):
+            products.append((len(left.terms), len(right.terms)))
+        return multiply(left, right)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    xyz = ("x", "y", "z")
+    for text, sizes, position in (
+        ("(x+y+z)^30*(x+y+z)^30", (496, 496), 10),
+        ("(x+y+z)^20*(x+y+z)^20*(x+y+z)^20", (861, 231), 21),
+    ):
+        with pytest.raises(ParseError, match=r"would take \d+ term products \(> 100000\)") as info:
+            parse_polynomial(text, xyz)
+        assert info.value.position == position
+        assert sizes not in products
+    assert (231, 231) in products
+    products.clear()
+    assert len(parse_polynomial("(x+y+z)^30*(x+y+z)^12", xyz).terms) == 946
+    assert (496, 91) in products
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_power_work_bounds_the_products_of_the_expansion(monkeypatch, seed):
     rng = random.Random(seed)
@@ -455,12 +483,12 @@ def test_power_of_a_constant_stays_under_the_integer_string_limit(monkeypatch):
     assert parse_polynomial("x - 9^4506", ("x",)) == parse_polynomial("x", ("x",)) - Polynomial.constant(
         1, 9**4506
     )
-    assert parse_polynomial("(1/9)^4506 - 1", ("x",)).coefficient((0,)) == Fraction(1, 9**4506) - 1
+    assert parse_polynomial("(1/9)^4506 - 1", ("x",)).terms[(0,)] == Fraction(1, 9**4506) - 1
     for text in ("9^4507", "(1/9)^4507", "(-9)^4507", "10^4300", "7^3000000"):
         with pytest.raises(ParseError, match="more than 4300 digits"):
             parse_polynomial(text, ("x",))
     # a number token of 4300 digits converts; one of 4301 is refused unread
-    assert parse_polynomial("9" * 4300 + "/7", ("x",)).coefficient((0,)) == Fraction(10**4300 - 1, 7)
+    assert parse_polynomial("9" * 4300 + "/7", ("x",)).terms[(0,)] == Fraction(10**4300 - 1, 7)
     with pytest.raises(ParseError, match="number of 4301 digits"):
         parse_polynomial("x^" + "1" * 4301, ("x",))
     # constants of height one never grow, and non-constant bases are left alone

@@ -20,10 +20,8 @@ from statepoly.polytope import (
     IncrementalHull,
     VPolytope,
     extremality_witness,
-    extreme_points,
     facets,
     load_polytope,
-    minkowski_sum,
     polytope_from_payload,
     polytope_payload,
     save_polytope,
@@ -52,7 +50,7 @@ def test_level_and_translate():
     poly = VPolytope(3, [(2, 0, 0), (0, 1, 1)])
     assert poly.level == 2
     assert VPolytope(2, [(1, 0), (0, 2)]).level is None
-    shifted = poly.translate((1, 1, 1))
+    shifted = VPolytope(3, [tuple(a + 1 for a in v) for v in poly.vertices])
     assert shifted.vertices == ((1, 2, 2), (3, 1, 1))
     assert shifted.level == 5
 
@@ -63,16 +61,6 @@ def test_contains_uses_exact_hull():
     assert tri.contains((2, 2))  # boundary
     assert not tri.contains((3, 2))
     assert tri.contains((Fraction(1, 3), Fraction(2, 3)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 100_000))
-def test_extreme_points_agree_with_brute_force(seed):
-    rng = random.Random(seed)
-    dim = rng.randint(1, 4)
-    pts = [rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 7))]
-    got = extreme_points(pts)
-    assert set(got.vertices) == brute_extreme_points(pts)
 
 
 def _strictly_separable(points, target) -> bool:
@@ -122,45 +110,6 @@ def test_facet_sum_witnesses_agree_with_strict_separation_lp(seed):
     else:
         with pytest.raises(ExtremalityError):
             vertex_witnesses(system, pts)
-
-
-def test_minkowski_sum_of_segments_is_square():
-    horiz = VPolytope(2, [(0, 0), (1, 0)])
-    vert = VPolytope(2, [(0, 0), (0, 1)])
-    square = minkowski_sum(horiz, vert)
-    assert set(square.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 100_000))
-def test_minkowski_sum_properties(seed):
-    rng = random.Random(seed)
-    dim = rng.randint(1, 3)
-    p = extreme_points([rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 4))])
-    q = extreme_points([rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 4))])
-    pq = minkowski_sum(p, q)
-    qp = minkowski_sum(q, p)
-    assert pq.vertices == qp.vertices  # commutative
-    # vertices of the sum are sums of vertices
-    pairwise = {tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices}
-    assert set(pq.vertices) <= pairwise
-    # every pairwise sum lies in the hull
-    for s in pairwise:
-        assert brute_hull_member(pq.vertices, s)
-
-
-def test_minkowski_sum_many_matches_iterated():
-    polys = [
-        VPolytope(2, [(0, 0), (1, 0)]),
-        VPolytope(2, [(0, 0), (0, 1)]),
-        VPolytope(2, [(0, 0), (1, 1)]),
-    ]
-    via_many = polys[0] + polys[1] + polys[2]
-    via_fold = minkowski_sum(minkowski_sum(polys[0], polys[1]), polys[2])
-    assert via_many.vertices == via_fold.vertices
-    # levels add when all summands have constant level
-    leveled = [VPolytope(2, [(1, 0), (0, 1)]), VPolytope(2, [(2, 0), (0, 2)])]
-    assert (leveled[0] + leveled[1]).level == 3
 
 
 def test_trivial_character_point():
@@ -232,7 +181,8 @@ def test_facet_vertex_round_trip(seed):
     """vertices -> facets -> membership agrees with hull membership."""
     rng = random.Random(seed)
     dim = rng.randint(1, 3)
-    poly = extreme_points([rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 6))])
+    pts = [rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 6))]
+    poly = VPolytope(dim, brute_extreme_points(pts))
     system = facets(poly)
     audit_facets(system, poly.vertices)
     for _ in range(6):
@@ -452,15 +402,14 @@ def test_integer_vertices_level_and_witnesses_are_int():
     assert poly.vertices == ((0, 0, 2), (0, 2, 0), (2, 0, 0))
     assert all(type(x) is int for v in poly.vertices for x in v)
     assert type(poly.level) is int and poly.level == 2
-    shifted = poly.translate((Fraction(3, 3), 0, -1))
+    shift = (Fraction(3, 3), 0, -1)
+    shifted = VPolytope(3, [tuple(a + b for a, b in zip(v, shift)) for v in poly.vertices])
     assert all(type(x) is int for v in shifted.vertices for x in v)
     assert type(shifted.level) is int
     witnesses = vertex_witnesses(facets(poly), poly.vertices)
     for vertex, weights in witnesses.items():
         assert all(type(x) is int for x in vertex)
         assert all(type(w) is int for w in weights)
-    summed = minkowski_sum(poly, poly)
-    assert all(type(x) is int for v in summed.vertices for x in v)
 
 
 def test_fraction_only_for_non_integral_coordinates():
@@ -500,7 +449,7 @@ def test_relative_interior_predicate_agrees_with_lp():
             if lift:  # integer points on a hyperplane: a lower-dimensional integer hull
                 pts = [p + (4 - sum(p),) for p in pts]
             system = facets(pts)
-            vertices = extreme_points(pts).vertices
+            vertices = VPolytope(len(pts[0]), brute_extreme_points(pts)).vertices
             # vertices, the centroid (relative interior), the centroid of the
             # points on each facet (relative boundary), and a few midpoints
             candidates = list(vertices) + [_centroid(pts)]
@@ -582,8 +531,6 @@ def test_payload_rejects_garbage():
 
 
 def test_vpolytope_assume_extreme_shortcut():
-    # extreme_points drops the points that are not vertices; the raw
-    # constructor trusts its input
+    # the constructor trusts its input: a point that is not a vertex stays
     pts = [(0, 0), (1, 0), (2, 0)]
-    assert extreme_points(pts).vertices == ((0, 0), (2, 0))
     assert VPolytope(2, pts).vertices == ((0, 0), (1, 0), (2, 0))

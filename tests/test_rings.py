@@ -33,7 +33,7 @@ from conftest import rand_point, rand_polynomial
 
 def evaluate(poly: Polynomial, point) -> Fraction:
     total = Fraction(0)
-    for mono, coeff in poly.items():
+    for mono, coeff in poly.terms.items():
         value = coeff
         for j, e in enumerate(mono):
             value *= Fraction(point[j]) ** e
@@ -161,7 +161,7 @@ def test_zero_and_constants():
     assert (x - x).is_zero
     assert x * one == x
     assert (one * 0).is_zero
-    assert Polynomial.from_monomial(3, (1, 2, 0), 5).coefficient((1, 2, 0)) == 5
+    assert Polynomial(3, {(1, 2, 0): 5}).terms[(1, 2, 0)] == 5
 
 
 def test_homogeneity_and_degree():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import statepoly.lp as lp_module
 import statepoly.state as state_module
-from statepoly.groebner import degree_slice, hilbert_values, implicitize, initial_ideal, monomial_slice
+from statepoly.groebner import hilbert_values, implicitize, initial_ideal, monomial_slice
 from statepoly.orders import weight_order
 from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
@@ -40,7 +40,7 @@ def grid_states(ideal: Ideal, m: int, span: int = 3) -> set[tuple[int, ...]]:
     out = set()
     for w in itertools.product(range(-span, span + 1), repeat=ideal.arity):
         order = weight_order([x - min(w) for x in w])
-        piece = degree_slice(ideal, order, m)
+        piece = monomial_slice(initial_ideal(ideal, order, m), m)
         out.add(state_of_slice(piece))
     return out
 
@@ -56,7 +56,7 @@ def test_monomial_ideal_has_single_state():
     assert res.status == "complete"
     assert res.polytope.n_vertices == 1
     # the unique state is the exponent sum over the degree-3 in-monomials
-    piece = degree_slice(ideal, weight_order([0, 0, 0]), 3)
+    piece = monomial_slice(initial_ideal(ideal, weight_order([0, 0, 0]), 3), 3)
     assert res.polytope.vertices[0] == state_of_slice(piece)
 
 
