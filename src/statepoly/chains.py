@@ -32,6 +32,7 @@ from .groebner import (
     UnionSlices,
     intersect_embedded,
     monomial_slice,
+    require_enumerable,
 )
 from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
@@ -48,7 +49,6 @@ from .polytope import (
 from .rings import (
     Ideal,
     Monomial,
-    embed_monomial,
     mono_mul,
     project_polynomial,
     unit_monomial,
@@ -57,7 +57,7 @@ from .state import (
     BudgetExhausted,
     StatePolytopeResult,
     enumerate_state_polytope,
-    state_of_slice,
+    slice_state,
 )
 
 Vector = tuple[Fraction, ...]
@@ -277,9 +277,10 @@ def tau_vector(blocks: BlockSpec | Sequence[int], m: int) -> TauVector:
         raise ValueError(f"degree m must be >= 1, got {m}")
     if spec.n_components < 2:
         return TauVector((0,) * spec.arity, m, 0)
-    piece = monomial_slice(mixed_ideals(spec), m)
-    tau = state_of_slice(piece)
-    return TauVector(tau, m, len(piece.in_monomials))
+    require_enumerable(spec.arity, m)
+    tau = slice_state(mixed_ideals(spec), m)
+    # every mixed monomial has degree m
+    return TauVector(tau, m, sum(tau) // m)
 
 
 # ---------------------------------------------------------------------------
@@ -322,40 +323,43 @@ def component_block_ideal(chain: ChainInput, i: int) -> Ideal:
 # component polytopes and extremality certificates
 
 
-def _component_block_polytope(
-    chain: ChainInput,
-    i: int,
-    m: int,
-    budget: int | None,
-) -> tuple[VPolytope, int, FacetSystem]:
-    """Block polytope of component ``i``, the number of basis runs spent,
-    and the facet system of its hull.
+def _component_polytopes(
+    chain: ChainInput, m: int, budget: int | None
+) -> tuple[TauVector, int, int, list[tuple[VPolytope, FacetSystem]]]:
+    """What both chain routes read: ``tau``, the ambient q-value, the number
+    of basis runs spent, and each component's block polytope with the facet
+    system of its hull.
 
     Ideal components are enumerated in the block ring; polytope components
-    are restricted to block coordinates when given at ambient arity.
+    are restricted to block coordinates when given at ambient arity.  A
+    block's q-value is its common coordinate sum divided by ``m``.
     """
-    comp = chain.components[i]
-    if isinstance(comp, Ideal):
-        result = enumerate_state_polytope(component_block_ideal(chain, i), m, budget)
-        if not result.complete:
-            raise BudgetExhausted(budget if budget is not None else 0)
-        return result.polytope, result.query_count, result.facet_system
-    if comp.dim == chain.spec.arity:
-        coords = list(chain.spec.block_coords(i))
-        comp = VPolytope(len(coords), [tuple(v[j] for j in coords) for v in comp.vertices])
-    return comp, 0, facets(comp)
-
-
-def _component_level_count(poly: VPolytope, m: int, i: int) -> int:
-    """The common coordinate sum of the block polytope divided by ``m``
-    (the number of standard degree-``m`` monomials of the component)."""
-    try:
-        q = level_quotient(poly, m)
-    except ValueError as exc:
-        raise ValueError(f"component {i + 1}: {exc}") from None
-    if q is None:
-        raise ValueError(f"component {i + 1}: polytope has no common coordinate sum")
-    return q
+    spec = chain.spec
+    tau = tau_vector(spec, m)  # refuses m < 1
+    q_total = tau.mixed_monomial_count
+    queries = 0
+    blocks: list[tuple[VPolytope, FacetSystem]] = []
+    for i, comp in enumerate(chain.components):
+        if isinstance(comp, Ideal):
+            result = enumerate_state_polytope(component_block_ideal(chain, i), m, budget)
+            if not result.complete:
+                raise BudgetExhausted(budget if budget is not None else 0)
+            queries += result.query_count
+            poly, system = result.polytope, result.facet_system
+        else:
+            if comp.dim == spec.arity:
+                coords = spec.block_coords(i)
+                comp = VPolytope(len(coords), [tuple(v[j] for j in coords) for v in comp.vertices])
+            poly, system = comp, facets(comp)
+        try:
+            q = level_quotient(poly, m)
+        except ValueError as exc:
+            raise ValueError(f"component {i + 1}: {exc}") from None
+        if q is None:
+            raise ValueError(f"component {i + 1}: polytope has no common coordinate sum")
+        q_total += q
+        blocks.append((poly, system))
+    return tau, q_total, queries, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +380,9 @@ def decomposed_state_polytope(
     q-values plus the mixed-monomial count give the ambient q-value.
     """
     spec = chain.spec
-    tau = tau_vector(spec, m)  # refuses m < 1
-    queries = 0
+    tau, q_total, queries, polytopes = _component_polytopes(chain, m, budget)
     blocks: list[list[tuple[tuple, tuple[int, ...]]]] = []
-    q_total = tau.mixed_monomial_count
-    for i in range(spec.n_components):
-        poly, spent, system = _component_block_polytope(chain, i, m, budget)
-        queries += spent
-        q_total += _component_level_count(poly, m, i)
+    for poly, system in polytopes:
         witnesses = vertex_witnesses(system, poly.vertices)
         blocks.append([(v, witnesses[v]) for v in poly.vertices])
 
@@ -492,13 +491,7 @@ def semistability_via_components(
     without forming the Minkowski sum: decompose ``barycenter - tau`` into
     block summands and test each against its component polytope."""
     spec = chain.spec
-    tau = tau_vector(spec, m)  # refuses m < 1
-    blocks: list[tuple[VPolytope, FacetSystem]] = []
-    q_total = tau.mixed_monomial_count
-    for i in range(spec.n_components):
-        poly, _, system = _component_block_polytope(chain, i, m, budget)
-        q_total += _component_level_count(poly, m, i)
-        blocks.append((poly, system))
+    tau, q_total, _, blocks = _component_polytopes(chain, m, budget)
     levels = tuple(poly.level for poly, _ in blocks)
     gamma = trivial_character_point(spec.n, m, q_total)
     target = tuple(g - t for g, t in zip(gamma, tau.tau))
@@ -579,11 +572,10 @@ def initial_slice_partition(
     else:
         mixed = ()
 
-    embedded: list[tuple[Monomial, ...]] = []
-    for index, ((coords, _), weights) in enumerate(zip(components, block_weights)):
-        piece = slices.component(index, weight_order(weights))
-        lifted = (embed_monomial(mono, spec.arity, coords) for mono in piece.in_monomials)
-        embedded.append(tuple(sorted(lifted)))
+    embedded = [
+        slices.component(index, weight_order(weights))
+        for index, weights in enumerate(block_weights)
+    ]
 
     junction_powers = tuple(
         unit_monomial(spec.arity, j, m) for j in spec.junctions

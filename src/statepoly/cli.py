@@ -130,6 +130,12 @@ def _single_ideal(doc: IdealFile) -> Ideal:
     return Ideal(doc.arity, doc.single_ideal_generators())
 
 
+def _generators_json(ideal: Ideal, variables: Sequence[str]) -> list[str]:
+    """The generators, each written from its grevlex-largest term down."""
+    display = named_order("grevlex", ideal.arity)
+    return [format_polynomial(g, variables, display) for g in ideal.generators]
+
+
 def _homogeneity_warnings(ideal: Ideal) -> list[str]:
     if ideal.is_homogeneous():
         return []
@@ -286,36 +292,21 @@ def _cmd_intersect(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     if len(ideals) < 2:
         raise ValueError("intersect needs ideal[1] and ideal[2] sections")
     out = functools.reduce(intersect_ideals, ideals)
-    display = named_order("grevlex", doc.arity)
-    return Outcome(
-        {"generators": [format_polynomial(g, doc.variables, display) for g in out.generators]}
-    )
+    return Outcome({"generators": _generators_json(out, doc.variables)})
 
 
 def _cmd_eliminate(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     ideal = _single_ideal(doc)
     keep = parse_int_vector(args.keep)
     out = eliminate(ideal, keep)
-    display = named_order("grevlex", doc.arity)
-    payload = {
-        "keep": list(keep),
-        "generators": [
-            format_polynomial(g, doc.variables, display) for g in out.generators
-        ],
-    }
-    return Outcome(payload)
+    return Outcome({"keep": list(keep), "generators": _generators_json(out, doc.variables)})
 
 
 def _cmd_implicitize(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     forms = doc.single_ideal_generators()
     out = implicitize(forms, args.nvars)
     names = [f"x{i}" for i in range(out.arity)]
-    display = named_order("grevlex", out.arity)
-    payload = {
-        "variables": names,
-        "generators": [format_polynomial(g, names, display) for g in out.generators],
-    }
-    return Outcome(payload)
+    return Outcome({"variables": names, "generators": _generators_json(out, names)})
 
 
 def _cmd_chain_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:

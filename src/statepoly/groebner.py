@@ -541,10 +541,13 @@ class UnionSlices:
                 columns[key] = form if column is None else {**column, **form}
         return _greedy_slice(self.arity, self.d, columns, range(self._height), order)
 
-    def component(self, index: int, order: MonomialOrder) -> DegreeSlice:
-        """The slice of ``in_order`` of component ``index`` in its block ring."""
+    def component(self, index: int, order: MonomialOrder) -> tuple[Monomial, ...]:
+        """The degree-``d`` monomials of ``in_order`` of component ``index``,
+        for an order of its block ring, embedded in the ambient ring and
+        sorted."""
         coords, forms = self._forms[index]
-        return _greedy_slice(len(coords), self.d, forms, self._rows[index], order)
+        piece = _greedy_slice(len(coords), self.d, forms, self._rows[index], order)
+        return tuple(sorted(embed_monomial(mono, self.arity, coords) for mono in piece.in_monomials))
 
 
 def _greedy_slice(

@@ -11,59 +11,29 @@ grevlex and ``P(m)`` counts them.  Negative values certify that the
 corresponding diagonal subgroup destabilizes the dual Hilbert point.
 
 ``hm_index_decomposed`` evaluates the same number for a chain of components
-block by block (no ambient basis computation).
+block by block (no ambient basis computation).  Both take ``rho`` as a
+plain sequence of rationals (``int``, ``Fraction`` or anything
+``Fraction`` accepts), one per coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .chains import ChainInput, component_block_ideal
 from .groebner import initial_ideal, require_enumerable, standard_monomials
 from .orders import weight_order
-from .rings import Ideal, Monomial
+from .rings import Ideal
 
 __all__ = [
-    "OnePS",
     "HMComponent",
     "HMReport",
     "hm_index_direct",
     "hm_index_decomposed",
 ]
-
-
-@dataclass(frozen=True)
-class OnePS:
-    """A diagonal one-parameter subgroup, stored by its coordinate weights."""
-
-    weights: tuple[Fraction, ...]
-
-    def __init__(self, weights: Sequence):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in weights))
-
-    @property
-    def arity(self) -> int:
-        return len(self.weights)
-
-    def weight_of(self, mono: Monomial) -> Fraction:
-        if len(mono) != self.arity:
-            raise ValueError(f"monomial arity {len(mono)} != weight arity {self.arity}")
-        return sum(
-            (r * e for r, e in zip(self.weights, mono) if e),
-            Fraction(0),
-        )
-
-    def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    def restrict(self, coords: Sequence[int]) -> "OnePS":
-        return OnePS([self.weights[j] for j in coords])
-
-
-def _coerce_oneps(rho: OnePS | Sequence) -> OnePS:
-    return rho if isinstance(rho, OnePS) else OnePS(rho)
 
 
 @dataclass(frozen=True)
@@ -90,28 +60,24 @@ class HMReport:
     junction_term: Fraction | None = None
 
 
-def hm_index_direct(
-    ideal: Ideal,
-    m: int,
-    rho: OnePS | Sequence,
-) -> HMReport:
+def hm_index_direct(ideal: Ideal, m: int, rho: Sequence) -> HMReport:
     """Index of the degree-``m`` dual Hilbert point of ``ideal`` at ``rho``.
 
     The standard monomials are taken under the ``rho``-weight order refined
     by grevlex (any refinement gives the same value).
     """
-    rho = _coerce_oneps(rho)
-    if rho.arity != ideal.arity:
+    rho = tuple(map(Fraction, rho))
+    if len(rho) != ideal.arity:
         raise ValueError(
-            f"weight arity {rho.arity} does not match ideal arity {ideal.arity}"
+            f"weight arity {len(rho)} does not match ideal arity {ideal.arity}"
         )
     if m < 0:
         raise ValueError(f"degree m must be >= 0, got {m}")
     require_enumerable(ideal.arity, m)
-    standard = standard_monomials(initial_ideal(ideal, weight_order(rho.weights), m), m)
-    sws = sum((rho.weight_of(mono) for mono in standard), Fraction(0))
+    standard = standard_monomials(initial_ideal(ideal, weight_order(rho), m), m)
+    sws = sum((sum(map(mul, rho, mono)) for mono in standard), Fraction(0))
     p_value = len(standard)
-    total = rho.total()
+    total = sum(rho, Fraction(0))
     mu = -sws + Fraction(m * p_value, ideal.arity) * total
     return HMReport(
         mu=mu,
@@ -122,11 +88,7 @@ def hm_index_direct(
     )
 
 
-def hm_index_decomposed(
-    chain: ChainInput,
-    m: int,
-    rho: OnePS | Sequence,
-) -> HMReport:
+def hm_index_decomposed(chain: ChainInput, m: int, rho: Sequence) -> HMReport:
     """Index of the assembled chain's dual Hilbert point, block by block.
 
     Each component contributes its own index at the restricted weights; the
@@ -135,10 +97,10 @@ def hm_index_decomposed(
     standard for both adjacent blocks but is one ambient monomial).
     """
     spec = chain.spec
-    rho = _coerce_oneps(rho)
-    if rho.arity != spec.arity:
+    rho = tuple(map(Fraction, rho))
+    if len(rho) != spec.arity:
         raise ValueError(
-            f"weight arity {rho.arity} does not match ambient arity {spec.arity}"
+            f"weight arity {len(rho)} does not match ambient arity {spec.arity}"
         )
 
     components: list[HMComponent] = []
@@ -146,19 +108,17 @@ def hm_index_decomposed(
     p_blocks = 0
     for i in range(spec.n_components):
         coords = list(spec.block_coords(i))
-        block_rho = rho.restrict(coords)
         block_report = hm_index_direct(
-            component_block_ideal(chain, i), m, block_rho
+            component_block_ideal(chain, i), m, [rho[j] for j in coords]
         )
-        correction = (
-            Fraction(m * block_report.p_value, len(coords)) * block_rho.total()
-        )
+        block_total = block_report.weight_total
+        correction = Fraction(m * block_report.p_value, len(coords)) * block_total
         components.append(
             HMComponent(
                 index=i,
                 mu=block_report.mu,
                 p_value=block_report.p_value,
-                weight_total=block_rho.total(),
+                weight_total=block_total,
                 correction=correction,
             )
         )
@@ -166,11 +126,9 @@ def hm_index_decomposed(
         p_blocks += block_report.p_value
 
     junctions = spec.junctions
-    junction_term = Fraction(m) * sum(
-        (rho.weights[j] for j in junctions), Fraction(0)
-    )
+    junction_term = Fraction(m) * sum((rho[j] for j in junctions), Fraction(0))
     p_value = p_blocks - len(junctions)
-    total = rho.total()
+    total = sum(rho, Fraction(0))
     mu = (
         sum((c.mu for c in components), Fraction(0))
         - sum((c.correction for c in components), Fraction(0))

@@ -37,8 +37,9 @@ from .linalg import exact
 from .rings import ENUMERATION_LIMIT, Monomial, Polynomial
 
 
-# the most term products a parsed power of a sum, or one product of two
-# factors, may take to expand (about half a second of Polynomial.__pow__)
+# the most term products one parsed polynomial may take to expand, its
+# powers of sums and its products together (about half a second of
+# Polynomial.__pow__)
 EXPANSION_WORK_LIMIT = 10**5
 
 
@@ -233,6 +234,8 @@ class _PolyParser:
         self.variables = list(variables)
         self.index = {name: i for i, name in enumerate(self.variables)}
         self.arity = len(self.variables)
+        # term products of the powers and products admitted so far
+        self.work = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -323,13 +326,13 @@ class _PolyParser:
 
     def times(self, left: Polynomial, position: int) -> Polynomial:
         """``left`` times the next factor, refused before multiplying when
-        that takes more than ``EXPANSION_WORK_LIMIT`` term products."""
+        the text's term products would pass ``EXPANSION_WORK_LIMIT``."""
         right = self.power()
-        work = len(left.terms) * len(right.terms)
-        if work > EXPANSION_WORK_LIMIT:
+        self.work += len(left.terms) * len(right.terms)
+        if self.work > EXPANSION_WORK_LIMIT:
             raise ParseError(
                 f"product of a {len(left.terms)}-term and a {len(right.terms)}-term polynomial"
-                f" would take {work} term products (> {EXPANSION_WORK_LIMIT})",
+                f" would take {self.work} term products (> {EXPANSION_WORK_LIMIT})",
                 position=position,
             )
         return left * right
@@ -355,11 +358,11 @@ class _PolyParser:
                         f" to {size} monomials (> {ENUMERATION_LIMIT})",
                         position=exp_tok[2],
                     )
-                work = _power_work(len(base.terms), base.degree(), self.arity, exponent)
-                if work > EXPANSION_WORK_LIMIT:
+                self.work += _power_work(len(base.terms), base.degree(), self.arity, exponent)
+                if self.work > EXPANSION_WORK_LIMIT:
                     raise ParseError(
                         f"power {exponent} of a {len(base.terms)}-term polynomial could take"
-                        f" {work} term products to expand (> {EXPANSION_WORK_LIMIT})",
+                        f" {self.work} term products to expand (> {EXPANSION_WORK_LIMIT})",
                         position=exp_tok[2],
                     )
             # a power p^e / q^e of a constant needs no more digits than the

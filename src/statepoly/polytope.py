@@ -36,9 +36,9 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .linalg import common_denominator, exact, exact_vector, primitive, row_reduce
+from .linalg import common_denominator, exact, exact_vector, primitive
 from .lp import AffineHull, affine_hull, member_convex_hull
-from .parsing import render_json, scalar_from_json, scalar_to_json
+from .parsing import ParseError, render_json, scalar_from_json, scalar_to_json
 
 Vector = tuple[int | Fraction, ...]
 IntVector = tuple[int, ...]
@@ -147,20 +147,6 @@ class FacetSystem:
         return all(sum(map(mul, normal, p)) < offset for normal, offset in self.facets)
 
 
-def _hyperplane_through(points: Sequence[IntVector]) -> tuple[IntVector, int]:
-    """Primitive integer normal and offset of the hyperplane spanned by ``k``
-    affinely independent integer points in ``Z^k``."""
-    k = len(points[0])
-    if len(points) != k:
-        raise ValueError("hyperplane needs exactly k points in R^k")
-    base = points[0]
-    echelon = row_reduce(([a - b for a, b in zip(p, base)] for p in points[1:]), k)
-    if echelon.rank != k - 1:
-        raise ValueError("degenerate facet: affinely dependent points")
-    (normal,) = echelon.null_vectors()
-    return normal, sum(map(mul, normal, base))
-
-
 def _rotate(
     seen: tuple[IntVector, int], a_v: int, unseen: tuple[IntVector, int], a_i: int
 ) -> tuple[IntVector, int]:
@@ -230,7 +216,8 @@ class IncrementalHull:
         # (k + 1) times the centroid of the initial simplex, an interior point
         ref = tuple(map(sum, zip(*self.proj)))
         for piece in combinations(range(self.k + 1), self.k):
-            normal, offset = _hyperplane_through([self.proj[i] for i in piece])
+            # k affinely independent points of Z^k span one hyperplane
+            ((normal, offset),) = affine_hull([self.proj[i] for i in piece]).equations
             side = sum(map(mul, normal, ref))
             scaled = (self.k + 1) * offset
             if side > scaled:
@@ -438,13 +425,18 @@ def polytope_payload(poly: VPolytope) -> dict:
 
 
 def polytope_from_payload(payload: dict) -> VPolytope:
-    if not isinstance(payload, dict) or "vertices" not in payload:
-        raise ValueError("polytope payload needs a 'vertices' list")
-    vertices = [[scalar_from_json(x) for x in row] for row in payload["vertices"]]
-    if not vertices:
-        raise ValueError("polytope payload has no vertices")
+    """The polytope of a JSON payload; ``ParseError`` when the payload does
+    not have the shape :func:`polytope_payload` writes."""
+    rows = payload.get("vertices") if isinstance(payload, dict) else None
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ParseError("polytope payload needs a 'vertices' list of coordinate lists")
+    if not rows:
+        raise ParseError("polytope payload has no vertices")
+    vertices = [[scalar_from_json(x) for x in row] for row in rows]
     dim = payload.get("dim", len(vertices[0]))
-    return VPolytope(int(dim), vertices)
+    if type(dim) is not int:
+        raise ParseError(f"polytope dimension must be an integer, got {dim!r}")
+    return VPolytope(dim, vertices)
 
 
 def save_polytope(path: str | Path, poly: VPolytope) -> None:

@@ -26,7 +26,6 @@ from .rings import (
     Monomial,
     Polynomial,
     degree_monomials,
-    embed_monomial,
     mono_mul,
     project_polynomial,
     unit_monomial,
@@ -240,11 +239,10 @@ def rosary_slice_decomposition_check(
     augmentation = _augmentation(spec, d)
     left = set(in_slice) | set(augmentation)
 
-    component_slices: list[tuple[Monomial, ...]] = []
-    for index, (coords, _) in enumerate(components):
-        piece = slices.component(index, _restrict_order(order, coords))
-        lifted = (embed_monomial(mono, spec.arity, coords) for mono in piece.in_monomials)
-        component_slices.append(tuple(sorted(lifted)))
+    component_slices = [
+        slices.component(index, _restrict_order(order, coords))
+        for index, (coords, _) in enumerate(components)
+    ]
 
     mixed_sets = tuple(
         tuple(sorted(rosary_mixed_sets(l, d, spec))) for l in range(1, spec.r + 1)

@@ -28,7 +28,6 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .groebner import (
-    DegreeSlice,
     Marked,
     MonomialIdeal,
     initial_ideal,
@@ -66,13 +65,21 @@ class BudgetExhausted(RuntimeError):
         self.budget = budget
 
 
-def state_of_slice(piece: DegreeSlice) -> StateVector:
-    """Sum of the exponent vectors of the slice's initial-ideal monomials."""
-    total = [0] * piece.arity
-    for mono in piece.in_monomials:
+def slice_state(mi: MonomialIdeal, m: int) -> StateVector:
+    """The exponent sum of the degree-``m`` monomials of ``mi``.
+
+    It is the closed-form column total ``C(m+n-1, n)`` (each coordinate
+    summed over all degree-``m`` monomials in ``n`` variables) minus the
+    sum of the standard monomials, found by a walk of the staircase
+    (:func:`statepoly.groebner.standard_monomials`), so only the
+    complement of the ideal is enumerated.
+    """
+    n = mi.arity
+    state = [comb(m + n - 1, n)] * n
+    for mono in standard_monomials(mi, m):
         for j, e in enumerate(mono):
-            total[j] += e
-    return tuple(total)
+            state[j] -= e
+    return tuple(state)
 
 
 # a Groebner cone as (lead - tail, grevlex prefers the lead) per marked term
@@ -134,10 +141,9 @@ class StateOracle:
     the state reads.  A truncated basis has fewer marked terms than the full
     one, so its cone test accepts more directions.
 
-    The state is the closed-form column total ``C(m+n-1, n)`` (each
-    coordinate summed over all degree-``m`` monomials in ``n`` variables)
-    minus the sum of the standard monomials, found by a walk of the
-    staircase (:func:`statepoly.groebner.standard_monomials`).
+    Each state is read off the initial ideal by :func:`slice_state`, the
+    one routine that also gives a chain's ``tau``
+    (:func:`statepoly.chains.tau_vector`).
 
     What every run shares is made once: the oracle holds one grevlex order,
     and each run's ``weight_order(key, grevlex)`` refines by it, so one
@@ -187,21 +193,12 @@ class StateOracle:
         state = next((st for cone, st in self._cones if _keeps_marked_leads(cone, key)), None)
         if state is None:
             mi = initial_ideal(self.ideal, weight_order(key, self._grevlex), self.m)
-            state = self._state_of(mi)
+            state = slice_state(mi, self.m)
             self._cones.append((_cone_test(mi.marked, self._grevlex.key), state))
         else:
             self.cone_hits += 1
         self._memo[key] = state
         return state
-
-    def _state_of(self, mi: MonomialIdeal) -> StateVector:
-        """The exponent sum of the degree-``m`` monomials of ``mi``."""
-        n = self.ideal.arity
-        state = [comb(self.m + n - 1, n)] * n
-        for mono in standard_monomials(mi, self.m):
-            for j, e in enumerate(mono):
-                state[j] -= e
-        return tuple(state)
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,16 @@ def brute_standard_monomials(gens, arity: int, m: int) -> list[tuple[int, ...]]:
     )
 
 
+def state_of_slice(piece) -> tuple[int, ...]:
+    """Sum of the exponent vectors of a degree slice's initial-ideal
+    monomials, the reference for ``statepoly.state.slice_state``."""
+    total = [0] * piece.arity
+    for mono in piece.in_monomials:
+        for j, e in enumerate(mono):
+            total[j] += e
+    return tuple(total)
+
+
 def brute_state(gens, arity: int, m: int) -> tuple[int, ...]:
     """Exponent sum of the degree-``m`` monomials some generator divides."""
     standard = set(brute_standard_monomials(gens, arity, m))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,11 +25,13 @@ from statepoly.chains import (
     semistability_via_components,
     tau_vector,
 )
-from statepoly.groebner import buchberger, hilbert_values
+from statepoly.groebner import buchberger, hilbert_values, monomial_slice
 from statepoly.orders import grevlex_order
 from statepoly.polytope import VPolytope
 from statepoly.rings import Ideal, Polynomial
 from statepoly.state import enumerate_state_polytope
+
+from conftest import state_of_slice
 
 
 def variables(arity):
@@ -172,11 +175,24 @@ def test_tau_counts_each_mixed_monomial_once():
     # blocks (0,1,2,3) at m=3: x_0 x_1 x_3 is mixed for both junctions but
     # must contribute a single exponent vector
     tau = tau_vector((0, 1, 2, 3), 3)
-    from statepoly.groebner import monomial_slice
-
     piece = monomial_slice(mixed_ideals((0, 1, 2, 3)), 3)
     assert tau.mixed_monomial_count == len(piece.in_monomials)
     assert len(set(piece.in_monomials)) == len(piece.in_monomials)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tau_equals_the_state_of_the_full_mixed_slice(seed):
+    # the reference enumerates every ambient degree-m monomial; tau walks
+    # only the staircase of the mixed ideal
+    rng = random.Random(seed)
+    for _ in range(3):
+        steps = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        blocks = tuple(itertools.accumulate(steps, initial=0))
+        for m in range(1, 7):
+            piece = monomial_slice(mixed_ideals(blocks), m)
+            tau = tau_vector(blocks, m)
+            assert tau.tau == state_of_slice(piece), (blocks, m)
+            assert tau.mixed_monomial_count == len(piece.in_monomials), (blocks, m)
 
 
 # ---------------------------------------------------------------------------

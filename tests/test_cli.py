@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from statepoly import chains, cli, groebner, lp, rosary
+from statepoly import chains, cli, groebner, lp, rosary, state
 from statepoly.chains import tau_vector
 from statepoly.cli import (
     COMMANDS,
@@ -582,6 +582,16 @@ def test_tau_golden(capsys):
     assert "disagrees" in err
 
 
+def test_tau_refuses_a_huge_degree_before_enumerating(capsys, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("the staircase walk ran")
+
+    monkeypatch.setattr(state, "standard_monomials", enumerate_nothing)
+    code, out, err = run(capsys, "tau", "--blocks", "0,2,4", "--m", "10000")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "degree slice would enumerate" in err
+
+
 def test_decompose_point_golden(capsys):
     code, doc = run_json(
         capsys,
@@ -944,6 +954,15 @@ def test_readme_examples_run(capsys, monkeypatch):
 # the exit-code contract: an input statec cannot answer exits 2 or 3 with a
 # message, never with a traceback
 
+# stored polytopes of the wrong shape, each read by `contains` and as a
+# chain's `polytope[1]:` file
+MALFORMED_POLYTOPES = {
+    "flat_vertices": '{"vertices": [1, 2]}\n',
+    "number_vertices": '{"vertices": 5}\n',
+    "list_dim": '{"dim": [3], "vertices": [[1, 1, 0]]}\n',
+    "float_dim": '{"dim": 3.5, "vertices": [[1, 1, 0], [2, 0, 0]]}\n',
+}
+
 CONTRACT_FILES = {
     "conic.ideal": "ring: x, y, z\nideal: x*z - y^2\n",
     "inconsistent.ideal": "ring: x, y, z\nideal:\nx^2 - y\nx*z - y^2\n",
@@ -971,6 +990,16 @@ CONTRACT_FILES = {
     "ragged.json": '{"dim": 2, "vertices": [[1, 1], [2]]}\n',
     "nonjson.json": "not json\n",
     "wide.json": '{"dim": 4, "vertices": [[1, 1, 0, 0], [2, 0, 0, 0]]}\n',
+    # one power admitted, the text's next power of a sum passes the budget
+    "summed_powers.ideal": "ring: x, y, z\nideal: " + " + ".join(["(x+y+z)^46"] * 4) + "\n",
+    "power_product.ideal": "ring: x, y, z\nideal: (x+y+z)^46*(x+y+z)^46\n",
+    **{f"{name}.json": text for name, text in MALFORMED_POLYTOPES.items()},
+    **{
+        f"{name}_chain.ideal": (
+            f"ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: {name}.json\nideal[2]: c*e - d^2\n"
+        )
+        for name in MALFORMED_POLYTOPES
+    },
 }
 
 # (argv with file names, STATEC_BUDGET or None, expected exit code)
@@ -983,6 +1012,8 @@ CONTRACT_CASES = [
     (("gb", "--ideal", "big_product.ideal"), None, EXIT_VALIDATION),
     (("gb", "--ideal", "slow_power.ideal"), None, EXIT_VALIDATION),
     (("gb", "--ideal", "slow_product.ideal"), None, EXIT_VALIDATION),
+    (("gb", "--ideal", "summed_powers.ideal"), None, EXIT_VALIDATION),
+    (("gb", "--ideal", "power_product.ideal"), None, EXIT_VALIDATION),
     (("initial", "--ideal", "inhomogeneous.ideal", "--order", "lex"), None, EXIT_OK),
     (("state", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("state", "--ideal", "inhomogeneous.ideal", "--m", "2"), None, EXIT_OK),
@@ -1020,6 +1051,14 @@ CONTRACT_CASES = [
     (("contains", "--polytope", "nonjson.json", "--point", "1,1"), None, EXIT_VALIDATION),
     (("contains", "--polytope", "nope.json", "--point", "1,1"), None, EXIT_VALIDATION),
     (("contains", "--polytope", "wide.json", "--point", "1,1"), None, EXIT_VALIDATION),
+    *(
+        (("contains", "--polytope", f"{name}.json", "--point", "1,1,0"), None, EXIT_VALIDATION)
+        for name in MALFORMED_POLYTOPES
+    ),
+    *(
+        (("chain-state", "--ideal", f"{name}_chain.ideal", "--m", "2"), None, EXIT_VALIDATION)
+        for name in MALFORMED_POLYTOPES
+    ),
     (("semistable", "--ideal", "inconsistent.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("semistable", "--ideal", "zero.ideal", "--m", "2"), None, EXIT_OK),
     (("semistable", "--ideal", "unit.ideal", "--m", "2"), None, EXIT_OK),

@@ -37,13 +37,14 @@ from statepoly.rings import (
 )
 from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
 from statepoly.linalg import primitive
-from statepoly.state import StateOracle, enumerate_state_polytope, state_of_slice
+from statepoly.state import StateOracle, enumerate_state_polytope
 from conftest import (
     brute_standard_monomials,
     brute_state,
     rand_monomial,
     rand_polynomial,
     reference_reduced_basis,
+    state_of_slice,
 )
 
 

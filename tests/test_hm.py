@@ -10,7 +10,7 @@ import pytest
 from statepoly import groebner
 from statepoly.chains import ChainInput
 from statepoly.groebner import initial_ideal, monomial_slice
-from statepoly.hm import OnePS, hm_index_decomposed, hm_index_direct
+from statepoly.hm import hm_index_decomposed, hm_index_direct
 from statepoly.orders import weight_order
 from statepoly.rings import Ideal, Polynomial
 
@@ -19,20 +19,6 @@ from conftest import hm_from_aggregates, lex_refined_index, rand_polynomial
 
 def variables(arity):
     return tuple(Polynomial.variable(arity, j) for j in range(arity))
-
-
-# ---------------------------------------------------------------------------
-# the weight-vector wrapper
-
-
-def test_oneps_basics():
-    rho = OnePS((3, 0, 1))
-    assert rho.arity == 3
-    assert rho.weight_of((2, 0, 1)) == 7
-    assert rho.total() == 4
-    small = rho.restrict((0, 2))
-    assert small.weights == (3, 1)
-    assert OnePS((Fraction(1, 2), 1)).weight_of((2, 2)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +32,7 @@ def test_two_points_in_line_are_balanced():
     ideal = Ideal(2, (x0 * x1,))
     for rho in ((1, 0), (0, 1), (5, -2), (7, 7)):
         for m in (1, 2, 3):
-            rep = hm_index_direct(ideal, m, OnePS(rho))
+            rep = hm_index_direct(ideal, m, rho)
             assert rep.mu == 0
 
 
@@ -55,7 +41,7 @@ def test_single_point_weight():
     # monomials are {x0^m}, so mu = -m rho_0 + m * 1/2 * (rho_0 + rho_1)
     x0, x1 = variables(2)
     ideal = Ideal(2, (x1,))
-    rho = OnePS((4, 2))
+    rho = (4, 2)
     for m in (1, 2, 5):
         rep = hm_index_direct(ideal, m, rho)
         assert rep.p_value == 1
@@ -66,7 +52,7 @@ def test_single_point_weight():
 def test_zero_weights_give_zero_index():
     x0, x1, x2 = variables(3)
     ideal = Ideal(3, (x0 * x2 - x1**2,))
-    rep = hm_index_direct(ideal, 3, OnePS((0, 0, 0)))
+    rep = hm_index_direct(ideal, 3, (0, 0, 0))
     assert rep.mu == 0
 
 
@@ -74,9 +60,9 @@ def test_direct_rejects_bad_arity_or_degree():
     x0, x1 = variables(2)
     ideal = Ideal(2, (x0 * x1,))
     with pytest.raises(ValueError):
-        hm_index_direct(ideal, 2, OnePS((1, 0, 0)))
+        hm_index_direct(ideal, 2, (1, 0, 0))
     with pytest.raises(ValueError):
-        hm_index_direct(ideal, -1, OnePS((1, 0)))
+        hm_index_direct(ideal, -1, (1, 0))
 
 
 def test_direct_refuses_a_huge_degree_before_any_basis(monkeypatch):
@@ -87,7 +73,7 @@ def test_direct_refuses_a_huge_degree_before_any_basis(monkeypatch):
     monkeypatch.setattr(groebner, "standard_monomials", refuse)
     x0, x1, _ = variables(3)
     with pytest.raises(ValueError, match="would enumerate"):
-        hm_index_direct(Ideal(3, (x0 * x1,)), 2000, OnePS((1, 0, 0)))
+        hm_index_direct(Ideal(3, (x0 * x1,)), 2000, (1, 0, 0))
 
 
 def test_direct_agrees_with_the_degree_slice_route():
@@ -99,13 +85,13 @@ def test_direct_agrees_with_the_degree_slice_route():
             rand_polynomial(rng, arity, 3, homogeneous=True) for _ in range(rng.randint(0, 3))
         )
         ideal = Ideal(arity, gens)
-        rho = OnePS(tuple(rng.randint(-3, 3) for _ in range(arity)))
+        rho = tuple(rng.randint(-3, 3) for _ in range(arity))
         for m in range(5):
             rep = hm_index_direct(ideal, m, rho)
-            mi = initial_ideal(ideal, weight_order(rho.weights), m)
+            mi = initial_ideal(ideal, weight_order(rho), m)
             standard = monomial_slice(mi, m).standard_monomials
             assert rep.p_value == len(standard)
-            assert rep.standard_weight_sum == sum(map(rho.weight_of, standard), Fraction(0))
+            assert rep.standard_weight_sum == sum(r * e for mono in standard for r, e in zip(rho, mono))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,7 @@ def test_two_lines_hand_value():
     # variables, P(1) = 3, so mu(rho) = -sum(rho) + (1*3/3) sum(rho) = 0;
     # at m = 2 the standard monomials omit x0 x2 only
     chain = smallest_chain()
-    rho = OnePS((1, 0, 0))
+    rho = (1, 0, 0)
     dec = hm_index_decomposed(chain, 2, rho)
     x0, x1, x2 = variables(3)
     direct = hm_index_direct(Ideal(3, (x0 * x2,)), 2, rho)
@@ -147,10 +133,10 @@ def test_decomposed_matches_direct_on_conic_bridge():
     rng = random.Random(7)
     for m in (1, 2, 3):
         for _ in range(4):
-            rho = OnePS(tuple(rng.randint(-4, 4) for _ in range(5)))
+            rho = tuple(rng.randint(-4, 4) for _ in range(5))
             dec = hm_index_decomposed(chain, m, rho)
             direct = hm_index_direct(ambient, m, rho)
-            assert dec.mu == direct.mu, (m, rho.weights)
+            assert dec.mu == direct.mu, (m, rho)
             assert dec.standard_weight_sum == direct.standard_weight_sum
             assert dec.p_value == direct.p_value
 
@@ -160,9 +146,9 @@ def test_tiebreak_independence():
     ideal = Ideal(5, (a * c - b**2, c * e - d**2, a * d, a * e, b * d, b * e))
     rng = random.Random(11)
     for _ in range(6):
-        rho = OnePS(tuple(rng.randint(-3, 3) for _ in range(5)))
+        rho = tuple(rng.randint(-3, 3) for _ in range(5))
         via_grevlex = hm_index_direct(ideal, 2, rho)
-        assert via_grevlex.mu == lex_refined_index(ideal, 2, rho.weights)
+        assert via_grevlex.mu == lex_refined_index(ideal, 2, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +159,7 @@ def test_aggregates_reproduce_direct_report():
     # feeding a direct report's own aggregates back in returns the same index
     x0, x1 = variables(2)
     ideal = Ideal(2, (x0 * x1,))
-    rho = OnePS((4, 2))
+    rho = (4, 2)
     m = 3
     rep = hm_index_direct(ideal, m, rho)
     again = hm_from_aggregates(
@@ -182,7 +168,7 @@ def test_aggregates_reproduce_direct_report():
         p=rep.p_value,
         n=1,
         m=m,
-        sum_r=rho.total(),
+        sum_r=sum(rho),
     )
     assert again == rep.mu
 

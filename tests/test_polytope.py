@@ -288,7 +288,7 @@ def test_hull_accepts_only_integer_points():
 
 
 # taken at import, before a test patches the module attribute out
-REFERENCE_HYPERPLANE = polytope._hyperplane_through
+REFERENCE_AFFINE_HULL = polytope.affine_hull
 
 
 def audit_ridges(hull: IncrementalHull) -> None:
@@ -303,9 +303,10 @@ def audit_ridges(hull: IncrementalHull) -> None:
 
 
 def oriented_hyperplane(hull: IncrementalHull, piece: tuple) -> tuple:
-    """The reference piece: the Bareiss hyperplane through the piece's
-    points, oriented so that every inserted point lies on its inner side."""
-    normal, offset = REFERENCE_HYPERPLANE([hull.proj[i] for i in piece])
+    """The reference piece: the one equation of the affine hull of the
+    piece's points, oriented so that every inserted point lies on its inner
+    side."""
+    ((normal, offset),) = REFERENCE_AFFINE_HULL([hull.proj[i] for i in piece]).equations
     if any(sum(h * x for h, x in zip(normal, q)) > offset for q in hull.proj):
         normal, offset = tuple(-h for h in normal), -offset
     assert all(sum(h * x for h, x in zip(normal, q)) <= offset for q in hull.proj)
@@ -343,7 +344,7 @@ def test_rotated_pieces_equal_the_hyperplane_through_them(seed, monkeypatch):
         hull = simplex_hull(pts)
         audit_ridges(hull)
         # after the initial simplex no piece may come from a linear solve
-        monkeypatch.setattr(polytope, "_hyperplane_through", None)
+        monkeypatch.setattr(polytope, "affine_hull", None)
         for p in pts:
             old = dict(hull.pieces)
             hull.add_point(p)

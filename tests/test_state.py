@@ -25,9 +25,14 @@ from statepoly.state import (
     enumerate_state_polytope,
     read_budget_from_env,
     semistability_report,
+)
+from conftest import (
+    brute_hull_member,
+    brute_state,
+    lp_relative_interior,
+    rand_polynomial,
     state_of_slice,
 )
-from conftest import brute_hull_member, brute_state, lp_relative_interior, rand_polynomial
 
 
 def variables(arity):

@@ -2,12 +2,14 @@
 
 The package computes in exact arithmetic only: no source file may write a
 float literal, call ``float``, or import from ``math`` anything beyond the
-integer functions below.
+integer functions below.  And it keeps no dead code: every private
+top-level function or class is named somewhere outside its own definition.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,48 @@ def test_every_public_name_resolves():
     missing = [name for name in statepoly.__all__ if not hasattr(statepoly, name)]
     assert missing == []
     assert len(set(statepoly.__all__)) == len(statepoly.__all__)
+
+
+def names_in(node: ast.AST) -> Counter:
+    """How often each identifier is named under ``node``: as a name, an
+    attribute or an imported name."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private top-level function or class that no source names outside
+    its own definition, as ``file: name``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = sum((names_in(tree) for tree in trees.values()), Counter())
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == names_in(node)[node.name]
+    ]
+
+
+def test_every_private_name_is_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_scan_finds_an_unused_private_helper():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n\n"
+            "def _helper():\n    return 2\n\n"
+            "def _loop(n):\n    return _loop(n - 1)\n\n"
+            "class _Kept:\n    pass\n\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+        ),
+        "b.py": "from a import _Kept\nvalue = _used()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _helper", "a.py: _loop"]
