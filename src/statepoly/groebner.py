@@ -22,19 +22,29 @@ A pair is queued only when the run may pop and use it:
 - a pair with coprime leads is never queued (the product criterion): its
   S-polynomial has a standard representation from the start, so it counts
   as done (Gebauer–Möller 1988);
+- a pair of two one-term elements is never queued either: its
+  S-polynomial is zero, so it too counts as done from the start;
 - in a truncated run, a pair whose lcm has degree above ``m`` is never
   queued, and its order key is never computed.  The chain criterion, which
   skips the pair ``(i, j)`` when some lead ``k`` divides its lcm and the
   pairs ``(i, k)`` and ``(j, k)`` are done, only consults pairs whose lcm
   divides that of ``(i, j)``, so none of them lies above ``m``.
+
+Each queued pair keeps its lcm, and every element lists its lead first, so
+a run neither scans for a lead nor forms a lead term that cancels.  A
+reduction takes the largest monomial first from a heap keyed by
+:meth:`MonomialOrder.descending_key`, the negated order key, which each
+order caches once per monomial.
 """
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd
+from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
 from .linalg import primitive, row_reduce
@@ -48,12 +58,9 @@ from .rings import (
     degree_monomials,
     embed_monomial,
     embed_polynomial,
-    mono_coprime,
     mono_degree,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     primitive_terms,
     project_polynomial,
 )
@@ -63,49 +70,43 @@ IntPoly = dict[Monomial, int]
 
 # ---------------------------------------------------------------------------
 # integer-polynomial helpers
-
-
-def _lead(p: IntPoly, key) -> Monomial:
-    return max(p, key=key)
-
-
-def _orient(p: IntPoly, key) -> IntPoly:
-    """Make the leading coefficient positive."""
-    if p and p[_lead(p, key)] < 0:
-        return {m: -c for m, c in p.items()}
-    return p
+#
+# Every polynomial the engine reduces by lists its lead term first: a basis
+# element is a generator copied lead first, or a remainder, which comes out
+# in decreasing order.  So the lead of an element is ``next(iter(g))``, and
+# the lead terms, which cancel exactly in an S-polynomial and in a
+# reduction step, are skipped rather than formed.
 
 
 def _normal_form_int(
-    p: IntPoly, leads: Sequence[Monomial], polys: Sequence[IntPoly], key
+    p: IntPoly, leads: Sequence[Monomial], polys: Sequence[IntPoly], descending_key
 ) -> tuple[IntPoly, int]:
     """Full normal form by pseudo-division.
 
     Returns ``(r, s)`` with ``s > 0`` such that ``s*p - r`` lies in the ideal
     generated by ``polys`` and no monomial of ``r`` is divisible by any lead.
+    Each of ``polys`` lists its lead ``leads[i]`` first.  The largest
+    monomial is taken first, from a heap keyed by ``descending_key`` (the
+    order's cached negated key), so ``r`` comes out in decreasing order: its
+    first term is its lead.
     """
     work = dict(p)
     remainder: IntPoly = {}
     scale = 1
-    heap = [(tuple(-v for v in key(m)), m) for m in work]
-    heapq.heapify(heap)
-    nbasis = len(leads)
+    heap = [(descending_key(m), m) for m in work]
+    heapify(heap)
+    divisors = list(zip(leads, polys))
     while heap:
-        _, mono = heapq.heappop(heap)
-        coeff = work.get(mono, 0)
-        if coeff == 0:
+        mono = heappop(heap)[1]
+        coeff = work.pop(mono, 0)
+        if not coeff:
             continue
-        hit = -1
-        for idx in range(nbasis):
-            if mono_divides(leads[idx], mono):
-                hit = idx
+        for glead, g in divisors:
+            if all(map(le, glead, mono)):
                 break
-        if hit < 0:
+        else:
             remainder[mono] = remainder.get(mono, 0) + coeff
-            del work[mono]
             continue
-        g = polys[hit]
-        glead = leads[hit]
         gcoeff = g[glead]
         t = gcd(coeff, gcoeff)
         mult_work = gcoeff // t
@@ -116,46 +117,51 @@ def _normal_form_int(
             for m in remainder:
                 remainder[m] *= mult_work
             scale *= mult_work
-            coeff *= mult_work
-        shift = mono_div(mono, glead)
-        for gm, gc in g.items():
-            target = mono_mul(shift, gm)
+        shift = tuple(map(sub, mono, glead))
+        terms = iter(g.items())
+        next(terms)  # the lead term cancels ``mono`` exactly
+        for gm, gc in terms:
+            target = tuple(map(add, shift, gm))
             cur = work.get(target, 0) - mult_g * gc
             if cur:
                 if target not in work:
-                    heapq.heappush(heap, (tuple(-v for v in key(target)), target))
+                    heappush(heap, (descending_key(target), target))
                 work[target] = cur
-            elif target in work:
+            else:
                 del work[target]
     return remainder, scale
 
 
-def _spoly(fi: IntPoly, fj: IntPoly, li: Monomial, lj: Monomial, key) -> IntPoly:
-    lcm = mono_lcm(li, lj)
+def _spoly(fi: IntPoly, fj: IntPoly, li: Monomial, lj: Monomial, lcm: Monomial) -> IntPoly:
+    """The S-polynomial of two elements that list their leads first, without
+    the lead terms, which cancel exactly."""
     ci, cj = fi[li], fj[lj]
     t = gcd(ci, cj)
     mi, mj = cj // t, ci // t
-    si, sj = mono_div(lcm, li), mono_div(lcm, lj)
-    out: IntPoly = {}
-    for m, c in fi.items():
-        target = mono_mul(si, m)
-        out[target] = out.get(target, 0) + mi * c
-    for m, c in fj.items():
-        target = mono_mul(sj, m)
+    si, sj = tuple(map(sub, lcm, li)), tuple(map(sub, lcm, lj))
+    terms = iter(fi.items())
+    next(terms)
+    out = {tuple(map(add, si, m)): mi * c for m, c in terms}
+    terms = iter(fj.items())
+    next(terms)
+    for m, c in terms:
+        target = tuple(map(add, sj, m))
         cur = out.get(target, 0) - mj * c
         if cur:
             out[target] = cur
-        elif target in out:
+        else:
             del out[target]
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 def _buchberger_int(
-    gens: Sequence[IntPoly], order: MonomialOrder, degree: int | None = None
-) -> list[IntPoly]:
-    """Minimal (lead-interreduced) Groebner basis of primitive integer
-    generators, with primitive integer coefficients and positive leading
-    coefficients.  The generators are read, never changed.
+    ideal: Ideal, order: MonomialOrder, degree: int | None = None
+) -> tuple[list[IntPoly], list[Monomial]]:
+    """Minimal (lead-interreduced) Groebner basis of the ideal's primitive
+    integer generators, and its leads.  Each element has primitive integer
+    coefficients and lists its lead first, with a positive coefficient; the
+    elements come in increasing lead order.  The generators are read, never
+    changed.
 
     When ``degree`` is given and every generator is homogeneous, the run
     stops at degree ``degree``: the result is the ``degree``-truncated
@@ -165,7 +171,10 @@ def _buchberger_int(
     before any reduction otherwise).
     """
     key = order.key
-    if not all(len(set(map(mono_degree, g))) == 1 for g in gens):
+    descending_key = order.descending_key
+    gens = ideal.integer_generators
+    degrees = ideal.integer_degrees
+    if degrees is None:
         problems = order.validate()
         if problems:
             # reductions of mixed degrees need a well-order to terminate
@@ -174,73 +183,79 @@ def _buchberger_int(
             )
         degree = None
     elif degree is not None:
-        gens = [g for g in gens if mono_degree(next(iter(g))) <= degree]
+        gens = [g for g, d in zip(gens, degrees) if d <= degree]
     basis: list[IntPoly] = []
     leads: list[Monomial] = []
-    for lead, g in sorted(((_lead(g, key), g) for g in gens), key=lambda t: key(t[0])):
-        basis.append(g if g[lead] > 0 else {m: -c for m, c in g.items()})
+    for lead, g in sorted(((max(g, key=key), g) for g in gens), key=lambda t: key(t[0])):
+        c = g[lead]
+        basis.append({lead: c, **g} if c > 0 else {lead: -c, **{m: -v for m, v in g.items()}})
         leads.append(lead)
 
+    # pairs (i, j), i < j, queued and not yet popped; the heap holds
+    # (lcm degree, lcm key, i, j, lcm), so it pops by the normal strategy
     pending: set[tuple[int, int]] = set()
-    heap: list[tuple[tuple[int, ...], int, int]] = []
+    heap: list[tuple[int, tuple[int, ...], int, int, Monomial]] = []
 
-    def push_pair(i: int, j: int) -> None:
-        li, lj = leads[i], leads[j]
-        if degree is not None and sum(map(max, li, lj)) > degree:
-            return
-        if mono_coprime(li, lj):
-            return
-        lcm = mono_lcm(li, lj)
-        pending.add((i, j))
-        heapq.heappush(heap, ((mono_degree(lcm),) + key(lcm), i, j))
+    def push_pairs(new: int) -> None:
+        ln = leads[new]
+        one_term = len(basis[new]) == 1
+        for k in range(new):
+            lk = leads[k]
+            if degree is not None and sum(map(max, lk, ln)) > degree:
+                continue
+            if not any(map(mul, lk, ln)) or (one_term and len(basis[k]) == 1):
+                continue
+            lcm = mono_lcm(lk, ln)
+            pending.add((k, new))
+            heappush(heap, (sum(lcm), key(lcm), k, new, lcm))
 
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            push_pair(i, j)
+    for new in range(len(basis)):
+        push_pairs(new)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heappop(heap)
         pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        lcm = mono_lcm(li, lj)
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
+        # the chain criterion: some lead k divides the lcm, and the pairs
+        # (i, k) and (j, k) are done
+        for k, lk in enumerate(leads):
+            if (
+                k != i
+                and k != j
+                and all(map(le, lk, lcm))
+                and ((i, k) if i < k else (k, i)) not in pending
+                and ((j, k) if j < k else (k, j)) not in pending
+            ):
+                break
+        else:
+            s = _spoly(basis[i], basis[j], leads[i], leads[j], lcm)
+            if not s:
                 continue
-            if mono_divides(leads[k], lcm):
-                a, b = (i, k) if i < k else (k, i)
-                c, d = (j, k) if j < k else (k, j)
-                if (a, b) not in pending and (c, d) not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _spoly(basis[i], basis[j], li, lj, key)
-        if not s:
-            continue
-        r, _ = _normal_form_int(s, leads, basis, key)
-        r = _orient(primitive_terms(r), key)
-        if not r:
-            continue
-        basis.append(r)
-        leads.append(_lead(r, key))
-        new = len(basis) - 1
-        for k in range(new):
-            push_pair(k, new)
+            r, _ = _normal_form_int(s, leads, basis, descending_key)
+            if not r:
+                continue
+            # primitive, with the lead (the first term) positive
+            content = gcd(*r.values())
+            if next(iter(r.values())) < 0:
+                content = -content
+            if content != 1:
+                r = {m: c // content for m, c in r.items()}
+            basis.append(r)
+            leads.append(next(iter(r)))
+            push_pairs(len(basis) - 1)
     # drop elements whose lead is divisible by another lead (keep first of
     # equal leads).  A divisor has the lower degree, so scanning by degree
     # meets it first even when the order ranks it above its multiple (a
     # weight with negative entries); the result is in increasing lead order.
-    idx = sorted(range(len(basis)), key=lambda i: (mono_degree(leads[i]), key(leads[i])))
     kept: list[int] = []
-    kept_leads: list[Monomial] = []
-    for i in idx:
-        if any(mono_divides(l, leads[i]) for l in kept_leads):
-            continue
-        kept.append(i)
-        kept_leads.append(leads[i])
-    return [basis[i] for i in sorted(kept, key=lambda i: (key(leads[i]), i))]
+    for i in sorted(range(len(basis)), key=lambda i: (sum(leads[i]), key(leads[i]))):
+        li = leads[i]
+        for k in kept:
+            if all(map(le, leads[k], li)):
+                break
+        else:
+            kept.append(i)
+    kept.sort(key=lambda i: (key(leads[i]), i))
+    return [basis[i] for i in kept], [leads[i] for i in kept]
 
 
 def _minimal_leads(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -287,7 +302,9 @@ class ReducedGB:
         # recover the exact normal form of poly itself: scale back by the
         # factor poly / p and the pseudo-division multiplier
         mono = next(iter(p))
-        r, s = _normal_form_int(p, self.leads, self.integer_elements, self.order.key)
+        r, s = _normal_form_int(
+            p, self.leads, self.integer_elements, self.order.descending_key
+        )
         factor = Fraction(poly.terms[mono], p[mono] * s)
         return Polynomial(self.arity, {m: c * factor for m, c in r.items()})
 
@@ -315,6 +332,15 @@ class MonomialIdeal:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "gens", _minimal_leads(tuple(g) for g in gens))
         object.__setattr__(self, "marked", marked)
+
+    @classmethod
+    def _of_minimal(cls, arity: int, gens: tuple[Monomial, ...], marked: Marked) -> "MonomialIdeal":
+        """The ideal of generators that are already minimal and sorted."""
+        mi = cls.__new__(cls)
+        object.__setattr__(mi, "arity", arity)
+        object.__setattr__(mi, "gens", gens)
+        object.__setattr__(mi, "marked", marked)
+        return mi
 
     def contains(self, mono: Monomial) -> bool:
         return any(mono_divides(g, mono) for g in self.gens)
@@ -346,15 +372,16 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
     """
     if ideal.arity != order.arity:
         raise ValueError("generator arity does not match order arity")
-    key = order.key
+    descending_key = order.descending_key
     # the minimal basis comes sorted by lead, each lead positive; tail-reduce
     # each element against the others: no other lead divides its lead, so
-    # the lead stays, scaled by the positive pseudo-division factor
-    basis = _buchberger_int(ideal.integer_generators, order, degree)
-    leads = [_lead(g, key) for g in basis]
+    # the lead stays first, scaled by the positive pseudo-division factor
+    basis, leads = _buchberger_int(ideal, order, degree)
     reduced = []
     for i, g in enumerate(basis):
-        r, _ = _normal_form_int(g, leads[:i] + leads[i + 1 :], basis[:i] + basis[i + 1 :], key)
+        r, _ = _normal_form_int(
+            g, leads[:i] + leads[i + 1 :], basis[:i] + basis[i + 1 :], descending_key
+        )
         reduced.append(primitive_terms(r))
     return ReducedGB(order=order, integer_elements=tuple(reduced), leads=tuple(leads))
 
@@ -368,13 +395,37 @@ def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None)
     in every degree up to ``degree`` (its generators are the full one's of
     degree at most ``degree``).  Inhomogeneous generators ignore ``degree``.
     """
-    basis = _buchberger_int(ideal.integer_generators, order, degree)
-    key = order.key
-    marked = []
-    for g in basis:
-        lead = _lead(g, key)
-        marked.append((lead, tuple(sorted(m for m in g if m != lead))))
-    return MonomialIdeal(order.arity, (lead for lead, _ in marked), tuple(marked))
+    basis, leads = _buchberger_int(ideal, order, degree)
+    # each element lists its lead first, and the leads are already minimal
+    marked = tuple((lead, tuple(sorted(islice(g, 1, None)))) for g, lead in zip(basis, leads))
+    return MonomialIdeal._of_minimal(order.arity, tuple(sorted(leads)), marked)
+
+
+def _standard_tail(
+    k: int,
+    left: int,
+    active: list[tuple[Monomial, tuple[int, ...]]],
+    prefix: list[int],
+    out: list[Monomial],
+) -> None:
+    """Append the standard completions ``prefix[:k] + (e, left - e)``, the
+    last two exponents, in increasing ``e``.  An active ``g`` divides such
+    a completion exactly for ``e`` in ``[g[k], left - g[k + 1]]`` (not
+    empty, as ``g[k] + g[k + 1] <= left``), so the standard ``e`` are the
+    gaps between these intervals."""
+    j = k + 1
+    e = 0
+    for low, high in sorted([(g[k], left - g[j]) for g, _ in active]):
+        for x in range(e, low):
+            prefix[k] = x
+            prefix[j] = left - x
+            out.append(tuple(prefix))
+        if high >= e:
+            e = high + 1
+    for x in range(e, left + 1):
+        prefix[k] = x
+        prefix[j] = left - x
+        out.append(tuple(prefix))
 
 
 def _standard_walk(
@@ -385,16 +436,10 @@ def _standard_walk(
     out: list[Monomial],
 ) -> None:
     """Extend ``prefix[:k]`` by every exponent ``prefix[k]`` in increasing
-    order.  ``active`` holds the generators (with their suffix degrees)
-    that divide no prefix so far but may divide a completion: ``g[i] <=
-    prefix[i]`` for ``i < k`` and ``g`` has degree at most ``left`` in the
-    coordinates from ``k`` on."""
-    if k == len(prefix) - 1:
-        # every active generator fits in the last exponent, ``left``
-        if not active:
-            prefix[k] = left
-            out.append(tuple(prefix))
-        return
+    order, ``k`` before the last two coordinates.  ``active`` holds the
+    generators (with their suffix degrees) that divide no prefix so far but
+    may divide a completion: ``g[i] <= prefix[i]`` for ``i < k`` and ``g``
+    has degree at most ``left`` in the coordinates from ``k`` on."""
     for e in range(left + 1):
         carried = []
         for g, rest in active:
@@ -406,7 +451,14 @@ def _standard_walk(
                 if rest[k + 1] <= left - e:
                     carried.append((g, rest))
         prefix[k] = e
-        _standard_walk(k + 1, left - e, carried, prefix, out)
+        if e == left:
+            # the one completion is zeros, and nothing carried divides it
+            prefix[k + 1 :] = [0] * (len(prefix) - k - 1)
+            out.append(tuple(prefix))
+        elif k + 3 == len(prefix):
+            _standard_tail(k + 1, left - e, carried, prefix, out)
+        else:
+            _standard_walk(k + 1, left - e, carried, prefix, out)
 
 
 def standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
@@ -416,7 +468,11 @@ def standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
     carries only the generators that can still divide a completion and
     prunes a prefix as soon as one of them divides it, so the work follows
     the staircase, not the ``count_monomials(arity, m)`` degree-``m``
-    monomials.
+    monomials.  The last two exponents ``(e, left - e)`` of a prefix are
+    read in closed form: each carried generator rules out one interval of
+    ``e``, and the standard monomials fill the gaps (with two variables
+    that is the whole walk).  With one variable, ``(m,)`` is standard
+    unless a generator has degree at most ``m``.
     """
     if m < 0:
         return []
@@ -429,8 +485,11 @@ def standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
             for i in range(mi.arity - 1, -1, -1):
                 rest[i] = rest[i + 1] + g[i]
             active.append((g, tuple(rest)))
+    if mi.arity == 1:
+        return [] if active else [(m,)]
     out: list[Monomial] = []
-    _standard_walk(0, m, active, [0] * mi.arity, out)
+    walk = _standard_tail if mi.arity == 2 else _standard_walk
+    walk(0, m, active, [0] * mi.arity, out)
     return out
 
 
@@ -522,7 +581,9 @@ class UnionSlices:
             for mono in degree_monomials(block.arity, d):
                 # s * mono - r lies in the block ideal: mono reduces to r / s,
                 # an exact value, so the blocks of one column share one scale
-                r, s = _normal_form_int({mono: 1}, gb.leads, gb.integer_elements, gb.order.key)
+                r, s = _normal_form_int(
+                    {mono: 1}, gb.leads, gb.integer_elements, gb.order.descending_key
+                )
                 forms[mono] = {
                     rows.setdefault(std, height + len(rows)): Fraction(c, s) for std, c in r.items()
                 }

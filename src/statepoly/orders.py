@@ -24,10 +24,11 @@ class MonomialOrder:
 
     An order built with ``tail`` has the rows ``rows + tail.rows``, and its
     key is the dot products with its own rows followed by ``tail.key``: the
-    tail's key cache serves every order refined by it.
+    tail's key cache serves every order refined by it, and so does its
+    cache of negated keys (:meth:`descending_key`).
     """
 
-    __slots__ = ("arity", "rows", "name", "_head", "_tail", "_key_cache")
+    __slots__ = ("arity", "rows", "name", "_head", "_tail", "_key_cache", "_descending_cache")
 
     def __init__(
         self,
@@ -48,6 +49,7 @@ class MonomialOrder:
         self._head = rows
         self._tail = tail
         self._key_cache: dict[Monomial, tuple[int, ...]] = {}
+        self._descending_cache: dict[Monomial, tuple[int, ...]] = {}
 
     # -- comparisons ---------------------------------------------------------
 
@@ -59,6 +61,17 @@ class MonomialOrder:
             if self._tail is not None:
                 k += self._tail.key(mono)
             self._key_cache[mono] = k
+        return k
+
+    def descending_key(self, mono: Monomial) -> tuple[int, ...]:
+        """The negated key, cached: a min-heap keyed by it pops the largest
+        monomial first."""
+        k = self._descending_cache.get(mono)
+        if k is None:
+            k = tuple([-sum(map(mul, row, mono)) for row in self._head])
+            if self._tail is not None:
+                k += self._tail.descending_key(mono)
+            self._descending_cache[mono] = k
         return k
 
     # -- validation ----------------------------------------------------------

@@ -300,8 +300,8 @@ def embed_polynomial(poly: Polynomial, arity: int, coords: Sequence[int]) -> Pol
 class Ideal:
     """A finitely generated ideal, kept as its generator list.
 
-    :attr:`integer_generators` is computed on first use and kept with the
-    ideal (equality and hashing ignore it).
+    :attr:`integer_generators` and :attr:`integer_degrees` are computed on
+    first use and kept with the ideal (equality and hashing ignore them).
     """
 
     arity: int
@@ -322,8 +322,20 @@ class Ideal:
         them."""
         return tuple(primitive_terms(g.terms) for g in self.generators)
 
+    @cached_property
+    def integer_degrees(self) -> tuple[int, ...] | None:
+        """The degree of each of :attr:`integer_generators`, or ``None``
+        when one of them is not homogeneous."""
+        degrees = []
+        for g in self.integer_generators:
+            found = set(map(sum, g))
+            if len(found) != 1:
+                return None
+            degrees.append(found.pop())
+        return tuple(degrees)
+
     def is_homogeneous(self) -> bool:
-        return all(g.is_homogeneous() for g in self.generators)
+        return self.integer_degrees is not None
 
     def support_variables(self) -> frozenset[int]:
         out: set[int] = set()

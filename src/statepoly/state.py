@@ -141,6 +141,14 @@ class StateOracle:
     the state reads.  A truncated basis has fewer marked terms than the full
     one, so its cone test accepts more directions.
 
+    The kept cones are tried newest first, and the first that accepts
+    answers.  Any accepting cone gives the same state: by the argument
+    above, each one's marked leads generate ``in_≺'(I)`` in every degree up
+    to ``m``, and the state reads nothing else.  So the order of the tests
+    changes only how many are made, never ``gb_runs``, ``cone_hits`` or a
+    state; the newest cones lie nearest the directions the enumeration is
+    asking about next.
+
     Each state is read off the initial ideal by :func:`slice_state`, the
     one routine that also gives a chain's ``tau``
     (:func:`statepoly.chains.tau_vector`).
@@ -190,7 +198,9 @@ class StateOracle:
         if self.budget is not None and self.gb_runs >= self.budget:
             raise BudgetExhausted(self.budget)
         self.gb_runs += 1
-        state = next((st for cone, st in self._cones if _keeps_marked_leads(cone, key)), None)
+        state = next(
+            (st for cone, st in reversed(self._cones) if _keeps_marked_leads(cone, key)), None
+        )
         if state is None:
             mi = initial_ideal(self.ideal, weight_order(key, self._grevlex), self.m)
             state = slice_state(mi, self.m)

@@ -6,15 +6,27 @@ algorithms so that tests compare two different routes to the same answer.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from statepoly.groebner import initial_ideal
 from statepoly.lp import solve_lp
 from statepoly.orders import lex_order, matrix_order
-from statepoly.rings import Polynomial, degree_monomials
+from statepoly.rings import (
+    Polynomial,
+    degree_monomials,
+    mono_coprime,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    primitive_terms,
+)
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -358,3 +370,182 @@ def reference_reduced_basis(gens: Sequence[Polynomial], rows: Sequence[Sequence[
         monic[head] = Fraction(1)
         out.append((head, monic))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the heap-based engine the lead-first kernel replaced, kept verbatim as the
+# reference for its differential test (only the names are changed)
+
+
+def reference_lead(p, key):
+    return max(p, key=key)
+
+
+def reference_orient(p, key):
+    """Make the leading coefficient positive."""
+    if p and p[reference_lead(p, key)] < 0:
+        return {m: -c for m, c in p.items()}
+    return p
+
+
+def reference_normal_form_int(p, leads, polys, key):
+    """Full normal form by pseudo-division.
+
+    Returns ``(r, s)`` with ``s > 0`` such that ``s*p - r`` lies in the ideal
+    generated by ``polys`` and no monomial of ``r`` is divisible by any lead.
+    """
+    work = dict(p)
+    remainder = {}
+    scale = 1
+    heap = [(tuple(-v for v in key(m)), m) for m in work]
+    heapq.heapify(heap)
+    nbasis = len(leads)
+    while heap:
+        _, mono = heapq.heappop(heap)
+        coeff = work.get(mono, 0)
+        if coeff == 0:
+            continue
+        hit = -1
+        for idx in range(nbasis):
+            if mono_divides(leads[idx], mono):
+                hit = idx
+                break
+        if hit < 0:
+            remainder[mono] = remainder.get(mono, 0) + coeff
+            del work[mono]
+            continue
+        g = polys[hit]
+        glead = leads[hit]
+        gcoeff = g[glead]
+        t = gcd(coeff, gcoeff)
+        mult_work = gcoeff // t
+        mult_g = coeff // t
+        if mult_work != 1:
+            for m in work:
+                work[m] *= mult_work
+            for m in remainder:
+                remainder[m] *= mult_work
+            scale *= mult_work
+            coeff *= mult_work
+        shift = mono_div(mono, glead)
+        for gm, gc in g.items():
+            target = mono_mul(shift, gm)
+            cur = work.get(target, 0) - mult_g * gc
+            if cur:
+                if target not in work:
+                    heapq.heappush(heap, (tuple(-v for v in key(target)), target))
+                work[target] = cur
+            elif target in work:
+                del work[target]
+    return remainder, scale
+
+
+def reference_spoly(fi, fj, li, lj, key):
+    lcm = mono_lcm(li, lj)
+    ci, cj = fi[li], fj[lj]
+    t = gcd(ci, cj)
+    mi, mj = cj // t, ci // t
+    si, sj = mono_div(lcm, li), mono_div(lcm, lj)
+    out = {}
+    for m, c in fi.items():
+        target = mono_mul(si, m)
+        out[target] = out.get(target, 0) + mi * c
+    for m, c in fj.items():
+        target = mono_mul(sj, m)
+        cur = out.get(target, 0) - mj * c
+        if cur:
+            out[target] = cur
+        elif target in out:
+            del out[target]
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_buchberger_int(gens, order, degree=None):
+    """Minimal (lead-interreduced) Groebner basis of primitive integer
+    generators, with primitive integer coefficients and positive leading
+    coefficients.  The generators are read, never changed.
+
+    When ``degree`` is given and every generator is homogeneous, the run
+    stops at degree ``degree``: the result is the ``degree``-truncated
+    basis, which agrees with the full one in every degree up to it.
+    Inhomogeneous generators ignore ``degree`` and run in full, and they
+    need an order that passes :meth:`MonomialOrder.validate` (``ValueError``
+    before any reduction otherwise).
+    """
+    key = order.key
+    if not all(len(set(map(mono_degree, g))) == 1 for g in gens):
+        problems = order.validate()
+        if problems:
+            # reductions of mixed degrees need a well-order to terminate
+            raise ValueError(
+                f"inhomogeneous generators need a well-order: {'; '.join(problems)}"
+            )
+        degree = None
+    elif degree is not None:
+        gens = [g for g in gens if mono_degree(next(iter(g))) <= degree]
+    basis = []
+    leads = []
+    for lead, g in sorted(((reference_lead(g, key), g) for g in gens), key=lambda t: key(t[0])):
+        basis.append(g if g[lead] > 0 else {m: -c for m, c in g.items()})
+        leads.append(lead)
+
+    pending = set()
+    heap = []
+
+    def push_pair(i, j):
+        li, lj = leads[i], leads[j]
+        if degree is not None and sum(map(max, li, lj)) > degree:
+            return
+        if mono_coprime(li, lj):
+            return
+        lcm = mono_lcm(li, lj)
+        pending.add((i, j))
+        heapq.heappush(heap, ((mono_degree(lcm),) + key(lcm), i, j))
+
+    n = len(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            push_pair(i, j)
+
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        li, lj = leads[i], leads[j]
+        lcm = mono_lcm(li, lj)
+        skip = False
+        for k in range(len(basis)):
+            if k == i or k == j:
+                continue
+            if mono_divides(leads[k], lcm):
+                a, b = (i, k) if i < k else (k, i)
+                c, d = (j, k) if j < k else (k, j)
+                if (a, b) not in pending and (c, d) not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s = reference_spoly(basis[i], basis[j], li, lj, key)
+        if not s:
+            continue
+        r, _ = reference_normal_form_int(s, leads, basis, key)
+        r = reference_orient(primitive_terms(r), key)
+        if not r:
+            continue
+        basis.append(r)
+        leads.append(reference_lead(r, key))
+        new = len(basis) - 1
+        for k in range(new):
+            push_pair(k, new)
+    # drop elements whose lead is divisible by another lead (keep first of
+    # equal leads).  A divisor has the lower degree, so scanning by degree
+    # meets it first even when the order ranks it above its multiple (a
+    # weight with negative entries); the result is in increasing lead order.
+    idx = sorted(range(len(basis)), key=lambda i: (mono_degree(leads[i]), key(leads[i])))
+    kept = []
+    kept_leads = []
+    for i in idx:
+        if any(mono_divides(l, leads[i]) for l in kept_leads):
+            continue
+        kept.append(i)
+        kept_leads.append(leads[i])
+    return [basis[i] for i in sorted(kept, key=lambda i: (key(leads[i]), i))]

@@ -1115,6 +1115,61 @@ def test_exit_code_contract(capsys, monkeypatch, contract_dir, argv, budget, exp
         assert err.startswith(("error: ", "usage: "))
 
 
+UNREADABLE_CASES = [
+    ("gb", "--ideal", "conic.ideal"),
+    ("state", "--ideal", "conic.ideal", "--m", "2"),
+    ("chain-state", "--ideal", "wide_chain.ideal", "--m", "2"),
+    ("contains", "--polytope", "wide.json", "--point", "1,1,0,0"),
+]
+
+
+def run_unreadable(capsys, argv) -> tuple[int, str, str]:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_CASES, ids=" ".join)
+def test_a_file_the_read_refuses_exits_2(capsys, monkeypatch, contract_dir, argv):
+    # the input file exists but its read raises, as for a file without read
+    # permission (the suite may run as root, which reads any file)
+    monkeypatch.chdir(contract_dir)
+    read_text = Path.read_text
+
+    def refused(path, *args, **kwargs):
+        if path.name == argv[2]:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    code, out, err = run_unreadable(capsys, argv)
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: ") and "Permission denied" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads a file whatever its mode"
+)
+@pytest.mark.parametrize("argv", UNREADABLE_CASES, ids=" ".join)
+def test_a_file_without_read_permission_exits_2(capsys, monkeypatch, tmp_path, argv):
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    locked = tmp_path / argv[2]
+    locked.chmod(0)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code, out, err = run_unreadable(capsys, argv)
+    finally:
+        locked.chmod(0o600)
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: ") and "Permission denied" in err
+    assert "Traceback" not in err
+
+
 def test_an_integer_past_the_string_limit_is_refused_by_name(capsys, tmp_path):
     path = tmp_path / "big.ideal"
     path.write_text(CONTRACT_FILES["big_coefficient.ideal"], encoding="utf-8")

@@ -26,7 +26,14 @@ from statepoly.groebner import (
     monomial_slice,
     standard_monomials,
 )
-from statepoly.orders import grevlex_order, grlex_order, lex_order, named_order, weight_order
+from statepoly.orders import (
+    elimination_order,
+    grevlex_order,
+    grlex_order,
+    lex_order,
+    named_order,
+    weight_order,
+)
 from statepoly.rings import (
     Ideal,
     Polynomial,
@@ -35,14 +42,23 @@ from statepoly.rings import (
     mono_divides,
     mono_lcm,
 )
-from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
+from statepoly.rosary import (
+    RosarySpec,
+    rosary_assembled_ideal,
+    rosary_component_ideal,
+    rosary_end_conics,
+)
 from statepoly.linalg import primitive
 from statepoly.state import StateOracle, enumerate_state_polytope
+import conftest
 from conftest import (
     brute_standard_monomials,
     brute_state,
     rand_monomial,
     rand_polynomial,
+    reference_buchberger_int,
+    reference_lead,
+    reference_normal_form_int,
     reference_reduced_basis,
     state_of_slice,
 )
@@ -385,6 +401,121 @@ def test_buchberger_matches_a_textbook_run_on_inhomogeneous_input(monkeypatch):
     assert sum(sizes) > 80 and max(sizes) >= 5, sizes
 
 
+# ---------------------------------------------------------------------------
+# the lead-first kernel against the heap-based engine it replaced
+
+
+@pytest.fixture
+def spoly_pairs(monkeypatch):
+    """The lead pairs whose S-polynomial the kernel and the slow path form,
+    in order; the slow path's pairs of two one-term elements, which the
+    kernel never queues, are left out."""
+    kernel, slow = [], []
+    spoly, reference_spoly = groebner._spoly, conftest.reference_spoly
+
+    def kernel_spoly(fi, fj, li, lj, lcm):
+        kernel.append((li, lj))
+        return spoly(fi, fj, li, lj, lcm)
+
+    def slow_spoly(fi, fj, li, lj, key):
+        if len(fi) > 1 or len(fj) > 1:
+            slow.append((li, lj))
+        return reference_spoly(fi, fj, li, lj, key)
+
+    monkeypatch.setattr(groebner, "_spoly", kernel_spoly)
+    monkeypatch.setattr(conftest, "reference_spoly", slow_spoly)
+    return kernel, slow
+
+
+def kernel_matches_the_slow_path(ideal, order, degree, spoly_pairs, rng) -> bool:
+    """Assert equal elements, leads, element order and normal forms, and
+    that the kernel's S-pairs are the slow path's in the same order, less
+    some that the chain criterion drops; return whether it dropped any."""
+    kernel, slow = spoly_pairs
+    kernel.clear()
+    slow.clear()
+    want = reference_buchberger_int(ideal.integer_generators, order, degree)
+    got, leads = groebner._buchberger_int(ideal, order, degree)
+    case = (ideal, order, degree)
+    assert got == want, case
+    assert leads == [reference_lead(g, order.key) for g in want], case
+    assert [next(iter(g)) for g in got] == leads, case
+    # a pair of two one-term elements counts as done from the start, so the
+    # chain criterion may drop more pairs, never fewer
+    rest = iter(slow)
+    assert all(pair in rest for pair in kernel), case
+    for g in ideal.integer_generators:
+        shift = rand_monomial(rng, ideal.arity, rng.randint(0, 2))
+        p = {tuple(map(sum, zip(shift, m))): c for m, c in g.items()}
+        r, s = groebner._normal_form_int(p, leads, got, order.descending_key)
+        want_r, want_s = reference_normal_form_int(p, leads, want, order.key)
+        assert (list(r.items()), s) == (list(want_r.items()), want_s), case
+    return len(kernel) < len(slow)
+
+
+def seeded_homogeneous_ideal(rng: random.Random) -> Ideal:
+    """Two to four forms of degree 2 or 3, and sometimes a monomial."""
+    arity = rng.randint(4, 6)
+    gens = [
+        rand_polynomial(rng, arity, rng.randint(2, 3), max_terms=rng.randint(1, 3), homogeneous=True)
+        for _ in range(rng.randint(2, 4))
+    ]
+    if rng.random() < 0.5:
+        gens.append(Polynomial(arity, {rand_monomial(rng, arity, rng.randint(2, 3)): 1}))
+    return Ideal(arity, gens)
+
+
+def test_kernel_matches_the_slow_path_on_seeded_homogeneous_ideals(spoly_pairs):
+    rng = random.Random(1800)
+    runs = dropped = 0
+    for _ in range(30):
+        ideal = seeded_homogeneous_ideal(rng)
+        for _ in range(2):
+            order = weight_order(queue_weights(rng, ideal.arity))
+            for degree in (2, 3, 4, 5, 6, None):
+                dropped += kernel_matches_the_slow_path(ideal, order, degree, spoly_pairs, rng)
+                runs += 1
+    assert runs == 360 and dropped > 10, dropped
+
+
+def test_kernel_matches_the_slow_path_on_inhomogeneous_ideals(spoly_pairs):
+    rng = random.Random(1900)
+    for seed in range(10):
+        gens_rng = random.Random(800 + seed)
+        x = variables(3)
+        gens = [rand_polynomial(gens_rng, 3, 2, max_terms=3) * gens_rng.choice(x) for _ in range(2)]
+        gens.append(gens_rng.choice(x) ** 3 + rand_polynomial(gens_rng, 3, 2, max_terms=2) * gens_rng.choice(x))
+        ideal = Ideal(3, gens)
+        assert not ideal.is_homogeneous()
+        for order in (lex_order(3), grevlex_order(3), elimination_order(3, [0])):
+            kernel_matches_the_slow_path(ideal, order, 2, spoly_pairs, rng)
+
+
+def test_kernel_matches_the_slow_path_on_the_benchmark_ideals(spoly_pairs):
+    rng = random.Random(2000)
+    s, t = variables(2)
+    exponents = ((6, 0), (4, 2), (2, 4), (1, 5), (0, 6))
+    sextic = implicitize([s**a * t**b for a, b in exponents])
+    spec = RosarySpec(2)
+    rosary = rosary_assembled_ideal(spec, rosary_end_conics(spec))
+    for ideal, m in ((sextic, 2), (sextic, 4), (sextic, 6), (sextic, 12), (rosary, 2), (rosary, 3)):
+        oracle = StateOracle(ideal, m)
+        enumerate_state_polytope(ideal, m, oracle=oracle)
+        # the directions the oracle answers, under the orders its runs use
+        for key in list(oracle._memo)[:150]:
+            kernel_matches_the_slow_path(ideal, weight_order(key, oracle._grevlex), m, spoly_pairs, rng)
+    # the elimination run of implicitize, and the grevlex runs of the
+    # genus-4 rosary slice checks
+    ring = variables(7)
+    graph = Ideal(7, [ring[2 + i] - ring[0] ** a * ring[1] ** b for i, (a, b) in enumerate(exponents)])
+    kernel_matches_the_slow_path(graph, elimination_order(7, [0, 1]), None, spoly_pairs, rng)
+    spec = RosarySpec(4)
+    blocks = [rosary_component_ideal(l, spec) for l in range(2, 5)] + list(rosary_end_conics(spec))
+    for block in blocks:
+        for d in (2, 3):
+            kernel_matches_the_slow_path(block, grevlex_order(block.arity), d, spoly_pairs, rng)
+
+
 def test_weight_keys_from_a_shared_grevlex_cache_are_the_row_products():
     rng = random.Random(17)
     for arity in range(1, 7):
@@ -423,6 +554,31 @@ def test_standard_monomials_match_a_scan():
                 assert standard_monomials(mi, m) == standard, (mi, m)
                 inside = sorted(set(degree_monomials(arity, m)) - set(standard))
                 assert monomial_slice(mi, m) == DegreeSlice(arity, m, tuple(inside), tuple(standard))
+
+
+def test_standard_monomials_match_a_filter_of_every_degree_monomial():
+    # arities 1 and 2 are read in closed form alone; every other walk ends
+    # in the closed-form pair of last exponents
+    rng = random.Random(12)
+    for arity in range(1, 8):
+        last_power = tuple(3 if j == arity - 1 else 0 for j in range(arity))
+        ideals = [
+            MonomialIdeal(arity, ()),
+            MonomialIdeal(arity, [last_power]),
+            # every generator above most of the degrees walked
+            MonomialIdeal(arity, [rand_monomial(rng, arity, 13) for _ in range(3)]),
+        ]
+        for _ in range(5 if arity < 6 else 3):
+            count = rng.randint(1, 6)
+            gens = [rand_monomial(rng, arity, rng.randint(1, 6)) for _ in range(count)]
+            ideals.append(MonomialIdeal(arity, gens + [rand_monomial(rng, arity, 14)]))
+        for mi in ideals:
+            for m in range(13):
+                want = sorted(
+                    mono for mono in degree_monomials(arity, m)
+                    if not any(mono_divides(g, mono) for g in mi.gens)
+                )
+                assert standard_monomials(mi, m) == want, (mi, m)
 
 
 def test_union_in_slice_of_two_points():

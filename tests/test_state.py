@@ -25,6 +25,7 @@ from statepoly.state import (
     enumerate_state_polytope,
     read_budget_from_env,
     semistability_report,
+    slice_state,
 )
 from conftest import (
     brute_hull_member,
@@ -411,20 +412,46 @@ def sextic_ideal() -> Ideal:
 @pytest.mark.parametrize(
     "name, m, work",
     [("rosary", 2, (116, 45)), ("sextic", 2, (24, 12)), ("sextic", 4, (68, 28)),
-     ("sextic", 6, (92, 40)), ("sextic", 12, (89, 37))],
+     ("sextic", 6, (92, 40)), ("sextic", 12, (89, 37)), ("rosary", 3, (471, 231))],
 )
 def test_oracle_work_on_the_benchmark_ideals_is_pinned(name, m, work):
     # the pair queue decides the marked tails of every kept basis, and with
     # them which directions are cone hits: pin (gb_runs, cone_hits)
-    if name == "rosary":
-        spec = RosarySpec(2)
-        ideal = rosary_assembled_ideal(spec, rosary_end_conics(spec))
-    else:
-        ideal = sextic_ideal()
+    ideal = benchmark_ideal(name)
     oracle = StateOracle(ideal, m)
     result = enumerate_state_polytope(ideal, m, oracle=oracle)
     assert result.complete
     assert (oracle.gb_runs, oracle.cone_hits) == work
+
+
+def benchmark_ideal(name: str) -> Ideal:
+    if name == "rosary":
+        spec = RosarySpec(2)
+        return rosary_assembled_ideal(spec, rosary_end_conics(spec))
+    return sextic_ideal()
+
+
+@pytest.mark.parametrize("name, m, overlaps", [("rosary", 2, 10), ("sextic", 6, 0), ("sextic", 12, 0)])
+def test_every_kept_cone_that_accepts_a_direction_gives_its_state(name, m, overlaps):
+    # the oracle tries its kept cones newest first and takes the first that
+    # accepts; that is safe because every accepting cone gives the fresh
+    # run's state.  The rosary's kept cones overlap on some directions (ties
+    # on a shared face); the sextic's never do in these samples.
+    ideal = benchmark_ideal(name)
+    oracle = StateOracle(ideal, m)
+    enumerate_state_polytope(ideal, m, oracle=oracle)
+    rng = random.Random(m)
+    directions = list(oracle._memo) + [
+        StateOracle.normalize_direction([rng.randint(-1, 1) for _ in range(ideal.arity)])
+        for _ in range(300)
+    ]
+    shared = 0
+    for key in directions:
+        accepting = [st for cone, st in oracle._cones if state_module._keeps_marked_leads(cone, key)]
+        fresh = slice_state(initial_ideal(ideal, weight_order(key), m), m)
+        assert set(accepting) <= {fresh}, (name, m, key)
+        shared += len(accepting) > 1
+    assert shared >= overlaps, shared
 
 
 def test_oracle_refuses_a_huge_degree_before_any_work(monkeypatch):
