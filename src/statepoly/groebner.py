@@ -259,10 +259,17 @@ def _buchberger_int(
 
 
 def _minimal_leads(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    monos = sorted(set(gens), key=lambda m: (mono_degree(m), m))
+    """The minimal monomials of ``gens`` under divisibility, sorted.  Only a
+    monomial of lower degree can divide another one (equal ones are merged
+    first), so each is tested against the kept ones below its degree."""
     kept: list[Monomial] = []
-    for m in monos:
-        if not any(mono_divides(k, m) for k in kept):
+    lower = 0
+    degree = -1
+    for m in sorted(set(gens), key=sum):
+        d = sum(m)
+        if d > degree:
+            degree, lower = d, len(kept)
+        if not any(all(map(le, k, m)) for k in kept[:lower]):
             kept.append(m)
     return tuple(sorted(kept))
 

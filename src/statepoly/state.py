@@ -14,9 +14,10 @@ the enumeration:
    the support value matches, or a new vertex is found and the hull grows).
 
 When every facet of the running hull is confirmed, the hull is the state
-polytope.  The oracle pays one Groebner basis run per Groebner cone it
-meets, not per direction; an optional budget caps the distinct normalized
-directions it answers.
+polytope.  For a homogeneous ideal the oracle answers most directions from
+the supports of the bases it has already computed, certified by the Hilbert
+count, and makes a Groebner basis run only when that certificate fails; an
+optional budget caps the distinct normalized directions it answers.
 """
 from __future__ import annotations
 
@@ -25,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .groebner import (
-    Marked,
     MonomialIdeal,
     initial_ideal,
     require_enumerable,
@@ -36,7 +36,7 @@ from .groebner import (
 )
 from .linalg import exact_vector, primitive
 from .lp import affine_hull, member_convex_hull
-from .orders import grevlex_order, weight_order
+from .orders import MonomialOrder, grevlex_order, weight_order
 from .polytope import (
     FacetSystem,
     IncrementalHull,
@@ -74,34 +74,15 @@ def slice_state(mi: MonomialIdeal, m: int) -> StateVector:
     (:func:`statepoly.groebner.standard_monomials`), so only the
     complement of the ideal is enumerated.
     """
-    n = mi.arity
+    return _state_of_standard(mi.arity, m, standard_monomials(mi, m))
+
+
+def _state_of_standard(n: int, m: int, standard: list[Monomial]) -> StateVector:
     state = [comb(m + n - 1, n)] * n
-    for mono in standard_monomials(mi, m):
+    for mono in standard:
         for j, e in enumerate(mono):
             state[j] -= e
     return tuple(state)
-
-
-# a Groebner cone as (lead - tail, grevlex prefers the lead) per marked term
-ConeTest = tuple[tuple[tuple[int, ...], bool], ...]
-
-
-def _cone_test(marked: Marked, tiebreak: Callable[[Monomial], tuple[int, ...]]) -> ConeTest:
-    return tuple(
-        (tuple(a - b for a, b in zip(lead, tail)), tiebreak(lead) > tiebreak(tail))
-        for lead, tails in marked
-        for tail in tails
-    )
-
-
-def _keeps_marked_leads(cone: ConeTest, key: Sequence[int]) -> bool:
-    """Whether every marked lead beats each of its tails under the weight
-    ``key`` refined by grevlex, the order ``weight_order(key)``."""
-    for diff, grevlex_wins in cone:
-        margin = sum(map(mul, key, diff))
-        if margin < 0 or (margin == 0 and not grevlex_wins):
-            return False
-    return True
 
 
 class StateOracle:
@@ -114,57 +95,49 @@ class StateOracle:
     compare; on a polytope whose points share one coordinate sum it shifts
     all support values equally, so maximizers are preserved.
 
-    A new direction is answered once per Groebner cone.  Every Groebner basis
-    the oracle computes is kept as its marked supports (lead and tail
-    monomials per element) with its state.  When, under the new order ``≺'``,
-    every element of a kept basis ``G`` still has its marked lead above each
-    of its tail monomials, ``G`` is a Groebner basis for ``≺'`` with the same
-    initial ideal, so the kept state is the answer and no Buchberger run is
-    made.  Proof: ``G`` is a Groebner basis for its own order, so every
-    S-pair ``S(g, h)`` reduces to zero modulo ``G`` by steps that each
-    replace a term ``u * lead(g_k)`` by ``u * tails(g_k)``.  Under ``≺'``
-    these are still reductions by the marked leads, and each step only
-    produces terms below the term it removes.  The S-pair's own terms lie
-    below ``lcm(lead(g), lead(h))`` under ``≺'``, so every ``u * lead(g_k)``
-    of the reduction does too: each S-pair has a standard representation
-    for ``≺'``, and by Buchberger's criterion ``G`` is a Groebner basis for
-    ``≺'`` with ``in_≺'(I) = <lead(g) : g in G>``.  Nothing in this needs
-    ``G`` reduced or the ideal homogeneous.
+    For a homogeneous ideal a new direction is answered from a pool of
+    basis supports whenever the Hilbert count certifies it, and only
+    otherwise by a Buchberger run.  Every run the oracle makes stops at
+    degree ``m`` (the ``degree`` of
+    :func:`statepoly.groebner.initial_ideal`) and adds to the pool the
+    support of each element of its basis: the element's lead and tail
+    monomials.  Under the new order ``≺'`` (the weight ``key`` refined by
+    grevlex) the answer takes from every pooled support its largest
+    monomial, minimalises these leads to ``L`` and walks the staircase of
+    ``<L>`` in degree ``m``.  If the walk finds exactly ``h(m)`` standard
+    monomials, the state is read off that walk.  Proof: each support is
+    that of an element ``f`` of the ideal with nonzero coefficients, so its
+    largest monomial is ``in_≺'(f)`` and ``<L>_m ⊆ in_≺'(I)_m``.  A
+    homogeneous ideal and all its initial ideals share one Hilbert function
+    (Macaulay), so ``in_≺'(I)_m`` leaves exactly ``h(m)`` standard
+    monomials; an ideal inside it that leaves as many is all of it in
+    degree ``m``, which is all the state reads.  When the count differs the
+    oracle makes the run, whose supports then join the pool.  The pool is a
+    degree-``m`` universal Groebner basis in the making (Sturmfels,
+    *Groebner Bases and Convex Polytopes*, ch. 1-2).
 
-    For a homogeneous ideal each run stops at degree ``m`` (the
-    ``degree`` of :func:`statepoly.groebner.initial_ideal`), and the kept
-    ``G`` is an ``m``-truncated basis: every S-pair of degree at most ``m``
-    reduces to zero modulo ``G``.  The argument above applies to exactly
-    those S-pairs, so when the marked leads still beat their tails under
-    ``≺'``, ``G`` is an ``m``-truncated basis for ``≺'`` as well and
-    ``in_≺'(I)_d = <lead(g) : g in G>_d`` for every ``d <= m``, which is all
-    the state reads.  A truncated basis has fewer marked terms than the full
-    one, so its cone test accepts more directions.
+    ``h(m)`` and the first supports come from one grevlex run made at
+    construction, after the degree is checked against the enumeration
+    limit: it is the one run every homogeneous oracle needs, and made there
+    it is not counted as a query.  Lead sets already walked are kept with
+    their state (or with ``None`` when the count differed), so a repeated
+    lead set costs no walk.
 
-    The kept cones are tried newest first, and the first that accepts
-    answers.  Any accepting cone gives the same state: by the argument
-    above, each one's marked leads generate ``in_≺'(I)`` in every degree up
-    to ``m``, and the state reads nothing else.  So the order of the tests
-    changes only how many are made, never ``gb_runs``, ``cone_hits`` or a
-    state; the newest cones lie nearest the directions the enumeration is
-    asking about next.
+    An inhomogeneous ideal has no shared Hilbert function, so it gets one
+    Buchberger run, in full, per distinct normalized direction.
 
-    Each state is read off the initial ideal by :func:`slice_state`, the
-    one routine that also gives a chain's ``tau``
-    (:func:`statepoly.chains.tau_vector`).
+    Each state is read off the standard monomials as in
+    :func:`slice_state`, the one routine that also gives a chain's ``tau``
+    (:func:`statepoly.chains.tau_vector`).  The oracle holds one grevlex
+    order, and each run's ``weight_order(key, grevlex)`` refines by it, so
+    one grevlex key cache serves all of the oracle's runs and its lead
+    choices, and the ideal converts its generators to primitive integer
+    polynomials on its first run (``Ideal.integer_generators``).
 
-    What every run shares is made once: the oracle holds one grevlex order,
-    and each run's ``weight_order(key, grevlex)`` refines by it, so one
-    grevlex key cache serves all of the oracle's runs and its cone tests (a
-    new monomial's weight key costs one dot product), and the ideal
-    converts its generators to primitive integer polynomials on its first
-    run (``Ideal.integer_generators``).  Both live as long as the oracle
-    and its ideal, not the process.
-
-    ``gb_runs`` counts the distinct normalized directions answered (a cone
-    hit included), which is what ``query_count`` reports and ``budget``
-    caps; ``cone_hits`` counts those answered from a kept basis, so
-    ``gb_runs - cone_hits`` Buchberger runs were made.
+    ``gb_runs`` counts the distinct normalized directions answered, which is
+    what ``query_count`` reports and ``budget`` caps; ``pool_answers``
+    counts those answered without a run, so ``gb_runs - pool_answers``
+    Buchberger runs were made for queries, besides the set-up run.
     """
 
     def __init__(self, ideal: Ideal, m: int, budget: int | None = None):
@@ -177,16 +150,55 @@ class StateOracle:
         self.m = m
         self.budget = budget
         self.gb_runs = 0
-        self.cone_hits = 0
+        self.pool_answers = 0
         self._memo: dict[tuple[int, ...], StateVector] = {}
-        self._cones: list[tuple[ConeTest, StateVector]] = []
         self._grevlex = grevlex_order(ideal.arity)
+        # each pooled support lists its monomials in decreasing grevlex
+        # order, so the first of equal weight is the refined order's lead
+        self._pool: set[tuple[Monomial, ...]] = set()
+        self._monomials: set[Monomial] = set()
+        self._states: dict[tuple[Monomial, ...], StateVector | None] = {}
+        self._hilbert: int | None = None
+        if ideal.integer_degrees is not None:
+            self._hilbert, _ = self._run(self._grevlex)
 
     @staticmethod
     def normalize_direction(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
         values = exact_vector(weights)
         low = min(values)
         return primitive([w - low for w in values])
+
+    def _run(self, order: MonomialOrder) -> tuple[int, StateVector]:
+        """One Buchberger run: its number of degree-``m`` standard monomials
+        and its state.  A homogeneous ideal's run pools its supports and
+        keeps its state under its leads."""
+        mi = initial_ideal(self.ideal, order, self.m)
+        standard = standard_monomials(mi, self.m)
+        state = _state_of_standard(self.ideal.arity, self.m, standard)
+        if self.ideal.integer_degrees is not None:
+            descending = self._grevlex.descending_key
+            for lead, tails in mi.marked:
+                support = tuple(sorted((lead, *tails), key=descending))
+                self._pool.add(support)
+                self._monomials.update(support)
+            self._states[mi.gens] = state
+        return len(standard), state
+
+    def _pooled_state(self, key: tuple[int, ...]) -> StateVector | None:
+        """The state under ``weight_order(key)`` if the pool's leads are
+        certified by the Hilbert count, else ``None``."""
+        weight = {mono: sum(map(mul, key, mono)) for mono in self._monomials}
+        leads = MonomialIdeal(
+            self.ideal.arity, {max(support, key=weight.__getitem__) for support in self._pool}
+        )
+        if leads.gens not in self._states:
+            standard = standard_monomials(leads, self.m)
+            self._states[leads.gens] = (
+                _state_of_standard(self.ideal.arity, self.m, standard)
+                if len(standard) == self._hilbert
+                else None
+            )
+        return self._states[leads.gens]
 
     def state_for_direction(self, weights: Sequence[int | Fraction]) -> StateVector:
         if len(weights) != self.ideal.arity:
@@ -198,15 +210,11 @@ class StateOracle:
         if self.budget is not None and self.gb_runs >= self.budget:
             raise BudgetExhausted(self.budget)
         self.gb_runs += 1
-        state = next(
-            (st for cone, st in reversed(self._cones) if _keeps_marked_leads(cone, key)), None
-        )
+        state = self._pooled_state(key) if self._hilbert is not None else None
         if state is None:
-            mi = initial_ideal(self.ideal, weight_order(key, self._grevlex), self.m)
-            state = slice_state(mi, self.m)
-            self._cones.append((_cone_test(mi.marked, self._grevlex.key), state))
+            _, state = self._run(weight_order(key, self._grevlex))
         else:
-            self.cone_hits += 1
+            self.pool_answers += 1
         self._memo[key] = state
         return state
 

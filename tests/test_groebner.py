@@ -539,6 +539,20 @@ def test_weight_keys_from_a_shared_grevlex_cache_are_the_row_products():
         weight_order([1, 2, 3], grevlex_order(4))
 
 
+def test_monomial_ideal_keeps_exactly_the_minimal_generators():
+    # repeated generators and generators of equal and of lower degree,
+    # against a filter of every pair
+    rng = random.Random(12)
+    for arity in range(1, 6):
+        for _ in range(40):
+            gens = [rand_monomial(rng, arity, rng.randint(0, 4)) for _ in range(rng.randint(0, 12))]
+            gens += rng.sample(gens, len(gens) // 3)
+            minimal = sorted(
+                {g for g in gens if not any(h != g and mono_divides(h, g) for h in gens)}
+            )
+            assert MonomialIdeal(arity, gens).gens == tuple(minimal), gens
+
+
 def test_standard_monomials_match_a_scan():
     rng = random.Random(11)
     for arity in range(1, 6):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from statepoly.state import (
     enumerate_state_polytope,
     read_budget_from_env,
     semistability_report,
-    slice_state,
 )
 from conftest import (
     brute_hull_member,
@@ -298,12 +298,12 @@ def test_semistability_relative_interior_reads_facets(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Groebner-cone reuse and the staircase state
+# the pooled-support oracle against fresh runs
 
 
 class FreshSliceOracle(StateOracle):
     """The reference oracle: one Buchberger run and a scan of every
-    degree-``m`` monomial per distinct normalized direction, no cone reuse."""
+    degree-``m`` monomial per distinct normalized direction, no pool."""
 
     def __init__(self, ideal, m, budget=None):
         super().__init__(ideal, m, budget)
@@ -320,6 +320,11 @@ class FreshSliceOracle(StateOracle):
         return self.answers[key]
 
 
+def fresh_state(ideal: Ideal, key, m: int) -> tuple[int, ...]:
+    """The state of a full, untruncated run under ``weight_order(key)``."""
+    return state_of_slice(monomial_slice(initial_ideal(ideal, weight_order(key)), m))
+
+
 def rand_ideal(rng: random.Random, homogeneous: bool) -> Ideal:
     arity = 4
     gens = tuple(
@@ -332,7 +337,7 @@ def rand_ideal(rng: random.Random, homogeneous: bool) -> Ideal:
 @pytest.mark.parametrize("homogeneous", [True, False])
 def test_cone_oracle_matches_fresh_slices_for_every_direction(homogeneous):
     rng = random.Random(20 + homogeneous)
-    hits = 0
+    pooled = 0
     for _ in range(12):
         ideal = rand_ideal(rng, homogeneous)
         m = rng.randint(2, 3)
@@ -342,10 +347,10 @@ def test_cone_oracle_matches_fresh_slices_for_every_direction(homogeneous):
         ]
         for w in directions:
             key = StateOracle.normalize_direction(w)
-            fresh = state_of_slice(monomial_slice(initial_ideal(ideal, weight_order(key)), m))
-            assert oracle.state_for_direction(w) == fresh, (ideal, m, w)
-        hits += oracle.cone_hits
-    assert hits > 0
+            assert oracle.state_for_direction(w) == fresh_state(ideal, key, m), (ideal, m, w)
+        pooled += oracle.pool_answers
+    # an inhomogeneous ideal has no Hilbert count to certify a pooled answer
+    assert (pooled > 0) is homogeneous
 
 
 def enumeration_fields(ideal: Ideal, m: int, oracle: StateOracle):
@@ -382,7 +387,8 @@ def test_cone_oracle_enumerates_the_fresh_slice_polytope(homogeneous):
     assert max(sizes) >= 10
 
 
-def test_cone_hits_and_buchberger_runs_add_up_to_gb_runs(monkeypatch):
+def counted_runs(monkeypatch) -> list:
+    """The orders of the Buchberger runs the oracle makes from now on."""
     runs = []
 
     def counted(source, order, degree=None):
@@ -390,17 +396,35 @@ def test_cone_hits_and_buchberger_runs_add_up_to_gb_runs(monkeypatch):
         return initial_ideal(source, order, degree)
 
     monkeypatch.setattr(state_module, "initial_ideal", counted)
+    return runs
+
+
+def test_cone_hits_and_buchberger_runs_add_up_to_gb_runs(monkeypatch):
+    # the name is kept from the kept-cone oracle; the pool answers now what
+    # a kept cone answered
+    runs = counted_runs(monkeypatch)
     x, y, z, u = variables(4)
     twisted_cubic = Ideal(4, (x * z - y**2, x * u - y * z, y * u - z**2))
     oracle = StateOracle(twisted_cubic, 3)
+    # the set-up run is made at construction and answers no query
+    assert (len(runs), oracle.gb_runs) == (1, 0)
     result = enumerate_state_polytope(twisted_cubic, 3, oracle=oracle)
     assert result.complete
-    assert oracle.cone_hits + len(runs) == oracle.gb_runs == result.query_count
-    # pinned: 19 distinct directions, 11 of them in a cone already met
-    assert (oracle.cone_hits, len(runs)) == (11, 8)
-    # a replayed seed direction is a memo hit, neither a cone hit nor a run
+    assert oracle.pool_answers + len(runs) - 1 == oracle.gb_runs == result.query_count
+    # pinned: 19 distinct directions, 17 answered from the pool
+    assert (oracle.pool_answers, len(runs)) == (17, 3)
+    # a replayed seed direction is a memo hit, neither a pool answer nor a run
     oracle.state_for_direction((2, 0, 0, 0))
-    assert oracle.cone_hits + len(runs) == oracle.gb_runs == result.query_count
+    assert oracle.pool_answers + len(runs) - 1 == oracle.gb_runs == result.query_count
+
+
+def test_an_inhomogeneous_ideal_gets_one_run_per_direction(monkeypatch):
+    runs = counted_runs(monkeypatch)
+    x, y = variables(2)
+    oracle = StateOracle(Ideal(2, (x**2 - y,)), 2)
+    for w in ((1, 0), (0, 1), (2, 0), (1, 0)):
+        oracle.state_for_direction(w)
+    assert (len(runs), oracle.gb_runs, oracle.pool_answers) == (2, 2, 0)
 
 
 def sextic_ideal() -> Ideal:
@@ -411,17 +435,19 @@ def sextic_ideal() -> Ideal:
 
 @pytest.mark.parametrize(
     "name, m, work",
-    [("rosary", 2, (116, 45)), ("sextic", 2, (24, 12)), ("sextic", 4, (68, 28)),
-     ("sextic", 6, (92, 40)), ("sextic", 12, (89, 37)), ("rosary", 3, (471, 231))],
+    [("rosary", 2, (116, 2)), ("sextic", 2, (24, 1)), ("sextic", 4, (68, 7)),
+     ("sextic", 6, (92, 10)), ("sextic", 12, (89, 10)), ("rosary", 3, (471, 12))],
 )
-def test_oracle_work_on_the_benchmark_ideals_is_pinned(name, m, work):
-    # the pair queue decides the marked tails of every kept basis, and with
-    # them which directions are cone hits: pin (gb_runs, cone_hits)
+def test_oracle_work_on_the_benchmark_ideals_is_pinned(name, m, work, monkeypatch):
+    # the pool decides which directions need a run: pin (gb_runs, Buchberger
+    # runs), the set-up run included
     ideal = benchmark_ideal(name)
+    runs = counted_runs(monkeypatch)
     oracle = StateOracle(ideal, m)
     result = enumerate_state_polytope(ideal, m, oracle=oracle)
     assert result.complete
-    assert (oracle.gb_runs, oracle.cone_hits) == work
+    assert (oracle.gb_runs, len(runs)) == work
+    assert oracle.pool_answers == oracle.gb_runs - len(runs) + 1
 
 
 def benchmark_ideal(name: str) -> Ideal:
@@ -431,27 +457,48 @@ def benchmark_ideal(name: str) -> Ideal:
     return sextic_ideal()
 
 
-@pytest.mark.parametrize("name, m, overlaps", [("rosary", 2, 10), ("sextic", 6, 0), ("sextic", 12, 0)])
-def test_every_kept_cone_that_accepts_a_direction_gives_its_state(name, m, overlaps):
-    # the oracle tries its kept cones newest first and takes the first that
-    # accepts; that is safe because every accepting cone gives the fresh
-    # run's state.  The rosary's kept cones overlap on some directions (ties
-    # on a shared face); the sextic's never do in these samples.
+@pytest.mark.parametrize("name, m", [("rosary", 2), ("sextic", 6), ("sextic", 12)])
+def test_every_pool_answer_is_the_fresh_state(name, m):
+    # every answer, pooled or run, on the enumeration's own directions and
+    # on seeded ones with many ties, against a full run
     ideal = benchmark_ideal(name)
     oracle = StateOracle(ideal, m)
     enumerate_state_polytope(ideal, m, oracle=oracle)
     rng = random.Random(m)
-    directions = list(oracle._memo) + [
-        StateOracle.normalize_direction([rng.randint(-1, 1) for _ in range(ideal.arity)])
-        for _ in range(300)
-    ]
-    shared = 0
-    for key in directions:
-        accepting = [st for cone, st in oracle._cones if state_module._keeps_marked_leads(cone, key)]
-        fresh = slice_state(initial_ideal(ideal, weight_order(key), m), m)
-        assert set(accepting) <= {fresh}, (name, m, key)
-        shared += len(accepting) > 1
-    assert shared >= overlaps, shared
+    for _ in range(300):
+        oracle.state_for_direction([rng.randint(-1, 1) for _ in range(ideal.arity)])
+    for key, state in oracle._memo.items():
+        assert state == fresh_state(ideal, key, m), (name, m, key)
+    assert oracle.pool_answers > 0.9 * len(oracle._memo)
+
+
+def permute_ideal(ideal: Ideal, perm: Sequence[int]) -> Ideal:
+    """The ideal with variable ``perm[i]`` renamed to variable ``i``."""
+    return Ideal(
+        ideal.arity,
+        [
+            Polynomial(ideal.arity, {tuple(mono[p] for p in perm): c for mono, c in g.terms.items()})
+            for g in ideal.generators
+        ],
+    )
+
+
+@pytest.mark.parametrize("name, m", [("rosary", 2), ("sextic", 4)])
+def test_permuting_the_variables_permutes_the_state_vertices(name, m):
+    # no reference: each permutation sends the pool down its own path
+    ideal = benchmark_ideal(name)
+    vertices = enumerate_state_polytope(ideal, m).polytope.vertices
+    rng = random.Random(7 * m)
+    paths = set()
+    for _ in range(3):
+        perm = list(range(ideal.arity))
+        rng.shuffle(perm)
+        oracle = StateOracle(permute_ideal(ideal, perm), m)
+        result = enumerate_state_polytope(oracle.ideal, m, oracle=oracle)
+        assert result.complete
+        assert set(result.polytope.vertices) == {tuple(v[p] for p in perm) for v in vertices}
+        paths.add((oracle.gb_runs, oracle.pool_answers))
+    assert len(paths) > 1, paths
 
 
 def test_oracle_refuses_a_huge_degree_before_any_work(monkeypatch):
