@@ -315,7 +315,7 @@ def _cmd_chain_state(args: argparse.Namespace, doc: IdealFile) -> Outcome:
     payload = _state_payload(result)
     payload["tau"] = list(result.tau.tau)
     payload["mixed_monomial_count"] = result.tau.mixed_monomial_count
-    return Outcome(payload, chain.warnings, EXIT_OK if result.complete else EXIT_BUDGET)
+    return Outcome(payload, chain.warnings)
 
 
 def _cmd_tau(args: argparse.Namespace, doc: None) -> Outcome:

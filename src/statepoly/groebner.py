@@ -42,7 +42,6 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
 from math import gcd
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
@@ -280,7 +279,7 @@ def _minimal_leads(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
 @dataclass(frozen=True)
 class ReducedGB:
-    """The unique reduced Groebner basis: fully tail-reduced, sorted by
+    """The unique reduced Groebner basis: fully interreduced, sorted by
     increasing leading monomial.  ``integer_elements`` holds each element as
     a primitive integer polynomial with a positive leading coefficient."""
 
@@ -319,43 +318,38 @@ class ReducedGB:
         return self.normal_form(poly).is_zero
 
 
-Marked = tuple[tuple[Monomial, tuple[Monomial, ...]], ...]
+Supports = tuple[tuple[Monomial, ...], ...]
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generators.
 
-    An initial ideal also keeps ``marked``, the supports of the Groebner
-    basis it was read from: each element's lead monomial and its tail
-    monomials.  Equality and hashing ignore them.
+    An initial ideal also keeps ``supports``, those of the Groebner basis it
+    was read from: each element's monomials, lead first.  Equality and
+    hashing ignore them.
     """
 
     arity: int
     gens: tuple[Monomial, ...]
-    marked: Marked = field(default=(), compare=False, repr=False)
+    supports: Supports = field(default=(), compare=False, repr=False)
 
-    def __init__(self, arity: int, gens: Iterable[Monomial], marked: Marked = ()):
+    def __init__(self, arity: int, gens: Iterable[Monomial], supports: Supports = ()):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "gens", _minimal_leads(tuple(g) for g in gens))
-        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "supports", supports)
 
     @classmethod
-    def _of_minimal(cls, arity: int, gens: tuple[Monomial, ...], marked: Marked) -> "MonomialIdeal":
+    def _of_minimal(cls, arity: int, gens: tuple[Monomial, ...], supports: Supports) -> "MonomialIdeal":
         """The ideal of generators that are already minimal and sorted."""
         mi = cls.__new__(cls)
         object.__setattr__(mi, "arity", arity)
         object.__setattr__(mi, "gens", gens)
-        object.__setattr__(mi, "marked", marked)
+        object.__setattr__(mi, "supports", supports)
         return mi
 
     def contains(self, mono: Monomial) -> bool:
         return any(mono_divides(g, mono) for g in self.gens)
-
-    def __or__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return MonomialIdeal(self.arity, self.gens + other.gens)
 
 
 @dataclass(frozen=True)
@@ -380,9 +374,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
     if ideal.arity != order.arity:
         raise ValueError("generator arity does not match order arity")
     descending_key = order.descending_key
-    # the minimal basis comes sorted by lead, each lead positive; tail-reduce
-    # each element against the others: no other lead divides its lead, so
-    # the lead stays first, scaled by the positive pseudo-division factor
+    # the minimal basis comes sorted by lead, each lead positive; reduce the
+    # other terms of each element by the other elements: no other lead
+    # divides its lead, so the lead stays first, scaled by the positive
+    # pseudo-division factor
     basis, leads = _buchberger_int(ideal, order, degree)
     reduced = []
     for i, g in enumerate(basis):
@@ -394,8 +389,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder, degree: int | None = None) ->
 
 
 def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None) -> MonomialIdeal:
-    """The initial ideal, marked with the supports of the Groebner basis it
-    was read from.
+    """The initial ideal, with the supports of the Groebner basis it was
+    read from.
 
     With ``degree`` and homogeneous generators, the basis is the
     ``degree``-truncated one: the result agrees with the full initial ideal
@@ -404,11 +399,11 @@ def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None)
     """
     basis, leads = _buchberger_int(ideal, order, degree)
     # each element lists its lead first, and the leads are already minimal
-    marked = tuple((lead, tuple(sorted(islice(g, 1, None)))) for g, lead in zip(basis, leads))
-    return MonomialIdeal._of_minimal(order.arity, tuple(sorted(leads)), marked)
+    supports = tuple(tuple(g) for g in basis)
+    return MonomialIdeal._of_minimal(order.arity, tuple(sorted(leads)), supports)
 
 
-def _standard_tail(
+def _standard_last_two(
     k: int,
     left: int,
     active: list[tuple[Monomial, tuple[int, ...]]],
@@ -463,7 +458,7 @@ def _standard_walk(
             prefix[k + 1 :] = [0] * (len(prefix) - k - 1)
             out.append(tuple(prefix))
         elif k + 3 == len(prefix):
-            _standard_tail(k + 1, left - e, carried, prefix, out)
+            _standard_last_two(k + 1, left - e, carried, prefix, out)
         else:
             _standard_walk(k + 1, left - e, carried, prefix, out)
 
@@ -495,7 +490,7 @@ def standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
     if mi.arity == 1:
         return [] if active else [(m,)]
     out: list[Monomial] = []
-    walk = _standard_tail if mi.arity == 2 else _standard_walk
+    walk = _standard_last_two if mi.arity == 2 else _standard_walk
     walk(0, m, active, [0] * mi.arity, out)
     return out
 

@@ -16,62 +16,39 @@ from typing import Iterable, Sequence
 from .linalg import common_denominator, primitive, row_reduce
 from .rings import Monomial
 
-Row = tuple[int, ...]
-
 
 class MonomialOrder:
-    """Total multiplicative monomial order given by weight rows.
+    """Total multiplicative monomial order given by weight rows."""
 
-    An order built with ``tail`` has the rows ``rows + tail.rows``, and its
-    key is the dot products with its own rows followed by ``tail.key``: the
-    tail's key cache serves every order refined by it, and so does its
-    cache of negated keys (:meth:`descending_key`).
-    """
+    __slots__ = ("arity", "rows", "name", "_key_cache", "_descending_cache")
 
-    __slots__ = ("arity", "rows", "name", "_head", "_tail", "_key_cache", "_descending_cache")
-
-    def __init__(
-        self,
-        arity: int,
-        rows: Iterable[Sequence[int | Fraction]],
-        name: str = "matrix",
-        tail: "MonomialOrder | None" = None,
-    ):
+    def __init__(self, arity: int, rows: Iterable[Sequence[int | Fraction]], name: str = "matrix"):
         rows = tuple(primitive(r) for r in rows)
         for r in rows:
             if len(r) != arity:
                 raise ValueError(f"order row {r} does not match arity {arity}")
-        if tail is not None and tail.arity != arity:
-            raise ValueError(f"tail order of arity {tail.arity} does not match arity {arity}")
         self.arity = arity
-        self.rows = rows if tail is None else rows + tail.rows
+        self.rows = rows
         self.name = name
-        self._head = rows
-        self._tail = tail
         self._key_cache: dict[Monomial, tuple[int, ...]] = {}
         self._descending_cache: dict[Monomial, tuple[int, ...]] = {}
 
     # -- comparisons ---------------------------------------------------------
 
     def key(self, mono: Monomial) -> tuple[int, ...]:
-        """Sort key: tuples compare the same way the order compares monomials."""
+        """Sort key, cached: the dot products with the rows, so tuples
+        compare the same way the order compares monomials."""
         k = self._key_cache.get(mono)
         if k is None:
-            k = tuple([sum(map(mul, row, mono)) for row in self._head])
-            if self._tail is not None:
-                k += self._tail.key(mono)
-            self._key_cache[mono] = k
+            k = self._key_cache[mono] = tuple([sum(map(mul, row, mono)) for row in self.rows])
         return k
 
     def descending_key(self, mono: Monomial) -> tuple[int, ...]:
-        """The negated key, cached: a min-heap keyed by it pops the largest
-        monomial first."""
+        """The negated key, cached apart: a min-heap keyed by it pops the
+        largest monomial first."""
         k = self._descending_cache.get(mono)
         if k is None:
-            k = tuple([-sum(map(mul, row, mono)) for row in self._head])
-            if self._tail is not None:
-                k += self._tail.descending_key(mono)
-            self._descending_cache[mono] = k
+            k = self._descending_cache[mono] = tuple([-sum(map(mul, row, mono)) for row in self.rows])
         return k
 
     # -- validation ----------------------------------------------------------
@@ -112,32 +89,17 @@ def grlex_order(arity: int) -> MonomialOrder:
     return MonomialOrder(arity, rows, name="grlex")
 
 
-def _grevlex_rows(arity: int) -> tuple[Row, ...]:
-    rows: list[Row] = [(1,) * arity]
-    for i in range(arity - 1, 0, -1):
-        rows.append(tuple(-1 if j == i else 0 for j in range(arity)))
-    return tuple(rows)
-
-
 def grevlex_order(arity: int) -> MonomialOrder:
-    return MonomialOrder(arity, _grevlex_rows(arity), name="grevlex")
+    rows = [(1,) * arity]
+    rows += [tuple(-1 if j == i else 0 for j in range(arity)) for i in range(arity - 1, 0, -1)]
+    return MonomialOrder(arity, rows, name="grevlex")
 
 
-def weight_order(
-    weights: Sequence[int | Fraction], grevlex: MonomialOrder | None = None
-) -> MonomialOrder:
-    """Weight row refined by grevlex.
-
-    ``grevlex``, when given, must be ``grevlex_order(arity)``; the new order
-    refines by it and so shares its key cache (the keys are the same
-    either way).
-    """
+def weight_order(weights: Sequence[int | Fraction]) -> MonomialOrder:
+    """Weight row refined by grevlex."""
     arity = len(weights)
-    if grevlex is None:
-        grevlex = grevlex_order(arity)
-    elif grevlex.rows != _grevlex_rows(arity):
-        raise ValueError(f"{grevlex!r} is not the grevlex order in {arity} variables")
-    return MonomialOrder(arity, [weights], name=f"weight{tuple(weights)!r}", tail=grevlex)
+    rows = [weights, *grevlex_order(arity).rows]
+    return MonomialOrder(arity, rows, name=f"weight{tuple(weights)!r}")
 
 
 def matrix_order(rows: Sequence[Sequence[int | Fraction]], name: str = "matrix") -> MonomialOrder:

@@ -1,6 +1,8 @@
 """Text formats: polynomials, rationals, vectors, and ideal/chain files.
 
-Polynomial grammar (no implicit multiplication; ``*`` is required):
+Polynomial grammar (``*`` is required between factors, except right after
+a product's leading number: ``2x``, ``-2x^2`` and ``3(x+y)`` parse as
+``2*x``, ``-2*x^2`` and ``3*(x+y)``):
 
     expr    := ['+'|'-'] product (('+'|'-') product)*
     product := power ('*' power)*
@@ -430,7 +432,7 @@ def format_monomial(mono: Monomial, variables: Sequence[str]) -> str:
 
 def format_polynomial(poly: Polynomial, variables: Sequence[str], order=None) -> str:
     """Render a polynomial; with ``order`` given, terms are listed from the
-    largest monomial down, so a marked basis element shows its lead first."""
+    largest monomial down, so a basis element shows its lead first."""
     if poly.is_zero:
         return "0"
     if order is not None:

@@ -95,9 +95,6 @@ class VPolytope:
             return False
         return member_convex_hull(facets(self), self.vertices, point).inside
 
-    def __iter__(self):
-        return iter(self.vertices)
-
 
 def level_quotient(poly: VPolytope, m: int) -> int | None:
     """The integer ``q >= 0`` with ``poly.level == m * q``, or None when the

@@ -100,18 +100,17 @@ class StateOracle:
     otherwise by a Buchberger run.  Every run the oracle makes stops at
     degree ``m`` (the ``degree`` of
     :func:`statepoly.groebner.initial_ideal`) and adds to the pool the
-    support of each element of its basis: the element's lead and tail
-    monomials.  Under the new order ``≺'`` (the weight ``key`` refined by
-    grevlex) the answer takes from every pooled support its largest
-    monomial, minimalises these leads to ``L`` and walks the staircase of
-    ``<L>`` in degree ``m``.  If the walk finds exactly ``h(m)`` standard
-    monomials, the state is read off that walk.  Proof: each support is
-    that of an element ``f`` of the ideal with nonzero coefficients, so its
-    largest monomial is ``in_≺'(f)`` and ``<L>_m ⊆ in_≺'(I)_m``.  A
-    homogeneous ideal and all its initial ideals share one Hilbert function
-    (Macaulay), so ``in_≺'(I)_m`` leaves exactly ``h(m)`` standard
-    monomials; an ideal inside it that leaves as many is all of it in
-    degree ``m``, which is all the state reads.  When the count differs the
+    support of each element of its basis.  Under the new order ``≺'`` (the
+    weight ``key`` refined by grevlex) the answer takes from every pooled
+    support its largest monomial, minimalises these leads to ``L`` and
+    walks the staircase of ``<L>`` in degree ``m``.  If the walk finds
+    exactly ``h(m)`` standard monomials, the state is read off that walk.
+    Proof: each support is that of an element ``f`` of the ideal with
+    nonzero coefficients, so its largest monomial is ``in_≺'(f)`` and
+    ``<L>_m ⊆ in_≺'(I)_m``.  A homogeneous ideal and all its initial ideals
+    share one Hilbert function (Macaulay), so ``in_≺'(I)_m`` leaves exactly
+    ``h(m)`` standard monomials; an ideal inside it that leaves as many is
+    all of it in degree ``m``, which is all the state reads.  When the count differs the
     oracle makes the run, whose supports then join the pool.  The pool is a
     degree-``m`` universal Groebner basis in the making (Sturmfels,
     *Groebner Bases and Convex Polytopes*, ch. 1-2).
@@ -128,11 +127,9 @@ class StateOracle:
 
     Each state is read off the standard monomials as in
     :func:`slice_state`, the one routine that also gives a chain's ``tau``
-    (:func:`statepoly.chains.tau_vector`).  The oracle holds one grevlex
-    order, and each run's ``weight_order(key, grevlex)`` refines by it, so
-    one grevlex key cache serves all of the oracle's runs and its lead
-    choices, and the ideal converts its generators to primitive integer
-    polynomials on its first run (``Ideal.integer_generators``).
+    (:func:`statepoly.chains.tau_vector`).  The ideal converts its
+    generators to primitive integer polynomials on its first run
+    (``Ideal.integer_generators``).
 
     ``gb_runs`` counts the distinct normalized directions answered, which is
     what ``query_count`` reports and ``budget`` caps; ``pool_answers``
@@ -177,9 +174,8 @@ class StateOracle:
         state = _state_of_standard(self.ideal.arity, self.m, standard)
         if self.ideal.integer_degrees is not None:
             descending = self._grevlex.descending_key
-            for lead, tails in mi.marked:
-                support = tuple(sorted((lead, *tails), key=descending))
-                self._pool.add(support)
+            for support in mi.supports:
+                self._pool.add(tuple(sorted(support, key=descending)))
                 self._monomials.update(support)
             self._states[mi.gens] = state
         return len(standard), state
@@ -212,7 +208,7 @@ class StateOracle:
         self.gb_runs += 1
         state = self._pooled_state(key) if self._hilbert is not None else None
         if state is None:
-            _, state = self._run(weight_order(key, self._grevlex))
+            _, state = self._run(weight_order(key))
         else:
             self.pool_answers += 1
         self._memo[key] = state
@@ -254,7 +250,15 @@ def enumerate_state_polytope(
     budget: int | None = None,
     oracle: StateOracle | None = None,
 ) -> StatePolytopeResult:
-    orc = oracle if oracle is not None else StateOracle(ideal, m, budget=budget)
+    """The state polytope of ``ideal`` in degree ``m``, found by querying
+    ``oracle``, or a new ``StateOracle(ideal, m, budget)``.  A given oracle
+    must be for this ideal and degree, and carries its own budget."""
+    if oracle is None:
+        oracle = StateOracle(ideal, m, budget=budget)
+    elif budget is not None:
+        raise ValueError("pass the budget to the oracle, not with it")
+    elif m != oracle.m or ideal != oracle.ideal:
+        raise ValueError("the oracle answers for another ideal or degree")
     arity = ideal.arity
     vertices: set[StateVector] = set()
     witnesses: dict[StateVector, tuple[int, ...]] = {}
@@ -263,7 +267,7 @@ def enumerate_state_polytope(
     system: FacetSystem | None = None
 
     def query(direction: Sequence[int]) -> StateVector:
-        found = orc.state_for_direction(direction)
+        found = oracle.state_for_direction(direction)
         witnesses.setdefault(found, tuple(int(d) for d in direction))
         return found
 
@@ -318,7 +322,7 @@ def enumerate_state_polytope(
         m=m,
         status=status,
         q=level_quotient(polytope, m),
-        query_count=orc.gb_runs,
+        query_count=oracle.gb_runs,
         witnesses={v: witnesses[v] for v in polytope.vertices},
         hull_dim=hull_dim,
         facet_system=system,

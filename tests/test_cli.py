@@ -147,6 +147,23 @@ def test_budget_env_variable(capsys, cubic_file, monkeypatch):
     assert "STATEC_BUDGET" in err
 
 
+@pytest.mark.parametrize("command", ["chain-state", "semistable"])
+def test_chain_budget_exhaustion_exits_with_the_budget_code(capsys, command):
+    # a chain has no partial result: the exhausted component ends the command
+    code, out, err = run(
+        capsys, command, "--ideal", f"{DATA}/planecurve_chain.ideal", "--m", "2", "--budget", "1"
+    )
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "error: Groebner-run budget of 1 exhausted\n"
+
+
+def test_direct_semistable_budget_exhaustion_returns_the_partial_state(capsys, cubic_file):
+    code, doc = run_json(capsys, "semistable", "--ideal", cubic_file, "--m", "2", "--budget", "1")
+    assert code == EXIT_BUDGET
+    assert doc["payload"]["status"] == "budget_exhausted"
+    assert doc["payload"]["query_count"] == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism and output plumbing
 
@@ -1217,3 +1234,27 @@ def test_alternating_commands_match_fresh_processes(conic_file, cubic_file):
             run_command([argv[0], "--no-such-option"])
         in_process.append(run_command(argv).rendered())
     assert in_process == fresh
+
+
+def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
+    # the sextic at m=4 is answered both from the oracle's pool and by runs,
+    # so its document guards the oracle's tie order
+    sextic = tmp_path / "sextic.ideal"
+    sextic.write_text(
+        "ring: x0,x1,x2,x3,x4\nideal:\nx3^2 - x2*x4\nx2^2 - x1*x4\nx1*x2 - x0*x4\nx1^2 - x0*x2\n",
+        encoding="utf-8",
+    )
+    argvs = [
+        ["state", "--ideal", str(sextic), "--m", "4"],
+        ["chain-state", "--ideal", f"{DATA}/bridge_chain.ideal", "--m", "2"],
+    ]
+    for argv in argvs:
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-m", "statepoly.cli", *argv],
+                capture_output=True, text=True, check=True, cwd=ROOT,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in range(4)
+        }
+        assert len(outputs) == 1, argv

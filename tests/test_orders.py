@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepoly.linalg import primitive
 from statepoly.orders import (
     elimination_order,
     grevlex_order,
@@ -63,9 +64,11 @@ def test_key_is_the_plain_dot_product_with_each_row(seed):
     rng = random.Random(seed)
     for _ in range(20):
         arity = rng.randint(1, 6)
+        weights = [[rng.randint(0, 9) for _ in range(arity)], [rng.randint(-9, 9) for _ in range(arity)]]
+        for w in weights:
+            assert weight_order(w).rows == (primitive(w), *grevlex_order(arity).rows)
         orders = [
-            weight_order([rng.randint(0, 9) for _ in range(arity)]),
-            weight_order([rng.randint(-9, 9) for _ in range(arity)]),
+            *map(weight_order, weights),
             matrix_order([[rng.randint(-5, 5) for _ in range(arity)] for _ in range(rng.randint(1, 4))]),
             elimination_order(arity, rng.sample(range(arity), rng.randint(0, arity))),
             grevlex_order(arity),
@@ -74,8 +77,11 @@ def test_key_is_the_plain_dot_product_with_each_row(seed):
             for _ in range(10):
                 mono = rand_monomial(rng, arity, rng.randint(0, 6))
                 plain = tuple(sum(w * e for w, e in zip(row, mono)) for row in order.rows)
+                negated = tuple(-v for v in plain)
                 assert order.key(mono) == plain
                 assert order.key(mono) == plain  # the cached key too
+                assert order.descending_key(mono) == negated
+                assert order.descending_key(mono) == negated
 
 
 # ---------------------------------------------------------------------------

@@ -509,3 +509,61 @@ def test_oracle_refuses_a_huge_degree_before_any_work(monkeypatch):
     x, y, z = variables(3)
     with pytest.raises(ValueError, match="would enumerate"):
         StateOracle(Ideal(3, (x * y - z**2,)), 2000)
+
+
+@pytest.mark.parametrize("case", ["budget", "degree", "ideal"])
+def test_enumeration_refuses_an_oracle_it_would_misread(case):
+    x, y, z = variables(3)
+    ideal = Ideal(3, (x * z - y**2,))
+    oracle = StateOracle(ideal, 2)
+    args = {
+        "budget": (ideal, 2, 5),
+        "degree": (ideal, 3, None),
+        "ideal": (Ideal(3, (x * y - z**2,)), 2, None),
+    }[case]
+    message = "pass the budget to the oracle" if case == "budget" else "another ideal or degree"
+    with pytest.raises(ValueError, match=message):
+        enumerate_state_polytope(*args, oracle=oracle)
+    assert oracle.gb_runs == 0
+
+
+class TriangleOracle:
+    """A stub oracle over a listed triangle: the first listed vertex of
+    largest value answers, and every query is recorded."""
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+        self.ideal = Ideal(3, ())
+        self.m = 2
+        self.gb_runs = 0
+        self.answers: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def state_for_direction(self, weights):
+        self.gb_runs += 1
+        found = max(self.vertices, key=lambda v: sum(w * x for w, x in zip(weights, v)))
+        self.answers.append((tuple(weights), found))
+        return found
+
+
+def test_an_equation_query_grows_the_affine_hull():
+    first, second, third = (0, 8, 8), (8, 4, 4), (4, 7, 5)
+    oracle = TriangleOracle([first, second, third])
+    result = enumerate_state_polytope(oracle.ideal, 2, oracle=oracle)
+    # the seed directions 0 and ±e_i find only the first two vertices
+    seeds = oracle.answers[:7]
+    assert {found for _, found in seeds} == {first, second}
+    # the first query to find the third vertex is one of the equations of
+    # the seeds' line, asked before any facet query
+    equations = lp_module.affine_hull([first, second]).equations
+    index = next(i for i, (_, found) in enumerate(oracle.answers) if found == third)
+    direction = oracle.answers[index][0]
+    assert 7 <= index < 7 + 2 * len(equations)
+    assert direction in {tuple(sign * h for h in normal) for normal, _ in equations for sign in (1, -1)}
+    assert result.complete and result.hull_dim == 2 and result.q == 8
+    assert result.polytope.vertices == tuple(sorted([first, second, third]))
+    # the hull grew in the affine-hull phase: the plane's equations are
+    # asked next, and the facet phase only confirms the triangle's edges
+    plane = lp_module.affine_hull([first, second, third]).equations
+    edges = len(result.facet_system.facets)
+    assert (len(plane), edges) == (1, 3)
+    assert len(oracle.answers) == 7 + 2 * len(equations) + 2 * len(plane) + edges
