@@ -13,11 +13,13 @@ rational point set to integers by its common denominator before building
 it.  Facets are reported as primitive integer inequalities
 ``normal . x <= offset`` (equality exactly on the facet), together with
 the integer equations ``normal . x == offset`` cutting out the affine hull.
-The hull keeps a map from each ridge of its simplicial boundary to the two
-pieces sharing it: a new point walks that map from the first piece it sees
-to the whole visible region and its horizon, and each new piece comes from
-rotating the hyperplane of the invisible piece on a horizon ridge onto the
-point, with integer arithmetic and no linear solve.
+The hull keeps the facets themselves, each with the bitmask of the
+points tight on it, and a map from each facet to the facets sharing a ridge
+with it: a new point walks that map from the first facet it sees to the
+whole visible region and its horizon, a horizon facet whose hyperplane holds
+the point absorbs it, and each other new facet comes from rotating the
+hyperplane of the invisible facet on a horizon ridge onto the point, with
+integer arithmetic and no linear solve.
 A point of the polytope lies in its relative interior exactly when no facet
 is tight at it (:meth:`FacetSystem.relative_interior`).
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from operator import mul
 from pathlib import Path
@@ -147,16 +148,16 @@ class FacetSystem:
 def _rotate(
     seen: tuple[IntVector, int], a_v: int, unseen: tuple[IntVector, int], a_i: int
 ) -> tuple[IntVector, int]:
-    """Primitive normal and offset of the new piece through a horizon ridge
-    and a new point ``p``, by rotating the invisible piece about the ridge.
+    """Primitive normal and offset of the new facet through a horizon ridge
+    and a new point ``p``, by rotating the invisible facet about the ridge.
 
     ``seen = (n_v, o_v)`` and ``unseen = (n_i, o_i)`` are the visible and
-    the invisible piece on the ridge, with ``a_v = n_v . p - o_v > 0`` and
+    the invisible facet on the ridge, with ``a_v = n_v . p - o_v > 0`` and
     ``a_i = n_i . p - o_i <= 0``.  The combination
-    ``a_v (n_i, o_i) - a_i (n_v, o_v)`` is tight on the ridge (both pieces
+    ``a_v (n_i, o_i) - a_i (n_v, o_v)`` is tight on the ridge (both facets
     are) and on ``p``, and it is valid for the old points because both
     coefficients are nonnegative, so it is outward.  ``a_i = 0`` (``p`` is
-    coplanar with the invisible piece) gives that piece's hyperplane."""
+    coplanar with the invisible facet) gives that facet's hyperplane."""
     (n_v, o_v), (n_i, o_i) = seen, unseen
     normal = [a_v * x - a_i * y for x, y in zip(n_i, n_v)]
     content = gcd(*normal)
@@ -175,22 +176,26 @@ class IncrementalHull:
     """Exact convex hull of integer points that accepts points one at a time.
 
     The affine hull of the initial point set is fixed at construction; every
-    later point must lie in it.  The boundary is kept as a set of simplicial
-    pieces in the projected coordinates of the affine hull, each with an
-    integer outward normal and offset; coplanar pieces merge when facets are
-    read out.  Rational point sets go through :func:`facets`, which scales
-    them to integers first.
+    later point must lie in it.  The boundary is kept as its facets, in the
+    projected coordinates of the affine hull: ``pieces`` maps a facet id to
+    its primitive integer outward normal and offset, ``masks`` to the
+    bitmask of the registered points tight on it (bit ``i`` stands for
+    ``points[i]``), and ``adjacent`` to the ids of the facets sharing a
+    ridge with it.  Rational point sets go through :func:`facets`, which
+    scales them to integers first.
 
-    ``ridges`` maps every ridge (a piece's vertex indices less one) to the
-    two pieces that share it: the pieces triangulate a closed boundary, so a
-    ridge with any other number of owners means the structure is broken.
-    :meth:`add_point` scans the pieces, newest first, only up to the first
-    one the point sees, then walks the ridge map across shared ridges to the rest of the
-    visible region, which is connected; a ridge whose other owner is not
-    visible lies on the horizon.  Each horizon ridge gets one new piece
-    through the point, found by rotating the invisible piece's hyperplane
+    :meth:`add_point` scans the facets, newest first, only up to the first
+    one the point sees, then walks the adjacency map to the rest of the
+    visible region, which is connected; a neighbour that is not visible
+    lies across a horizon ridge.  A horizon facet whose hyperplane holds
+    the point absorbs it; every other horizon ridge gets one new facet
+    through the point, found by rotating the invisible facet's hyperplane
     about the ridge until it reaches the point (the rotation step of gift
     wrapping), so no linear system is solved after the initial simplex.
+    Two facets through the point are adjacent when their shared points
+    span a ridge: they share at least ``k - 1`` points and, for ``k > 3``,
+    no third facet through the point holds all of them.  Points that no
+    facet sees are not registered.
     """
 
     def __init__(self, points: Sequence[Sequence]):
@@ -203,8 +208,10 @@ class IncrementalHull:
         self.points: list[IntVector] = []
         self.proj: list[IntVector] = []
         self._index: dict[IntVector, int] = {}
-        self.pieces: dict[tuple[int, ...], tuple[IntVector, int]] = {}
-        self.ridges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self.pieces: dict[int, tuple[IntVector, int]] = {}
+        self.masks: dict[int, int] = {}
+        self.adjacent: dict[int, set[int]] = {}
+        self._next_id = 0
         if self.k == 0:
             self._register(pts[0])
             return
@@ -212,9 +219,13 @@ class IncrementalHull:
             self._register(pts[i])
         # (k + 1) times the centroid of the initial simplex, an interior point
         ref = tuple(map(sum, zip(*self.proj)))
-        for piece in combinations(range(self.k + 1), self.k):
+        everyone = (1 << (self.k + 1)) - 1
+        simplex = []
+        for omit in range(self.k, -1, -1):
             # k affinely independent points of Z^k span one hyperplane
-            ((normal, offset),) = affine_hull([self.proj[i] for i in piece]).equations
+            ((normal, offset),) = affine_hull(
+                [q for i, q in enumerate(self.proj) if i != omit]
+            ).equations
             side = sum(map(mul, normal, ref))
             scaled = (self.k + 1) * offset
             if side > scaled:
@@ -222,7 +233,10 @@ class IncrementalHull:
                 offset = -offset
             elif side == scaled:
                 raise ValueError("interior reference point lies on a facet")  # unreachable
-            self._add_piece(piece, normal, offset)
+            simplex.append(self._add_facet((normal, offset), everyone ^ (1 << omit)))
+        # any two facets of a simplex share a ridge
+        for f in simplex:
+            self.adjacent[f].update(g for g in simplex if g != f)
         for p in pts:
             self.add_point(p)
 
@@ -234,18 +248,13 @@ class IncrementalHull:
         self._index[proj] = idx
         return idx
 
-    def _add_piece(self, piece: tuple[int, ...], normal: IntVector, offset: int) -> None:
-        self.pieces[piece] = (normal, offset)
-        for ridge in combinations(piece, self.k - 1):
-            self.ridges.setdefault(ridge, []).append(piece)
-
-    def _remove_piece(self, piece: tuple[int, ...]) -> None:
-        del self.pieces[piece]
-        for ridge in combinations(piece, self.k - 1):
-            owners = self.ridges[ridge]
-            owners.remove(piece)
-            if not owners:
-                del self.ridges[ridge]
+    def _add_facet(self, plane: tuple[IntVector, int], mask: int) -> int:
+        f = self._next_id
+        self._next_id += 1
+        self.pieces[f] = plane
+        self.masks[f] = mask
+        self.adjacent[f] = set()
+        return f
 
     def add_point(self, point: Sequence) -> bool:
         """Insert an integer point; returns True when it enlarges the hull."""
@@ -255,53 +264,83 @@ class IncrementalHull:
         if not self.hull.contains(ambient):
             raise ValueError(f"point {ambient} is outside the fixed affine hull")
         proj = self.hull.project(ambient)
-        if proj in self._index:
-            return False
-        if self.k == 0:
-            return False  # equal projections in a 0-dimensional hull: duplicate
-        # newest pieces first: the enumeration's next point tends to lie beyond
-        # the region the last insertions built (on the rosary state at m=3 this
-        # tests 48,106 pieces instead of 275,313 for 224 insertions)
-        for start, (normal, offset) in reversed(self.pieces.items()):
+        if proj in self._index or self.k == 0:
+            return False  # a registered point, or a 0-dimensional hull's own point
+        pieces, masks, adjacent = self.pieces, self.masks, self.adjacent
+        # newest facets first: the enumeration's next point tends to lie beyond
+        # the region the last insertions built
+        for start, (normal, offset) in reversed(pieces.items()):
             excess = sum(map(mul, normal, proj)) - offset
             if excess > 0:
                 break
         else:
-            self._register(ambient)
             return False
-        # excess normal . p - offset of every piece met: > 0 exactly when visible
+        # excess normal . p - offset of every facet met: > 0 exactly when visible
         excesses = {start: excess}
         stack = [start]
-        rotated: list[tuple[tuple[int, ...], IntVector, int]] = []
+        horizon: list[tuple[int, int, int]] = []
         while stack:
-            piece = stack.pop()
-            for ridge in combinations(piece, self.k - 1):
-                owners = self.ridges[ridge]
-                if len(owners) != 2:
-                    raise RuntimeError("boundary triangulation invariant broken")  # unreachable
-                other = owners[1] if owners[0] == piece else owners[0]
+            seen = stack.pop()
+            for other in adjacent[seen]:
                 excess = excesses.get(other)
                 if excess is None:
-                    normal, offset = self.pieces[other]
-                    excess = excesses[other] = sum(map(mul, normal, proj)) - offset
+                    plane = pieces.get(other)
+                    if plane is None:
+                        raise RuntimeError("facet adjacency invariant broken")
+                    excess = excesses[other] = sum(map(mul, plane[0], proj)) - plane[1]
                     if excess > 0:
                         stack.append(other)
-                if excess <= 0:  # a horizon ridge
-                    rotated.append((ridge, *_rotate(
-                        self.pieces[piece], excesses[piece], self.pieces[other], excess
-                    )))
-        for piece, excess in excesses.items():
+                if excess <= 0:
+                    horizon.append((seen, other, excess))
+        bit = 1 << self._register(ambient)
+        through: list[int] = []  # the facets that hold the new point
+        for seen, other, excess in horizon:
+            if excess == 0:
+                if not masks[other] & bit:
+                    masks[other] |= bit
+                    through.append(other)
+                continue
+            new = self._add_facet(
+                _rotate(pieces[seen], excesses[seen], pieces[other], excess),
+                masks[seen] & masks[other] | bit,
+            )
+            adjacent[new].add(other)
+            adjacent[other].add(new)
+            through.append(new)
+        for seen, excess in excesses.items():
             if excess > 0:
-                self._remove_piece(piece)
-        new_index = self._register(ambient)
-        for ridge, normal, offset in rotated:
-            self._add_piece(ridge + (new_index,), normal, offset)
+                del pieces[seen], masks[seen]
+                for other in adjacent.pop(seen):
+                    if excesses[other] <= 0:
+                        adjacent[other].remove(seen)
+        # two facets through the point share a ridge when they share at least
+        # k - 1 points and no third facet holds those points; such a third
+        # facet shares them with both, so it is among their near facets
+        k = self.k
+        near: dict[int, list[tuple[int, int]]] = {f: [] for f in through}
+        for i, a in enumerate(through):
+            for b in through[i + 1:]:
+                shared = masks[a] & masks[b]
+                if shared.bit_count() >= k - 1:
+                    near[a].append((b, shared))
+                    near[b].append((a, shared))
+        for a, pairs in near.items():
+            for b, shared in pairs:
+                if a < b and (
+                    k <= 3 or all(other & shared != shared for c, other in pairs if c != b)
+                ):
+                    adjacent[a].add(b)
+                    adjacent[b].add(a)
+        # a point beyond the hull lies on some new facet, and a facet has at
+        # least k ridges
+        if not through or any(len(adjacent[f]) < k for f in through):
+            raise RuntimeError("facet adjacency invariant broken")
         return True
 
     def facet_system(self) -> FacetSystem:
         base = self.hull.base_point
         lifted = []
-        for normal, offset in set(self.pieces.values()):
+        for normal, offset in self.pieces.values():
             # lift_normal keeps the entries, so the lifted normal stays primitive
             amb = self.hull.lift_normal(normal)
             lifted.append((amb, offset + sum(map(mul, amb, base))))

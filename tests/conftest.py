@@ -10,13 +10,17 @@ import heapq
 import itertools
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Sequence
 
-from statepoly.groebner import initial_ideal
-from statepoly.lp import solve_lp
+from statepoly.groebner import implicitize, initial_ideal
+from statepoly.lp import AffineHull, affine_hull, solve_lp
 from statepoly.orders import lex_order, matrix_order
+from statepoly.polytope import FacetSystem, IntVector, _int_point, _rotate
 from statepoly.rings import (
+    Ideal,
     Polynomial,
     degree_monomials,
     mono_coprime,
@@ -27,6 +31,7 @@ from statepoly.rings import (
     mono_mul,
     primitive_terms,
 )
+from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -227,6 +232,21 @@ def rand_point(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, .
 
 def all_degree_monomials(arity: int, degree: int):
     return degree_monomials(arity, degree)
+
+
+def sextic_ideal() -> Ideal:
+    """The ideal of the curve (s^6 : s^4t^2 : s^2t^4 : st^5 : t^6)."""
+    s, t = (Polynomial.variable(2, j) for j in range(2))
+    return implicitize([s**a * t**b for a, b in ((6, 0), (4, 2), (2, 4), (1, 5), (0, 6))])
+
+
+def benchmark_ideal(name: str) -> Ideal:
+    """The genus-2 rosary or the sextic curve, the ideals of the benchmark's
+    state workloads."""
+    if name == "rosary":
+        spec = RosarySpec(2)
+        return rosary_assembled_ideal(spec, rosary_end_conics(spec))
+    return sextic_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +569,150 @@ def reference_buchberger_int(gens, order, degree=None):
         kept.append(i)
         kept_leads.append(leads[i])
     return [basis[i] for i in sorted(kept, key=lambda i: (key(leads[i]), i))]
+
+
+# ---------------------------------------------------------------------------
+# the simplicial hull the facet hull replaced, kept verbatim as the reference
+# for its differential test (only the name is changed)
+
+
+class ReferenceIncrementalHull:
+    """Exact convex hull of integer points that accepts points one at a time.
+
+    The affine hull of the initial point set is fixed at construction; every
+    later point must lie in it.  The boundary is kept as a set of simplicial
+    pieces in the projected coordinates of the affine hull, each with an
+    integer outward normal and offset; coplanar pieces merge when facets are
+    read out.  Rational point sets go through :func:`facets`, which scales
+    them to integers first.
+
+    ``ridges`` maps every ridge (a piece's vertex indices less one) to the
+    two pieces that share it: the pieces triangulate a closed boundary, so a
+    ridge with any other number of owners means the structure is broken.
+    :meth:`add_point` scans the pieces, newest first, only up to the first
+    one the point sees, then walks the ridge map across shared ridges to the rest of the
+    visible region, which is connected; a ridge whose other owner is not
+    visible lies on the horizon.  Each horizon ridge gets one new piece
+    through the point, found by rotating the invisible piece's hyperplane
+    about the ridge until it reaches the point (the rotation step of gift
+    wrapping), so no linear system is solved after the initial simplex.
+    """
+
+    def __init__(self, points: Sequence[Sequence]):
+        pts = list(dict.fromkeys(_int_point(p) for p in points))
+        if not pts:
+            raise ValueError("a hull needs at least one point")
+        self.ambient_dim = len(pts[0])
+        self.hull: AffineHull = affine_hull(pts)
+        self.k = self.hull.dim
+        self.points: list[IntVector] = []
+        self.proj: list[IntVector] = []
+        self._index: dict[IntVector, int] = {}
+        self.pieces: dict[tuple[int, ...], tuple[IntVector, int]] = {}
+        self.ridges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        if self.k == 0:
+            self._register(pts[0])
+            return
+        for i in self.hull.spanning:
+            self._register(pts[i])
+        # (k + 1) times the centroid of the initial simplex, an interior point
+        ref = tuple(map(sum, zip(*self.proj)))
+        for piece in combinations(range(self.k + 1), self.k):
+            # k affinely independent points of Z^k span one hyperplane
+            ((normal, offset),) = affine_hull([self.proj[i] for i in piece]).equations
+            side = sum(map(mul, normal, ref))
+            scaled = (self.k + 1) * offset
+            if side > scaled:
+                normal = tuple(-h for h in normal)
+                offset = -offset
+            elif side == scaled:
+                raise ValueError("interior reference point lies on a facet")  # unreachable
+            self._add_piece(piece, normal, offset)
+        for p in pts:
+            self.add_point(p)
+
+    def _register(self, ambient: IntVector) -> int:
+        proj = self.hull.project(ambient)
+        idx = len(self.points)
+        self.points.append(ambient)
+        self.proj.append(proj)
+        self._index[proj] = idx
+        return idx
+
+    def _add_piece(self, piece: tuple[int, ...], normal: IntVector, offset: int) -> None:
+        self.pieces[piece] = (normal, offset)
+        for ridge in combinations(piece, self.k - 1):
+            self.ridges.setdefault(ridge, []).append(piece)
+
+    def _remove_piece(self, piece: tuple[int, ...]) -> None:
+        del self.pieces[piece]
+        for ridge in combinations(piece, self.k - 1):
+            owners = self.ridges[ridge]
+            owners.remove(piece)
+            if not owners:
+                del self.ridges[ridge]
+
+    def add_point(self, point: Sequence) -> bool:
+        """Insert an integer point; returns True when it enlarges the hull."""
+        ambient = _int_point(point)
+        if len(ambient) != self.ambient_dim:
+            raise ValueError("point has the wrong dimension")
+        if not self.hull.contains(ambient):
+            raise ValueError(f"point {ambient} is outside the fixed affine hull")
+        proj = self.hull.project(ambient)
+        if proj in self._index:
+            return False
+        if self.k == 0:
+            return False  # equal projections in a 0-dimensional hull: duplicate
+        # newest pieces first: the enumeration's next point tends to lie beyond
+        # the region the last insertions built (on the rosary state at m=3 this
+        # tests 48,106 pieces instead of 275,313 for 224 insertions)
+        for start, (normal, offset) in reversed(self.pieces.items()):
+            excess = sum(map(mul, normal, proj)) - offset
+            if excess > 0:
+                break
+        else:
+            self._register(ambient)
+            return False
+        # excess normal . p - offset of every piece met: > 0 exactly when visible
+        excesses = {start: excess}
+        stack = [start]
+        rotated: list[tuple[tuple[int, ...], IntVector, int]] = []
+        while stack:
+            piece = stack.pop()
+            for ridge in combinations(piece, self.k - 1):
+                owners = self.ridges[ridge]
+                if len(owners) != 2:
+                    raise RuntimeError("boundary triangulation invariant broken")  # unreachable
+                other = owners[1] if owners[0] == piece else owners[0]
+                excess = excesses.get(other)
+                if excess is None:
+                    normal, offset = self.pieces[other]
+                    excess = excesses[other] = sum(map(mul, normal, proj)) - offset
+                    if excess > 0:
+                        stack.append(other)
+                if excess <= 0:  # a horizon ridge
+                    rotated.append((ridge, *_rotate(
+                        self.pieces[piece], excesses[piece], self.pieces[other], excess
+                    )))
+        for piece, excess in excesses.items():
+            if excess > 0:
+                self._remove_piece(piece)
+        new_index = self._register(ambient)
+        for ridge, normal, offset in rotated:
+            self._add_piece(ridge + (new_index,), normal, offset)
+        return True
+
+    def facet_system(self) -> FacetSystem:
+        base = self.hull.base_point
+        lifted = []
+        for normal, offset in set(self.pieces.values()):
+            # lift_normal keeps the entries, so the lifted normal stays primitive
+            amb = self.hull.lift_normal(normal)
+            lifted.append((amb, offset + sum(map(mul, amb, base))))
+        return FacetSystem(
+            dim=self.ambient_dim,
+            hull_dim=self.k,
+            equations=self.hull.equations,
+            facets=tuple(sorted(lifted)),
+        )

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,11 @@ from statepoly.polytope import (
     trivial_character_point,
     vertex_witnesses,
 )
+from statepoly.state import enumerate_state_polytope
 from conftest import (
+    ReferenceIncrementalHull,
     affinely_independent,
+    benchmark_ideal,
     brute_extreme_points,
     brute_hull_member,
     fraction_null_space,
@@ -122,7 +126,7 @@ def test_trivial_character_point():
 # facet systems
 
 
-def audit_facets(system: FacetSystem, vertices):
+def audit_facet_system(system: FacetSystem, vertices):
     # every vertex satisfies every equation exactly and every facet weakly
     for v in vertices:
         for normal, offset in system.equations:
@@ -146,7 +150,7 @@ def test_facets_of_triangle():
     assert system.hull_dim == 2
     assert len(system.facets) == 3
     assert not system.equations
-    audit_facets(system, tri.vertices)
+    audit_facet_system(system, tri.vertices)
     assert member_convex_hull(system, tri.vertices, (1, 1)).inside
     assert not member_convex_hull(system, tri.vertices, (2, 2)).inside
 
@@ -158,7 +162,7 @@ def test_facets_of_leveled_simplex_have_equation():
     assert len(system.equations) == 1
     normal, offset = system.equations[0]
     assert abs(offset / sum(normal)) == 2 or offset == 2 * sum(normal) / len(normal)
-    audit_facets(system, simplex.vertices)
+    audit_facet_system(system, simplex.vertices)
 
 
 def test_facets_of_point_and_segment():
@@ -184,7 +188,7 @@ def test_facet_vertex_round_trip(seed):
     pts = [rand_point(rng, dim, span=3) for _ in range(rng.randint(1, 6))]
     poly = VPolytope(dim, brute_extreme_points(pts))
     system = facets(poly)
-    audit_facets(system, poly.vertices)
+    audit_facet_system(system, poly.vertices)
     for _ in range(6):
         probe = rand_point(rng, dim, span=4)
         inside = member_convex_hull(system, poly.vertices, probe).inside
@@ -248,7 +252,7 @@ def test_facets_agree_with_brute_force(seed, kind):
     pts = rand_point_set(random.Random(seed), kind)
     system = facets(pts)
     exact = {tuple(Fraction(x) for x in p) for p in pts}
-    audit_facets(system, exact)
+    audit_facet_system(system, exact)
     tight = [
         frozenset(p for p in exact if sum(h * x for h, x in zip(normal, p)) == offset)
         for normal, offset in system.facets
@@ -284,34 +288,40 @@ def test_hull_accepts_only_integer_points():
 
 
 # ---------------------------------------------------------------------------
-# incremental insertion: ridge map, visible-region walk, ridge rotation
+# incremental insertion: facet masks, adjacency walk, ridge rotation
 
 
 # taken at import, before a test patches the module attribute out
 REFERENCE_AFFINE_HULL = polytope.affine_hull
 
 
-def audit_ridges(hull: IncrementalHull) -> None:
-    """Every ridge has exactly two owners, every piece is registered under
-    each of its ridges, and the map holds no other ridge."""
-    expected: dict[tuple, set] = {}
-    for piece in hull.pieces:
-        for ridge in combinations(piece, hull.k - 1):
-            expected.setdefault(ridge, set()).add(piece)
-    assert {ridge: set(owners) for ridge, owners in hull.ridges.items()} == expected
-    assert all(len(owners) == 2 for owners in hull.ridges.values())
+def span_dim(points) -> int:
+    """Dimension of the affine span of ``points``; -1 for no point."""
+    return REFERENCE_AFFINE_HULL(points).dim if points else -1
 
 
-def oriented_hyperplane(hull: IncrementalHull, piece: tuple) -> tuple:
-    """The reference piece: the one equation of the affine hull of the
-    piece's points, oriented so that every inserted point lies on its inner
-    side."""
-    ((normal, offset),) = REFERENCE_AFFINE_HULL([hull.proj[i] for i in piece]).equations
-    if any(sum(h * x for h, x in zip(normal, q)) > offset for q in hull.proj):
-        normal, offset = tuple(-h for h in normal), -offset
-    assert all(sum(h * x for h, x in zip(normal, q)) <= offset for q in hull.proj)
-    return normal, offset
+def registered(hull: IncrementalHull, mask: int) -> list:
+    return [q for i, q in enumerate(hull.proj) if mask >> i & 1]
 
+
+def audit_facets(hull: IncrementalHull) -> None:
+    """Each facet's mask is exactly the registered points tight on it, those
+    points have affine rank ``k`` and the facet's plane is their one
+    equation, oriented outward; adjacency is symmetric and pairs exactly
+    the facets whose shared points span dimension ``k - 2``."""
+    assert hull.pieces.keys() == hull.masks.keys() == hull.adjacent.keys()
+    for f, (normal, offset) in hull.pieces.items():
+        values = [sum(h * x for h, x in zip(normal, q)) for q in hull.proj]
+        assert max(values) == offset
+        assert hull.masks[f] == sum(1 << i for i, v in enumerate(values) if v == offset)
+        tight = registered(hull, hull.masks[f])
+        assert span_dim(tight) == hull.k - 1
+        ((equation, level),) = REFERENCE_AFFINE_HULL(tight).equations
+        assert (normal, offset) in ((equation, level), (tuple(-h for h in equation), -level))
+        assert hull.adjacent[f] <= hull.pieces.keys()
+    for a, b in combinations(hull.pieces, 2):
+        ridge = span_dim(registered(hull, hull.masks[a] & hull.masks[b])) == hull.k - 2
+        assert (b in hull.adjacent[a]) == (a in hull.adjacent[b]) == ridge
 
 
 def insertion_cases(seed: int) -> list[list[tuple[int, ...]]]:
@@ -330,31 +340,29 @@ def insertion_cases(seed: int) -> list[list[tuple[int, ...]]]:
     ]
 
 
-def simplex_hull(pts: list[tuple[int, ...]]) -> IncrementalHull:
+def simplex_hull(pts: list[tuple[int, ...]], kind=IncrementalHull):
     """A hull on the first affinely spanning points of ``pts`` only, so the
     rest can be inserted one at a time."""
-    spanning = IncrementalHull(pts).hull.spanning
-    return IncrementalHull([pts[i] for i in spanning])
+    spanning = REFERENCE_AFFINE_HULL(pts).spanning
+    return kind([pts[i] for i in spanning])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rotated_pieces_equal_the_hyperplane_through_them(seed, monkeypatch):
-    coplanar_insertions = 0
+    absorptions = 0
     for pts in insertion_cases(seed):
         hull = simplex_hull(pts)
-        audit_ridges(hull)
-        # after the initial simplex no piece may come from a linear solve
+        audit_facets(hull)
+        # after the initial simplex no facet may come from a linear solve
         monkeypatch.setattr(polytope, "affine_hull", None)
         for p in pts:
-            old = dict(hull.pieces)
+            old = dict(hull.masks)
             hull.add_point(p)
-            audit_ridges(hull)
-            for piece, plane in hull.pieces.items():
-                assert plane == oriented_hyperplane(hull, piece)
-                if piece not in old and plane in old.values():
-                    coplanar_insertions += 1  # a_i = 0: the new piece extends its neighbour's
+            audit_facets(hull)
+            # a facet that outlives the insertion and gains the point absorbed it
+            absorptions += sum(mask != old.get(f, mask) for f, mask in hull.masks.items())
         monkeypatch.undo()
-    assert coplanar_insertions > 0
+    assert absorptions > 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -370,7 +378,7 @@ def test_random_insertion_orders_agree_with_brute_force(seed):
             hull = simplex_hull(pts)
             for p in pts:
                 hull.add_point(p)
-                audit_ridges(hull)
+                audit_facets(hull)
             system = hull.facet_system()
             assert system == facets(pts)
             tight = {
@@ -386,12 +394,146 @@ def test_random_insertion_orders_agree_with_brute_force(seed):
                 assert inside == brute_hull_member(pts, probe)
 
 
-def test_a_ridge_with_more_than_two_owners_is_refused():
-    hull = IncrementalHull([(0, 0), (2, 0), (0, 2)])
-    for owners in hull.ridges.values():
-        owners.append(owners[0])
-    with pytest.raises(RuntimeError, match="invariant broken"):
-        hull.add_point((5, 5))
+def test_a_broken_adjacency_map_is_refused():
+    # a neighbour that is no facet, and a facet with no neighbours
+    for breakage in (lambda ids: ids.add(max(ids) + 100), set.clear):
+        hull = IncrementalHull([(0, 0), (2, 0), (0, 2)])
+        for ids in hull.adjacent.values():
+            breakage(ids)
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            hull.add_point((5, 5))
+
+
+# ---------------------------------------------------------------------------
+# edge cases of insertion, against brute force
+
+
+def hull_facet_sets(hull: IncrementalHull, pts) -> set[frozenset]:
+    """The input points tight on each facet of the hull's facet system."""
+    return {
+        frozenset(tuple(Fraction(x) for x in p) for p in pts
+                  if sum(h * x for h, x in zip(normal, p)) == offset)
+        for normal, offset in hull.facet_system().facets
+    }
+
+
+def state_of(hull: IncrementalHull) -> tuple:
+    return (list(hull.points), dict(hull.pieces), dict(hull.masks),
+            {f: set(ids) for f, ids in hull.adjacent.items()})
+
+
+def test_a_point_hull_ignores_its_repeated_point():
+    hull = IncrementalHull([(3, -1), (3, -1)])
+    assert (hull.k, hull.points, hull.pieces) == (0, [(3, -1)], {})
+    assert hull.add_point((3, -1)) is False
+    assert hull.facet_system().facets == () and brute_facets([(3, -1)]) == set()
+    with pytest.raises(ValueError, match="outside the fixed affine hull"):
+        hull.add_point((3, 0))
+
+
+def test_a_segment_grows_at_both_ends_and_ignores_its_interior():
+    line = [(x, 2 * x + 1) for x in range(-4, 5)]
+    hull = IncrementalHull([line[3], line[5]])
+    assert hull.add_point(line[4]) is False  # interior: not registered
+    assert len(hull.points) == 2
+    inserted = [line[3], line[5]]
+    for p, grows in [(line[8], True), (line[6], False), (line[0], True), (line[2], False)]:
+        assert hull.add_point(p) is grows
+        inserted.append(p)
+        audit_facets(hull)
+        assert hull_facet_sets(hull, inserted) == brute_facets(inserted)
+    assert hull.facet_system().facets == facets([line[0], line[8]]).facets
+
+
+def test_a_point_on_a_facet_plane_is_absorbed():
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    hull = IncrementalHull(square)
+    bottom = next(f for f, (normal, offset) in hull.pieces.items() if normal == (0, -1))
+    assert hull.add_point((4, 0)) is True  # beyond the right edge, on the bottom's line
+    assert bottom in hull.pieces and hull.masks[bottom] >> hull.points.index((4, 0)) & 1
+    audit_facets(hull)
+    pts = square + [(4, 0)]
+    assert hull_facet_sets(hull, pts) == brute_facets(pts)
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    hull = IncrementalHull(cube)
+    assert hull.add_point((2, 2, 0)) is True  # in the plane z = 0, beyond an edge
+    audit_facets(hull)
+    assert hull_facet_sets(hull, cube + [(2, 2, 0)]) == brute_facets(cube + [(2, 2, 0)])
+
+
+def test_re_adding_an_interior_point_changes_nothing():
+    hull = IncrementalHull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])
+    before = state_of(hull)
+    for p in [(1, 1, 1), (1, 1, 1), (0, 0, 0), (2, 0, 0)]:
+        assert hull.add_point(p) is False
+        assert state_of(hull) == before
+
+
+def test_integral_fractions_are_integer_points():
+    pts = [(Fraction(0), Fraction(4, 2)), (3, 0), (Fraction(6, 3), Fraction(5))]
+    hull = IncrementalHull(pts)
+    assert all(type(x) is int for p in hull.points for x in p)
+    assert hull.add_point((Fraction(9, 3), Fraction(5))) is True
+    ints = [(0, 2), (3, 0), (2, 5), (3, 5)]
+    assert hull.facet_system() == IncrementalHull(ints).facet_system()
+    assert hull_facet_sets(hull, ints) == brute_facets(ints)
+
+
+# ---------------------------------------------------------------------------
+# the facet hull against the simplicial hull it replaced
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def assert_same_as_reference(pts: list[tuple[int, ...]]) -> None:
+    """From the first spanning points, every point in turn, then every point
+    again: the same ``add_point`` answers and the same facet system as the
+    simplicial hull; and the same facet system when built in one go."""
+    hull, ref = simplex_hull(pts), simplex_hull(pts, ReferenceIncrementalHull)
+    for p in pts + pts:
+        assert hull.add_point(p) == ref.add_point(p), p
+    assert hull.facet_system() == ref.facet_system()
+    assert IncrementalHull(pts).facet_system() == ReferenceIncrementalHull(pts).facet_system()
+
+
+def lattice_set(rng: random.Random, dim: int) -> list[tuple[int, ...]]:
+    """Points of a small box of Z^dim, so many are coplanar; sometimes
+    lifted into a dim-dimensional affine hull of Z^(dim + 2)."""
+    side = rng.randint(1, 2)
+    count = rng.randint(dim + 2, 4 * dim + 4)
+    pts = [tuple(rng.randint(0, side) for _ in range(dim)) for _ in range(count)]
+    if rng.random() < 0.3:
+        pts = [p + (sum(p) - 3, 2 * p[0] - p[-1]) for p in pts]
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_facet_hull_matches_the_simplicial_hull_on_coplanar_sets(seed):
+    for pts in insertion_cases(seed):
+        assert_same_as_reference(pts)
+    rng = random.Random(seed)
+    for dim in range(1, 7):
+        for _ in range(6):
+            assert_same_as_reference(lattice_set(rng, dim))
+
+
+def benchmark_vertices(name: str, m: int | None) -> tuple[tuple[int, ...], ...]:
+    if m is None:
+        return load_polytope(DATA / f"bridge/{name}.json").vertices
+    return enumerate_state_polytope(benchmark_ideal(name), m).polytope.vertices
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [("rosary", 2), ("sextic", 4), ("sextic", 6), ("sextic", 12),
+     ("w2_left", None), ("elliptic", None), ("w2_right", None)],
+)
+def test_the_facet_hull_matches_the_simplicial_hull_on_benchmark_polytopes(name, m):
+    pts = list(benchmark_vertices(name, m))
+    for seed in range(3):
+        random.Random(seed).shuffle(pts)
+        assert_same_as_reference(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 import statepoly.lp as lp_module
 import statepoly.state as state_module
-from statepoly.groebner import hilbert_values, implicitize, initial_ideal, monomial_slice
+from statepoly.groebner import hilbert_values, initial_ideal, monomial_slice
 from statepoly.orders import weight_order
 from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
-from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
 from statepoly.state import (
     BUDGET_ENV_VAR,
     BudgetExhausted,
@@ -28,6 +27,7 @@ from statepoly.state import (
     semistability_report,
 )
 from conftest import (
+    benchmark_ideal,
     brute_hull_member,
     brute_state,
     lp_relative_interior,
@@ -427,12 +427,6 @@ def test_an_inhomogeneous_ideal_gets_one_run_per_direction(monkeypatch):
     assert (len(runs), oracle.gb_runs, oracle.pool_answers) == (2, 2, 0)
 
 
-def sextic_ideal() -> Ideal:
-    """The ideal of the curve (s^6 : s^4t^2 : s^2t^4 : st^5 : t^6)."""
-    s, t = variables(2)
-    return implicitize([s**a * t**b for a, b in ((6, 0), (4, 2), (2, 4), (1, 5), (0, 6))])
-
-
 @pytest.mark.parametrize(
     "name, m, work",
     [("rosary", 2, (116, 2)), ("sextic", 2, (24, 1)), ("sextic", 4, (68, 7)),
@@ -448,13 +442,6 @@ def test_oracle_work_on_the_benchmark_ideals_is_pinned(name, m, work, monkeypatc
     assert result.complete
     assert (oracle.gb_runs, len(runs)) == work
     assert oracle.pool_answers == oracle.gb_runs - len(runs) + 1
-
-
-def benchmark_ideal(name: str) -> Ideal:
-    if name == "rosary":
-        spec = RosarySpec(2)
-        return rosary_assembled_ideal(spec, rosary_end_conics(spec))
-    return sextic_ideal()
 
 
 @pytest.mark.parametrize("name, m", [("rosary", 2), ("sextic", 6), ("sextic", 12)])
