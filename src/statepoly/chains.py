@@ -24,7 +24,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .groebner import (
     Component,
@@ -34,6 +35,7 @@ from .groebner import (
     monomial_slice,
     require_enumerable,
 )
+from .linalg import exact_vector
 from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
 from .polytope import (
@@ -366,6 +368,23 @@ def _component_polytopes(
 # the decomposed state polytope
 
 
+def _splice(
+    partials: Iterable[tuple[Vector, tuple[int, ...]]],
+    block: Sequence[tuple[Vector, tuple[int, ...]]],
+) -> Iterator[tuple[Vector, tuple[int, ...]]]:
+    """Every partial sum ending on a junction, with its witness, extended by
+    every vertex of the next block, with its witness: the vertex adds its
+    first coordinate to the junction and brings in the rest, and its
+    witness, shifted to agree with the partial one on the junction, brings
+    in the rest of its entries (the splice of :func:`merge_chain_weights`)."""
+    parts = [(v[0], v[1:], w[0], w[1:]) for v, w in block]
+    for row, witness in partials:
+        head, junction, top = row[:-1], row[-1], witness[-1]
+        for first, rest, lead, tail in parts:
+            shift = top - lead
+            yield head + (junction + first,) + rest, witness + tuple([shift + x for x in tail])
+
+
 def decomposed_state_polytope(
     chain: ChainInput, m: int, budget: int | None = None
 ) -> StatePolytopeResult:
@@ -381,19 +400,28 @@ def decomposed_state_polytope(
     """
     spec = chain.spec
     tau, q_total, queries, polytopes = _component_polytopes(chain, m, budget)
-    blocks: list[list[tuple[tuple, tuple[int, ...]]]] = []
-    for poly, system in polytopes:
+    # per block, (vertex, witness) pairs with tau added to the coordinates
+    # the block brings in: all of the first block's, and every later block's
+    # but its left junction, which the block before it brought in
+    blocks: list[list[tuple[Vector, tuple[int, ...]]]] = []
+    rational = False
+    for i, (poly, system) in enumerate(polytopes):
         witnesses = vertex_witnesses(system, poly.vertices)
-        blocks.append([(v, witnesses[v]) for v in poly.vertices])
+        fresh = 0 if i == 0 else 1
+        part = tau.tau[spec.block_start(i) + fresh : spec.block_end(i) + 1]
+        blocks.append(
+            [(v[:fresh] + tuple(map(add, v[fresh:], part)), witnesses[v]) for v in poly.vertices]
+        )
+        rational = rational or any(type(x) is not int for v in poly.vertices for x in v)
 
-    starts = [spec.block_start(i) for i in range(spec.n_components)]
-    witnesses_out: dict[tuple, tuple[int, ...]] = {}
-    for combo in itertools.product(*blocks):
-        total = list(tau.tau)
-        for start, (part, _) in zip(starts, combo):
-            for j, value in enumerate(part):
-                total[start + j] += value
-        witnesses_out[tuple(total)] = merge_chain_weights([w for _, w in combo])
+    # the Minkowski product as a prefix fold; the last level fills the
+    # vertex -> witness map directly
+    partials = blocks[0]
+    for block in blocks[1:-1]:
+        partials = list(_splice(partials, block))
+    witnesses_out = dict(_splice(partials, blocks[-1]) if len(blocks) > 1 else partials)
+    if rational:  # a junction sum of two fractions may be integral
+        witnesses_out = {exact_vector(v): w for v, w in witnesses_out.items()}
 
     expected = prod(len(b) for b in blocks)
     if len(witnesses_out) != expected:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .linalg import exact_vector, primitive, row_reduce
+from .linalg import common_denominator, exact_vector, primitive, row_reduce
 
 if TYPE_CHECKING:  # polytope imports this module
     from .polytope import FacetSystem
@@ -147,41 +148,57 @@ def member_convex_hull(
     from the face's first point through the target exits on a facet, which
     splits the target between the two and leaves a smaller face to recurse
     in (Caratheodory).
+
+    Every test is made in integers: the vertices and offsets are scaled by
+    the lcm of their denominators, and the point on the ray is an integer
+    vector over one denominator.  Only the weights are ``Fraction``.
     """
-    p = exact_vector(target)
-    if len(p) != system.dim:
+    den, (x,) = common_denominator([target])
+    if len(x) != system.dim:
         raise ValueError("point dimension mismatch")
-    for normal, offset in system.equations:
-        value = sum(map(mul, normal, p))
-        if value != offset:
-            sign = 1 if value > offset else -1
+    scale, (*pts, equation_offsets, facet_offsets) = common_denominator(
+        [*vertices, [c for _, c in system.equations], [c for _, c in system.facets]]
+    )
+    if scale > 1:
+        x = [scale * a for a in x]
+    # the scaled target is x / den, so h . target <= c reads h . x <= c * den
+    for (normal, _), offset in zip(system.equations, equation_offsets):
+        value = sum(map(mul, normal, x))
+        if value != offset * den:
+            sign = 1 if value > offset * den else -1
             return HullMembership(inside=False, separator=tuple(sign * h for h in normal))
-    for normal, offset in system.facets:
-        if sum(map(mul, normal, p)) > offset:
+    planes = [(normal, offset) for (normal, _), offset in zip(system.facets, facet_offsets)]
+    for normal, offset in planes:
+        if sum(map(mul, normal, x)) > offset * den:
             return HullMembership(inside=False, separator=normal)
-    pts = [exact_vector(v) for v in vertices]
     weights = [Fraction(0)] * len(pts)
     face = list(range(len(pts)))
     share = Fraction(1)
     while True:
         v = pts[face[0]]
-        d = tuple(a - b for a, b in zip(p, v))
+        d = [a - den * b for a, b in zip(x, v)]  # den times the direction target - v
         if not any(d):
             weights[face[0]] += share
             return HullMembership(inside=True, coefficients=tuple(weights))
-        # the ray v + s*d leaves the polytope at s = t >= 1: a facet tight at
-        # v with normal . d > 0 would cut off p
-        t, normal, offset = min(
-            (
-                (Fraction(offset - sum(map(mul, normal, v)), slope), normal, offset)
-                for normal, offset in system.facets
-                if (slope := sum(map(mul, normal, d))) > 0
-            ),
-            key=itemgetter(0),
-        )
+        # the ray v + s*d/den leaves the polytope at s = t = den*room/slope >= 1
+        # on the first facet of least t, found by cross-multiplication (a
+        # facet tight at v with slope > 0 would cut off the target)
+        room = slope = None
+        for normal, offset in planes:
+            s = sum(map(mul, normal, d))
+            if s > 0:
+                r = offset - sum(map(mul, normal, v))
+                if slope is None or r * slope < room * s:
+                    room, slope, plane = r, s, (normal, offset)
+        t = Fraction(den * room, slope)
         weights[face[0]] += share * (1 - 1 / t)
         share /= t
-        p = tuple(a + t * b for a, b in zip(v, d))
+        # the exit point v + t*d/den is (slope*v + room*d) / slope
+        x = [slope * b + room * a for a, b in zip(d, v)]
+        g = gcd(slope, *x)
+        x = [a // g for a in x]
+        den = slope // g
+        normal, offset = plane
         face = [i for i in face if sum(map(mul, normal, pts[i])) == offset]
 
 

@@ -142,7 +142,10 @@ def merge_chain_weights(block_weights: Sequence[Sequence[int | Fraction]]) -> tu
     constant does not change how equal-degree monomials supported on the
     block compare.  The fold is exact (integer input stays integer), and the
     result is scaled to integers once by the common denominator (the
-    content is kept)."""
+    content is kept).  The chain assembly
+    (:func:`statepoly.chains.decomposed_state_polytope`) applies the same
+    splice to integer witnesses one block at a time, as it extends each
+    partial sum of its prefix fold."""
     if not block_weights:
         raise ValueError("need at least one block weight vector")
     if not all(block_weights):

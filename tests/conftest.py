@@ -12,13 +12,24 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import mul
+from math import prod
+from operator import itemgetter, mul
 from typing import Sequence
 
+from statepoly.chains import ChainInput, _component_polytopes
 from statepoly.groebner import implicitize, initial_ideal
-from statepoly.lp import AffineHull, affine_hull, solve_lp
-from statepoly.orders import lex_order, matrix_order
-from statepoly.polytope import FacetSystem, IntVector, _int_point, _rotate
+from statepoly.linalg import exact_vector
+from statepoly.lp import AffineHull, HullMembership, affine_hull, solve_lp
+from statepoly.orders import lex_order, matrix_order, merge_chain_weights
+from statepoly.polytope import (
+    ExtremalityError,
+    FacetSystem,
+    IntVector,
+    VPolytope,
+    _int_point,
+    _rotate,
+    vertex_witnesses,
+)
 from statepoly.rings import (
     Ideal,
     Polynomial,
@@ -32,6 +43,7 @@ from statepoly.rings import (
     primitive_terms,
 )
 from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
+from statepoly.state import StatePolytopeResult
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -716,3 +728,105 @@ class ReferenceIncrementalHull:
             equations=self.hull.equations,
             facets=tuple(sorted(lifted)),
         )
+
+
+# ---------------------------------------------------------------------------
+# the per-combination chain assembly and the Fraction ray shooting that the
+# prefix fold and the integer ray shooting replaced, kept verbatim as the
+# references of their differential tests (only the names are changed)
+
+
+def reference_decomposed_state_polytope(
+    chain: ChainInput, m: int, budget: int | None = None
+) -> StatePolytopeResult:
+    """State polytope of the assembled chain, built from component polytopes.
+
+    The vertices are ``tau + sum of one vertex per component`` over all
+    combinations.  Every component vertex carries a strict integer witness
+    (from the enumeration of an ideal component, or from the facets of one
+    hull per stored polytope); the witnesses of a combination are spliced
+    across junctions into an ambient witness that the sum maximizes
+    strictly, so every combination is a genuine extreme point.  Block
+    q-values plus the mixed-monomial count give the ambient q-value.
+    """
+    spec = chain.spec
+    tau, q_total, queries, polytopes = _component_polytopes(chain, m, budget)
+    blocks: list[list[tuple[tuple, tuple[int, ...]]]] = []
+    for poly, system in polytopes:
+        witnesses = vertex_witnesses(system, poly.vertices)
+        blocks.append([(v, witnesses[v]) for v in poly.vertices])
+
+    starts = [spec.block_start(i) for i in range(spec.n_components)]
+    witnesses_out: dict[tuple, tuple[int, ...]] = {}
+    for combo in itertools.product(*blocks):
+        total = list(tau.tau)
+        for start, (part, _) in zip(starts, combo):
+            for j, value in enumerate(part):
+                total[start + j] += value
+        witnesses_out[tuple(total)] = merge_chain_weights([w for _, w in combo])
+
+    expected = prod(len(b) for b in blocks)
+    if len(witnesses_out) != expected:
+        raise ExtremalityError(
+            f"extremality violated: {expected} vertex combinations produced "
+            f"only {len(witnesses_out)} distinct sums"
+        )
+    return StatePolytopeResult(
+        polytope=VPolytope(spec.arity, witnesses_out),
+        m=m,
+        status="complete",
+        q=q_total,
+        query_count=queries,
+        witnesses=witnesses_out,
+        tau=tau,
+    )
+
+
+def reference_member_convex_hull(
+    system: FacetSystem, vertices: Sequence[Sequence], target: Sequence
+) -> HullMembership:
+    """Membership of ``target`` in the hull of ``vertices``, read off
+    ``system``, the facet system of that hull, with a certificate either way.
+
+    The separator is the first violated equation normal (signed so that the
+    target's side is larger) or facet normal.  Inside weights follow the
+    order of ``vertices`` and at most ``hull_dim + 1`` are nonzero: a ray
+    from the face's first point through the target exits on a facet, which
+    splits the target between the two and leaves a smaller face to recurse
+    in (Caratheodory).
+    """
+    p = exact_vector(target)
+    if len(p) != system.dim:
+        raise ValueError("point dimension mismatch")
+    for normal, offset in system.equations:
+        value = sum(map(mul, normal, p))
+        if value != offset:
+            sign = 1 if value > offset else -1
+            return HullMembership(inside=False, separator=tuple(sign * h for h in normal))
+    for normal, offset in system.facets:
+        if sum(map(mul, normal, p)) > offset:
+            return HullMembership(inside=False, separator=normal)
+    pts = [exact_vector(v) for v in vertices]
+    weights = [Fraction(0)] * len(pts)
+    face = list(range(len(pts)))
+    share = Fraction(1)
+    while True:
+        v = pts[face[0]]
+        d = tuple(a - b for a, b in zip(p, v))
+        if not any(d):
+            weights[face[0]] += share
+            return HullMembership(inside=True, coefficients=tuple(weights))
+        # the ray v + s*d leaves the polytope at s = t >= 1: a facet tight at
+        # v with normal . d > 0 would cut off p
+        t, normal, offset = min(
+            (
+                (Fraction(offset - sum(map(mul, normal, v)), slope), normal, offset)
+                for normal, offset in system.facets
+                if (slope := sum(map(mul, normal, d))) > 0
+            ),
+            key=itemgetter(0),
+        )
+        weights[face[0]] += share * (1 - 1 / t)
+        share /= t
+        p = tuple(a + t * b for a, b in zip(v, d))
+        face = [i for i in face if sum(map(mul, normal, pts[i])) == offset]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepoly import groebner
+from statepoly import chains, groebner
 from statepoly.chains import (
     BlockSpec,
     ChainInput,
@@ -27,11 +27,12 @@ from statepoly.chains import (
 )
 from statepoly.groebner import buchberger, hilbert_values, monomial_slice
 from statepoly.orders import grevlex_order
-from statepoly.polytope import VPolytope
+from statepoly.polytope import VPolytope, facets
 from statepoly.rings import Ideal, Polynomial
 from statepoly.state import enumerate_state_polytope
 
-from conftest import state_of_slice
+import conftest
+from conftest import brute_extreme_points, reference_decomposed_state_polytope, state_of_slice
 
 
 def variables(arity):
@@ -271,6 +272,87 @@ def test_stored_polytope_with_non_extreme_point_is_refused():
     chain = ChainInput((0, 2, 4), [left, right])
     with pytest.raises(ExtremalityError):
         decomposed_state_polytope(chain, 2)
+
+
+# ---------------------------------------------------------------------------
+# the prefix fold against the per-combination assembly it replaced
+
+
+def random_block_ideal(rng, spec, i):
+    """A quadric binomial on block ``i`` with no square of a junction
+    variable, so it vanishes at the junction unit points (or no generator
+    when the block offers fewer than two such monomials)."""
+    x = variables(spec.arity)
+    quadrics = [
+        x[a] * x[b]
+        for a, b in itertools.combinations_with_replacement(spec.block_coords(i), 2)
+        if a != b or a not in spec.junctions
+    ]
+    if len(quadrics) < 2:
+        return Ideal(spec.arity, [])
+    f, g = rng.sample(quadrics, 2)
+    return Ideal(spec.arity, [f - g])
+
+
+def random_block_polytope(rng, width, m, den):
+    """The extreme points of a few random points of coordinate sum ``m*q``
+    with coordinates in ``(1/den) Z``."""
+    total = den * m * rng.randint(1, 2)
+    points = set()
+    for _ in range(rng.randint(1, 6)):
+        cuts = sorted(rng.randint(0, total) for _ in range(width - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        points.add(tuple(Fraction(p, den) for p in parts))
+    return VPolytope(width, brute_extreme_points(points))
+
+
+def test_the_prefix_fold_matches_the_per_combination_assembly():
+    seen = set()
+    for seed in range(48):
+        rng = random.Random(seed)
+        n_components = 1 + seed % 4
+        kinds = [rng.choice(("ideal", "integer", "rational")) for _ in range(n_components)]
+        widths = [rng.randint(2, 3 if kind == "ideal" else 4) for kind in kinds]
+        spec = BlockSpec(itertools.accumulate((w - 1 for w in widths), initial=0))
+        m = rng.randint(1, 3)
+        components = [
+            random_block_ideal(rng, spec, i) if kind == "ideal"
+            else random_block_polytope(rng, width, m, 2 if kind == "rational" else 1)
+            for i, (kind, width) in enumerate(zip(kinds, widths))
+        ]
+        chain = ChainInput(spec.boundaries, components)
+        got = decomposed_state_polytope(chain, m)
+        want = reference_decomposed_state_polytope(chain, m)
+        assert got.polytope == want.polytope
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
+        assert (got.m, got.status, got.q, got.query_count, got.tau) == (
+            want.m, want.status, want.q, want.query_count, want.tau
+        )
+        # the exact-scalar rule: an int where integral, a Fraction otherwise
+        assert all(type(x) is int or x.denominator > 1 for v in got.witnesses for x in v)
+        assert all(type(h) is int for w in got.witnesses.values() for h in w)
+        seen.update((n_components, kind) for kind in kinds)
+    assert seen == {(n, kind) for n in range(1, 5) for kind in ("ideal", "integer", "rational")}
+
+
+def test_the_fold_refuses_colliding_sums_as_the_assembly_did(monkeypatch):
+    # two combinations can only meet when a block's vertices have no common
+    # coordinate sum, which a ChainInput refuses, so the blocks are passed in
+    # behind the chain's back: (0, 1) + (0, 0) and (0, 0) + (1, 0) both give
+    # (0, 1, 0)
+    blocks = [VPolytope(2, [(0, 1), (0, 0)]), VPolytope(2, [(1, 0), (0, 0)])]
+
+    def colliding(chain, m, budget):
+        return tau_vector(chain.spec, m), 0, 0, [(poly, facets(poly)) for poly in blocks]
+
+    monkeypatch.setattr(chains, "_component_polytopes", colliding)
+    monkeypatch.setattr(conftest, "_component_polytopes", colliding)
+    chain = ChainInput((0, 1, 2), [VPolytope(2, [(1, 0), (0, 1)])] * 2)
+    message = "extremality violated: 4 vertex combinations produced only 3 distinct sums"
+    for build in (decomposed_state_polytope, reference_decomposed_state_polytope):
+        with pytest.raises(ExtremalityError) as raised:
+            build(chain, 1)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("component", ["ideal", "polytope"])

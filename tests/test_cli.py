@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import random
 import re
@@ -29,11 +30,11 @@ from statepoly.cli import (
     main,
     run_command,
 )
-from statepoly.parsing import render_json
+from statepoly.parsing import format_polynomial, render_json
 from statepoly.polytope import VPolytope, load_polytope, save_polytope
 from statepoly.rings import Polynomial
 
-from conftest import assert_same_text
+from conftest import assert_same_text, sextic_ideal
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = "data/examples"
@@ -457,7 +458,7 @@ def test_basis_payload_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, dig
 
 # ---------------------------------------------------------------------------
 # the reduced basis is unique: a change of generators that keeps the ideal
-# keeps every payload read from it
+# keeps every document read from it, byte for byte but the input digest
 
 # (ring, generators, m for ``state``): the sextic (s^6 : s^4t^2 : s^2t^4 :
 # st^5 : t^6) as ``implicitize`` prints it, and the middle component of the
@@ -506,7 +507,9 @@ def test_generators_of_the_same_ideal_give_the_same_payloads(capsys, tmp_path, n
         for command, *options in commands:
             code, doc = run_json(capsys, command, "--ideal", str(path), *options)
             assert code == EXIT_OK
-            texts.append(render_json(doc["payload"]))
+            # the whole document but the input digest, which hashes the file
+            del doc["input_digest"]
+            texts.append(render_json(doc))
         return texts
 
     expected = payloads(list(gens))
@@ -569,6 +572,113 @@ def test_chain_state_refuses_non_extreme_stored_point(capsys, tmp_path):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "extremality violated" in err
+
+
+# ---------------------------------------------------------------------------
+# a chain does not depend on the order of each block's interior coordinates:
+# permuting them (junctions fixed) permutes the chain-state vertices and
+# witnesses and keeps tau, q and the semistable verdict
+
+
+def interior_permutation(blocks: tuple[int, ...], rng: random.Random) -> list[int]:
+    """``perm[j]``, the new place of coordinate ``j``: each block's coordinates
+    other than the junctions are shuffled among themselves."""
+    junctions = set(blocks[1:-1])
+    perm = list(range(blocks[-1] + 1))
+    for lo, hi in zip(blocks, blocks[1:]):
+        inner = [j for j in range(lo, hi + 1) if j not in junctions]
+        for j, k in zip(inner, rng.sample(inner, len(inner))):
+            perm[j] = k
+    return perm
+
+
+def permuted(values: list, perm: list[int]) -> list:
+    out = [None] * len(values)
+    for j, value in enumerate(values):
+        out[perm[j]] = value
+    return out
+
+
+def bridge_chain_file(tmp_path: Path, perm: list[int]) -> Path:
+    # the stored component polytopes are given at the ambient arity
+    lines = ["ring: " + ",".join(f"x{j}" for j in range(12)), "blocks: 0,4,7,11"]
+    for i, name in enumerate(("w2_left", "elliptic", "w2_right")):
+        poly = load_polytope(ROOT / "data" / "bridge" / f"{name}.json")
+        save_polytope(tmp_path / f"{name}.json", VPolytope(12, [permuted(list(v), perm) for v in poly.vertices]))
+        lines.append(f"polytope[{i + 1}]: {name}.json")
+    path = tmp_path / "bridge.ideal"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def sextic_chain_file(tmp_path: Path, perm: list[int]) -> Path:
+    # the sextic on x0..x4 and its mirror, the sextic with reversed
+    # variables, shifted onto x4..x8
+    names = [f"x{k}" for k in perm]
+    left = [format_polynomial(g, names[:5]) for g in sextic_ideal().generators]
+    right = [format_polynomial(g, names[8:3:-1]) for g in sextic_ideal().generators]
+    path = tmp_path / "sextic.ideal"
+    path.write_text(
+        "ring: " + ",".join(f"x{j}" for j in range(9)) + "\nblocks: 0,4,8\n"
+        + "ideal[1]:\n" + "\n".join(left) + "\nideal[2]:\n" + "\n".join(right) + "\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+# A component witness is a sum of facet normals lifted from the pivot
+# coordinates of the component's affine hull, so a permutation may change it
+# by a multiple of an equation of that hull.  Each bridge component hull has
+# one equation on its block, the coordinate sum: the splice absorbs a change along it in a
+# later block, and in the first block the permutation never moves the one
+# coordinate off the pivots, its junction.  The sextic's component hulls have
+# a second equation, and a change along it survives the splice, so there the
+# permuted witnesses are checked as strict witnesses of the permuted vertices.
+@pytest.mark.parametrize(
+    "chain_file, blocks, state_m, semistable_m, exact_witnesses",
+    [(bridge_chain_file, (0, 4, 7, 11), "2", "2", True), (sextic_chain_file, (0, 4, 8), "2", "6", False)],
+    ids=["bridge", "sextic chain"],
+)
+def test_permuting_block_interiors_permutes_the_chain(
+    capsys, tmp_path, chain_file, blocks, state_m, semistable_m, exact_witnesses
+):
+    def documents(perm):
+        path = chain_file(tmp_path, perm)
+        code, state_doc = run_json(capsys, "chain-state", "--ideal", str(path), "--m", state_m)
+        assert code == EXIT_OK
+        code, semistable_doc = run_json(capsys, "semistable", "--ideal", str(path), "--m", semistable_m)
+        assert code == EXIT_OK
+        return state_doc["payload"], semistable_doc["payload"]
+
+    state, semistable = documents(list(range(blocks[-1] + 1)))
+    rng = random.Random(len(blocks))
+    for _ in range(2):
+        perm = interior_permutation(blocks, rng)
+        assert perm != sorted(perm)
+        got_state, got_semistable = documents(perm)
+        for key in ("m", "q", "tau", "mixed_monomial_count", "status"):
+            assert got_state[key] == state[key], key
+        assert sorted(got_state["polytope"]["vertices"]) == sorted(
+            permuted(v, perm) for v in state["polytope"]["vertices"]
+        )
+        witnesses = {
+            ",".join(permuted(key.split(","), perm)): permuted(w, perm)
+            for key, w in state["witnesses"].items()
+        }
+        if exact_witnesses:
+            assert got_state["witnesses"] == witnesses
+        else:
+            assert got_state["witnesses"].keys() == witnesses.keys()
+            points = {key: [Fraction(x) for x in key.split(",")] for key in witnesses}
+            for key, w in got_state["witnesses"].items():
+                top = sum(map(operator.mul, w, points[key]))
+                assert all(sum(map(operator.mul, w, p)) < top for k, p in points.items() if k != key)
+        for key in ("q", "tau", "levels", "member_of_hull"):
+            assert got_semistable[key] == semistable[key], key
+        assert [c["inside"] for c in got_semistable["components"]] == [
+            c["inside"] for c in semistable["components"]
+        ]
+        assert got_semistable["summands"] == [permuted(s, perm) for s in semistable["summands"]]
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from statepoly.lp import (
     solve_lp,
 )
 from statepoly.polytope import facets
-from conftest import brute_hull_member, lp_hull_member, rand_point
+from conftest import brute_hull_member, lp_hull_member, rand_point, reference_member_convex_hull
 
 
 def solved(augmented):
@@ -252,6 +254,79 @@ def test_separators_are_equation_or_facet_normals():
     # in the affine hull but past an end: the first facet it violates
     beyond = member_convex_hull(system, segment, (3, 0, -1)).separator
     assert beyond in {normal for normal, _ in system.facets}
+
+
+# ---------------------------------------------------------------------------
+# integer ray shooting against the Fraction ray shooting it replaced
+
+
+def lifted_hull(rng):
+    """A hull of dimension 0-6 (a scaled simplex plus random points, halved
+    or thirded when rational) mapped injectively into 1-2 more dimensions,
+    with the ambient coordinates shuffled."""
+    k = rng.randint(0, 6)
+    den = rng.choice((1, 1, 2, 3))
+    pts = [(0,) * k] + [tuple(rng.randint(1, 3) * (i == j) for j in range(k)) for i in range(k)]
+    pts += [tuple(rng.randint(-2, 3) for _ in range(k)) for _ in range(rng.randint(0, 4))]
+    pts = [tuple(Fraction(x, den) for x in p) for p in pts]
+    lifts = [
+        ([rng.randint(-2, 2) for _ in range(k)], Fraction(rng.randint(-3, 3), rng.choice((1, den))))
+        for _ in range(rng.randint(1, 2))
+    ]
+    pts = [p + tuple(sum(map(mul, a, p)) + c for a, c in lifts) for p in pts]
+    order = list(range(len(pts[0])))
+    rng.shuffle(order)
+    return [tuple(p[j] for j in order) for p in pts]
+
+
+def hull_targets(rng, pts, system):
+    """The listed points, the midpoints of the hull's edges, convex
+    combinations, and points outside the hull or off its affine hull."""
+    def value(normal, p):
+        return sum(map(mul, normal, p))
+
+    distinct = sorted(set(pts))
+    tight = {
+        p: frozenset(i for i, (h, c) in enumerate(system.facets) if value(h, p) == c)
+        for p in distinct
+    }
+
+    def face(planes):  # the listed points on every one of the facets
+        return {p for p in distinct if planes <= tight[p]}
+
+    vertices = [p for p in distinct if face(tight[p]) == {p}]
+    targets = list(pts)
+    for u, v in itertools.combinations(vertices, 2):
+        if face(tight[u] & tight[v]) & set(vertices) == {u, v}:
+            targets.append(tuple((a + b) / 2 for a, b in zip(u, v)))
+    for _ in range(3):
+        weights = [Fraction(rng.randint(0, 4)) for _ in pts]
+        total = sum(weights) or Fraction(1)
+        targets.append(tuple(sum(w * p[j] for w, p in zip(weights, pts)) / total for j in range(len(pts[0]))))
+    # a hull point moved off the affine hull of a lower-dimensional hull
+    targets.append((targets[-1][0] + Fraction(1, 5),) + targets[-1][1:])
+    targets += [rand_point(rng, len(pts[0]), span=4) for _ in range(4)]
+    return targets
+
+
+def test_integer_ray_shooting_matches_the_fraction_ray_shooting():
+    cases = 0
+    seen = {"inside": 0, "outside": 0, "rational": 0, "dims": set()}
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        pts = lifted_hull(rng)
+        system = facets(pts)
+        seen["dims"].add(system.hull_dim)
+        for target in hull_targets(rng, pts, system):
+            got = member_convex_hull(system, pts, target)
+            assert got == reference_member_convex_hull(system, pts, target), (pts, target)
+            seen["inside" if got.inside else "outside"] += 1
+            seen["rational"] += any(type(x) is Fraction and x.denominator > 1 for p in pts for x in p)
+            cases += 1
+        if cases >= 4000:
+            break
+    assert seen["dims"] == set(range(7))
+    assert min(seen["inside"], seen["outside"], seen["rational"]) > 500, seen
 
 
 # ---------------------------------------------------------------------------
