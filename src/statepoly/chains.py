@@ -34,6 +34,7 @@ from .groebner import (
     intersect_embedded,
     monomial_slice,
     require_enumerable,
+    slice_state,
 )
 from .linalg import exact_vector
 from .lp import HullMembership, member_convex_hull
@@ -59,7 +60,6 @@ from .state import (
     BudgetExhausted,
     StatePolytopeResult,
     enumerate_state_polytope,
-    slice_state,
 )
 
 Vector = tuple[Fraction, ...]
@@ -280,7 +280,7 @@ def tau_vector(blocks: BlockSpec | Sequence[int], m: int) -> TauVector:
     if spec.n_components < 2:
         return TauVector((0,) * spec.arity, m, 0)
     require_enumerable(spec.arity, m)
-    tau = slice_state(mixed_ideals(spec), m)
+    _, tau = slice_state(mixed_ideals(spec), m)
     # every mixed monomial has degree m
     return TauVector(tau, m, sum(tau) // m)
 

@@ -42,7 +42,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import comb, gcd
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
@@ -403,45 +403,31 @@ def initial_ideal(ideal: Ideal, order: MonomialOrder, degree: int | None = None)
     return MonomialIdeal._of_minimal(order.arity, tuple(sorted(leads)), supports)
 
 
-def _standard_last_two(
-    k: int,
-    left: int,
-    active: list[tuple[Monomial, tuple[int, ...]]],
-    prefix: list[int],
-    out: list[Monomial],
-) -> None:
-    """Append the standard completions ``prefix[:k] + (e, left - e)``, the
-    last two exponents, in increasing ``e``.  An active ``g`` divides such
-    a completion exactly for ``e`` in ``[g[k], left - g[k + 1]]`` (not
-    empty, as ``g[k] + g[k + 1] <= left``), so the standard ``e`` are the
-    gaps between these intervals."""
-    j = k + 1
-    e = 0
-    for low, high in sorted([(g[k], left - g[j]) for g, _ in active]):
-        for x in range(e, low):
-            prefix[k] = x
-            prefix[j] = left - x
-            out.append(tuple(prefix))
-        if high >= e:
-            e = high + 1
-    for x in range(e, left + 1):
-        prefix[k] = x
-        prefix[j] = left - x
-        out.append(tuple(prefix))
-
-
 def _standard_walk(
     k: int,
     left: int,
     active: list[tuple[Monomial, tuple[int, ...]]],
-    prefix: list[int],
-    out: list[Monomial],
-) -> None:
-    """Extend ``prefix[:k]`` by every exponent ``prefix[k]`` in increasing
-    order, ``k`` before the last two coordinates.  ``active`` holds the
-    generators (with their suffix degrees) that divide no prefix so far but
-    may divide a completion: ``g[i] <= prefix[i]`` for ``i < k`` and ``g``
-    has degree at most ``left`` in the coordinates from ``k`` on."""
+    sums: list[int],
+) -> int:
+    """The number of standard completions of an exponent prefix in the
+    coordinates ``k`` on, of degree ``left``; adds their exponents there to
+    ``sums``.  ``active`` holds the generators (with their suffix degrees)
+    that divide no prefix so far but may divide a completion:
+    ``g[i] <= prefix[i]`` for ``i < k`` and ``g`` has degree at most
+    ``left`` in the coordinates from ``k`` on."""
+    n = len(sums)
+    if not active:
+        # every completion is standard: C(left + w - 1, w - 1) of them in
+        # the w coordinates left, each coordinate summing to C(left + w - 1, w)
+        width = n - k
+        share = comb(left + width - 1, width)
+        for j in range(k, n):
+            sums[j] += share
+        return comb(left + width - 1, width - 1)
+    if k + 1 == n:
+        # one variable: an active generator divides the one completion
+        return 0
+    count = 0
     for e in range(left + 1):
         carried = []
         for g, rest in active:
@@ -449,50 +435,60 @@ def _standard_walk(
                 if not rest[k + 1]:
                     # g divides the prefix, and so every completion of it
                     # and of every larger exponent here
-                    return
+                    return count
                 if rest[k + 1] <= left - e:
                     carried.append((g, rest))
-        prefix[k] = e
-        if e == left:
-            # the one completion is zeros, and nothing carried divides it
-            prefix[k + 1 :] = [0] * (len(prefix) - k - 1)
-            out.append(tuple(prefix))
-        elif k + 3 == len(prefix):
-            _standard_last_two(k + 1, left - e, carried, prefix, out)
+        if k + 2 < n:
+            below = _standard_walk(k + 1, left - e, carried, sums)
+        elif carried:
+            # a carried generator divides the one completion (e, left - e)
+            continue
         else:
-            _standard_walk(k + 1, left - e, carried, prefix, out)
+            below = 1
+            sums[k + 1] += left - e
+        sums[k] += e * below
+        count += below
+    return count
 
 
-def standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
-    """The degree-``m`` monomials outside ``mi``, in increasing lex order.
+def standard_sums(mi: MonomialIdeal, m: int) -> tuple[int, tuple[int, ...]]:
+    """The number of degree-``m`` monomials outside ``mi`` and the sum of
+    their exponent vectors.
 
-    A depth-first walk over exponent prefixes, one coordinate at a time: it
-    carries only the generators that can still divide a completion and
-    prunes a prefix as soon as one of them divides it, so the work follows
-    the staircase, not the ``count_monomials(arity, m)`` degree-``m``
-    monomials.  The last two exponents ``(e, left - e)`` of a prefix are
-    read in closed form: each carried generator rules out one interval of
-    ``e``, and the standard monomials fill the gaps (with two variables
-    that is the whole walk).  With one variable, ``(m,)`` is standard
-    unless a generator has degree at most ``m``.
+    A depth-first walk over exponent prefixes, one coordinate at a time,
+    that builds no monomial: it carries only the generators that can still
+    divide a completion, prunes a prefix as soon as one of them divides it,
+    and counts a prefix that none of them can divide in closed form.  Each
+    coordinate's sum gains its exponent times the standard completions
+    below it.  So the work follows the staircase, not the
+    ``count_monomials(arity, m)`` degree-``m`` monomials.
     """
+    n = mi.arity
     if m < 0:
-        return []
-    if mi.arity == 0:
-        return [()] if m == 0 and not mi.gens else []
+        return 0, (0,) * n
+    if n == 0:
+        return int(m == 0 and not mi.gens), ()
     active = []
     for g in mi.gens:
         if mono_degree(g) <= m:
-            rest = [0] * (mi.arity + 1)
-            for i in range(mi.arity - 1, -1, -1):
+            rest = [0] * (n + 1)
+            for i in range(n - 1, -1, -1):
                 rest[i] = rest[i + 1] + g[i]
             active.append((g, tuple(rest)))
-    if mi.arity == 1:
-        return [] if active else [(m,)]
-    out: list[Monomial] = []
-    walk = _standard_last_two if mi.arity == 2 else _standard_walk
-    walk(0, m, active, [0] * mi.arity, out)
-    return out
+    sums = [0] * n
+    count = _standard_walk(0, m, active, sums)
+    return count, tuple(sums)
+
+
+def slice_state(mi: MonomialIdeal, m: int) -> tuple[int, tuple[int, ...]]:
+    """The number of degree-``m`` standard monomials of ``mi`` and the
+    exponent sum of its degree-``m`` monomials (its state): the column total
+    ``C(m+n-1, n)`` (each coordinate summed over all degree-``m`` monomials
+    in ``n`` variables) minus the sums of :func:`standard_sums`, so only the
+    complement of the ideal is walked."""
+    count, sums = standard_sums(mi, m)
+    total = comb(m + mi.arity - 1, mi.arity)
+    return count, tuple(total - s for s in sums)
 
 
 def require_enumerable(arity: int, d: int) -> None:
@@ -505,31 +501,29 @@ def require_enumerable(arity: int, d: int) -> None:
 
 
 def monomial_slice(mi: MonomialIdeal, m: int) -> DegreeSlice:
-    """Split the degree-``m`` monomials into ideal members and standard ones
-    (the standard ones by :func:`standard_monomials`, the members as their
-    complement)."""
+    """Split the degree-``m`` monomials, in increasing lex order, into ideal
+    members and standard ones."""
     require_enumerable(mi.arity, m)
-    standard = standard_monomials(mi, m)
-    outside = set(standard)
-    inside = [mono for mono in reversed(degree_monomials(mi.arity, m)) if mono not in outside]
+    inside: list[Monomial] = []
+    standard: list[Monomial] = []
+    for mono in reversed(degree_monomials(mi.arity, m)):
+        (inside if mi.contains(mono) else standard).append(mono)
     return DegreeSlice(mi.arity, m, tuple(inside), tuple(standard))
 
 
-def hilbert_values(
-    source: Ideal | MonomialIdeal, m: int, order: MonomialOrder | None = None
-) -> tuple[int, int]:
+def hilbert_values(source: Ideal | MonomialIdeal, m: int) -> tuple[int, int]:
     """``(Q, P)``: the number of degree-``m`` monomials inside the initial
     ideal and the number of standard ones (``Q + P`` counts all degree-``m``
-    monomials).  The split is independent of the order used internally."""
+    monomials).  An ``Ideal`` is read under grevlex; for a homogeneous one
+    the split is the same under every order (Macaulay)."""
     arity = source.arity
     require_enumerable(arity, m)
     if isinstance(source, MonomialIdeal):
         mi = source
     else:
-        mi = initial_ideal(source, order if order is not None else grevlex_order(arity), m)
-    total = count_monomials(arity, m)
-    q = total - len(standard_monomials(mi, m))
-    return q, total - q
+        mi = initial_ideal(source, grevlex_order(arity), m)
+    p, _ = standard_sums(mi, m)
+    return count_monomials(arity, m) - p, p
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .chains import ChainInput, component_block_ideal
-from .groebner import initial_ideal, require_enumerable, standard_monomials
+from .groebner import initial_ideal, require_enumerable, standard_sums
 from .orders import weight_order
 from .rings import Ideal
 
@@ -74,9 +74,8 @@ def hm_index_direct(ideal: Ideal, m: int, rho: Sequence) -> HMReport:
     if m < 0:
         raise ValueError(f"degree m must be >= 0, got {m}")
     require_enumerable(ideal.arity, m)
-    standard = standard_monomials(initial_ideal(ideal, weight_order(rho), m), m)
-    sws = sum((sum(map(mul, rho, mono)) for mono in standard), Fraction(0))
-    p_value = len(standard)
+    p_value, sums = standard_sums(initial_ideal(ideal, weight_order(rho), m), m)
+    sws = sum(map(mul, rho, sums), Fraction(0))
     total = sum(rho, Fraction(0))
     mu = -sws + Fraction(m * p_value, ideal.arity) * total
     return HMReport(
@@ -91,10 +90,13 @@ def hm_index_direct(ideal: Ideal, m: int, rho: Sequence) -> HMReport:
 def hm_index_decomposed(chain: ChainInput, m: int, rho: Sequence) -> HMReport:
     """Index of the assembled chain's dual Hilbert point, block by block.
 
-    Each component contributes its own index at the restricted weights; the
-    per-block centering terms are swapped for the ambient one, and each
-    junction coordinate adds ``m`` times its weight (its pure power is
-    standard for both adjacent blocks but is one ambient monomial).
+    The ambient standard monomials are those of the blocks, each junction
+    coordinate's pure power counted once: it is standard for both adjacent
+    blocks but is one ambient monomial.  So ``P`` and the standard weight
+    sum are the blocks' less the junctions' share, and ``mu`` is the direct
+    formula of :func:`hm_index_direct` on them.  Each component also reports
+    its own index at the restricted weights and its centering term
+    (``correction``).
     """
     spec = chain.spec
     rho = tuple(map(Fraction, rho))
@@ -129,13 +131,8 @@ def hm_index_decomposed(chain: ChainInput, m: int, rho: Sequence) -> HMReport:
     junction_term = Fraction(m) * sum((rho[j] for j in junctions), Fraction(0))
     p_value = p_blocks - len(junctions)
     total = sum(rho, Fraction(0))
-    mu = (
-        sum((c.mu for c in components), Fraction(0))
-        - sum((c.correction for c in components), Fraction(0))
-        + Fraction(m * p_value, spec.arity) * total
-        + junction_term
-    )
     standard_weight_sum = block_sws_total - junction_term
+    mu = -standard_weight_sum + Fraction(m * p_value, spec.arity) * total
     return HMReport(
         mu=mu,
         m=m,

@@ -80,10 +80,6 @@ class VPolytope:
         object.__setattr__(self, "vertices", tuple(pts))
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def level(self) -> int | Fraction | None:
         """Common coordinate sum of all vertices, if there is one."""
         if not self.vertices:

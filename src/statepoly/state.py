@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -32,7 +31,7 @@ from .groebner import (
     MonomialIdeal,
     initial_ideal,
     require_enumerable,
-    standard_monomials,
+    slice_state,
 )
 from .linalg import exact_vector, primitive
 from .lp import affine_hull, member_convex_hull
@@ -65,26 +64,6 @@ class BudgetExhausted(RuntimeError):
         self.budget = budget
 
 
-def slice_state(mi: MonomialIdeal, m: int) -> StateVector:
-    """The exponent sum of the degree-``m`` monomials of ``mi``.
-
-    It is the closed-form column total ``C(m+n-1, n)`` (each coordinate
-    summed over all degree-``m`` monomials in ``n`` variables) minus the
-    sum of the standard monomials, found by a walk of the staircase
-    (:func:`statepoly.groebner.standard_monomials`), so only the
-    complement of the ideal is enumerated.
-    """
-    return _state_of_standard(mi.arity, m, standard_monomials(mi, m))
-
-
-def _state_of_standard(n: int, m: int, standard: list[Monomial]) -> StateVector:
-    state = [comb(m + n - 1, n)] * n
-    for mono in standard:
-        for j, e in enumerate(mono):
-            state[j] -= e
-    return tuple(state)
-
-
 class StateOracle:
     """Memoized support-function oracle for one ideal and degree.
 
@@ -110,10 +89,10 @@ class StateOracle:
     ``<L>_m ⊆ in_≺'(I)_m``.  A homogeneous ideal and all its initial ideals
     share one Hilbert function (Macaulay), so ``in_≺'(I)_m`` leaves exactly
     ``h(m)`` standard monomials; an ideal inside it that leaves as many is
-    all of it in degree ``m``, which is all the state reads.  When the count differs the
-    oracle makes the run, whose supports then join the pool.  The pool is a
-    degree-``m`` universal Groebner basis in the making (Sturmfels,
-    *Groebner Bases and Convex Polytopes*, ch. 1-2).
+    all of it in degree ``m``, which is all the state reads.  When the
+    count differs the oracle makes the run, whose supports then join the
+    pool.  The pool is a degree-``m`` universal Groebner basis in the making
+    (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 1-2).
 
     ``h(m)`` and the first supports come from one grevlex run made at
     construction, after the degree is checked against the enumeration
@@ -125,11 +104,13 @@ class StateOracle:
     An inhomogeneous ideal has no shared Hilbert function, so it gets one
     Buchberger run, in full, per distinct normalized direction.
 
-    Each state is read off the standard monomials as in
-    :func:`slice_state`, the one routine that also gives a chain's ``tau``
-    (:func:`statepoly.chains.tau_vector`).  The ideal converts its
-    generators to primitive integer polynomials on its first run
-    (``Ideal.integer_generators``).
+    Each walk is one :func:`statepoly.groebner.slice_state`, which also
+    gives a chain's ``tau`` (:func:`statepoly.chains.tau_vector`): its
+    count of standard monomials is the certificate, and its state is the
+    answer.  It reads :func:`statepoly.groebner.standard_sums`, the one
+    staircase walk, which also gives the Hilbert-Mumford index and
+    ``hilbert_values``.  The ideal converts its generators to primitive
+    integer polynomials on its first run (``Ideal.integer_generators``).
 
     ``gb_runs`` counts the distinct normalized directions answered, which is
     what ``query_count`` reports and ``budget`` caps; ``pool_answers``
@@ -170,15 +151,14 @@ class StateOracle:
         and its state.  A homogeneous ideal's run pools its supports and
         keeps its state under its leads."""
         mi = initial_ideal(self.ideal, order, self.m)
-        standard = standard_monomials(mi, self.m)
-        state = _state_of_standard(self.ideal.arity, self.m, standard)
+        count, state = slice_state(mi, self.m)
         if self.ideal.integer_degrees is not None:
             descending = self._grevlex.descending_key
             for support in mi.supports:
                 self._pool.add(tuple(sorted(support, key=descending)))
                 self._monomials.update(support)
             self._states[mi.gens] = state
-        return len(standard), state
+        return count, state
 
     def _pooled_state(self, key: tuple[int, ...]) -> StateVector | None:
         """The state under ``weight_order(key)`` if the pool's leads are
@@ -188,12 +168,8 @@ class StateOracle:
             self.ideal.arity, {max(support, key=weight.__getitem__) for support in self._pool}
         )
         if leads.gens not in self._states:
-            standard = standard_monomials(leads, self.m)
-            self._states[leads.gens] = (
-                _state_of_standard(self.ideal.arity, self.m, standard)
-                if len(standard) == self._hilbert
-                else None
-            )
+            count, state = slice_state(leads, self.m)
+            self._states[leads.gens] = state if count == self._hilbert else None
         return self._states[leads.gens]
 
     def state_for_direction(self, weights: Sequence[int | Fraction]) -> StateVector:

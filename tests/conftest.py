@@ -17,7 +17,7 @@ from operator import itemgetter, mul
 from typing import Sequence
 
 from statepoly.chains import ChainInput, _component_polytopes
-from statepoly.groebner import implicitize, initial_ideal
+from statepoly.groebner import MonomialIdeal, implicitize, initial_ideal
 from statepoly.linalg import exact_vector
 from statepoly.lp import AffineHull, HullMembership, affine_hull, solve_lp
 from statepoly.orders import lex_order, matrix_order, merge_chain_weights
@@ -32,8 +32,8 @@ from statepoly.polytope import (
 )
 from statepoly.rings import (
     Ideal,
+    Monomial,
     Polynomial,
-    degree_monomials,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -242,10 +242,6 @@ def rand_point(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, .
     )
 
 
-def all_degree_monomials(arity: int, degree: int):
-    return degree_monomials(arity, degree)
-
-
 def sextic_ideal() -> Ideal:
     """The ideal of the curve (s^6 : s^4t^2 : s^2t^4 : st^5 : t^6)."""
     s, t = (Polynomial.variable(2, j) for j in range(2))
@@ -275,14 +271,19 @@ def brute_standard_monomials(gens, arity: int, m: int) -> list[tuple[int, ...]]:
     )
 
 
-def state_of_slice(piece) -> tuple[int, ...]:
-    """Sum of the exponent vectors of a degree slice's initial-ideal
-    monomials, the reference for ``statepoly.state.slice_state``."""
-    total = [0] * piece.arity
-    for mono in piece.in_monomials:
+def column_sums(arity: int, monomials) -> tuple[int, ...]:
+    """The sum of the exponent vectors of ``monomials``."""
+    total = [0] * arity
+    for mono in monomials:
         for j, e in enumerate(mono):
             total[j] += e
     return tuple(total)
+
+
+def state_of_slice(piece) -> tuple[int, ...]:
+    """Sum of the exponent vectors of a degree slice's initial-ideal
+    monomials, the reference for ``statepoly.groebner.slice_state``."""
+    return column_sums(piece.arity, piece.in_monomials)
 
 
 def brute_state(gens, arity: int, m: int) -> tuple[int, ...]:
@@ -329,6 +330,104 @@ def hm_from_aggregates(
         + Fraction(m) * sum((Fraction(r) for r in r_junctions), Fraction(0))
     )
     return value
+
+
+# ---------------------------------------------------------------------------
+# the staircase walk that listed every degree-m standard monomial, which the
+# counting walk ``standard_sums`` replaced, kept verbatim as the reference for
+# its differential test (only the names are changed)
+
+
+def reference_standard_last_two(
+    k: int,
+    left: int,
+    active: list[tuple[Monomial, tuple[int, ...]]],
+    prefix: list[int],
+    out: list[Monomial],
+) -> None:
+    """Append the standard completions ``prefix[:k] + (e, left - e)``, the
+    last two exponents, in increasing ``e``.  An active ``g`` divides such
+    a completion exactly for ``e`` in ``[g[k], left - g[k + 1]]`` (not
+    empty, as ``g[k] + g[k + 1] <= left``), so the standard ``e`` are the
+    gaps between these intervals."""
+    j = k + 1
+    e = 0
+    for low, high in sorted([(g[k], left - g[j]) for g, _ in active]):
+        for x in range(e, low):
+            prefix[k] = x
+            prefix[j] = left - x
+            out.append(tuple(prefix))
+        if high >= e:
+            e = high + 1
+    for x in range(e, left + 1):
+        prefix[k] = x
+        prefix[j] = left - x
+        out.append(tuple(prefix))
+
+
+def reference_standard_walk(
+    k: int,
+    left: int,
+    active: list[tuple[Monomial, tuple[int, ...]]],
+    prefix: list[int],
+    out: list[Monomial],
+) -> None:
+    """Extend ``prefix[:k]`` by every exponent ``prefix[k]`` in increasing
+    order, ``k`` before the last two coordinates.  ``active`` holds the
+    generators (with their suffix degrees) that divide no prefix so far but
+    may divide a completion: ``g[i] <= prefix[i]`` for ``i < k`` and ``g``
+    has degree at most ``left`` in the coordinates from ``k`` on."""
+    for e in range(left + 1):
+        carried = []
+        for g, rest in active:
+            if g[k] <= e:
+                if not rest[k + 1]:
+                    # g divides the prefix, and so every completion of it
+                    # and of every larger exponent here
+                    return
+                if rest[k + 1] <= left - e:
+                    carried.append((g, rest))
+        prefix[k] = e
+        if e == left:
+            # the one completion is zeros, and nothing carried divides it
+            prefix[k + 1 :] = [0] * (len(prefix) - k - 1)
+            out.append(tuple(prefix))
+        elif k + 3 == len(prefix):
+            reference_standard_last_two(k + 1, left - e, carried, prefix, out)
+        else:
+            reference_standard_walk(k + 1, left - e, carried, prefix, out)
+
+
+def reference_standard_monomials(mi: MonomialIdeal, m: int) -> list[Monomial]:
+    """The degree-``m`` monomials outside ``mi``, in increasing lex order.
+
+    A depth-first walk over exponent prefixes, one coordinate at a time: it
+    carries only the generators that can still divide a completion and
+    prunes a prefix as soon as one of them divides it, so the work follows
+    the staircase, not the ``count_monomials(arity, m)`` degree-``m``
+    monomials.  The last two exponents ``(e, left - e)`` of a prefix are
+    read in closed form: each carried generator rules out one interval of
+    ``e``, and the standard monomials fill the gaps (with two variables
+    that is the whole walk).  With one variable, ``(m,)`` is standard
+    unless a generator has degree at most ``m``.
+    """
+    if m < 0:
+        return []
+    if mi.arity == 0:
+        return [()] if m == 0 and not mi.gens else []
+    active = []
+    for g in mi.gens:
+        if mono_degree(g) <= m:
+            rest = [0] * (mi.arity + 1)
+            for i in range(mi.arity - 1, -1, -1):
+                rest[i] = rest[i + 1] + g[i]
+            active.append((g, tuple(rest)))
+    if mi.arity == 1:
+        return [] if active else [(m,)]
+    out: list[Monomial] = []
+    walk = reference_standard_last_two if mi.arity == 2 else reference_standard_walk
+    walk(0, m, active, [0] * mi.arity, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

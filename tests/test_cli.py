@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from statepoly import chains, cli, groebner, lp, rosary, state
+from statepoly import chains, cli, groebner, lp, rosary
 from statepoly.chains import tau_vector
 from statepoly.cli import (
     COMMANDS,
@@ -406,7 +406,27 @@ BASIS_INPUTS = {
     "rosary2_sum.ideal": rosary_text(
         2, [[g for section in rosary_sections(2) for g in section if " - " in g]]
     ),
+    # the sextic, the genus-2 rosary and the sextic chain on blocks 0,4,8
+    # (the sextic and its mirror), with the chain's assembled ideal, as
+    # ``implicitize`` and ``intersect`` print them
+    "sextic.ideal": "ring: x0, x1, x2, x3, x4\nideal:\n"
+    "x3^2 - x2*x4\nx2^2 - x1*x4\nx1*x2 - x0*x4\nx1^2 - x0*x2\n",
+    "rosary2_state.ideal": "ring: " + ", ".join(f"x{i}" for i in range(7)) + "\nideal:\n"
+    "x3*x6\nx2*x6\nx1*x6\nx0*x6\nx0*x5\nx4^2 - x3*x5 - x5*x6\nx3*x4 - x1*x5\n"
+    "x1*x4 - x2*x5\nx0*x4\nx3^2 - x2*x5\nx1*x3 - x2*x4\nx0*x3\nx1^2 - x0*x2 - x2*x3\n",
+    "sextic_chain.ideal": "ring: " + ", ".join(f"x{i}" for i in range(9)) + "\nblocks: 0,4,8\n"
+    "ideal[1]:\nx3^2 - x2*x4\nx2^2 - x1*x4\nx1*x2 - x0*x4\nx1^2 - x0*x2\n"
+    "ideal[2]:\nx7^2 - x6*x8\nx6*x7 - x4*x8\nx6^2 - x4*x7\nx5^2 - x4*x6\n",
+    "sextic_chain_assembled.ideal": "ring: " + ", ".join(f"x{i}" for i in range(9))
+    + "\nideal:\n" + "\n".join(
+        [f"x{i}*x{j}" for j in (8, 7, 6, 5) for i in range(4)]
+        + ["x7^2 - x6*x8", "x6*x7 - x4*x8", "x6^2 - x4*x7", "x5^2 - x4*x6",
+           "x3^2 - x2*x4", "x2^2 - x1*x4", "x1*x2 - x0*x4", "x1^2 - x0*x2"]
+    ) + "\n",
 }
+
+# the benchmark's seed-1 weights for the sextic chain's Hilbert-Mumford index
+SEXTIC_CHAIN_WEIGHTS = "--weights=-3,4,8,7,7,-4,-1,-4,2"
 
 
 @pytest.mark.parametrize(
@@ -440,10 +460,43 @@ BASIS_INPUTS = {
             ("eliminate", "--ideal", "rosary2_sum.ideal", "--keep", "2,3,4,5,6"),
             "466e782d24047eb0d04224c10b90a60df5a4f423a8dd96341391a09f8e671d33",
         ),
+        # the commands that read degree-m slices
+        *(
+            (("state", "--ideal", "sextic.ideal", "--m", str(m)), digest)
+            for m, digest in (
+                (2, "62fab161a46bfcf3bf96afef1c0eb5c80a53e70d6989a7efc34c41eeac52c691"),
+                (4, "d6eb6761d18c9b18f235a192c2a7bb56e33690cf53ecd2ebfe7fa158250563f5"),
+                (6, "38ef387590e998272ea4aaf4d98d2b44e16e70c27a6987b15e8c5bf0f135d2a1"),
+                (12, "cd30f7e1e8f62466d35b278bb6f8112485144854a0421522086e36fba4e7af7a"),
+            )
+        ),
+        (
+            ("state", "--ideal", "rosary2_state.ideal", "--m", "2"),
+            "792d3c3e679e78b18dfef87659df2ac279af285d91734a7855f52acfff3272eb",
+        ),
+        (
+            ("hm", "--ideal", "sextic_chain_assembled.ideal", "--m", "6", SEXTIC_CHAIN_WEIGHTS),
+            "75694718d78bbdecdac7bb5d533cc8a3decfe201398e42117bdd90f5aa88cb88",
+        ),
+        (
+            ("hm", "--ideal", "sextic_chain.ideal", "--m", "6", SEXTIC_CHAIN_WEIGHTS),
+            "87a104042ef83d909a122805fd9adc2d50268499a2660102ef8e45dd820c99fa",
+        ),
+        (
+            ("tau", "--blocks", "0,4,8", "--m", "6"),
+            "b9452af1c9045ae284fc0ec263738d78e8b8085da6f8383fb041fdd9faf2bdd8",
+        ),
+        (
+            ("chain-state", "--ideal", "sextic_chain.ideal", "--m", "2"),
+            "e6bf550d1380e9e91ba969a322ff9451eea87d0430c6bed512dd12561d3a322c",
+        ),
     ],
     ids=[
         "intersect rosary2", "intersect rosary3", "implicitize sextic", "rosary check d2",
         "rosary check d3", "gb lex planecurve", "eliminate rosary2",
+        "state sextic m2", "state sextic m4", "state sextic m6", "state sextic m12",
+        "state rosary2 m2", "hm direct sextic chain", "hm decomposed sextic chain",
+        "tau sextic chain", "chain-state sextic chain",
     ],
 )
 def test_basis_payload_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, digest):
@@ -713,7 +766,8 @@ def test_tau_refuses_a_huge_degree_before_enumerating(capsys, monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("the staircase walk ran")
 
-    monkeypatch.setattr(state, "standard_monomials", enumerate_nothing)
+    # tau_vector reads groebner.slice_state, which walks by groebner.standard_sums
+    monkeypatch.setattr(groebner, "standard_sums", enumerate_nothing)
     code, out, err = run(capsys, "tau", "--blocks", "0,2,4", "--m", "10000")
     assert (code, out) == (EXIT_VALIDATION, "")
     assert "degree slice would enumerate" in err

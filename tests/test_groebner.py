@@ -24,7 +24,7 @@ from statepoly.groebner import (
     intersect_embedded,
     intersect_ideals,
     monomial_slice,
-    standard_monomials,
+    standard_sums,
 )
 from statepoly.orders import (
     elimination_order,
@@ -53,12 +53,14 @@ import conftest
 from conftest import (
     brute_standard_monomials,
     brute_state,
+    column_sums,
     rand_monomial,
     rand_polynomial,
     reference_buchberger_int,
     reference_lead,
     reference_normal_form_int,
     reference_reduced_basis,
+    reference_standard_monomials,
     state_of_slice,
 )
 
@@ -226,7 +228,7 @@ def test_truncated_initial_ideal_agrees_with_the_full_one_up_to_its_degree():
                 cut = initial_ideal(ideal, order, degree=m)
                 assert cut.gens == tuple(g for g in full.gens if sum(g) <= m), (gens, order, m)
                 for d in range(m + 1):
-                    assert standard_monomials(cut, d) == standard_monomials(full, d), (gens, order, m, d)
+                    assert standard_sums(cut, d) == standard_sums(full, d), (gens, order, m, d)
                 above += any(sum(g) > m for g in full.gens)
     # the full bases reach above the cut often, so the cut is exercised
     assert above > 100
@@ -531,7 +533,7 @@ def test_monomial_ideal_keeps_exactly_the_minimal_generators():
             assert MonomialIdeal(arity, gens).gens == tuple(minimal), gens
 
 
-def test_standard_monomials_match_a_scan():
+def test_standard_sums_match_a_scan():
     rng = random.Random(11)
     for arity in range(1, 6):
         ideals = [MonomialIdeal(arity, ()), MonomialIdeal(arity, [(0,) * arity])]
@@ -543,14 +545,14 @@ def test_standard_monomials_match_a_scan():
         for mi in ideals:
             for m in range(9):
                 standard = brute_standard_monomials(mi.gens, arity, m)
-                assert standard_monomials(mi, m) == standard, (mi, m)
+                assert standard_sums(mi, m) == (len(standard), column_sums(arity, standard)), (mi, m)
                 inside = sorted(set(degree_monomials(arity, m)) - set(standard))
                 assert monomial_slice(mi, m) == DegreeSlice(arity, m, tuple(inside), tuple(standard))
 
 
-def test_standard_monomials_match_a_filter_of_every_degree_monomial():
-    # arities 1 and 2 are read in closed form alone; every other walk ends
-    # in the closed-form pair of last exponents
+def test_standard_sums_match_a_filter_of_every_degree_monomial():
+    # the empty ideal and the generators above the degree leave whole
+    # subtrees free, which the walk counts in closed form
     rng = random.Random(12)
     for arity in range(1, 8):
         last_power = tuple(3 if j == arity - 1 else 0 for j in range(arity))
@@ -566,11 +568,65 @@ def test_standard_monomials_match_a_filter_of_every_degree_monomial():
             ideals.append(MonomialIdeal(arity, gens + [rand_monomial(rng, arity, 14)]))
         for mi in ideals:
             for m in range(13):
-                want = sorted(
+                want = [
                     mono for mono in degree_monomials(arity, m)
                     if not any(mono_divides(g, mono) for g in mi.gens)
-                )
-                assert standard_monomials(mi, m) == want, (mi, m)
+                ]
+                assert standard_sums(mi, m) == (len(want), column_sums(arity, want)), (mi, m)
+
+
+def test_standard_sums_agree_with_the_listing_walk_they_replaced():
+    rng = random.Random(13)
+    for arity in range(1, 7):
+        ideals = [MonomialIdeal(arity, ()), MonomialIdeal(arity, [(0,) * arity])]
+        for _ in range(12):
+            gens = [rand_monomial(rng, arity, rng.randint(1, 5)) for _ in range(rng.randint(1, 7))]
+            ideals.append(MonomialIdeal(arity, gens))
+        for mi in ideals:
+            for m in range(8):
+                listed = reference_standard_monomials(mi, m)
+                assert listed == brute_standard_monomials(mi.gens, arity, m), (mi, m)
+                assert standard_sums(mi, m) == (len(listed), column_sums(arity, listed)), (mi, m)
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [("rosary", 2), ("rosary", 3), ("sextic", 2), ("sextic", 4), ("sextic", 6), ("sextic", 12)],
+)
+def test_every_oracle_walk_of_the_benchmark_ideals_matches_the_listing_walk(name, m, monkeypatch):
+    walks = []
+
+    def recorded(mi, degree):
+        walks.append((mi, degree))
+        return standard_sums(mi, degree)
+
+    # the oracle walks by slice_state, which reads groebner.standard_sums
+    monkeypatch.setattr(groebner, "standard_sums", recorded)
+    ideal = conftest.benchmark_ideal(name)
+    assert enumerate_state_polytope(ideal, m).complete
+    assert walks
+    for mi, degree in walks:
+        listed = reference_standard_monomials(mi, degree)
+        assert standard_sums(mi, degree) == (len(listed), column_sums(mi.arity, listed)), mi
+        if (name, m) == ("rosary", 2):
+            assert listed == brute_standard_monomials(mi.gens, mi.arity, degree), mi
+
+
+def test_standard_sums_at_the_edges():
+    # no monomial has a negative degree; the ring in no variables has the
+    # one monomial 1, standard unless the ideal is the unit ideal
+    for arity in range(4):
+        for gens in ((), [(0,) * arity]):
+            assert standard_sums(MonomialIdeal(arity, gens), -1) == (0, (0,) * arity)
+    assert standard_sums(MonomialIdeal(0, ()), 0) == (1, ())
+    assert standard_sums(MonomialIdeal(0, [()]), 0) == (0, ())
+    assert standard_sums(MonomialIdeal(0, ()), 2) == (0, ())
+    # one variable: x^m is standard unless a generator has degree at most m
+    assert standard_sums(MonomialIdeal(1, [(3,)]), 2) == (1, (2,))
+    assert standard_sums(MonomialIdeal(1, [(3,)]), 3) == (0, (0,))
+    assert standard_sums(MonomialIdeal(1, ()), 5) == (1, (5,))
+    # the empty ideal leaves every monomial standard
+    assert standard_sums(MonomialIdeal(3, ()), 4) == (count_monomials(3, 4), (20, 20, 20))
 
 
 def test_union_in_slice_of_two_points():
@@ -658,7 +714,7 @@ def test_hilbert_values_refuses_a_huge_degree_before_any_walk(monkeypatch):
         raise AssertionError("a basis or a walk started before the degree was checked")
 
     monkeypatch.setattr(groebner, "_buchberger_int", refuse)
-    monkeypatch.setattr(groebner, "standard_monomials", refuse)
+    monkeypatch.setattr(groebner, "standard_sums", refuse)
     arity = 1201
     assert count_monomials(arity, 3) > ENUMERATION_LIMIT
     x0 = Polynomial.variable(arity, 0)
@@ -672,7 +728,7 @@ def test_hilbert_values_order_invariance_small():
     ideal = Ideal(3, (x**2 - y * z, x * z - y**2))
     orders = [lex_order(3), grlex_order(3), grevlex_order(3), weight_order([3, 1, 2])]
     for m in (1, 2, 3, 4):
-        values = {hilbert_values(ideal, m, order)[0] for order in orders}
+        values = {hilbert_values(initial_ideal(ideal, order, m), m)[0] for order in orders}
         assert len(values) == 1
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from statepoly import groebner
+from statepoly import groebner, hm
 from statepoly.chains import ChainInput
-from statepoly.groebner import initial_ideal, monomial_slice
+from statepoly.groebner import hilbert_values, initial_ideal, monomial_slice
 from statepoly.hm import hm_index_decomposed, hm_index_direct
 from statepoly.orders import weight_order
 from statepoly.rings import Ideal, Polynomial
@@ -70,10 +70,22 @@ def test_direct_refuses_a_huge_degree_before_any_basis(monkeypatch):
         raise AssertionError("a basis or a walk started before the degree was checked")
 
     monkeypatch.setattr(groebner, "_buchberger_int", refuse)
-    monkeypatch.setattr(groebner, "standard_monomials", refuse)
+    monkeypatch.setattr(hm, "standard_sums", refuse)
     x0, x1, _ = variables(3)
     with pytest.raises(ValueError, match="would enumerate"):
         hm_index_direct(Ideal(3, (x0 * x1,)), 2000, (1, 0, 0))
+
+
+def test_degree_zero_tells_the_unit_ideal_from_a_proper_one():
+    # in degree 0 the state is zero for every ideal; only the count of the
+    # one monomial 1 tells whether it is standard
+    x0, x1 = variables(2)
+    unit = Ideal(2, (Polynomial.constant(2, 1),))
+    proper = Ideal(2, (x0 * x1,))
+    assert hm_index_direct(unit, 0, (1, 2)).p_value == 0
+    assert hm_index_direct(proper, 0, (1, 2)).p_value == 1
+    assert hilbert_values(unit, 0) == (1, 0)
+    assert hilbert_values(proper, 0) == (0, 1)
 
 
 def test_direct_agrees_with_the_degree_slice_route():

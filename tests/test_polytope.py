@@ -46,7 +46,7 @@ from conftest import (
 def test_vpolytope_sorts_and_dedupes():
     poly = VPolytope(2, [(1, 1), (0, 0), (1, 1), (2, 2)])
     assert poly.vertices == ((0, 0), (1, 1), (2, 2))
-    assert poly.n_vertices == 3
+    assert len(poly.vertices) == 3
     assert poly.dim == 2
 
 
@@ -202,7 +202,7 @@ def test_facet_vertex_round_trip(seed):
             for normal, offset in system.facets
             if sum(Fraction(n) * Fraction(x) for n, x in zip(normal, v)) == offset
         )
-        assert tight >= system.hull_dim or poly.n_vertices == 1
+        assert tight >= system.hull_dim or len(poly.vertices) == 1
 
 
 def brute_facets(points) -> set[frozenset]:

@@ -60,7 +60,7 @@ def test_monomial_ideal_has_single_state():
     ideal = Ideal(3, (x * y, z**2))
     res = enumerate_state_polytope(ideal, 3)
     assert res.status == "complete"
-    assert res.polytope.n_vertices == 1
+    assert len(res.polytope.vertices) == 1
     # the unique state is the exponent sum over the degree-3 in-monomials
     piece = monomial_slice(initial_ideal(ideal, weight_order([0, 0, 0]), 3), 3)
     assert res.polytope.vertices[0] == state_of_slice(piece)
@@ -265,7 +265,7 @@ def _scalars(obj):
 def test_state_data_is_int_and_reports_hold_no_float():
     x, y, z = variables(3)
     res = enumerate_state_polytope(Ideal(3, (x**3 + y**3 + z**3,)), 3)
-    assert res.complete and res.polytope.n_vertices == 3
+    assert res.complete and len(res.polytope.vertices) == 3
     assert all(type(c) is int for v in res.polytope.vertices for c in v)
     assert type(res.polytope.level) is int and type(res.q) is int
     assert all(type(w) is int for ws in res.witnesses.values() for w in ws)
