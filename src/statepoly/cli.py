@@ -545,15 +545,18 @@ COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``statec`` parser with every command, or with command ``only``
+    alone, whose usage line still names every command."""
     parser = argparse.ArgumentParser(
         prog="statec",
         description="Exact state-polytope and stability computations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for option in ("out", *command.options, "format"):
+    every = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in COMMANDS if only is None else (only,):
+        p = sub.add_parser(name, help=COMMANDS[name].help)
+        for option in ("out", *COMMANDS[name].options, "format"):
             p.add_argument(f"--{option}", **OPTIONS[option].settings)
     return parser
 
@@ -576,7 +579,9 @@ def _attach_vector_values(argv: Sequence[str]) -> list[str]:
 
 def run_command(argv: Sequence[str]) -> CommandResult:
     """Parse arguments, dispatch, and return the result document."""
-    args = _build_parser().parse_args(_attach_vector_values(argv))
+    argv = _attach_vector_values(argv)
+    # a process runs one command, so it builds that command's parser alone
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     command = COMMANDS[args.command]
     doc = None
     if "ideal" in command.options:

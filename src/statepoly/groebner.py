@@ -42,11 +42,11 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
-from .linalg import primitive, row_reduce
+from .linalg import row_reduce
 from .orders import MonomialOrder, elimination_order, grevlex_order
 from .rings import (
     ENUMERATION_LIMIT,
@@ -610,11 +610,19 @@ class UnionSlices:
 def _greedy_slice(
     arity: int, d: int, columns: dict[Monomial, dict[int, Fraction]], rows: range, order: MonomialOrder
 ) -> DegreeSlice:
-    ascending = sorted(degree_monomials(arity, d), key=order.key)
-    candidates = [mono for mono in ascending if columns.get(mono)]
-    matrix = [primitive([columns[m].get(i, 0) for i in rows]) for m in candidates]
+    # only a monomial with a nonzero normal form can be standard (the keys of
+    # a total order are distinct, so sorting just these keeps their order)
+    candidates = sorted((m for m, column in columns.items() if column), key=order.key)
+    matrix = []
+    for mono in candidates:
+        column = columns[mono]
+        scale = lcm(*(c.denominator for c in column.values()))
+        row = [0] * len(rows)
+        for i, c in column.items():
+            row[i - rows.start] = c.numerator * (scale // c.denominator)
+        matrix.append(row)
     standard = {candidates[i] for i in row_reduce(matrix, len(rows)).basis}
-    inside = tuple(sorted(m for m in ascending if m not in standard))
+    inside = tuple(m for m in reversed(degree_monomials(arity, d)) if m not in standard)
     return DegreeSlice(arity, d, inside, tuple(sorted(standard)))
 
 

@@ -3,19 +3,21 @@ denominators, fraction-free row reduction and primitive integer vectors.
 
 Polytope data follows one exact-scalar rule (:func:`exact`): a value is an
 ``int`` when it is integral and a ``Fraction`` otherwise, never a float.
-:func:`common_denominator` is the one place where rational rows are scaled
-to integers.
+:func:`common_denominator` scales rational rows to integers; only the
+union-slice reader clears its short sparse rows inline, at a third of the cost.
 
-Row reduction is Bareiss's fraction-free Gauss-Jordan elimination.  Rows
-are kept as integer multiples ``d * r`` of the reduced row echelon rows
-``r``, where ``d`` is, up to sign, the determinant of the pivot minor, so
-every division the reduction makes is exact and no ``Fraction`` is formed.
+Row reduction is forward-only and fraction-free: each new row is
+cross-multiplied against the kept primitive rows in increasing pivot order,
+and no kept row is rewritten.  The kernel and the reduced form are
+back-substituted only when they are read.
 """
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -56,16 +58,17 @@ def primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RowEchelon:
-    """Reduced row echelon form of an integer matrix, scaled to integers.
+    """Row echelon form of an integer matrix, as the forward reduction left it.
 
-    ``rows[i]`` is ``det`` times the reduced row whose pivot is in column
-    ``pivots[i]`` (pivots increase); ``basis`` lists, in input order, the
-    indices of the input rows that are independent of the rows before them.
+    ``echelon[i]`` is a primitive row that is zero before a positive entry
+    in column ``pivots[i]`` (pivots increase); ``basis`` lists, in input
+    order, the indices of the input rows that are independent of the rows
+    before them.  The kernel, and ``rows``/``det`` read from it, are
+    back-substituted on each read.
     """
 
     width: int
-    det: int
-    rows: tuple[tuple[int, ...], ...]
+    echelon: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
     basis: tuple[int, ...]
 
@@ -73,54 +76,78 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def null_vectors(self) -> list[tuple[int, ...]]:
-        """A basis of the integer kernel ``{x : A x = 0}``: per free column
-        ``f`` in increasing order, the primitive vector with ``x[f] > 0`` and
-        zeros at the other free columns."""
-        sign = 1 if self.det > 0 else -1
-        out = []
+    def _kernel(self) -> dict[int, tuple[int, ...]]:
+        """Free column ``f`` -> the primitive kernel vector with ``x[f] > 0``
+        and zeros at the other free columns, solved from the last pivot up."""
+        kernel = {}
         for free in range(self.width):
             if free in self.pivots:
                 continue
             x = [0] * self.width
-            x[free] = sign * self.det
-            for row, piv in zip(self.rows, self.pivots):
-                x[piv] = -sign * row[free]
-            out.append(primitive(x))
-        return out
+            x[free] = 1
+            for k in range(bisect(self.pivots, free) - 1, -1, -1):
+                row, piv = self.echelon[k], self.pivots[k]
+                t = sum(map(mul, row, x))
+                if t:
+                    g = gcd(row[piv], t)
+                    if row[piv] != g:
+                        x = [v * (row[piv] // g) for v in x]
+                    x[piv] = -t // g
+            content = gcd(*x)
+            kernel[free] = tuple(x) if content == 1 else tuple(v // content for v in x)
+        return kernel
+
+    def null_vectors(self) -> list[tuple[int, ...]]:
+        """A basis of the integer kernel ``{x : A x = 0}``: per free column
+        ``f`` in increasing order, the primitive vector with ``x[f] > 0`` and
+        zeros at the other free columns."""
+        return list(self._kernel().values())
+
+    @property
+    def det(self) -> int:
+        """The least common denominator of the reduced rows, whose entry at
+        free column ``f`` in the row of pivot ``p`` is ``-x[p] / x[f]``."""
+        return lcm(*(x[free] for free, x in self._kernel().items()))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """``det`` times the reduced row echelon rows, in pivot order."""
+        det, kernel, rows = self.det, self._kernel(), []
+        for piv in self.pivots:
+            rows.append([0] * self.width)
+            rows[-1][piv] = det
+            for free, x in kernel.items():
+                rows[-1][free] = -x[piv] * (det // x[free])
+        return tuple(map(tuple, rows))
 
 
 def row_reduce(rows: Iterable[Sequence[int]], width: int) -> RowEchelon:
-    """Fraction-free reduction of integer ``rows`` of length ``width``,
-    taking the rows in order and stopping once the rank reaches ``width``."""
-    reduced: list[list[int]] = []
-    pivots: list[int] = []
+    """Forward fraction-free reduction of integer ``rows`` of length
+    ``width``, taking the rows in order and stopping once the rank reaches
+    ``width``.  A row is reduced against the kept rows in increasing pivot
+    order, and a zero entry at a pivot costs one read."""
+    kept: list[tuple[int, tuple[int, ...]]] = []  # (pivot, primitive row), by pivot
     basis: list[int] = []
-    det = 1
     for index, row in enumerate(rows):
-        if len(pivots) == width:
+        if len(kept) == width:
             break
-        # det times what is left of row once the pivot columns are eliminated
-        u = [det * v for v in row]
-        for r, piv in zip(reduced, pivots):
-            factor = row[piv]
+        u = row
+        for piv, r in kept:
+            factor = u[piv]
             if factor:
-                u = [a - factor * b for a, b in zip(u, r)]
-        piv = next((j for j, v in enumerate(u) if v), None)
-        if piv is None:
+                g = gcd(r[piv], factor)
+                a, b = r[piv] // g, factor // g
+                u = [a * x - b * y for x, y in zip(u, r)]
+        # what is left is the one line of the span that is zero at the pivots
+        if not any(u):
             continue
-        # the new pivot minor has determinant u[piv]; Bareiss division by det is exact
-        lead = u[piv]
-        reduced = [[(lead * a - r[piv] * b) // det for a, b in zip(r, u)] for r in reduced]
-        reduced.append(u)
-        pivots.append(piv)
+        piv = next(j for j, v in enumerate(u) if v)
+        content = gcd(*u) if u[piv] > 0 else -gcd(*u)
+        insort(kept, (piv, tuple(u) if content == 1 else tuple(v // content for v in u)))
         basis.append(index)
-        det = lead
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
     return RowEchelon(
         width=width,
-        det=det,
-        rows=tuple(tuple(reduced[i]) for i in order),
-        pivots=tuple(pivots[i] for i in order),
+        echelon=tuple(r for _, r in kept),
+        pivots=tuple(piv for piv, _ in kept),
         basis=tuple(basis),
     )

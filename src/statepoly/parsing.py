@@ -110,7 +110,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_vector(values: Sequence[Fraction | int]) -> str:
-    return ",".join(map(format_rational, values))
+    """Comma-separated :func:`format_rational` texts, in one join for ints."""
+    if not all(type(v) is int for v in values):
+        return ",".join(map(format_rational, values))
+    try:
+        return ",".join(map(str, values))
+    except ValueError:
+        raise _past_the_digit_limit() from None
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:

@@ -9,16 +9,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from math import prod
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from statepoly.chains import ChainInput, _component_polytopes
-from statepoly.groebner import MonomialIdeal, implicitize, initial_ideal
-from statepoly.linalg import exact_vector
+from statepoly.groebner import DegreeSlice, MonomialIdeal, implicitize, initial_ideal
+from statepoly.linalg import exact_vector, primitive
 from statepoly.lp import AffineHull, HullMembership, affine_hull, solve_lp
 from statepoly.orders import lex_order, matrix_order, merge_chain_weights
 from statepoly.polytope import (
@@ -34,6 +35,7 @@ from statepoly.rings import (
     Ideal,
     Monomial,
     Polynomial,
+    degree_monomials,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -134,6 +136,93 @@ def fraction_null_space(rows: Sequence[Sequence], width: int) -> list[list[Fract
             x[piv] = -row[free]
         basis.append(x)
     return basis
+
+
+@dataclass(frozen=True)
+class ReferenceRowEchelon:
+    """Reduced row echelon form of an integer matrix, scaled to integers.
+
+    ``rows[i]`` is ``det`` times the reduced row whose pivot is in column
+    ``pivots[i]`` (pivots increase); ``basis`` lists, in input order, the
+    indices of the input rows that are independent of the rows before them.
+    """
+
+    width: int
+    det: int
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
+    basis: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def null_vectors(self) -> list[tuple[int, ...]]:
+        """A basis of the integer kernel ``{x : A x = 0}``: per free column
+        ``f`` in increasing order, the primitive vector with ``x[f] > 0`` and
+        zeros at the other free columns."""
+        sign = 1 if self.det > 0 else -1
+        out = []
+        for free in range(self.width):
+            if free in self.pivots:
+                continue
+            x = [0] * self.width
+            x[free] = sign * self.det
+            for row, piv in zip(self.rows, self.pivots):
+                x[piv] = -sign * row[free]
+            out.append(primitive(x))
+        return out
+
+
+def reference_row_reduce(rows: Iterable[Sequence[int]], width: int) -> ReferenceRowEchelon:
+    """Bareiss's fraction-free Gauss-Jordan elimination, the slow path the
+    forward reduction of ``linalg.row_reduce`` replaced: rows are kept as
+    integer multiples ``d * r`` of the reduced row echelon rows ``r``, where
+    ``d`` is, up to sign, the determinant of the pivot minor, and every
+    earlier row is rewritten at each new pivot."""
+    reduced: list[list[int]] = []
+    pivots: list[int] = []
+    basis: list[int] = []
+    det = 1
+    for index, row in enumerate(rows):
+        if len(pivots) == width:
+            break
+        # det times what is left of row once the pivot columns are eliminated
+        u = [det * v for v in row]
+        for r, piv in zip(reduced, pivots):
+            factor = row[piv]
+            if factor:
+                u = [a - factor * b for a, b in zip(u, r)]
+        piv = next((j for j, v in enumerate(u) if v), None)
+        if piv is None:
+            continue
+        # the new pivot minor has determinant u[piv]; Bareiss division by det is exact
+        lead = u[piv]
+        reduced = [[(lead * a - r[piv] * b) // det for a, b in zip(r, u)] for r in reduced]
+        reduced.append(u)
+        pivots.append(piv)
+        basis.append(index)
+        det = lead
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return ReferenceRowEchelon(
+        width=width,
+        det=det,
+        rows=tuple(tuple(reduced[i]) for i in order),
+        pivots=tuple(pivots[i] for i in order),
+        basis=tuple(basis),
+    )
+
+
+def reference_greedy_slice(arity, d, columns, rows, order) -> DegreeSlice:
+    """The greedy column basis of a union slice as it was read before the
+    forward reduction: every degree-``d`` monomial sorted, dense
+    ``Fraction`` rows made primitive, Bareiss elimination."""
+    ascending = sorted(degree_monomials(arity, d), key=order.key)
+    candidates = [mono for mono in ascending if columns.get(mono)]
+    matrix = [primitive([columns[m].get(i, 0) for i in rows]) for m in candidates]
+    standard = {candidates[i] for i in reference_row_reduce(matrix, len(rows)).basis}
+    inside = tuple(sorted(m for m in ascending if m not in standard))
+    return DegreeSlice(arity, d, inside, tuple(sorted(standard)))
 
 
 def affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:

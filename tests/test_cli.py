@@ -25,12 +25,13 @@ from statepoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_VALIDATION,
+    OPTIONS,
     _build_parser,
     _digest,
     main,
     run_command,
 )
-from statepoly.parsing import format_polynomial, render_json
+from statepoly.parsing import format_polynomial, format_rational, render_json
 from statepoly.polytope import VPolytope, load_polytope, save_polytope
 from statepoly.rings import Polynomial
 
@@ -453,6 +454,18 @@ SEXTIC_CHAIN_WEIGHTS = "--weights=-3,4,8,7,7,-4,-1,-4,2"
             "6186b1ecb68a03cac3c7512379132fcd9036710710783077bd727e580f0cebe6",
         ),
         (
+            ("rosary", "--r", "3", "--what", "check", "--d", "3"),
+            "4fe1f679830bc0393333b944739f03419a37f5250f2315ba849c134ef1e196bf",
+        ),
+        (
+            ("rosary", "--r", "5", "--what", "check", "--d", "2"),
+            "e4a9add833b34dcdf4410e9af0020c1476a04782766e9fb7e906692edb85527f",
+        ),
+        (
+            ("rosary", "--r", "5", "--what", "check", "--d", "3"),
+            "d215015810d51406ee889760212d3d8dbca96c67e289387dc82e5d0e2cb6e015",
+        ),
+        (
             ("gb", "--ideal", str(ROOT / DATA / "planecurve.ideal"), "--order", "lex"),
             "da4e66fed308b8c3ff5a76266c9db13bf95fffdeb9d5f768e505fb37c66ddd3e",
         ),
@@ -493,7 +506,8 @@ SEXTIC_CHAIN_WEIGHTS = "--weights=-3,4,8,7,7,-4,-1,-4,2"
     ],
     ids=[
         "intersect rosary2", "intersect rosary3", "implicitize sextic", "rosary check d2",
-        "rosary check d3", "gb lex planecurve", "eliminate rosary2",
+        "rosary check d3", "rosary3 check d3", "rosary5 check d2", "rosary5 check d3",
+        "gb lex planecurve", "eliminate rosary2",
         "state sextic m2", "state sextic m4", "state sextic m6", "state sextic m12",
         "state rosary2 m2", "hm direct sextic chain", "hm decomposed sextic chain",
         "tau sextic chain", "chain-state sextic chain",
@@ -1360,6 +1374,24 @@ def test_an_integer_past_the_string_limit_is_refused_by_name(capsys, tmp_path):
     assert "Exceeds the limit" not in err
 
 
+def test_witness_keys_join_integers_and_refuse_them_past_the_string_limit():
+    # vertex keys are all-int and joined in one pass; the bytes and the
+    # refusal are those of writing each coordinate by format_rational
+    limit = sys.get_int_max_str_digits()
+    keys = {(1, -20, 0, 10**40): (1, 0), (Fraction(1, 2), 3): (0, 1)}
+    assert cli._witnesses_json(keys) == {
+        ",".join(map(format_rational, v)): list(w) for v, w in keys.items()
+    }
+    if not limit:
+        pytest.skip("this interpreter has no integer string limit")
+    for too_long in ((1, 10**limit), (Fraction(1, 2), -(10**limit))):
+        with pytest.raises(ValueError) as refused:
+            cli._witnesses_json({too_long: (1, 0)})
+        assert str(refused.value) == (
+            f"an integer of more than {limit} digits cannot be written (the integer string limit)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # one parser and one writer per process
 
@@ -1371,6 +1403,40 @@ def test_documents_are_written_by_the_one_writer(conic_file, rendered_documents)
 
 def test_one_parser_per_process():
     assert _build_parser() is _build_parser()
+
+
+def _exit_of(capsys, call) -> tuple:
+    with pytest.raises(SystemExit) as stop:
+        call()
+    return (stop.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_the_invoked_command_parser_prints_what_the_full_parser_prints(capsys, name):
+    # a process builds only its command's subparser; help, a missing required
+    # option and an unknown option read the same as with every command built
+    assert _build_parser(name) is _build_parser(name) is not _build_parser()
+    # with its required options given, an unknown option is reported by the
+    # top parser, under the usage line that lists the commands
+    required = [
+        token
+        for option in COMMANDS[name].options
+        if OPTIONS[option].settings.get("required")
+        for token in (f"--{option}", "1")
+    ]
+    for argv in ([name, "--help"], [name], [name, *required, "--bogus", "1"]):
+        want = _exit_of(capsys, lambda: _build_parser().parse_args(argv))
+        assert want[0] in (0, EXIT_VALIDATION)
+        assert _exit_of(capsys, lambda: _build_parser(name).parse_args(argv)) == want
+        assert _exit_of(capsys, lambda: main(argv)) == want
+
+
+def test_help_and_an_unknown_command_list_every_command(capsys):
+    code, out, _ = _exit_of(capsys, lambda: main(["--help"]))
+    assert code == 0 and all(name in out for name in COMMANDS)
+    code, _, err = _exit_of(capsys, lambda: main(["no-such-command"]))
+    assert code == EXIT_VALIDATION and "invalid choice" in err
+    assert all(repr(name) in err for name in COMMANDS)
 
 
 def test_alternating_commands_match_fresh_processes(conic_file, cubic_file):

@@ -44,6 +44,8 @@ from statepoly.rings import (
 )
 from statepoly.rosary import (
     RosarySpec,
+    _components,
+    _restrict_order,
     rosary_assembled_ideal,
     rosary_component_ideal,
     rosary_end_conics,
@@ -57,6 +59,7 @@ from conftest import (
     rand_monomial,
     rand_polynomial,
     reference_buchberger_int,
+    reference_greedy_slice,
     reference_lead,
     reference_normal_form_int,
     reference_reduced_basis,
@@ -677,6 +680,35 @@ def test_union_in_slice_matches_elimination_on_overlapping_components():
             piece = UnionSlices(arity, components, d).union(order)
             expected = monomial_slice(initial_ideal(assembled, order, d), d)
             assert piece == expected, (components, d)
+
+
+def test_union_slices_match_the_reference_greedy_slice(monkeypatch):
+    # the rosary checks' slices, read by the forward reduction and by the
+    # dense Bareiss route it replaced, under three orders
+    rng = random.Random(24)
+    for r in (2, 3, 4, 5):
+        spec = RosarySpec(r)
+        components = _components(spec, rosary_end_conics(spec))
+        orders = (
+            grevlex_order(spec.arity),
+            lex_order(spec.arity),
+            weight_order([rng.randint(0, 5) for _ in range(spec.arity)]),
+        )
+        for d in (2, 3):
+            slices = UnionSlices(spec.arity, components, d)
+            for order in orders:
+                restricted = [_restrict_order(order, coords) for coords, _ in components]
+                got = (
+                    slices.union(order),
+                    [slices.component(i, o) for i, o in enumerate(restricted)],
+                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(groebner, "_greedy_slice", reference_greedy_slice)
+                    want = (
+                        slices.union(order),
+                        [slices.component(i, o) for i, o in enumerate(restricted)],
+                    )
+                assert got == want, (r, d, order.name)
 
 
 def test_union_in_slice_refuses_before_any_work(monkeypatch):

@@ -1,4 +1,5 @@
-"""Fraction-free integer row reduction against a ``Fraction`` reference."""
+"""Fraction-free integer row reduction against a ``Fraction`` reference and
+against the Bareiss elimination it replaced."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statepoly.linalg import common_denominator, primitive, row_reduce
-from conftest import fraction_null_space, fraction_rref
+from conftest import fraction_null_space, fraction_rref, reference_row_reduce
 
 
 def rand_matrix(rng: random.Random) -> tuple[list[list[int]], int]:
@@ -54,6 +55,59 @@ def test_row_reduce_stops_at_full_rank():
     empty = row_reduce([], 3)
     assert empty.rank == 0
     assert empty.null_vectors() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def dense_matrix(rng: random.Random) -> tuple[list[list[int]], int]:
+    """Seeded dense rows, often more of them than columns, with dependent
+    combinations mixed in."""
+    width = rng.randint(1, 8)
+    rows = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(rng.randint(0, 12))]
+    for _ in range(rng.randint(0, 3)):
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.insert(rng.randrange(len(rows) + 1), [c * x + d * y for x, y in zip(a, b)])
+    return rows, width
+
+
+def near_permutation(rng: random.Random) -> tuple[list[list[int]], int]:
+    """Sparse rows of +-1 entries, mostly one or two per row, with repeats
+    and zero rows: the shape of the stacked normal forms of a union slice."""
+    width = rng.randint(1, 14)
+    rows = []
+    for _ in range(rng.randint(0, 2 * width)):
+        row = [0] * width
+        for j in rng.sample(range(width), min(width, rng.choice((0, 1, 1, 1, 2, 2, 3)))):
+            row[j] = rng.choice((1, -1))
+        rows.append(row)
+    if rows and rng.random() < 0.5:
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 100_000), st.sampled_from((dense_matrix, near_permutation)))
+def test_forward_reduction_matches_bareiss(seed, shape):
+    rows, width = shape(random.Random(seed))
+    pulled = [0, 0]
+
+    def counted(side):
+        for row in rows:
+            pulled[side] += 1
+            yield row
+
+    got = row_reduce(counted(0), width)
+    want = reference_row_reduce(counted(1), width)
+    # both stop at the same row once the rank reaches the width
+    assert pulled[0] == pulled[1]
+    assert (got.rank, got.pivots, got.basis) == (want.rank, want.pivots, want.basis)
+    assert got.null_vectors() == want.null_vectors()
+    assert [[Fraction(v, got.det) for v in row] for row in got.rows] == [
+        [Fraction(v, want.det) for v in row] for row in want.rows
+    ]
+    # the kept rows: primitive, zero before a positive pivot
+    for row, piv in zip(got.echelon, got.pivots):
+        assert not any(row[:piv]) and row[piv] > 0 and gcd(*row) == 1
 
 
 @settings(max_examples=100, deadline=None)
