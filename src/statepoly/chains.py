@@ -37,15 +37,16 @@ from .groebner import (
     slice_state,
 )
 from .linalg import exact_vector
-from .lp import HullMembership, member_convex_hull
 from .orders import merge_chain_weights, weight_order
 from .polytope import (
     ExtremalityError,
     FacetSystem,
+    HullMembership,
     VPolytope,
     extremality_witness,  # re-exported: part of this module's interface
     facets,
     level_quotient,
+    member_convex_hull,
     trivial_character_point,
     vertex_witnesses,
 )

@@ -39,7 +39,6 @@ from .groebner import (
     intersect_ideals,
 )
 from .hm import hm_index_decomposed, hm_index_direct
-from .lp import HullMembership, member_convex_hull
 from .orders import MonomialOrder, matrix_order, named_order, weight_order
 from .parsing import (
     IdealFile,
@@ -52,7 +51,14 @@ from .parsing import (
     render_json,
     scalar_to_json,
 )
-from .polytope import VPolytope, facets, load_polytope, polytope_payload
+from .polytope import (
+    HullMembership,
+    VPolytope,
+    facets,
+    load_polytope,
+    member_convex_hull,
+    polytope_payload,
+)
 from .rings import Ideal
 from .rosary import (
     RosarySpec,

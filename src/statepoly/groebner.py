@@ -241,19 +241,12 @@ def _buchberger_int(
             basis.append(r)
             leads.append(next(iter(r)))
             push_pairs(len(basis) - 1)
-    # drop elements whose lead is divisible by another lead (keep first of
-    # equal leads).  A divisor has the lower degree, so scanning by degree
-    # meets it first even when the order ranks it above its multiple (a
-    # weight with negative entries); the result is in increasing lead order.
-    kept: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: (sum(leads[i]), key(leads[i]))):
-        li = leads[i]
-        for k in kept:
-            if all(map(le, leads[k], li)):
-                break
-        else:
-            kept.append(i)
-    kept.sort(key=lambda i: (key(leads[i]), i))
+    # keep the first element of each minimal lead; the keys of a total order
+    # are distinct, so sorting by key gives increasing lead order
+    first: dict[Monomial, int] = {}
+    for i, lead in enumerate(leads):
+        first.setdefault(lead, i)
+    kept = sorted((first[m] for m in _minimal_leads(leads)), key=lambda i: key(leads[i]))
     return [basis[i] for i in kept], [leads[i] for i in kept]
 
 
@@ -565,9 +558,9 @@ class UnionSlices:
         self.arity = arity
         self.d = d
         # per component: its coordinates and, for every degree-d monomial of
-        # its block ring, its exact normal form as {row: coefficient}, with
-        # one row per (component, standard monomial); and its row range
-        self._forms: list[tuple[Sequence[int], dict[Monomial, dict[int, Fraction]]]] = []
+        # its block ring, its normal form as {row: coefficient}, with one row
+        # per (component, standard monomial); and its row range
+        self._forms: list[tuple[Sequence[int], dict[Monomial, dict[int, int]]]] = []
         self._rows: list[range] = []
         height = 0
         for coords, block in components:
@@ -575,13 +568,16 @@ class UnionSlices:
             rows: dict[Monomial, int] = {}
             forms = {}
             for mono in degree_monomials(block.arity, d):
-                # s * mono - r lies in the block ideal: mono reduces to r / s,
-                # an exact value, so the blocks of one column share one scale
-                r, s = _normal_form_int(
+                # s * mono - r lies in the block ideal: mono reduces to r / s
+                forms[mono] = _normal_form_int(
                     {mono: 1}, gb.leads, gb.integer_elements, gb.order.descending_key
                 )
+            # every form times the lcm of the component's scales: one positive
+            # factor on the component's rows keeps the rank of every column set
+            scale = lcm(*(s for _, s in forms.values()))
+            for mono, (r, s) in forms.items():
                 forms[mono] = {
-                    rows.setdefault(std, height + len(rows)): Fraction(c, s) for std, c in r.items()
+                    rows.setdefault(std, height + len(rows)): c * (scale // s) for std, c in r.items()
                 }
             self._forms.append((coords, forms))
             self._rows.append(range(height, height + len(rows)))
@@ -590,7 +586,7 @@ class UnionSlices:
 
     def union(self, order: MonomialOrder) -> DegreeSlice:
         """The slice of ``in_order`` of the intersection, in the ambient ring."""
-        columns: dict[Monomial, dict[int, Fraction]] = {}
+        columns: dict[Monomial, dict[int, int]] = {}
         for coords, forms in self._forms:
             for mono, form in forms.items():
                 key = embed_monomial(mono, self.arity, coords)
@@ -608,18 +604,16 @@ class UnionSlices:
 
 
 def _greedy_slice(
-    arity: int, d: int, columns: dict[Monomial, dict[int, Fraction]], rows: range, order: MonomialOrder
+    arity: int, d: int, columns: dict[Monomial, dict[int, int]], rows: range, order: MonomialOrder
 ) -> DegreeSlice:
     # only a monomial with a nonzero normal form can be standard (the keys of
     # a total order are distinct, so sorting just these keeps their order)
     candidates = sorted((m for m, column in columns.items() if column), key=order.key)
     matrix = []
     for mono in candidates:
-        column = columns[mono]
-        scale = lcm(*(c.denominator for c in column.values()))
         row = [0] * len(rows)
-        for i, c in column.items():
-            row[i - rows.start] = c.numerator * (scale // c.denominator)
+        for i, c in columns[mono].items():
+            row[i - rows.start] = c
         matrix.append(row)
     standard = {candidates[i] for i in row_reduce(matrix, len(rows)).basis}
     inside = tuple(m for m in reversed(degree_monomials(arity, d)) if m not in standard)

@@ -3,13 +3,12 @@ denominators, fraction-free row reduction and primitive integer vectors.
 
 Polytope data follows one exact-scalar rule (:func:`exact`): a value is an
 ``int`` when it is integral and a ``Fraction`` otherwise, never a float.
-:func:`common_denominator` scales rational rows to integers; only the
-union-slice reader clears its short sparse rows inline, at a third of the cost.
+:func:`common_denominator` scales rational rows to integers.
 
 Row reduction is forward-only and fraction-free: each new row is
 cross-multiplied against the kept primitive rows in increasing pivot order,
-and no kept row is rewritten.  The kernel and the reduced form are
-back-substituted only when they are read.
+and no kept row is rewritten.  The kernel is back-substituted only when it
+is read.
 """
 from __future__ import annotations
 
@@ -63,8 +62,7 @@ class RowEchelon:
     ``echelon[i]`` is a primitive row that is zero before a positive entry
     in column ``pivots[i]`` (pivots increase); ``basis`` lists, in input
     order, the indices of the input rows that are independent of the rows
-    before them.  The kernel, and ``rows``/``det`` read from it, are
-    back-substituted on each read.
+    before them.  The kernel is back-substituted on each read.
     """
 
     width: int
@@ -76,10 +74,11 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _kernel(self) -> dict[int, tuple[int, ...]]:
-        """Free column ``f`` -> the primitive kernel vector with ``x[f] > 0``
-        and zeros at the other free columns, solved from the last pivot up."""
-        kernel = {}
+    def null_vectors(self) -> list[tuple[int, ...]]:
+        """A basis of the integer kernel ``{x : A x = 0}``: per free column
+        ``f`` in increasing order, the primitive vector with ``x[f] > 0`` and
+        zeros at the other free columns, solved from the last pivot up."""
+        kernel = []
         for free in range(self.width):
             if free in self.pivots:
                 continue
@@ -94,31 +93,8 @@ class RowEchelon:
                         x = [v * (row[piv] // g) for v in x]
                     x[piv] = -t // g
             content = gcd(*x)
-            kernel[free] = tuple(x) if content == 1 else tuple(v // content for v in x)
+            kernel.append(tuple(x) if content == 1 else tuple(v // content for v in x))
         return kernel
-
-    def null_vectors(self) -> list[tuple[int, ...]]:
-        """A basis of the integer kernel ``{x : A x = 0}``: per free column
-        ``f`` in increasing order, the primitive vector with ``x[f] > 0`` and
-        zeros at the other free columns."""
-        return list(self._kernel().values())
-
-    @property
-    def det(self) -> int:
-        """The least common denominator of the reduced rows, whose entry at
-        free column ``f`` in the row of pivot ``p`` is ``-x[p] / x[f]``."""
-        return lcm(*(x[free] for free, x in self._kernel().items()))
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """``det`` times the reduced row echelon rows, in pivot order."""
-        det, kernel, rows = self.det, self._kernel(), []
-        for piv in self.pivots:
-            rows.append([0] * self.width)
-            rows[-1][piv] = det
-            for free, x in kernel.items():
-                rows[-1][free] = -x[piv] * (det // x[free])
-        return tuple(map(tuple, rows))
 
 
 def row_reduce(rows: Iterable[Sequence[int]], width: int) -> RowEchelon:

@@ -503,6 +503,7 @@ def parse_ideal_file(text: str) -> IdealFile:
     blocks: tuple[int, ...] | None = None
     weights: tuple[Fraction, ...] | None = None
     current: int | None = None
+    declared: set[str] = set()  # the headers read so far, but ideal[k]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -510,9 +511,12 @@ def parse_ideal_file(text: str) -> IdealFile:
         match = _SECTION.match(line)
         if match:
             kind, idx, rest = match.group(1), match.group(2), match.group(3).strip()
+            if kind != "ideal":
+                header = f"polytope[{int(idx) if idx else 1}]" if kind == "polytope" else kind
+                if header in declared:
+                    raise ParseError(f"duplicate {header} declaration", line=lineno)
+                declared.add(header)
             if kind == "ring":
-                if variables is not None:
-                    raise ParseError("duplicate ring declaration", line=lineno)
                 names = tuple(n.strip() for n in rest.split(",") if n.strip())
                 if not names or len(set(names)) != len(names):
                     raise ParseError(f"bad ring declaration {rest!r}", line=lineno)

@@ -34,14 +34,15 @@ from .groebner import (
     slice_state,
 )
 from .linalg import exact_vector, primitive
-from .lp import affine_hull, member_convex_hull
 from .orders import MonomialOrder, grevlex_order, weight_order
 from .polytope import (
     FacetSystem,
     IncrementalHull,
     VPolytope,
+    affine_hull,
     facets,
     level_quotient,
+    member_convex_hull,
     trivial_character_point,
     vertex_witnesses,
 )

@@ -20,15 +20,18 @@ from typing import Iterable, Sequence
 from statepoly.chains import ChainInput, _component_polytopes
 from statepoly.groebner import DegreeSlice, MonomialIdeal, implicitize, initial_ideal
 from statepoly.linalg import exact_vector, primitive
-from statepoly.lp import AffineHull, HullMembership, affine_hull, solve_lp
+from statepoly.lp import solve_lp
 from statepoly.orders import lex_order, matrix_order, merge_chain_weights
 from statepoly.polytope import (
+    AffineHull,
     ExtremalityError,
     FacetSystem,
+    HullMembership,
     IntVector,
     VPolytope,
     _int_point,
     _rotate,
+    affine_hull,
     vertex_witnesses,
 )
 from statepoly.rings import (

@@ -34,7 +34,7 @@ from statepoly.groebner import (
     monomial_slice,
 )
 from statepoly.hm import hm_index_decomposed, hm_index_direct
-from statepoly.lp import audit_feasibility, member_convex_hull, solve_lp
+from statepoly.lp import audit_feasibility, solve_lp
 from statepoly.orders import (
     elimination_order,
     grevlex_order,
@@ -45,7 +45,7 @@ from statepoly.orders import (
     weight_order,
 )
 from statepoly.parsing import parse_ideal_file
-from statepoly.polytope import facets, load_polytope, trivial_character_point
+from statepoly.polytope import facets, load_polytope, member_convex_hull, trivial_character_point
 from statepoly.rings import Ideal, Polynomial
 from statepoly.rosary import RosarySpec, rosary_component_ideal, rosary_w
 from statepoly.state import enumerate_state_polytope

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from statepoly import chains, cli, groebner, lp, rosary
+from statepoly import chains, cli, groebner, lp, polytope, rosary
 from statepoly.chains import tau_vector
 from statepoly.cli import (
     COMMANDS,
@@ -1174,6 +1174,11 @@ CONTRACT_FILES = {
     "wide_chain.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: wide.json\nideal[2]: c*e - d^2\n",
     "sections.ideal": "ring: x, y, z\nideal[1]: x\nideal[2]: y\npolytope[3]: wide.json\n",
     "gaps.ideal": "ring: x, y\nideal[1]: x\nideal[3]: y\n",
+    # a repeated header is refused even when its second value alone would do
+    "twice_blocks.ideal": "ring: a, b, c, d, e\nblocks: 0,3,2\nblocks: 0,2,4\nideal[1]: a*c - b^2\nideal[2]: c*e - d^2\n",
+    "twice_weights.ideal": "ring: x, y, z\nweights: 1,2,3\nweights: 3,2,1\nideal: x*z - y^2\n",
+    "twice_polytope.ideal": "ring: a, b, c, d, e\nblocks: 0,2,4\npolytope[1]: wide.json\npolytope: conic.json\nideal[2]: c*e - d^2\n",
+    "conic.json": '{"dim": 3, "vertices": [[0, 2, 0], [1, 0, 1]]}\n',
     # reduced bases with the coefficients 1/7^6000 (5,071 digits) and 7^5600
     # (4,733 digits), past the integer string limit of 4,300
     "big_coefficient.ideal": "ring: x, y\nideal: (7*x)^6000 - y^6000\n",
@@ -1237,6 +1242,8 @@ CONTRACT_CASES = [
     (("chain-state", "--ideal", "missing.ideal", "--m", "0"), None, EXIT_VALIDATION),
     (("chain-state", "--ideal", "stray.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("chain-state", "--ideal", "stray_polytope.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "twice_blocks.ideal", "--m", "2"), None, EXIT_VALIDATION),
+    (("chain-state", "--ideal", "twice_polytope.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("tau", "--blocks", "0,3,2", "--m", "2"), None, EXIT_VALIDATION),
     (("tau", "--blocks", "0,2,4", "--m", "0"), None, EXIT_VALIDATION),
     (("tau", "--blocks", "0,2,4", "--m", "2", "--nvars", "4"), None, EXIT_VALIDATION),
@@ -1269,6 +1276,7 @@ CONTRACT_CASES = [
     (("semistable", "--ideal", "stray.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("hm", "--ideal", "missing.ideal", "--m", "2", "--weights", "1,0,0,0,0"), None, EXIT_VALIDATION),
     (("hm", "--ideal", "stray.ideal", "--m", "2", "--weights", "1,0,0,0,0"), None, EXIT_VALIDATION),
+    (("hm", "--ideal", "twice_weights.ideal", "--m", "2"), None, EXIT_VALIDATION),
     (("rosary", "--r", "0"), None, EXIT_VALIDATION),
     (("rosary", "--r", "2", "--what", "component", "--l", "9"), None, EXIT_VALIDATION),
     (("rosary", "--r", "2", "--what", "check", "--d", "0"), None, EXIT_VALIDATION),
@@ -1488,3 +1496,31 @@ def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
             for seed in range(4)
         }
         assert len(outputs) == 1, argv
+
+
+def test_no_command_loads_the_reference_simplex(conic_file):
+    # the hull geometry lives in polytope; lp holds the tests' simplex and
+    # binds two polytope names for the benchmark tracer's lp spans
+    argvs = [
+        ["state", "--ideal", conic_file, "--m", "2"],
+        ["chain-state", "--ideal", f"{DATA}/bridge_chain.ideal", "--m", "2"],
+        ["semistable", "--ideal", f"{DATA}/planecurve_chain.ideal", "--m", "2"],
+        ["contains", "--polytope", "data/bridge/elliptic.json", "--point", "0,0,0,0,0,0,3,1,0,0,0,0"],
+        ["rosary", "--r", "2", "--what", "check", "--d", "2"],
+    ]
+    script = (
+        "import json, sys\n"
+        "import statepoly.cli as cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('statepoly'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert "statepoly.polytope" in loaded and "statepoly.lp" not in loaded
+    assert lp.affine_hull is polytope.affine_hull
+    assert lp.member_convex_hull is polytope.member_convex_hull

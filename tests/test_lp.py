@@ -12,14 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statepoly.linalg import primitive
-from statepoly.lp import (
-    LPResult,
-    affine_hull,
-    audit_feasibility,
-    member_convex_hull,
-    solve_lp,
-)
-from statepoly.polytope import facets
+from statepoly.lp import LPResult, audit_feasibility, solve_lp
+from statepoly.polytope import affine_hull, facets, member_convex_hull
 from conftest import brute_hull_member, lp_hull_member, rand_point, reference_member_convex_hull
 
 

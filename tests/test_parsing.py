@@ -381,6 +381,27 @@ def test_parse_ideal_file_errors():
         empty.single_ideal_generators()
 
 
+@pytest.mark.parametrize(
+    "repeat, header",
+    [
+        ("blocks: 0,1\nblocks: 0,1", "blocks"),
+        ("weights: 1,2\nweights: 2,1", "weights"),
+        ("polytope[2]: a.json\npolytope[2]: b.json", "polytope[2]"),
+        ("polytope: a.json\npolytope[1]: b.json", "polytope[1]"),
+    ],
+)
+def test_a_repeated_header_is_refused(repeat, header):
+    with pytest.raises(ParseError) as exc:
+        parse_ideal_file(f"ring: x, y\n{repeat}\nideal: x\n")
+    assert str(exc.value) == f"duplicate {header} declaration (line 3)"
+
+
+def test_a_repeated_ideal_section_adds_generators():
+    parsed = parse_ideal_file("ring: x, y\nideal[1]: x\npolytope[2]: a.json\nideal[1]: y\n")
+    assert [format_polynomial(g, parsed.variables) for g in parsed.sections[1]] == ["x", "y"]
+    assert parsed.polytope_paths == {2: "a.json"}
+
+
 def test_parse_ideal_file_matches_shipped_example():
     with open("data/examples/planecurve_chain.ideal", encoding="utf-8") as handle:
         parsed = parse_ideal_file(handle.read())

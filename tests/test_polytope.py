@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statepoly import polytope
-from statepoly.lp import member_convex_hull
 from statepoly.parsing import scalar_to_json
 from statepoly.polytope import (
     ExtremalityError,
@@ -23,6 +22,7 @@ from statepoly.polytope import (
     extremality_witness,
     facets,
     load_polytope,
+    member_convex_hull,
     polytope_from_payload,
     polytope_payload,
     save_polytope,

@@ -15,7 +15,7 @@ import statepoly.lp as lp_module
 import statepoly.state as state_module
 from statepoly.groebner import hilbert_values, initial_ideal, monomial_slice
 from statepoly.orders import weight_order
-from statepoly.polytope import VPolytope, facets
+from statepoly.polytope import VPolytope, affine_hull, facets
 from statepoly.rings import Ideal, Polynomial
 from statepoly.state import (
     BUDGET_ENV_VAR,
@@ -541,7 +541,7 @@ def test_an_equation_query_grows_the_affine_hull():
     assert {found for _, found in seeds} == {first, second}
     # the first query to find the third vertex is one of the equations of
     # the seeds' line, asked before any facet query
-    equations = lp_module.affine_hull([first, second]).equations
+    equations = affine_hull([first, second]).equations
     index = next(i for i, (_, found) in enumerate(oracle.answers) if found == third)
     direction = oracle.answers[index][0]
     assert 7 <= index < 7 + 2 * len(equations)
@@ -550,7 +550,7 @@ def test_an_equation_query_grows_the_affine_hull():
     assert result.polytope.vertices == tuple(sorted([first, second, third]))
     # the hull grew in the affine-hull phase: the plane's equations are
     # asked next, and the facet phase only confirms the triangle's edges
-    plane = lp_module.affine_hull([first, second, third]).equations
+    plane = affine_hull([first, second, third]).equations
     edges = len(result.facet_system.facets)
     assert (len(plane), edges) == (1, 3)
     assert len(oracle.answers) == 7 + 2 * len(equations) + 2 * len(plane) + edges
