@@ -29,15 +29,17 @@ from typing import Iterable, Iterator, Sequence
 
 from .groebner import (
     Component,
+    IntPoly,
     MonomialIdeal,
     UnionSlices,
+    buchberger,
     intersect_embedded,
     monomial_slice,
     require_enumerable,
     slice_state,
 )
-from .linalg import exact_vector
-from .orders import merge_chain_weights, weight_order
+from .linalg import exact_vector, row_reduce
+from .orders import grevlex_order, merge_chain_weights, weight_order
 from .polytope import (
     ExtremalityError,
     FacetSystem,
@@ -333,22 +335,38 @@ def _component_polytopes(
     of basis runs spent, and each component's block polytope with the facet
     system of its hull.
 
-    Ideal components are enumerated in the block ring; polytope components
-    are restricted to block coordinates when given at ambient arity.  A
-    block's q-value is its common coordinate sum divided by ``m``.
+    Ideal components are enumerated in the block ring, except that a
+    homogeneous component proved equal to an earlier enumerated one of the
+    same width in every degree up to ``m`` (all the degree-``m`` state
+    reads), unchanged or with its block coordinates reversed, reuses that
+    polytope (:func:`_agree_to_degree` is the proof).  A reversed polytope's
+    facet system is rebuilt from its sorted vertices, which gives the system
+    an enumeration would (the system is canonical for its vertex set).
+    Polytope components are restricted to block coordinates when given at
+    ambient arity.  A block's q-value is its common coordinate sum divided
+    by ``m``.
     """
     spec = chain.spec
     tau = tau_vector(spec, m)  # refuses m < 1
     q_total = tau.mixed_monomial_count
     queries = 0
     blocks: list[tuple[VPolytope, FacetSystem]] = []
+    enumerated: dict[Ideal, tuple[VPolytope, FacetSystem]] = {}  # homogeneous ones
+    bases: dict[Ideal, tuple[IntPoly, ...]] = {}
     for i, comp in enumerate(chain.components):
         if isinstance(comp, Ideal):
-            result = enumerate_state_polytope(component_block_ideal(chain, i), m, budget)
-            if not result.complete:
-                raise BudgetExhausted(budget if budget is not None else 0)
-            queries += result.query_count
-            poly, system = result.polytope, result.facet_system
+            ideal = component_block_ideal(chain, i)
+            reused = _reused_block(ideal, m, enumerated, bases)
+            if reused is not None:
+                poly, system = reused
+            else:
+                result = enumerate_state_polytope(ideal, m, budget)
+                if not result.complete:
+                    raise BudgetExhausted(budget if budget is not None else 0)
+                queries += result.query_count
+                poly, system = result.polytope, result.facet_system
+                if ideal.is_homogeneous():
+                    enumerated[ideal] = (poly, system)
         else:
             if comp.dim == spec.arity:
                 coords = spec.block_coords(i)
@@ -363,6 +381,86 @@ def _component_polytopes(
         q_total += q
         blocks.append((poly, system))
     return tau, q_total, queries, blocks
+
+
+def _reused_block(
+    ideal: Ideal,
+    m: int,
+    enumerated: dict[Ideal, tuple[VPolytope, FacetSystem]],
+    bases: dict[Ideal, tuple[IntPoly, ...]],
+) -> tuple[VPolytope, FacetSystem] | None:
+    """The block polytope of a homogeneous ``ideal`` read from an enumerated
+    component whose ideal equals it, unchanged or with the block coordinates
+    reversed, in every degree up to ``m``; ``None`` when there is none."""
+    width = ideal.arity
+    candidates = [(other, block) for other, block in enumerated.items() if block[0].dim == width]
+    if not candidates or not ideal.is_homogeneous():
+        return None
+    for reverse in (False, True):
+        for other, (poly, system) in candidates:
+            if not _agree_to_degree(ideal, other, m, bases, reverse):
+                continue
+            if not reverse:
+                return poly, system
+            # the reversal sends the other component's states to this one's
+            flipped = VPolytope(width, (v[::-1] for v in poly.vertices))
+            return flipped, facets(flipped)
+    return None
+
+
+def _agree_to_degree(
+    a: Ideal, b: Ideal, m: int, bases: dict[Ideal, tuple[IntPoly, ...]], reverse: bool
+) -> bool:
+    """Whether the homogeneous ideal ``a``, with its coordinates reversed if
+    ``reverse``, and the homogeneous ideal ``b`` of the same ring agree in
+    every degree up to ``m``.
+
+    Below its generators' lowest degree ``d`` an ideal is zero, and in
+    degree ``d`` it is the span of the generators of that degree: a
+    different ``d`` or span refutes equality with no Groebner basis, and
+    equal spans prove it when no generator of degree at most ``m`` has
+    another degree.  Otherwise the reduced ``m``-truncated grevlex bases
+    decide, since that basis is unique; ``bases`` keeps each one computed.
+    """
+    if a == b and not reverse:
+        return True
+
+    def lowest(ideal: Ideal, flip: bool) -> tuple[int | None, list[IntPoly], bool]:
+        kept = [(e, g) for e, g in zip(ideal.integer_degrees, ideal.integer_generators) if e <= m]
+        d = min((e for e, _ in kept), default=None)
+        low = [{mono[::-1]: c for mono, c in g.items()} if flip else g for e, g in kept if e == d]
+        return d, low, all(e == d for e, _ in kept)
+
+    (d_a, low_a, one_degree_a), (d_b, low_b, one_degree_b) = lowest(a, reverse), lowest(b, False)
+    if d_a != d_b or not _same_span(low_a, low_b):
+        return False
+    if one_degree_a and one_degree_b:
+        return True
+    if reverse:
+        reversal = range(a.arity - 1, -1, -1)
+        a = Ideal(a.arity, (project_polynomial(g, reversal) for g in a.generators))
+
+    def basis(ideal: Ideal) -> tuple[IntPoly, ...]:
+        if ideal not in bases:
+            bases[ideal] = buchberger(ideal, grevlex_order(ideal.arity), m).integer_elements
+        return bases[ideal]
+
+    return basis(a) == basis(b)
+
+
+def _same_span(f: list[IntPoly], g: list[IntPoly]) -> bool:
+    """Whether two lists of integer polynomials span one space."""
+    # a span's support is the union of its spanning polynomials' supports
+    support = {mono for p in f for mono in p}
+    if support != {mono for p in g for mono in p}:
+        return False
+    monomials = sorted(support)
+
+    def rank(polys: list[IntPoly]) -> int:
+        rows = ([p.get(mono, 0) for mono in monomials] for p in polys)
+        return row_reduce(rows, len(monomials)).rank
+
+    return rank(f) == rank(g) == rank(f + g)
 
 
 # ---------------------------------------------------------------------------

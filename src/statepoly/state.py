@@ -12,6 +12,8 @@ the enumeration:
    new vertex appears), then
 3. confirm every facet of the current hull (query its outward normal; either
    the support value matches, or a new vertex is found and the hull grows).
+   A facet that a vertex found earlier in the same round lies strictly
+   beyond is no longer a facet, and is not queried.
 
 When every facet of the running hull is confirmed, the hull is the state
 polytope.  For a homogeneous ideal the oracle answers most directions from
@@ -276,7 +278,13 @@ def enumerate_state_polytope(
                 system = candidate
                 hull_dim = candidate.hull_dim
                 break
+            # a point found this round that lies strictly beyond a pending
+            # facet has cut it away: its query could confirm nothing, and
+            # the next round queries the facets of the grown hull
+            added: list[StateVector] = []
             for normal, offset in pending:
+                if any(sum(map(mul, normal, p)) > offset for p in added):
+                    continue
                 found = query(normal)
                 value = sum(h * x for h, x in zip(normal, found))
                 if value == offset:
@@ -289,6 +297,7 @@ def enumerate_state_polytope(
                 if found not in vertices:
                     vertices.add(found)
                     hull_obj.add_point(found)
+                    added.append(found)
     except BudgetExhausted:
         status = "budget_exhausted"
     polytope = VPolytope(arity, sorted(vertices))

@@ -17,7 +17,13 @@ from math import prod
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from statepoly.chains import ChainInput, _component_polytopes
+from statepoly.chains import (
+    ChainInput,
+    TauVector,
+    _component_polytopes,
+    component_block_ideal,
+    tau_vector,
+)
 from statepoly.groebner import DegreeSlice, MonomialIdeal, implicitize, initial_ideal
 from statepoly.linalg import exact_vector, primitive
 from statepoly.lp import solve_lp
@@ -29,9 +35,12 @@ from statepoly.polytope import (
     HullMembership,
     IntVector,
     VPolytope,
+    IncrementalHull,
     _int_point,
     _rotate,
     affine_hull,
+    facets,
+    level_quotient,
     vertex_witnesses,
 )
 from statepoly.rings import (
@@ -48,7 +57,7 @@ from statepoly.rings import (
     primitive_terms,
 )
 from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
-from statepoly.state import StatePolytopeResult
+from statepoly.state import BudgetExhausted, StateOracle, StatePolytopeResult, StateVector
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -338,6 +347,17 @@ def sextic_ideal() -> Ideal:
     """The ideal of the curve (s^6 : s^4t^2 : s^2t^4 : st^5 : t^6)."""
     s, t = (Polynomial.variable(2, j) for j in range(2))
     return implicitize([s**a * t**b for a, b in ((6, 0), (4, 2), (2, 4), (1, 5), (0, 6))])
+
+
+def permute_ideal(ideal: Ideal, perm: Sequence[int]) -> Ideal:
+    """The ideal with variable ``perm[i]`` renamed to variable ``i``."""
+    return Ideal(
+        ideal.arity,
+        [
+            Polynomial(ideal.arity, {tuple(mono[p] for p in perm): c for mono, c in g.terms.items()})
+            for g in ideal.generators
+        ],
+    )
 
 
 def benchmark_ideal(name: str) -> Ideal:
@@ -1021,3 +1041,134 @@ def reference_member_convex_hull(
         share /= t
         p = tuple(a + t * b for a, b in zip(v, d))
         face = [i for i in face if sum(map(mul, normal, pts[i])) == offset]
+
+
+# ---------------------------------------------------------------------------
+# the enumeration that queried every pending facet of a round, and the chain
+# components enumerated once per block, which the cut-facet skip and the
+# reuse of equal components replaced, kept verbatim as the references of
+# their differential tests (only the names are changed)
+
+
+def reference_enumerate_state_polytope(
+    ideal: Ideal,
+    m: int,
+    budget: int | None = None,
+    oracle: StateOracle | None = None,
+) -> StatePolytopeResult:
+    """The state polytope of ``ideal`` in degree ``m``, found by querying
+    ``oracle``, or a new ``StateOracle(ideal, m, budget)``.  A given oracle
+    must be for this ideal and degree, and carries its own budget."""
+    if oracle is None:
+        oracle = StateOracle(ideal, m, budget=budget)
+    elif budget is not None:
+        raise ValueError("pass the budget to the oracle, not with it")
+    elif m != oracle.m or ideal != oracle.ideal:
+        raise ValueError("the oracle answers for another ideal or degree")
+    arity = ideal.arity
+    vertices: set[StateVector] = set()
+    witnesses: dict[StateVector, tuple[int, ...]] = {}
+    status = "complete"
+    hull_dim: int | None = None
+    system: FacetSystem | None = None
+
+    def query(direction: Sequence[int]) -> StateVector:
+        found = oracle.state_for_direction(direction)
+        witnesses.setdefault(found, tuple(int(d) for d in direction))
+        return found
+
+    try:
+        seeds: list[tuple[int, ...]] = [(0,) * arity]
+        for i in range(arity):
+            seeds.append(tuple(1 if j == i else 0 for j in range(arity)))
+            seeds.append(tuple(-1 if j == i else 0 for j in range(arity)))
+        for w in seeds:
+            vertices.add(query(w))
+        while True:
+            hull = affine_hull(sorted(vertices))
+            hull_dim = hull.dim
+            grew = False
+            for normal, _offset in hull.equations:
+                for sign in (1, -1):
+                    found = query(tuple(sign * h for h in normal))
+                    if found not in vertices:
+                        vertices.add(found)
+                        grew = True
+            if not grew:
+                break
+        hull_obj = IncrementalHull(sorted(vertices))
+        confirmed: set[tuple[tuple[int, ...], int]] = set()
+        while True:
+            candidate = hull_obj.facet_system()
+            pending = [f for f in candidate.facets if f not in confirmed]
+            if not pending:
+                system = candidate
+                hull_dim = candidate.hull_dim
+                break
+            for normal, offset in pending:
+                found = query(normal)
+                value = sum(h * x for h, x in zip(normal, found))
+                if value == offset:
+                    confirmed.add((normal, offset))
+                elif value < offset:
+                    raise ValueError(
+                        "oracle support fell below a hull facet: the states do not "
+                        "form one polytope, most likely because the input is not homogeneous"
+                    )
+                if found not in vertices:
+                    vertices.add(found)
+                    hull_obj.add_point(found)
+    except BudgetExhausted:
+        status = "budget_exhausted"
+    polytope = VPolytope(arity, sorted(vertices))
+    if system is not None:
+        witnesses = vertex_witnesses(system, polytope.vertices)
+    return StatePolytopeResult(
+        polytope=polytope,
+        m=m,
+        status=status,
+        q=level_quotient(polytope, m),
+        query_count=oracle.gb_runs,
+        witnesses={v: witnesses[v] for v in polytope.vertices},
+        hull_dim=hull_dim,
+        facet_system=system,
+    )
+
+
+def reference_component_polytopes(
+    chain: ChainInput, m: int, budget: int | None
+) -> tuple[TauVector, int, int, list[tuple[VPolytope, FacetSystem]]]:
+    """What both chain routes read: ``tau``, the ambient q-value, the number
+    of basis runs spent, and each component's block polytope with the facet
+    system of its hull.
+
+    Ideal components are enumerated in the block ring; polytope components
+    are restricted to block coordinates when given at ambient arity.  A
+    block's q-value is its common coordinate sum divided by ``m``.
+    """
+    spec = chain.spec
+    tau = tau_vector(spec, m)  # refuses m < 1
+    q_total = tau.mixed_monomial_count
+    queries = 0
+    blocks: list[tuple[VPolytope, FacetSystem]] = []
+    for i, comp in enumerate(chain.components):
+        if isinstance(comp, Ideal):
+            result = reference_enumerate_state_polytope(component_block_ideal(chain, i), m, budget)
+            if not result.complete:
+                raise BudgetExhausted(budget if budget is not None else 0)
+            queries += result.query_count
+            poly, system = result.polytope, result.facet_system
+        else:
+            if comp.dim == spec.arity:
+                coords = spec.block_coords(i)
+                comp = VPolytope(len(coords), [tuple(v[j] for j in coords) for v in comp.vertices])
+            poly, system = comp, facets(comp)
+        try:
+            q = level_quotient(poly, m)
+        except ValueError as exc:
+            raise ValueError(f"component {i + 1}: {exc}") from None
+        if q is None:
+            raise ValueError(f"component {i + 1}: polytope has no common coordinate sum")
+        q_total += q
+        blocks.append((poly, system))
+    return tau, q_total, queries, blocks

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,14 @@ from statepoly.rings import Ideal, Polynomial
 from statepoly.state import enumerate_state_polytope
 
 import conftest
-from conftest import brute_extreme_points, reference_decomposed_state_polytope, state_of_slice
+from conftest import (
+    brute_extreme_points,
+    permute_ideal,
+    reference_component_polytopes,
+    reference_decomposed_state_polytope,
+    sextic_ideal,
+    state_of_slice,
+)
 
 
 def variables(arity):
@@ -371,6 +379,242 @@ def test_chain_witnesses_are_plain_ints(component):
         top = sum(w * x for w, x in zip(weights, vertex))
         others = (v for v in dec.polytope.vertices if v != vertex)
         assert all(sum(w * x for w, x in zip(weights, v)) < top for v in others)
+
+
+# ---------------------------------------------------------------------------
+# equal components enumerated once, against one enumeration per block
+
+
+def counted_enumerations(monkeypatch) -> list:
+    """The block ideals the chain routes enumerate from now on."""
+    calls = []
+
+    def counted(ideal, m, budget=None):
+        calls.append(ideal)
+        return enumerate_state_polytope(ideal, m, budget)
+
+    monkeypatch.setattr(chains, "enumerate_state_polytope", counted)
+    return calls
+
+
+def counted_basis_runs(monkeypatch) -> list:
+    """The ideals whose truncated bases the reuse proof computes from now on."""
+    calls = []
+
+    def counted(ideal, order, m):
+        calls.append(ideal)
+        return buchberger(ideal, order, m)
+
+    monkeypatch.setattr(chains, "buchberger", counted)
+    return calls
+
+
+def placed(base, start, width, mirrored):
+    """``base``, an ideal on the coordinates ``0..width-1``, moved onto the
+    block that starts at ``start``, its coordinates reversed if
+    ``mirrored``."""
+    arity = base.arity
+    if mirrored:
+        return permute_ideal(base, [(start + width - 1 - j) % arity for j in range(arity)])
+    return permute_ideal(base, [(j - start) % arity for j in range(arity)])
+
+
+def random_base_ideal(rng, arity, width):
+    """One or two random quadric trinomials on the coordinates
+    ``0..width-1``, and half the time a cubic binomial, with no power of an
+    end variable, so they vanish at both end unit points and the block may
+    sit anywhere in a chain.  With the cubic, deciding whether two such
+    components are equal takes their truncated bases from degree 3 on."""
+    x = variables(arity)
+
+    def forms(degree):
+        return [
+            math.prod(x[j] for j in js)
+            for js in itertools.combinations_with_replacement(range(width), degree)
+            if len(set(js)) > 1 or js[0] not in (0, width - 1)
+        ]
+
+    quadrics = forms(2)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        f, g, h = rng.sample(quadrics, 3)
+        gens.append(f - rng.choice((1, 2)) * g + rng.choice((-1, 0, 1)) * h)
+    if rng.random() < 0.5:
+        f, g = rng.sample(forms(3), 2)
+        gens.append(f - g)
+    return Ideal(arity, gens)
+
+
+def both_routes(monkeypatch, chain, m):
+    """The decomposed polytope and the semistability report with equal
+    components reused, the number of components that enumerated, and both
+    again with every block enumerated."""
+    calls = counted_enumerations(monkeypatch)
+    got = decomposed_state_polytope(chain, m), semistability_via_components(chain, m)
+    monkeypatch.setattr(chains, "_component_polytopes", reference_component_polytopes)
+    want = decomposed_state_polytope(chain, m), semistability_via_components(chain, m)
+    monkeypatch.undo()
+    # each route reads every component once
+    return got, len(calls) // 2, want
+
+
+def assert_same_but_fewer_queries(got, want):
+    (got_poly, got_semi), (want_poly, want_semi) = got, want
+    assert got_poly.polytope == want_poly.polytope
+    assert list(got_poly.witnesses.items()) == list(want_poly.witnesses.items())
+    assert (got_poly.m, got_poly.status, got_poly.q, got_poly.tau) == (
+        want_poly.m, want_poly.status, want_poly.q, want_poly.tau
+    )
+    assert got_poly.query_count <= want_poly.query_count
+    assert got_semi == want_semi
+
+
+def test_equal_components_are_enumerated_once(monkeypatch):
+    kinds_seen, reused, reused_after_basis_runs = set(), 0, 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        width, n_components = rng.randint(3, 4), rng.randint(2, 3)
+        spec = BlockSpec(range(0, (width - 1) * n_components + 1, width - 1))
+        m = rng.randint(1, 3)
+        bases = [random_base_ideal(rng, spec.arity, width)]
+        components = [placed(bases[0], 0, width, False)]
+        kinds = ["fresh"]
+        for i in range(1, n_components):
+            kind = rng.choice(("repeat", "mirror", "fresh"))
+            if kind == "fresh":
+                bases.append(random_base_ideal(rng, spec.arity, width))
+            base = bases[-1] if kind == "fresh" else rng.choice(bases)
+            components.append(placed(base, spec.block_start(i), width, kind == "mirror"))
+            kinds.append(kind)
+        basis_runs = counted_basis_runs(monkeypatch)
+        got, enumerated, want = both_routes(monkeypatch, ChainInput(spec.boundaries, components), m)
+        assert_same_but_fewer_queries(got, want)
+        # a repeated or mirrored component is never enumerated
+        assert enumerated <= kinds.count("fresh"), (seed, kinds)
+        reused += n_components - enumerated
+        reused_after_basis_runs += bool(basis_runs) and enumerated < n_components
+        kinds_seen.update(kinds)
+    assert kinds_seen == {"fresh", "repeat", "mirror"}
+    assert reused > 0
+    # some components with a cubic were proved equal by their bases
+    assert reused_after_basis_runs > 0
+
+
+def chain_with_a_second_component(kind):
+    """The benchmark's sextic chain on blocks 0,4,8 (the sextic at arity 9
+    and a second component built from it, or the rational normal quartic),
+    or a conic bridge whose second component repeats an inhomogeneous
+    first."""
+    if kind == "inhomogeneous repeat":
+        a, b, c = variables(5)[:3]
+        left = Ideal(5, (a * c - b**2 + b,))
+        return ChainInput((0, 2, 4), (left, placed(left, 2, 3, False)))
+    x = variables(9)
+    sextic = Ideal(
+        9, [Polynomial(9, {mono + (0,) * 4: c for mono, c in g.terms.items()}) for g in sextic_ideal().generators]
+    )
+    if kind == "unrelated":
+        # the 2x2 minors of [[x4, x5, x6, x7], [x5, x6, x7, x8]]
+        quartic = [x[i] * x[j + 1] - x[i + 1] * x[j] for i, j in itertools.combinations(range(4, 8), 2)]
+        return ChainInput((0, 4, 8), (sextic, Ideal(9, quartic)))
+    left = sextic
+    if "cubic" in kind:
+        left = Ideal(9, [*sextic.generators, x[1] * x[2] * x[3]])
+    right = placed(left, 4, 5, kind != "repeat")
+    if kind == "near miss":
+        # the mirror with one coefficient changed
+        *kept, last = right.generators
+        terms = dict(last.terms)
+        terms[max(terms)] *= 2
+        right = Ideal(9, [*kept, Polynomial(9, terms)])
+    if kind == "cubic near miss":
+        # the mirror of the sextic with another cubic: equal in degree 2 only
+        right = placed(Ideal(9, [*sextic.generators, x[1] ** 2 * x[2]]), 4, 5, True)
+    return ChainInput((0, 4, 8), (left, right))
+
+
+@pytest.mark.parametrize(
+    "kind, m, enumerated, basis_runs",
+    [
+        ("mirror", 2, 1, False),
+        ("repeat", 2, 1, False),
+        ("near miss", 2, 2, False),
+        ("unrelated", 2, 2, False),
+        ("mirror with a cubic", 3, 1, True),
+        ("cubic near miss", 3, 2, True),
+        ("cubic near miss", 2, 1, False),
+        ("inhomogeneous repeat", 2, 2, False),
+    ],
+)
+def test_a_component_is_reused_only_when_proved_equal(monkeypatch, kind, m, enumerated, basis_runs):
+    # when every generator up to degree m has one degree, the generators of
+    # that degree decide with no basis run
+    runs = counted_basis_runs(monkeypatch)
+    got, calls, want = both_routes(monkeypatch, chain_with_a_second_component(kind), m)
+    assert calls == enumerated
+    assert bool(runs) is basis_runs
+    assert_same_but_fewer_queries(got, want)
+    if enumerated == 1:
+        assert got[0].query_count < want[0].query_count
+
+
+def random_homogeneous_ideal(rng, width):
+    """One to three random homogeneous binomials or trinomials of degree 1
+    to 3 on ``width`` coordinates."""
+    x = variables(width)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(1, 3)
+        monomials = list(itertools.combinations_with_replacement(range(width), degree))
+        picked = rng.sample(monomials, min(len(monomials), rng.randint(2, 3)))
+        terms = [math.prod(x[j] for j in js) for js in picked]
+        gens.append(sum((rng.choice((-2, -1, 1, 2)) * t for t in terms[1:]), terms[0]))
+    return Ideal(width, gens)
+
+
+def test_agreement_to_degree_is_the_truncated_basis_comparison(monkeypatch):
+    """``_agree_to_degree`` answers what comparing the reduced truncated
+    grevlex bases answers, and computes no basis when the generators of
+    degree at most ``m`` of both ideals have one degree."""
+    runs = counted_basis_runs(monkeypatch)
+    outcomes = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        width, m = rng.randint(2, 4), rng.randint(1, 3)
+        a = random_homogeneous_ideal(rng, width)
+        reversal = list(range(width - 1, -1, -1))
+        kind = rng.choice(("same", "rewritten", "mirror", "extra", "fresh"))
+        if kind == "fresh":
+            b = random_homogeneous_ideal(rng, width)
+        elif kind == "extra":
+            b = Ideal(width, [*a.generators, *random_homogeneous_ideal(rng, width).generators[:1]])
+        else:
+            b = a
+            if kind != "same":
+                # the same ideal on other generators: a multiple of one, and
+                # one replaced by its sum with another of its degree
+                first, *rest = b.generators
+                alike = [g for g in rest if g.degree() == first.degree()]
+                x = variables(width)
+                b = Ideal(width, [*rest, first + 2 * alike[0] if alike else first, rng.choice(x) * first])
+            if kind == "mirror":
+                b = permute_ideal(b, reversal)
+
+        def basis(ideal):
+            return buchberger(ideal, grevlex_order(width), m).integer_elements
+
+        def one_degree(ideal):
+            return len({d for d in ideal.integer_degrees if d <= m}) <= 1
+
+        for reverse in (False, True):
+            image = permute_ideal(a, reversal) if reverse else a
+            want = basis(image) == basis(b)
+            runs.clear()
+            assert chains._agree_to_degree(a, b, m, {}, reverse) is want, (seed, kind, reverse)
+            if one_degree(a) and one_degree(b):
+                assert not runs
+            outcomes.add((want, bool(runs)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,27 @@ def test_chain_budget_exhaustion_exits_with_the_budget_code(capsys, command):
     assert err == "error: Groebner-run budget of 1 exhausted\n"
 
 
+@pytest.mark.parametrize("command", ["chain-state", "semistable"])
+def test_a_reused_chain_component_spends_no_budget(capsys, monkeypatch, tmp_path, command):
+    # at m=4 the sextic takes 61 queries and its mirror, enumerated on its
+    # own, 62; the chain enumerates the sextic and reuses its polytope for
+    # the mirror, so a budget of 61 completes and 60 does not
+    (tmp_path / "sextic_chain.ideal").write_text(BASIS_INPUTS["sextic_chain.ideal"], encoding="utf-8")
+    (tmp_path / "mirror.ideal").write_text(
+        "ring: x0, x1, x2, x3, x4\nideal:\nx3^2 - x2*x4\nx2*x3 - x0*x4\nx2^2 - x0*x3\nx1^2 - x0*x2\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_json(capsys, "state", "--ideal", "mirror.ideal", "--m", "4", "--budget", "61")
+    assert (code, doc["payload"]["status"]) == (EXIT_BUDGET, "budget_exhausted")
+    code, doc = run_json(capsys, command, "--ideal", "sextic_chain.ideal", "--m", "4", "--budget", "61")
+    assert code == EXIT_OK
+    if command == "chain-state":
+        assert doc["payload"]["query_count"] == 61
+    code, out, err = run(capsys, command, "--ideal", "sextic_chain.ideal", "--m", "4", "--budget", "60")
+    assert (code, out, err) == (EXIT_BUDGET, "", "error: Groebner-run budget of 60 exhausted\n")
+
+
 def test_direct_semistable_budget_exhaustion_returns_the_partial_state(capsys, cubic_file):
     code, doc = run_json(capsys, "semistable", "--ideal", cubic_file, "--m", "2", "--budget", "1")
     assert code == EXIT_BUDGET
@@ -478,14 +499,14 @@ SEXTIC_CHAIN_WEIGHTS = "--weights=-3,4,8,7,7,-4,-1,-4,2"
             (("state", "--ideal", "sextic.ideal", "--m", str(m)), digest)
             for m, digest in (
                 (2, "62fab161a46bfcf3bf96afef1c0eb5c80a53e70d6989a7efc34c41eeac52c691"),
-                (4, "d6eb6761d18c9b18f235a192c2a7bb56e33690cf53ecd2ebfe7fa158250563f5"),
-                (6, "38ef387590e998272ea4aaf4d98d2b44e16e70c27a6987b15e8c5bf0f135d2a1"),
-                (12, "cd30f7e1e8f62466d35b278bb6f8112485144854a0421522086e36fba4e7af7a"),
+                (4, "7feb791a4f2461b8063339d76f60d2c6e5c655643f73a6250842f25693f3d625"),
+                (6, "9efa92bf27395445aff4ae9de98f48366a77a1e6b5a8a577ab7ed81b8818a293"),
+                (12, "d1bce76a0565c18904bc2ec30532ea886210f26deac821a88737d6d082935f49"),
             )
         ),
         (
             ("state", "--ideal", "rosary2_state.ideal", "--m", "2"),
-            "792d3c3e679e78b18dfef87659df2ac279af285d91734a7855f52acfff3272eb",
+            "19707e74fd4a75374b94d165188edcc81f26b311ab347ffe5223209bff331f56",
         ),
         (
             ("hm", "--ideal", "sextic_chain_assembled.ideal", "--m", "6", SEXTIC_CHAIN_WEIGHTS),
@@ -501,7 +522,11 @@ SEXTIC_CHAIN_WEIGHTS = "--weights=-3,4,8,7,7,-4,-1,-4,2"
         ),
         (
             ("chain-state", "--ideal", "sextic_chain.ideal", "--m", "2"),
-            "e6bf550d1380e9e91ba969a322ff9451eea87d0430c6bed512dd12561d3a322c",
+            "2e7ef420e398a03d7c3f987a17632c5a71324c783968eb576af86c5aeb4e18c2",
+        ),
+        (
+            ("semistable", "--ideal", "sextic_chain.ideal", "--m", "6"),
+            "b9ba4a1f2c41f3e1266011124355d33e8f4b508efc07efc6a9832f26b74bc367",
         ),
     ],
     ids=[
@@ -510,7 +535,7 @@ SEXTIC_CHAIN_WEIGHTS = "--weights=-3,4,8,7,7,-4,-1,-4,2"
         "gb lex planecurve", "eliminate rosary2",
         "state sextic m2", "state sextic m4", "state sextic m6", "state sextic m12",
         "state rosary2 m2", "hm direct sextic chain", "hm decomposed sextic chain",
-        "tau sextic chain", "chain-state sextic chain",
+        "tau sextic chain", "chain-state sextic chain", "semistable sextic chain m6",
     ],
 )
 def test_basis_payload_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv, digest):
