@@ -21,11 +21,11 @@ translate of the Minkowski sum of the component block polytopes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .groebner import (
     Component,
@@ -72,14 +72,14 @@ Vector = tuple[Fraction, ...]
 # block layout
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(namedtuple("BlockSpec", "boundaries")):
     """Consecutive coordinate blocks ``[n_0..n_1], [n_1..n_2], ...`` with
-    ``n_0 = 0``; adjacent blocks share exactly the junction coordinate."""
+    ``n_0 = 0``, given by the tuple of ``boundaries``; adjacent blocks share
+    exactly the junction coordinate."""
 
-    boundaries: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, boundaries: Iterable[int]):
+    def __new__(cls, boundaries: Iterable[int]) -> BlockSpec:
         bounds = tuple(int(b) for b in boundaries)
         if len(bounds) < 2:
             raise ValueError("need at least two block boundaries")
@@ -91,7 +91,7 @@ class BlockSpec:
                 problems.append(f"block boundaries not strictly increasing: {a} then {b}")
         if problems:
             raise ValueError("; ".join(problems))
-        object.__setattr__(self, "boundaries", bounds)
+        return super().__new__(cls, bounds)
 
     @property
     def n(self) -> int:
@@ -131,8 +131,7 @@ def _coerce_blocks(blocks: BlockSpec | Sequence[int]) -> BlockSpec:
     return BlockSpec(blocks)
 
 
-@dataclass(frozen=True)
-class ChainInput:
+class ChainInput(namedtuple("ChainInput", "blocks components spec warnings")):
     """Block boundaries plus one component per block, valid by construction.
 
     A component is either an :class:`~statepoly.rings.Ideal` at ambient arity
@@ -141,19 +140,18 @@ class ChainInput:
     :class:`~statepoly.polytope.VPolytope` with a common coordinate sum whose
     dimension is the block width, or the ambient arity with zeros outside the
     block).  The constructor raises ``ValueError`` naming every violation;
-    ``warnings`` names the inhomogeneous components.
+    ``warnings`` names the inhomogeneous components.  The fields are the
+    ``blocks`` boundaries, the ``components``, the boundaries as a
+    :class:`BlockSpec` ``spec``, and the ``warnings``.
     """
 
-    blocks: tuple[int, ...]
-    components: tuple[Ideal | VPolytope, ...]
-    spec: BlockSpec
-    warnings: tuple[str, ...]
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         blocks: Iterable[int],
         components: Iterable[Ideal | VPolytope],
-    ):
+    ) -> ChainInput:
         try:
             spec = BlockSpec(blocks)
         except ValueError as exc:
@@ -162,10 +160,7 @@ class ChainInput:
         violations, warnings = _component_problems(spec, components)
         if violations:
             raise ValueError("invalid chain input: " + "; ".join(violations))
-        object.__setattr__(self, "blocks", spec.boundaries)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "warnings", tuple(warnings))
+        return super().__new__(cls, spec.boundaries, components, spec, tuple(warnings))
 
 
 def _component_problems(
@@ -264,8 +259,7 @@ def mixed_ideals(blocks: BlockSpec | Sequence[int]) -> MonomialIdeal:
     )
 
 
-@dataclass(frozen=True)
-class TauVector:
+class TauVector(NamedTuple):
     """Exponent sum of the degree-``m`` monomials mixing across a junction
     (each monomial counted once even when it mixes across several)."""
 
@@ -590,8 +584,7 @@ def barycenter_decompose(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChainSemistabilityReport:
+class ChainSemistabilityReport(NamedTuple):
     """Barycenter membership for a chain, decided one component at a time.
 
     ``member_of_hull`` is true exactly when every block summand of
@@ -644,8 +637,7 @@ def semistability_via_components(
 # slice bookkeeping
 
 
-@dataclass(frozen=True)
-class SlicePartitionReport:
+class SlicePartitionReport(NamedTuple):
     """Comparison of the assembled ideal's degree-``m`` slice with the mixed
     monomials plus the embedded component slices.
 

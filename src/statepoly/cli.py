@@ -13,12 +13,10 @@ oracle budget was exhausted.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import io
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -78,8 +76,7 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     """What a command produced: a deterministic document plus exit status."""
 
     command: str
@@ -105,6 +102,8 @@ class CommandResult:
 
 
 def _render_csv(payload: object) -> str:
+    import csv  # only CSV output needs it
+
     if not (isinstance(payload, dict) and "columns" in payload and "rows" in payload):
         raise ValueError("this command has no tabular payload; use --format json")
     columns = payload["columns"]

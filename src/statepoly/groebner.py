@@ -39,12 +39,12 @@ order caches once per monomial.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from operator import add, le, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import row_reduce
 from .orders import MonomialOrder, elimination_order, grevlex_order
@@ -270,15 +270,12 @@ def _minimal_leads(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 # public objects
 
 
-@dataclass(frozen=True)
-class ReducedGB:
-    """The unique reduced Groebner basis: fully interreduced, sorted by
-    increasing leading monomial.  ``integer_elements`` holds each element as
-    a primitive integer polynomial with a positive leading coefficient."""
-
-    order: MonomialOrder
-    integer_elements: tuple[IntPoly, ...]
-    leads: tuple[Monomial, ...]
+class ReducedGB(namedtuple("ReducedGB", "order integer_elements leads")):
+    """The unique reduced Groebner basis under a :class:`MonomialOrder`:
+    fully interreduced, sorted by increasing leading monomial.
+    ``integer_elements`` holds each element as a primitive integer
+    polynomial with a positive leading coefficient, ``leads`` their leading
+    monomials."""
 
     @property
     def arity(self) -> int:
@@ -314,18 +311,15 @@ class ReducedGB:
 Supports = tuple[tuple[Monomial, ...], ...]
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generators.
 
     An initial ideal also keeps ``supports``, those of the Groebner basis it
     was read from: each element's monomials, lead first.  Equality and
-    hashing ignore them.
+    hashing ignore them.  No attribute can be assigned or deleted.
     """
 
-    arity: int
-    gens: tuple[Monomial, ...]
-    supports: Supports = field(default=(), compare=False, repr=False)
+    __slots__ = ("arity", "gens", "supports")
 
     def __init__(self, arity: int, gens: Iterable[Monomial], supports: Supports = ()):
         object.__setattr__(self, "arity", arity)
@@ -341,12 +335,28 @@ class MonomialIdeal:
         object.__setattr__(mi, "supports", supports)
         return mi
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to MonomialIdeal.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete MonomialIdeal.{name}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MonomialIdeal:
+            return NotImplemented
+        return self.arity == other.arity and self.gens == other.gens
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.gens))
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(arity={self.arity!r}, gens={self.gens!r})"
+
     def contains(self, mono: Monomial) -> bool:
         return any(mono_divides(g, mono) for g in self.gens)
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(NamedTuple):
     """The degree-``m`` monomials of an initial ideal and its complement."""
 
     arity: int

@@ -18,10 +18,9 @@ plain sequence of rationals (``int``, ``Fraction`` or anything
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chains import ChainInput, component_block_ideal
 from .groebner import initial_ideal, require_enumerable, standard_sums
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HMComponent:
+class HMComponent(NamedTuple):
     """Per-block pieces of a decomposed index computation."""
 
     index: int
@@ -47,8 +45,7 @@ class HMComponent:
     correction: Fraction
 
 
-@dataclass(frozen=True)
-class HMReport:
+class HMReport(NamedTuple):
     """An index value together with the quantities that produced it."""
 
     mu: Fraction

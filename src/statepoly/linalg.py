@@ -13,11 +13,10 @@ is read.
 from __future__ import annotations
 
 from bisect import bisect, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def exact(value) -> int | Fraction:
@@ -55,8 +54,7 @@ def primitive(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
     return ints
 
 
-@dataclass(frozen=True)
-class RowEchelon:
+class RowEchelon(NamedTuple):
     """Row echelon form of an integer matrix, as the forward reduction left it.
 
     ``echelon[i]`` is a primitive row that is zero before a positive entry

@@ -14,10 +14,9 @@ here as well, under the names the benchmark tracer's ``lp`` spans use.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polytope import affine_hull, member_convex_hull  # noqa: F401
 
@@ -28,8 +27,7 @@ def _vec(values: Iterable) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # "feasible" | "infeasible"
     point: Vector | None = None
     farkas: Vector | None = None

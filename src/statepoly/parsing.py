@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import exact
 from .rings import ENUMERATION_LIMIT, Monomial, Polynomial
@@ -469,13 +468,12 @@ def format_polynomial(poly: Polynomial, variables: Sequence[str], order=None) ->
 _SECTION = re.compile(r"^(ring|blocks|weights|ideal|polytope)(?:\[(\d+)\])?\s*:\s*(.*)$")
 
 
-@dataclass
-class IdealFile:
+class IdealFile(NamedTuple):
     variables: tuple[str, ...]
-    sections: dict[int, list[Polynomial]] = field(default_factory=dict)
-    blocks: tuple[int, ...] | None = None
-    weights: tuple[Fraction, ...] | None = None
-    polytope_paths: dict[int, str] = field(default_factory=dict)
+    sections: dict[int, list[Polynomial]]
+    blocks: tuple[int, ...] | None
+    weights: tuple[Fraction, ...] | None
+    polytope_paths: dict[int, str]
 
     @property
     def arity(self) -> int:
@@ -548,8 +546,5 @@ def parse_ideal_file(text: str) -> IdealFile:
         sections[current].append(line)
     if variables is None:
         raise ParseError("missing ring declaration")
-    out = IdealFile(variables=variables, blocks=blocks, weights=weights, polytope_paths=polytope_paths)
-    for k, lines in sections.items():
-        polys = [parse_polynomial(expr, variables) for expr in lines]
-        out.sections[k] = polys
-    return out
+    polys = {k: [parse_polynomial(expr, variables) for expr in lines] for k, lines in sections.items()}
+    return IdealFile(variables, polys, blocks, weights, polytope_paths)

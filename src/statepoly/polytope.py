@@ -30,12 +30,12 @@ the vertex maximizes strictly (:func:`vertex_witnesses`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import common_denominator, exact, exact_vector, primitive, row_reduce
 from .parsing import ParseError, render_json, scalar_from_json, scalar_to_json
@@ -59,24 +59,22 @@ class ExtremalityError(RuntimeError):
 # vertex-form polytopes
 
 
-@dataclass(frozen=True)
-class VPolytope:
-    """A polytope given by its vertex list (sorted, deduplicated).
+class VPolytope(namedtuple("VPolytope", "dim vertices")):
+    """A polytope in ``dim`` coordinates given by its ``vertices``, a sorted
+    and deduplicated tuple of exact vectors.
 
     The constructor trusts its input: it does not check that every point is
     extreme.
     """
 
-    dim: int
-    vertices: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __init__(self, dim: int, vertices: Iterable[Sequence]):
+    def __new__(cls, dim: int, vertices: Iterable[Sequence]) -> VPolytope:
         pts = sorted({exact_vector(p) for p in vertices})
         for p in pts:
             if len(p) != dim:
                 raise ValueError(f"vertex {p} does not have {dim} coordinates")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", tuple(pts))
+        return super().__new__(cls, dim, tuple(pts))
 
     @property
     def level(self) -> int | Fraction | None:
@@ -119,8 +117,7 @@ def trivial_character_point(n: int, m: int, q: int) -> Vector:
 # exact facet enumeration (incremental beneath-beyond in the affine hull)
 
 
-@dataclass(frozen=True)
-class FacetSystem:
+class FacetSystem(NamedTuple):
     """Equations and facet inequalities of a polytope.
 
     ``equations`` hold with equality on every point of the polytope;
@@ -140,8 +137,7 @@ class FacetSystem:
         return all(sum(map(mul, normal, p)) < offset for normal, offset in self.facets)
 
 
-@dataclass(frozen=True)
-class AffineHull:
+class AffineHull(NamedTuple):
     dim: int
     base_point: IntVector
     spanning: tuple[int, ...]  # indices of the first dim + 1 affinely independent points
@@ -411,8 +407,7 @@ def facets(source: VPolytope | Sequence[Sequence]) -> FacetSystem:
     )
 
 
-@dataclass(frozen=True)
-class HullMembership:
+class HullMembership(NamedTuple):
     inside: bool
     coefficients: Vector | None = None  # convex weights, aligned with points
     separator: tuple[int, ...] | None = None  # functional larger at target

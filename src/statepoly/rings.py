@@ -7,7 +7,7 @@ arithmetic is exact -- no floats anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -296,24 +296,20 @@ def embed_polynomial(poly: Polynomial, arity: int, coords: Sequence[int]) -> Pol
 # ideals
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """A finitely generated ideal, kept as its generator list.
+class Ideal(namedtuple("Ideal", "arity generators")):
+    """A finitely generated ideal, kept as its ``arity`` and its tuple of
+    nonzero ``generators``.
 
     :attr:`integer_generators` and :attr:`integer_degrees` are computed on
     first use and kept with the ideal (equality and hashing ignore them).
     """
 
-    arity: int
-    generators: tuple[Polynomial, ...]
-
-    def __init__(self, arity: int, generators: Iterable[Polynomial]):
+    def __new__(cls, arity: int, generators: Iterable[Polynomial]) -> Ideal:
         gens = tuple(g for g in generators if not g.is_zero)
         for g in gens:
             if g.arity != arity:
                 raise ValueError(f"generator arity {g.arity} does not match ring arity {arity}")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "generators", gens)
+        return super().__new__(cls, arity, gens)
 
     @cached_property
     def integer_generators(self) -> tuple[dict[Monomial, int], ...]:

@@ -15,9 +15,9 @@ the component slices and the ``T_l^d``, and the integer sequences ``w_2`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groebner import Component, UnionSlices, intersect_embedded, require_enumerable
 from .orders import MonomialOrder
@@ -45,17 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RosarySpec:
+class RosarySpec(namedtuple("RosarySpec", "r")):
     """A rosary of genus ``r``: ``r + 1`` components in ``3r + 1`` coordinates."""
 
-    r: int
+    __slots__ = ()
 
-    def __init__(self, r: int):
+    def __new__(cls, r: int) -> RosarySpec:
         r = int(r)
         if r < 1:
             raise ValueError(f"rosary genus must be >= 1, got {r}")
-        object.__setattr__(self, "r", r)
+        return super().__new__(cls, r)
 
     @property
     def arity(self) -> int:
@@ -174,8 +173,7 @@ def _restrict_order(order: MonomialOrder, coords: Sequence[int]) -> MonomialOrde
     return MonomialOrder(len(coords), rows, name=f"{order.name}|{tuple(coords)!r}")
 
 
-@dataclass(frozen=True)
-class RosarySliceReport:
+class RosarySliceReport(NamedTuple):
     """Both sides of the degree-``d`` slice comparison and their difference.
 
     The left side is the initial-ideal slice of the assembled ideal plus the
@@ -268,8 +266,7 @@ def rosary_slice_decomposition_check(
 # the w-sequences
 
 
-@dataclass(frozen=True)
-class WValue:
+class WValue(NamedTuple):
     """One entry of the degree-2 or degree-3 weight sequence."""
 
     r: int

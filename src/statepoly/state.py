@@ -24,10 +24,9 @@ optional budget caps the distinct normalized directions it answers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .groebner import (
     MonomialIdeal,
@@ -194,8 +193,7 @@ class StateOracle:
         return state
 
 
-@dataclass(frozen=True)
-class StatePolytopeResult:
+class StatePolytopeResult(NamedTuple):
     """A (possibly partial) state polytope with per-vertex witness weights.
 
     ``witnesses[v]`` is an integer direction.  In a complete result ``v`` is
@@ -319,8 +317,7 @@ def enumerate_state_polytope(
 # barycenter membership
 
 
-@dataclass(frozen=True)
-class SemistabilityReport:
+class SemistabilityReport(NamedTuple):
     m: int
     q: int
     barycenter: tuple[Fraction, ...]

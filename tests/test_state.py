@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -246,11 +247,16 @@ def test_semistability_unstable_monomial_ideal():
 
 
 def _scalars(obj):
-    """Every number inside a (nested) dataclass, tuple or dict."""
+    """Every number inside a (nested) record, tuple or dict.  A record is
+    read field by field: a named tuple through ``_fields``, a slotted class
+    through ``__slots__``."""
     if isinstance(obj, (bool, str)) or obj is None:
         return
     if isinstance(obj, (int, float, Fraction)):
         yield obj
+    elif hasattr(obj, "_fields") or hasattr(obj, "__slots__"):
+        for name in getattr(obj, "_fields", None) or type(obj).__slots__:
+            yield from _scalars(getattr(obj, name))
     elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from _scalars(key)
@@ -258,9 +264,8 @@ def _scalars(obj):
     elif isinstance(obj, (tuple, list, set)):
         for item in obj:
             yield from _scalars(item)
-    elif hasattr(obj, "__dataclass_fields__"):
-        for name in obj.__dataclass_fields__:
-            yield from _scalars(getattr(obj, name))
+    else:
+        raise TypeError(f"no scalars read from {type(obj).__name__}")
 
 
 def test_state_data_is_int_and_reports_hold_no_float():
@@ -270,7 +275,13 @@ def test_state_data_is_int_and_reports_hold_no_float():
     assert all(type(c) is int for v in res.polytope.vertices for c in v)
     assert type(res.polytope.level) is int and type(res.q) is int
     assert all(type(w) is int for ws in res.witnesses.values() for w in ws)
-    assert not any(isinstance(v, float) for v in _scalars(res))
+    scanned = Counter(_scalars(res))
+    # the scan reaches into the records: every vertex coordinate (a vertex
+    # is also a witness key) and every witness entry
+    expected = Counter(c for v in res.polytope.vertices for c in v * 2)
+    expected.update(w for ws in res.witnesses.values() for w in ws)
+    assert not expected - scanned
+    assert not any(isinstance(v, float) for v in scanned)
     report = semistability_report(res)
     assert report.member_of_hull and report.relative_interior
     assert not any(isinstance(v, float) for v in _scalars(report))

@@ -2,8 +2,11 @@
 
 The package computes in exact arithmetic only: no source file may write a
 float literal, call ``float``, or import from ``math`` anything beyond the
-integer functions below.  And it keeps no dead code: every private
-top-level function or class is named somewhere outside its own definition.
+integer functions below.  Its records are named tuples or slotted classes:
+no source file imports ``dataclasses``, whose decorator generates and
+compiles each record's methods at import.  And it keeps no dead code: every
+private top-level function or class is named somewhere outside its own
+definition.
 """
 
 from __future__ import annotations
@@ -51,6 +54,32 @@ def test_the_check_finds_each_kind_of_float_use():
         "line 3: literal 0.5",
         "line 4: call of float",
         "line 5: literal 2j",
+    ]
+
+
+def dataclasses_imports(tree: ast.AST) -> list[str]:
+    """Each import of ``dataclasses`` or of a name from it, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found += [f"line {node.lineno}: dataclasses.{a.name}" for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_imports_no_dataclasses(path):
+    assert dataclasses_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_check_finds_each_dataclasses_import():
+    source = "import json, dataclasses\nfrom dataclasses import dataclass, field\nimport dataclasses as dc\n"
+    assert dataclasses_imports(ast.parse(source)) == [
+        "line 1: import dataclasses",
+        "line 2: dataclasses.dataclass",
+        "line 2: dataclasses.field",
+        "line 3: import dataclasses",
     ]
 
 
