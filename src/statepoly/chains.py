@@ -38,7 +38,7 @@ from .groebner import (
     require_enumerable,
     slice_state,
 )
-from .linalg import exact_vector, row_reduce
+from .linalg import exact_vector, int_rows, row_reduce
 from .orders import grevlex_order, merge_chain_weights, weight_order
 from .polytope import (
     ExtremalityError,
@@ -505,7 +505,7 @@ def decomposed_state_polytope(
         blocks.append(
             [(v[:fresh] + tuple(map(add, v[fresh:], part)), witnesses[v]) for v in poly.vertices]
         )
-        rational = rational or any(type(x) is not int for v in poly.vertices for x in v)
+        rational = rational or not int_rows(poly.vertices)
 
     # the Minkowski product as a prefix fold; the last level fills the
     # vertex -> witness map directly

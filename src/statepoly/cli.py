@@ -42,7 +42,7 @@ from .parsing import (
     IdealFile,
     ParseError,
     format_polynomial,
-    format_vector,
+    format_vectors,
     parse_ideal_file,
     parse_int_vector,
     parse_vector,
@@ -124,11 +124,11 @@ def _json_vector(values: Sequence) -> list:
 
 
 def _json_monomial(mono: Sequence[int]) -> list[int]:
-    return [int(e) for e in mono]
+    return list(mono)
 
 
 def _witnesses_json(witnesses) -> dict[str, list[int]]:
-    return {format_vector(v): list(direction) for v, direction in witnesses.items()}
+    return dict(zip(format_vectors(witnesses), map(list, witnesses.values())))
 
 
 def _single_ideal(doc: IdealFile) -> Ideal:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect, insort
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -32,13 +33,20 @@ def exact_vector(values: Iterable) -> tuple[int | Fraction, ...]:
     return tuple([v if type(v) is int else exact(v) for v in values])
 
 
+def int_rows(rows: Iterable[Iterable]) -> bool:
+    """Whether every entry of every row is an ``int``, decided by one
+    C-level pass over the entries' types (a ``bool`` is not an ``int``)."""
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
 def common_denominator(
     rows: Iterable[Iterable[int | Fraction]],
 ) -> tuple[int, list[tuple[int, ...]]]:
     """The lcm ``scale`` of the denominators of all entries, and every row
-    times ``scale`` as integers (the content is kept)."""
+    times ``scale`` as integers (the content is kept); an all-``int`` set
+    (:func:`int_rows`) is returned as it is."""
     rows = [tuple(r) for r in rows]
-    if all(type(v) is int for r in rows for v in r):
+    if int_rows(rows):
         return 1, rows
     rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
     scale = lcm(*(v.denominator for r in rational for v in r))

@@ -32,9 +32,9 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
-from .linalg import exact
+from .linalg import exact, int_rows
 from .rings import ENUMERATION_LIMIT, Monomial, Polynomial
 
 
@@ -108,12 +108,40 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
+# the decimal texts of the ints of the rows of ints with |v| < _TEXT_BOUND
+# written so far: a document holds few distinct small ints, and a lookup is
+# cheaper than str()
+_TEXT: dict[int, str] = {}
+_TEXT_BOUND = 4096
+
+
+def _int_texts(values: Sequence[int]) -> list[str]:
+    """The texts of ``int`` values (a ``bool`` would read ``_TEXT[0]`` or
+    ``_TEXT[1]``).  On a miss ``str`` writes the row, and a row of small ints
+    enters the table; ``str`` raises ``ValueError`` past the integer string
+    limit."""
+    texts = list(map(_TEXT.get, values))
+    if None in texts:
+        texts = list(map(str, values))
+        if -_TEXT_BOUND < min(values) and max(values) < _TEXT_BOUND:
+            _TEXT.update(zip(values, texts))
+    return texts
+
+
 def format_vector(values: Sequence[Fraction | int]) -> str:
-    """Comma-separated :func:`format_rational` texts, in one join for ints."""
-    if not all(type(v) is int for v in values):
-        return ",".join(map(format_rational, values))
+    """Comma-separated :func:`format_rational` texts.  An all-``int`` vector,
+    decided in one C-level pass, is written from the small-int text table
+    in one join; any other goes value by value."""
+    return format_vectors((values,))[0]
+
+
+def format_vectors(vectors: Collection[Sequence[Fraction | int]]) -> list[str]:
+    """:func:`format_vector` of each vector, with integrality decided once
+    for the whole set."""
+    if not int_rows(vectors):
+        return [",".join(map(format_rational, values)) for values in vectors]
     try:
-        return ",".join(map(str, values))
+        return [",".join(texts) for texts in map(_int_texts, vectors)]
     except ValueError:
         raise _past_the_digit_limit() from None
 
@@ -145,10 +173,22 @@ def render_json(value) -> str:
     document holds: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
     ``int``, ``bool`` and ``None``.  Any other value (a float, a
     ``Fraction``) or key raises ``TypeError``, and an integer past the integer
-    string limit raises ``ValueError``.  An all-``int`` list is written with
-    one ``join``, and the chunks are joined once at the end."""
+    string limit raises ``ValueError``.
+
+    Ints are read from the small-int text table: an all-``int`` list is
+    written in one ``join``, and a list or dict whose elements or values are
+    all non-empty ``int`` rows in one ``join`` per row, each shape decided by
+    one C-level type pass.  The chunks are joined once at the end."""
     chunks: list[str] = []
     put = chunks.append
+
+    def int_list(values, newline: str) -> str:
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(_int_texts(values)) + newline + "]"
+
+    def int_row_set(items) -> bool:
+        # every item a non-empty list or tuple of ints
+        return set(map(type, items)) <= {list, tuple} and all(items) and int_rows(items)
 
     def write(item, newline: str) -> None:
         # ``newline`` is a line break followed by the indentation of ``item``
@@ -168,13 +208,17 @@ def render_json(value) -> str:
                 put("[]")
                 return
             inner = newline + "  "
-            if set(map(type, item)) == {int}:
-                put("[" + inner + ("," + inner).join(map(str, item)) + newline + "]")
+            if int_rows((item,)):
+                put(int_list(item, newline))
                 return
+            rows = int_row_set(item)
             separator = "[" + inner
             for element in item:
-                put(separator)
-                write(element, inner)
+                if rows:
+                    put(separator + int_list(element, inner))
+                else:
+                    put(separator)
+                    write(element, inner)
                 separator = "," + inner
             put(newline + "]")
         elif kind is dict:
@@ -182,10 +226,15 @@ def render_json(value) -> str:
                 put("{}")
                 return
             inner = newline + "  "
+            rows = int_row_set(item.values())
             separator = "{" + inner
             for key in sorted(item):
-                put(separator + encode_basestring_ascii(key) + ": ")
-                write(item[key], inner)
+                head = separator + encode_basestring_ascii(key) + ": "
+                if rows:
+                    put(head + int_list(item[key], inner))
+                else:
+                    put(head)
+                    write(item[key], inner)
                 separator = "," + inner
             put(newline + "}")
         else:

@@ -37,7 +37,7 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import common_denominator, exact, exact_vector, primitive, row_reduce
+from .linalg import common_denominator, exact, exact_vector, int_rows, primitive, row_reduce
 from .parsing import ParseError, render_json, scalar_from_json, scalar_to_json
 
 Vector = tuple[int | Fraction, ...]
@@ -64,13 +64,17 @@ class VPolytope(namedtuple("VPolytope", "dim vertices")):
     and deduplicated tuple of exact vectors.
 
     The constructor trusts its input: it does not check that every point is
-    extreme.
+    extreme.  An all-``int`` point set (:func:`int_rows`, one check for the
+    set) is only deduplicated and sorted, any other normalised per vertex.
     """
 
     __slots__ = ()
 
     def __new__(cls, dim: int, vertices: Iterable[Sequence]) -> VPolytope:
-        pts = sorted({exact_vector(p) for p in vertices})
+        pts = set(map(tuple, vertices))
+        if not int_rows(pts):
+            pts = set(map(exact_vector, pts))
+        pts = sorted(pts)
         for p in pts:
             if len(p) != dim:
                 raise ValueError(f"vertex {p} does not have {dim} coordinates")
@@ -81,7 +85,7 @@ class VPolytope(namedtuple("VPolytope", "dim vertices")):
         """Common coordinate sum of all vertices, if there is one."""
         if not self.vertices:
             return None
-        sums = {sum(v) for v in self.vertices}
+        sums = set(map(sum, self.vertices))
         return exact(sums.pop()) if len(sums) == 1 else None
 
     def contains(self, point: Sequence) -> bool:
@@ -200,11 +204,18 @@ def _rotate(
 
 
 def _int_point(point: Sequence) -> IntVector:
-    if all(type(x) is int for x in point):
+    if int_rows((point,)):
         return tuple(point)
     if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in point):
         raise ValueError(f"hull points must have integer coordinates, got {tuple(point)}")
     return tuple(x.numerator for x in point)
+
+
+def _int_points(points: Iterable[Sequence]) -> list[IntVector]:
+    """The distinct points as ``int`` tuples, in first-seen order: an
+    all-``int`` set is checked once, any other point by :func:`_int_point`."""
+    pts = list(dict.fromkeys(map(tuple, points)))
+    return pts if int_rows(pts) else list(map(_int_point, pts))
 
 
 class IncrementalHull:
@@ -234,7 +245,7 @@ class IncrementalHull:
     """
 
     def __init__(self, points: Sequence[Sequence]):
-        pts = list(dict.fromkeys(_int_point(p) for p in points))
+        pts = _int_points(points)
         if not pts:
             raise ValueError("a hull needs at least one point")
         self.ambient_dim = len(pts[0])
@@ -557,13 +568,14 @@ def _not_extreme(vertex: Vector) -> ExtremalityError:
 
 def polytope_payload(poly: VPolytope) -> dict:
     level = poly.level
+    vertices = poly.vertices
     return {
         "dim": poly.dim,
         "level": None if level is None else scalar_to_json(level),
-        "vertices": [
-            list(v) if set(map(type, v)) == {int} else [scalar_to_json(x) for x in v]
-            for v in poly.vertices
-        ],
+        "vertices": (
+            list(map(list, vertices)) if int_rows(vertices)
+            else [[scalar_to_json(x) for x in v] for v in vertices]
+        ),
     }
 
 
@@ -575,11 +587,13 @@ def polytope_from_payload(payload: dict) -> VPolytope:
         raise ParseError("polytope payload needs a 'vertices' list of coordinate lists")
     if not rows:
         raise ParseError("polytope payload has no vertices")
-    vertices = [[scalar_from_json(x) for x in row] for row in rows]
-    dim = payload.get("dim", len(vertices[0]))
+    # a 'p/q' string, a bool or a float sends the whole set through scalar_from_json
+    if not int_rows(rows):
+        rows = [[scalar_from_json(x) for x in row] for row in rows]
+    dim = payload.get("dim", len(rows[0]))
     if type(dim) is not int:
         raise ParseError(f"polytope dimension must be an integer, got {dim!r}")
-    return VPolytope(dim, vertices)
+    return VPolytope(dim, rows)
 
 
 def save_polytope(path: str | Path, poly: VPolytope) -> None:

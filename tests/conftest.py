@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from math import prod
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
@@ -36,7 +36,6 @@ from statepoly.polytope import (
     IntVector,
     VPolytope,
     IncrementalHull,
-    _int_point,
     _rotate,
     affine_hull,
     facets,
@@ -56,6 +55,7 @@ from statepoly.rings import (
     mono_mul,
     primitive_terms,
 )
+from statepoly.parsing import ParseError, scalar_from_json
 from statepoly.rosary import RosarySpec, rosary_assembled_ideal, rosary_end_conics
 from statepoly.state import BudgetExhausted, StateOracle, StatePolytopeResult, StateVector
 
@@ -341,6 +341,94 @@ def rand_point(rng: random.Random, dim: int, span: int = 6) -> tuple[Fraction, .
     return tuple(
         Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3])) for _ in range(dim)
     )
+
+
+# ---------------------------------------------------------------------------
+# integrality decided value by value: the routes that every point set took
+# before integrality was decided once per set
+
+
+def reference_exact_vector(values: Iterable) -> tuple:
+    """Each value under the exact-scalar rule, one by one."""
+    out = []
+    for v in values:
+        if type(v) is not int:
+            f = v if isinstance(v, Fraction) else Fraction(v)
+            v = f.numerator if f.denominator == 1 else f
+        out.append(v)
+    return tuple(out)
+
+
+def reference_vpolytope_vertices(dim: int, vertices: Iterable[Sequence]) -> tuple:
+    """``VPolytope``'s vertices by per-vertex normalisation, then dedup and
+    sort, with its dimension check."""
+    pts = sorted({reference_exact_vector(p) for p in vertices})
+    for p in pts:
+        if len(p) != dim:
+            raise ValueError(f"vertex {p} does not have {dim} coordinates")
+    return tuple(pts)
+
+
+def reference_common_denominator(rows: Iterable[Iterable]) -> tuple[int, list[tuple[int, ...]]]:
+    """``common_denominator`` with integrality tested by a generator."""
+    rows = [tuple(r) for r in rows]
+    if all(type(v) is int for r in rows for v in r):
+        return 1, rows
+    rational = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r] for r in rows]
+    scale = lcm(*(v.denominator for r in rational for v in r))
+    return scale, [tuple(v.numerator * (scale // v.denominator) for v in r) for r in rational]
+
+
+def reference_payload_vertices(payload: dict) -> tuple[int, list[list]]:
+    """The dimension and vertex rows ``polytope_from_payload`` hands to
+    ``VPolytope``, read coordinate by coordinate."""
+    rows = payload.get("vertices") if isinstance(payload, dict) else None
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ParseError("polytope payload needs a 'vertices' list of coordinate lists")
+    if not rows:
+        raise ParseError("polytope payload has no vertices")
+    vertices = [[scalar_from_json(x) for x in row] for row in rows]
+    dim = payload.get("dim", len(vertices[0]))
+    if type(dim) is not int:
+        raise ParseError(f"polytope dimension must be an integer, got {dim!r}")
+    return dim, vertices
+
+
+def reference_int_point(point: Sequence) -> IntVector:
+    """One hull point as ``int``s, tested coordinate by coordinate."""
+    if all(type(x) is int for x in point):
+        return tuple(point)
+    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in point):
+        raise ValueError(f"hull points must have integer coordinates, got {tuple(point)}")
+    return tuple(x.numerator for x in point)
+
+
+def reference_hull_intake(points: Iterable[Sequence]) -> list[IntVector]:
+    """The hull's initial points: each through :func:`reference_int_point`,
+    then deduplicated in first-seen order."""
+    return list(dict.fromkeys(reference_int_point(p) for p in points))
+
+
+def rand_scalar_rows(rng: random.Random, kinds: Sequence[str], dim: int | None = None) -> list:
+    """Seeded rows (lists or tuples) of one width, drawn from ``kinds``:
+    ``int``, ``big`` (4,000 digits), ``fraction`` (integral), ``proper``
+    (a proper fraction) and ``bool``; a few rows repeat an earlier one."""
+    dim = rng.randint(1, 5) if dim is None else dim
+    draw = {
+        "int": lambda: rng.randint(-9, 9),
+        "big": lambda: rng.choice((-1, 1)) * rng.randrange(10**3999, 10**4000),
+        "fraction": lambda: Fraction(2 * rng.randint(-9, 9), 2),
+        "proper": lambda: Fraction(rng.randint(-9, 9), rng.choice((2, 3))) + Fraction(1, 5),
+        "bool": lambda: rng.random() < 0.5,
+    }
+    rows: list = []
+    for _ in range(rng.randint(1, 8)):
+        if rows and rng.random() < 0.2:
+            row = list(rng.choice(rows))
+        else:
+            row = [draw[rng.choice(kinds)]() for _ in range(dim)]
+        rows.append(row if rng.random() < 0.5 else tuple(row))
+    return rows
 
 
 def sextic_ideal() -> Ideal:
@@ -822,7 +910,7 @@ class ReferenceIncrementalHull:
     """
 
     def __init__(self, points: Sequence[Sequence]):
-        pts = list(dict.fromkeys(_int_point(p) for p in points))
+        pts = reference_hull_intake(points)
         if not pts:
             raise ValueError("a hull needs at least one point")
         self.ambient_dim = len(pts[0])
@@ -877,7 +965,7 @@ class ReferenceIncrementalHull:
 
     def add_point(self, point: Sequence) -> bool:
         """Insert an integer point; returns True when it enlarges the hull."""
-        ambient = _int_point(point)
+        ambient = reference_int_point(point)
         if len(ambient) != self.ambient_dim:
             raise ValueError("point has the wrong dimension")
         if not self.hull.contains(ambient):

@@ -1181,6 +1181,9 @@ MALFORMED_POLYTOPES = {
     "number_vertices": '{"vertices": 5}\n',
     "list_dim": '{"dim": [3], "vertices": [[1, 1, 0]]}\n',
     "float_dim": '{"dim": 3.5, "vertices": [[1, 1, 0], [2, 0, 0]]}\n',
+    # a coordinate that is not an integer or a 'p/q' string
+    "bool_coordinate": '{"dim": 3, "vertices": [[true, 1, 0], [2, 0, 0]]}\n',
+    "float_coordinate": '{"dim": 3, "vertices": [[1.5, 1, 0], [2, 0, 0]]}\n',
 }
 
 CONTRACT_FILES = {
@@ -1315,6 +1318,20 @@ def contract_dir(tmp_path_factory):
     for name, text in CONTRACT_FILES.items():
         (base / name).write_text(text, encoding="utf-8")
     return base
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("bool_coordinate", "expected a number, got True"),
+     ("float_coordinate", "expected an integer or 'p/q' string, got 1.5")],
+)
+def test_a_stored_coordinate_that_is_not_a_rational_is_refused_by_the_parser(
+    capsys, monkeypatch, contract_dir, name, message
+):
+    monkeypatch.chdir(contract_dir)
+    code, out, err = run(capsys, "contains", "--polytope", f"{name}.json", "--point", "1,1,0")
+    assert code == EXIT_VALIDATION and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_contract_corpus_covers_every_command():

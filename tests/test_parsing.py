@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from statepoly import parsing
 from statepoly.parsing import (
     IdealFile,
     ParseError,
@@ -16,6 +17,7 @@ from statepoly.parsing import (
     format_polynomial,
     format_rational,
     format_vector,
+    format_vectors,
     parse_ideal_file,
     parse_int_vector,
     parse_polynomial,
@@ -121,6 +123,11 @@ def test_integers_past_the_string_limit_are_refused_where_they_become_text():
         render_json,
         lambda v: render_json({"a": [1, v]}),
         lambda v: render_json(["a", v]),
+        # a row past the limit in each bulk shape of int rows
+        lambda v: render_json([[1, 2], [3, v]]),
+        lambda v: render_json(((4095,), (v, -4096))),
+        lambda v: render_json({"b": [1], "a": (2, -v)}),
+        lambda v: format_vectors([(1, 2), (v, 3)]),
     )
     for write in writers:
         with pytest.raises(ValueError, match=f"more than {limit} digits"):
@@ -140,8 +147,47 @@ def _random_text(rng: random.Random) -> str:
     return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randrange(4)))
 
 
+# ints at and around the small-int text table's bound, and past it
+EDGE_INTS = (0, 4095, -4095, 4096, -4096, 10**30, -(10**30))
+
+
+def _random_int(rng: random.Random) -> int:
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rng.randrange(-50, 50)
+    if pick == 1:
+        return rng.choice(EDGE_INTS)
+    return rng.randrange(-(10**12), 10**12)
+
+
+def _random_row(rng: random.Random):
+    """An int row as a list or a tuple; now and then an empty one, or one
+    with a bool, None or a str among its ints."""
+    row = [_random_int(rng) for _ in range(rng.randrange(1, 6))]
+    pick = rng.randrange(10)
+    if pick == 0:
+        row.insert(rng.randrange(len(row) + 1), rng.choice((True, False, None, "7")))
+    elif pick == 1:
+        row = []
+    return tuple(row) if rng.random() < 0.3 else row
+
+
+def _random_rows(rng: random.Random):
+    """Vertex rows or a witness map: a list or a tuple of rows, or a dict
+    of str keys to rows."""
+    rows = [_random_row(rng) for _ in range(rng.randrange(1, 6))]
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rows
+    if pick == 1:
+        return tuple(rows)
+    return {_random_text(rng) + str(i): row for i, row in enumerate(rows)}
+
+
 def _random_document(rng: random.Random, depth: int = 0):
-    kind = rng.randrange(9) if depth < 4 else rng.randrange(4, 9)
+    kind = rng.randrange(10) if depth < 4 else rng.randrange(4, 10)
+    if kind == 9:
+        return _random_rows(rng)
     if kind == 0:
         return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(rng.randrange(6))}
     if kind == 1:
@@ -149,7 +195,7 @@ def _random_document(rng: random.Random, depth: int = 0):
     if kind == 2:
         return tuple(_random_document(rng, depth + 1) for _ in range(rng.randrange(4)))
     if kind == 3:  # a vertex or witness row: the all-int path, empty included
-        return [rng.randrange(-(10**12), 10**12) for _ in range(rng.randrange(8))]
+        return [_random_int(rng) for _ in range(rng.randrange(8))]
     if kind == 4:
         return rng.choice((-1, 1)) * rng.randrange(10**3999, 10**4000)
     if kind == 5:
@@ -167,10 +213,34 @@ def test_render_json_matches_json_dumps(seed):
         assert_same_text(render_json(doc), json.dumps(doc, indent=2, sort_keys=True))
 
 
+def test_large_ints_leave_the_text_table_as_it_is():
+    table = parsing._TEXT
+    # a row of small ints enters the table, a row that holds a larger one does not
+    render_json([list(range(-4095, 4096)), list(range(-5000, 5000))])
+    size = len(table)
+    assert size == 2 * parsing._TEXT_BOUND - 1
+    assert all(-parsing._TEXT_BOUND < v < parsing._TEXT_BOUND for v in table)
+    rng = random.Random(11)
+    large = [rng.choice((-1, 1)) * rng.randrange(10**6, 10**40) for _ in range(998)] + [10**6, -(10**6)]
+    render_json(large)
+    render_json([large[i:i + 10] for i in range(0, len(large), 10)])
+    render_json({str(i): tuple(large[i:i + 10]) for i in range(0, len(large), 10)})
+    format_vectors([large[i:i + 10] for i in range(0, len(large), 10)])
+    assert len(table) == size
+
+
+def test_bulk_rows_write_a_bool_as_json():
+    # a bool is never read from the table as the text of 0 or 1
+    assert render_json([[1, True], [0, False]]) == json.dumps([[1, True], [0, False]], indent=2)
+    assert render_json({"a": [1, True]}) == json.dumps({"a": [1, True]}, indent=2)
+    assert format_vector((1, True)) == "1,1"
+
+
 @pytest.mark.parametrize(
     "doc",
     [{}, [], (), "", 0, -7, True, None, [True, 1, False, 0], [1, None], [[], {}], {"b": [], "a": {}},
-     {"z": 1, "a": [1, 2], "é": (3,)}, [10**4000, -(10**4000)]],
+     {"z": 1, "a": [1, 2], "é": (3,)}, [10**4000, -(10**4000)], [[1, 2], (3,)], [[1], []],
+     {"b": [4096], "a": (-4095, 0)}, ([10**30], [True]), {"a": [1], "b": [None]}],
     ids=lambda doc: repr(doc)[:40],
 )
 def test_render_json_edge_documents(doc):
@@ -180,6 +250,7 @@ def test_render_json_edge_documents(doc):
 @pytest.mark.parametrize(
     "doc",
     [1.5, Fraction(1, 2), Fraction(3), {1: 2}, {"a": 1, 2: 3}, {(1,): 2}, [1, 2.0], {"a": [0.0]},
+     {1: [1, 2]}, {"a": [1], 2: [3]}, {None: (1,)}, [{1: 2}], {"a": {1: 2}}, [[1], {2: 3}],
      [Fraction(3)], b"x", {1, 2}, 1j, ...],
     ids=repr,
 )
